@@ -18,17 +18,16 @@ Subpackages by role:
 
 __version__ = "0.1.0"
 
-from .structure import (MetricParams, ProfileError, SingularityProfile, StructurePair, Zone,
-                        bracket, check_structure_properties, classify_zone, constant_pair,
-                        custom_pair, lambda_loss, make_profile, planck, poly_pair, time_split)
-from .quantize import (GridSpec, OverflowGuardError, SobolevIndex, SpectralField, apply_kn,
-                       apply_multiplier, dft_forward, dft_inverse, l2_norm, loss_operator,
-                       sobolev_norm)
+from .structure import (ProfileError, SingularityProfile, StructurePair, Zone, bracket,
+                        check_structure_properties, classify_zone, constant_pair, custom_pair,
+                        lambda_loss, make_profile, one, planck, poly_pair, time_split, zero)
+from .quantize import (GridSpec, OverflowGuardError, SobolevIndex, apply_kn, apply_multiplier,
+                       dft_forward, dft_inverse, l2_norm, loss_operator, sobolev_norm)
 from .symbols import (CharacteristicRoot, CoefficientFamily, EllipticityError, ExcisionCutoff,
                       QuadratureError, TimeQuadrature, char_root, example_coefficient, excise,
                       fit_blowup_exponents, free_wave, graded_lattice, h_symbol, l1_defect,
-                      reference_wave, root_estimate_report, smooth_cutoff, symbol_class_report,
-                      theorem_coefficient)
+                      reference_wave, root_estimate_report, separable_family, smooth_cutoff,
+                      symbol_class_report, theorem_coefficient)
 from .solver import (CauchyProblem, SolverError, SupportError, TimeMesh, Trajectory,
                      assemble_rhs, graded_mesh, integrate, reduce_to_system, system_residual)
 from .analysis import (BandError, ConeSpec, EnergyTrace, GaussianBump, TrigPoly, closed_form,

@@ -39,12 +39,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quantize import GridSpec, SobolevIndex, apply_multiplier, dft_forward, dft_inverse, \
-    sobolev_norm
-from .solver import Trajectory
-from .structure import SingularityProfile, StructurePair, bracket, constant_pair, lambda_loss
-from .symbols import (CoefficientFamily, SampleLattice, char_root, excise, graded_lattice,
-                      h_symbol, smooth_cutoff)
+from .quantize import GridSpec, SobolevIndex, dft_forward, dft_inverse, sobolev_norm
+from .solver import Trajectory, apply_lower, apply_symbol
+from .structure import (SingularityProfile, StructurePair, bracket, constant_pair, lambda_loss,
+                        one, zero)
+from .symbols import (CoefficientFamily, SampleLattice, _two_xi, _xi_squared, char_root, excise,
+                      graded_lattice, h_symbol, separable_family, smooth_cutoff)
 
 __all__ = [
     "falling_factorial",
@@ -218,71 +218,45 @@ def closed_form(example_id: str, m: int, u0) -> ClosedFormSolution:
     )
 
 
+def _over_t(c: float) -> Callable:
+    return lambda t: c / np.asarray(t, dtype=float)
+
+
+def _oscillating_speed2(t):
+    return (2.0 + np.sin(np.sqrt(np.asarray(t, dtype=float)))) ** 2
+
+
+def _d_oscillating_speed2(t):
+    rt = np.sqrt(np.asarray(t, dtype=float))
+    return (2.0 + np.sin(rt)) * np.cos(rt) / rt
+
+
+def _oscillating_drift(t):
+    rt = np.sqrt(np.asarray(t, dtype=float))
+    return -np.cos(rt) / (2.0 * rt)
+
+
+def _in_t(b: Callable | None) -> Callable | None:
+    """Lift a coefficient ``b(t)`` to the ``(t, x)`` signature, constant in x."""
+    return None if b is None else (lambda t, x: b(t) * one(x))
+
+
 def counterexample_family(example_id: str, m: int = 0, *, k: float = 1.0,
                           T: float = 1.0) -> CoefficientFamily:
     """Coefficient family of the example's operator (homogeneous ``xi^2`` principal part)."""
     _check_example_id(example_id)
-    pair = constant_pair()
-    zero = lambda t, x, xi: np.zeros(np.broadcast(np.asarray(t), np.asarray(x),
-                                                  np.asarray(xi)).shape)
-
-    def unit_a():
-        return (lambda t, x, xi: np.asarray(xi, dtype=float) ** 2
-                + 0.0 * np.asarray(t) * np.asarray(x))
-
-    common = dict(pair=pair, k=k, T=T, spectral_shift=False, x_dependent=False,
-                  dx_a=zero, c0=1.0)
-    if example_id == "7.1":
-        return CoefficientFamily(
-            a=unit_a(), dt_a=zero,
-            dxi_a=lambda t, x, xi: 2.0 * np.asarray(xi) + 0.0 * np.asarray(t) * np.asarray(x),
-            b0=lambda t, x: 0.5 / np.asarray(t, dtype=float) + 0.0 * np.asarray(x),
-            b1=lambda t, x: -(4.0 * m + 1.0) * 0.5 / np.asarray(t, dtype=float)
-            + 0.0 * np.asarray(x),
-            p=0.0, q=0.0, r=1.0,
-            separable=(lambda t: np.ones_like(np.asarray(t, dtype=float)),
-                       lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                       lambda xi: np.asarray(xi, dtype=float) ** 2),
-            label=f"counterexample-7.1(m={m})", **common)
-    if example_id == "7.2":
-        return CoefficientFamily(
-            a=unit_a(), dt_a=zero,
-            dxi_a=lambda t, x, xi: 2.0 * np.asarray(xi) + 0.0 * np.asarray(t) * np.asarray(x),
-            b1=lambda t, x: -2.0 / np.asarray(t, dtype=float) + 0.0 * np.asarray(x),
-            p=0.0, q=0.0, r=1.0,
-            separable=(lambda t: np.ones_like(np.asarray(t, dtype=float)),
-                       lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                       lambda xi: np.asarray(xi, dtype=float) ** 2),
-            label="counterexample-7.2", **common)
-    if example_id == "7.3":
-        def c(t):
-            return (2.0 + np.sin(np.sqrt(np.asarray(t, dtype=float)))) ** 2
-
-        def dc(t):
-            t = np.asarray(t, dtype=float)
-            rt = np.sqrt(t)
-            return (2.0 + np.sin(rt)) * np.cos(rt) / rt
-
-        return CoefficientFamily(
-            a=lambda t, x, xi: c(t) * np.asarray(xi, dtype=float) ** 2 + 0.0 * np.asarray(x),
-            dt_a=lambda t, x, xi: dc(t) * np.asarray(xi, dtype=float) ** 2 + 0.0 * np.asarray(x),
-            dxi_a=lambda t, x, xi: 2.0 * c(t) * np.asarray(xi) + 0.0 * np.asarray(x),
-            b1=lambda t, x: -np.cos(np.sqrt(np.asarray(t, dtype=float)))
-            / (2.0 * np.sqrt(np.asarray(t, dtype=float))) + 0.0 * np.asarray(x),
-            p=0.0, q=0.5, r=0.5, osc_exponent=None,
-            separable=(c, lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                       lambda xi: np.asarray(xi, dtype=float) ** 2),
-            label="counterexample-7.3", **common)
-    return CoefficientFamily(
-        a=unit_a(), dt_a=zero,
-        dxi_a=lambda t, x, xi: 2.0 * np.asarray(xi) + 0.0 * np.asarray(t) * np.asarray(x),
-        b0=lambda t, x: -1.0 / np.asarray(t, dtype=float) + 0.0 * np.asarray(x),
-        b1=lambda t, x: -3.0 / np.asarray(t, dtype=float) + 0.0 * np.asarray(x),
-        p=0.0, q=0.0, r=1.0,
-        separable=(lambda t: np.ones_like(np.asarray(t, dtype=float)),
-                   lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                   lambda xi: np.asarray(xi, dtype=float) ** 2),
-        label="counterexample-7.4", **common)
+    # g(t), g'(t), q, r, b0(t), b1(t): the principal part is g(t) xi^2
+    g, dg, q, r, b0, b1 = {
+        "7.1": (one, zero, 0.0, 1.0, _over_t(0.5), _over_t(-(4.0 * m + 1.0) * 0.5)),
+        "7.2": (one, zero, 0.0, 1.0, None, _over_t(-2.0)),
+        "7.3": (_oscillating_speed2, _d_oscillating_speed2, 0.5, 0.5, None, _oscillating_drift),
+        "7.4": (one, zero, 0.0, 1.0, _over_t(-1.0), _over_t(-3.0)),
+    }[example_id]
+    label = f"counterexample-{example_id}" + (f"(m={m})" if example_id == "7.1" else "")
+    return separable_family(
+        g, dg, one, zero, _xi_squared, _two_xi,
+        pair=constant_pair(), k=k, p=0.0, q=q, r=r, T=T, c0=1.0,
+        spectral_shift=False, x_dependent=False, b0=_in_t(b0), b1=_in_t(b1), label=label)
 
 
 def residual_check(example_id: str, m: int, u0, grid: GridSpec,
@@ -310,14 +284,10 @@ def residual_check(example_id: str, m: int, u0, grid: GridSpec,
         um2, um1, uc, up1, up2 = stencil
         utt = (-um2 + 16.0 * um1 - 30.0 * uc + 16.0 * up1 - up2) / (12.0 * h * h)
         ut = (um2 - 8.0 * um1 + 8.0 * up1 - up2) / (12.0 * h)
-        res = utt
+        res = (utt + apply_symbol(grid, fam.a, t, uc, fam.is_multiplier)
+               + apply_lower(grid, fam, t, uc))
         if fam.b0 is not None:
             res = res + np.asarray(fam.b0(t, grid.x)) * ut
-        res = res + float(fam.separable[0](t)) * apply_multiplier(
-            grid, fam.separable[2](grid.xi), uc)
-        if fam.b1 is not None:
-            res = res + np.asarray(fam.b1(t, grid.x)) * apply_multiplier(
-                grid, 1j * grid.xi, uc, zero_nyquist=True)
         worst = max(worst, float(np.max(np.abs(res))))
         peak = max(peak, float(np.max(np.abs(uc))))
     return worst / max(peak, 1e-300)
@@ -545,9 +515,9 @@ class LambdaFit:
     iterations: int
 
 
-def fit_lambda(family: CoefficientFamily, profile: SingularityProfile,
-               pair: StructurePair | None = None, *, lattice: SampleLattice | None = None,
-               cutoff=None, max_iter: int = 3) -> LambdaFit:
+def fit_lambda(family: CoefficientFamily, profile: SingularityProfile, *,
+               lattice: SampleLattice | None = None, cutoff=None,
+               max_iter: int = 3) -> LambdaFit:
     """Smallest ``lam`` with ``|sigma(A0)| + |sigma(A1)| <= lam t^(ds-1) (Phi<xi>_k)^(1/sigma)``
     on the lattice.
 
@@ -556,13 +526,12 @@ def fit_lambda(family: CoefficientFamily, profile: SingularityProfile,
     entries vanish and the disjoint-support products drop out exactly).  With
     ``b0 != 0`` the block B3 references lam itself; the fixed point is iterated.
     """
-    pair = pair if pair is not None else family.pair
+    pair, k = family.pair, family.k
     lattice = lattice if lattice is not None else graded_lattice(family.T)
     cutoff = cutoff if cutoff is not None else smooth_cutoff()
-    k = family.k
-    exc = excise(family, cutoff, pair, k)
+    exc = excise(family, cutoff)
     root = char_root(exc)
-    hsym = h_symbol(root, cutoff, pair, k)
+    hsym = h_symbol(root)
 
     tt, xx, ww = lattice.mesh()
     om = np.asarray(pair.omega(xx), dtype=float)

@@ -2,7 +2,7 @@
 
 One experiment per process invocation, driven by a JSON config::
 
-    singhyp --config run.json --out results/ [--seed 42] [--threads 1]
+    singhyp --config run.json --out results/ [--seed 42]
     singhyp --suite --out results/
 
 Exit status: 0 all verdicts pass, 2 invalid configuration (message names the
@@ -359,10 +359,9 @@ _RUNNERS = {
 }
 
 
-def run(raw_config: dict, out_dir, seed: int = 42, threads: int = 1) -> int:
+def run(raw_config: dict, out_dir, seed: int = 42) -> int:
     """Run one experiment; returns the process exit status (0 pass / 2 config /
-    3 numerical).  ``threads`` is accepted for interface stability; all kernels
-    are single-threaded and deterministic."""
+    3 numerical)."""
     try:
         cfg = RunConfig(raw_config)
     except ConfigError as e:
@@ -435,8 +434,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=Path("singhyp-out"),
                         help="output directory")
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; kernels are single-threaded deterministic")
     parser.add_argument("--suite", action="store_true",
                         help="run the acceptance battery instead of a config")
     args = parser.parse_args(argv)
@@ -450,7 +447,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as e:
         print(f"config error: cannot read {args.config}: {e}", file=sys.stderr)
         return 2
-    return run(raw, args.out, seed=args.seed, threads=args.threads)
+    return run(raw, args.out, seed=args.seed)
 
 
 if __name__ == "__main__":

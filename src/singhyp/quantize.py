@@ -39,7 +39,6 @@ from .structure import StructurePair, bracket
 
 __all__ = [
     "GridSpec",
-    "SpectralField",
     "SobolevIndex",
     "OverflowGuardError",
     "dft_forward",
@@ -133,29 +132,6 @@ def l2_norm(grid: GridSpec, values) -> float:
     """Discrete L2 norm ``sqrt(dx * sum |u|^2)``."""
     u = np.asarray(values)
     return float(np.sqrt(grid.dx * np.sum(np.abs(u) ** 2)))
-
-
-class SpectralField:
-    """Grid field with a lazily cached spectrum (cache equals the forward DFT)."""
-
-    def __init__(self, grid: GridSpec, values):
-        self.grid = grid
-        self.values = np.asarray(values, dtype=complex)
-        if self.values.shape != (grid.N,):
-            raise ValueError("values do not match grid size")
-        self._spectrum = None
-
-    def spectrum(self) -> np.ndarray:
-        if self._spectrum is None:
-            self._spectrum = dft_forward(self.grid, self.values)
-        return self._spectrum
-
-    def cache_consistent(self, rtol: float = 1e-12) -> bool:
-        if self._spectrum is None:
-            return True
-        fresh = dft_forward(self.grid, self.values)
-        scale = max(float(np.max(np.abs(fresh))), 1e-300)
-        return float(np.max(np.abs(fresh - self._spectrum))) <= rtol * scale
 
 
 def _multiplier_values(grid: GridSpec, m) -> np.ndarray:

@@ -19,8 +19,6 @@ import numpy as np
 __all__ = [
     "format_float",
     "write_csv",
-    "write_field_csv",
-    "write_spectrum_csv",
     "write_trajectory",
     "write_json",
     "build_manifest",
@@ -39,22 +37,6 @@ def write_csv(path: Path, header: list[str], rows) -> Path:
                               else str(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
     return path
-
-
-def write_field_csv(path: Path, grid, values) -> Path:
-    u = np.asarray(values, dtype=complex)
-    return write_csv(path, ["x", "re_u", "im_u"],
-                     ((float(x), float(v.real), float(v.imag))
-                      for x, v in zip(grid.x, u)))
-
-
-def write_spectrum_csv(path: Path, grid, values) -> Path:
-    from .quantize import dft_forward
-
-    c = dft_forward(grid, np.asarray(values, dtype=complex))
-    order = np.argsort(grid.xi)
-    return write_csv(path, ["xi", "abs_coeff"],
-                     ((float(grid.xi[j]), float(abs(c[j]))) for j in order))
 
 
 def write_trajectory(out_dir: Path, traj, prefix: str = "snapshot") -> list[Path]:

@@ -38,8 +38,7 @@ import numpy as np
 
 from .quantize import GridSpec, apply_kn, apply_multiplier, l2_norm
 from .structure import bracket
-from .symbols import (CoefficientFamily, ExcisionCutoff, char_root, excise, h_symbol,
-                      smooth_cutoff)
+from .symbols import CoefficientFamily, ExcisionCutoff, char_root, excise, h_symbol
 
 __all__ = [
     "SolverError",
@@ -48,6 +47,8 @@ __all__ = [
     "graded_mesh",
     "CauchyProblem",
     "Trajectory",
+    "apply_symbol",
+    "apply_lower",
     "assemble_rhs",
     "integrate",
     "SystemOperators",
@@ -171,12 +172,36 @@ class Trajectory:
             raise ValueError("snapshot times must be strictly increasing")
 
 
+def apply_symbol(grid: GridSpec, symbol: Callable, t: float, u, multiplier: bool):
+    """``Op(symbol(t, ., .)) u``.
+
+    With ``multiplier`` (the symbol does not depend on x, see
+    :attr:`CoefficientFamily.is_multiplier`) this is the exact Fourier
+    multiplier ``symbol(t, 0, xi)``; otherwise the dense Kohn-Nirenberg product.
+    """
+    if multiplier:
+        return apply_multiplier(grid, symbol(t, 0.0, grid.xi), u)
+    return apply_kn(grid, lambda x, xi: symbol(t, x, xi), u)
+
+
+def apply_lower(grid: GridSpec, family: CoefficientFamily, t: float, u):
+    """``Op(b) u = b1(t, x) du/dx + b2(t, x) u`` (0 where both are absent)."""
+    out = np.zeros_like(u)
+    if family.b1 is not None:
+        du = apply_multiplier(grid, 1j * grid.xi, u, zero_nyquist=True)
+        out = out + np.asarray(family.b1(t, grid.x)) * du
+    if family.b2 is not None:
+        out = out + np.asarray(family.b2(t, grid.x)) * u
+    return out
+
+
 class Discretization:
     """Spatial operator application for one (problem, grid) pairing.
 
-    Separable non-excised families use the exact fast path
-    ``Op(g w m) = w(x) * m(D) * g(t)``; everything else goes through the dense
-    Kohn-Nirenberg quantization.
+    The principal symbol is the excised ``atilde`` with ``use_excision`` and
+    the family's ``a`` otherwise.  Separable non-excised families use the exact
+    fast path ``Op(g w m) = w(x) * m(D) * g(t)``; everything else goes through
+    :func:`apply_symbol`.
     """
 
     def __init__(self, problem: CauchyProblem, grid: GridSpec):
@@ -184,42 +209,24 @@ class Discretization:
         self.problem = problem
         self.grid = grid
         fam = problem.family
-        self.excised = None
-        if problem.use_excision:
-            self.excised = excise(fam, problem.cutoff or smooth_cutoff())
-        self._fast = fam.separable is not None and not problem.use_excision
-        if self._fast:
+        self.excised = excise(fam, problem.cutoff) if problem.use_excision else None
+        self.symbol = self.excised.a if self.excised is not None else fam.a
+        self._multiplier = fam.is_multiplier
+        self._factors = None
+        if fam.separable is not None and self.excised is None:
             g, w, m = fam.separable
-            self._g = g
-            self._w = np.asarray(w(grid.x), dtype=float)
-            self._m = np.asarray(m(grid.xi), dtype=complex)
-        self._bracket = bracket(grid.xi, grid.k)
+            self._factors = (g, np.asarray(w(grid.x), dtype=float),
+                             np.asarray(m(grid.xi), dtype=complex))
 
     def apply_principal(self, t: float, u: np.ndarray) -> np.ndarray:
-        if self.excised is not None:
-            if not self.problem.family.x_dependent and self.excised.pair.is_constant:
-                sym = self.excised.a(t, 0.0, self.grid.xi)
-                return apply_multiplier(self.grid, sym, u)
-            return apply_kn(self.grid, lambda x, xi: self.excised.a(t, x, xi), u)
-        if self._fast:
-            return float(self._g(t)) * self._w * apply_multiplier(self.grid, self._m, u)
-        return apply_kn(self.grid, lambda x, xi: self.problem.family.a(t, x, xi), u)
-
-    def apply_lower(self, t: float, u: np.ndarray) -> np.ndarray:
-        fam = self.problem.family
-        out = np.zeros_like(u)
-        if fam.b1 is not None:
-            du = apply_multiplier(self.grid, 1j * self.grid.xi, u, zero_nyquist=True)
-            out = out + np.asarray(fam.b1(t, self.grid.x)) * du
-        if fam.b2 is not None:
-            out = out + np.asarray(fam.b2(t, self.grid.x)) * u
-        return out
+        if self._factors is not None:
+            g, w, m = self._factors
+            return float(g(t)) * w * apply_multiplier(self.grid, m, u)
+        return apply_symbol(self.grid, self.symbol, t, u, self._multiplier)
 
     def rhs(self, t: float, u: np.ndarray, v: np.ndarray):
         fam = self.problem.family
-        dv = -self.apply_principal(t, u)
-        if fam.b1 is not None or fam.b2 is not None:
-            dv = dv - self.apply_lower(t, u)
+        dv = -self.apply_principal(t, u) - apply_lower(self.grid, fam, t, u)
         if fam.b0 is not None:
             dv = dv - np.asarray(fam.b0(t, self.grid.x)) * v
         if self.problem.forcing is not None:
@@ -229,23 +236,15 @@ class Discretization:
     def speed_bound(self, t: float) -> float:
         """sup over the grid of sqrt(a(t, x, xi_max)/xi_max^2) (excised a if active)."""
         xi_ref = self.grid.xi_max
-        a_fn = self.excised.a if self.excised is not None else self.problem.family.a
-        vals = np.asarray(a_fn(t, self.grid.x, xi_ref), dtype=float)
+        vals = np.asarray(self.symbol(t, self.grid.x, xi_ref), dtype=float)
         return float(np.sqrt(np.max(np.abs(vals)) / xi_ref**2))
 
     def singular_start(self) -> bool:
         fam = self.problem.family
         t0 = self.problem.t_start
-        vals = []
-        a_fn = self.excised.a if self.excised is not None else fam.a
         with np.errstate(all="ignore"):
-            vals.append(np.asarray(a_fn(t0, 0.0, self.grid.k)))
-            if fam.b0 is not None:
-                vals.append(np.asarray(fam.b0(t0, 0.0)))
-            if fam.b1 is not None:
-                vals.append(np.asarray(fam.b1(t0, 0.0)))
-            if fam.b2 is not None:
-                vals.append(np.asarray(fam.b2(t0, 0.0)))
+            vals = [self.symbol(t0, 0.0, self.grid.k)]
+            vals += [b(t0, 0.0) for b in (fam.b0, fam.b1, fam.b2) if b is not None]
         return not all(np.all(np.isfinite(v)) for v in vals)
 
 
@@ -355,20 +354,15 @@ class SystemOperators:
         self.grid = grid
         self.lam = lam
         fam = problem.family
-        self.cutoff = problem.cutoff or smooth_cutoff()
-        self.excised = excise(fam, self.cutoff)
+        self.excised = excise(fam, problem.cutoff)
         self.root = char_root(self.excised)
         self.h = h_symbol(self.root)
-        self.pair = fam.pair
-        self.k = grid.k
-        self._mult_path = (not fam.x_dependent) and self.pair.is_constant
-        self._om = np.asarray(self.pair.omega(grid.x), dtype=float)
+        self._multiplier = fam.is_multiplier
+        self._om = np.asarray(fam.pair.omega(grid.x), dtype=float)
         self._br = bracket(grid.xi, grid.k)
 
     def _apply(self, sym_fn, t, u):
-        if self._mult_path:
-            return apply_multiplier(self.grid, sym_fn(t, 0.0, self.grid.xi), u)
-        return apply_kn(self.grid, lambda x, xi: sym_fn(t, x, xi), u)
+        return apply_symbol(self.grid, sym_fn, t, u, self._multiplier)
 
     def apply_tau(self, t, u):
         return self._apply(self.root.value, t, u)
@@ -388,16 +382,6 @@ class SystemOperators:
     def apply_excised(self, t, u):
         return self._apply(self.excised.a, t, u)
 
-    def apply_b(self, t, u):
-        fam = self.problem.family
-        out = np.zeros_like(u)
-        if fam.b1 is not None:
-            out = out + np.asarray(fam.b1(t, self.grid.x)) * apply_multiplier(
-                self.grid, 1j * self.grid.xi, u, zero_nyquist=True)
-        if fam.b2 is not None:
-            out = out + np.asarray(fam.b2(t, self.grid.x)) * u
-        return out
-
     def apply_M(self, u):
         return self._om * apply_multiplier(self.grid, self._br, u)
 
@@ -413,7 +397,7 @@ class SystemOperators:
         w = self.apply_Minv(u)
         out = -1j * self.apply_dt_tau(t, w)
         out = out + self.apply_excised(t, w) - self.apply_tau(t, self.apply_tau(t, w))
-        out = out + self.apply_b(t, w)
+        out = out + apply_lower(self.grid, self.problem.family, t, w)
         return out
 
     def B2(self, t, u):

@@ -31,13 +31,14 @@ import numpy as np
 __all__ = [
     "ProfileError",
     "SingularityProfile",
-    "MetricParams",
     "StructurePair",
     "Zone",
     "AxiomCheck",
     "PropertyReport",
     "make_profile",
     "bracket",
+    "one",
+    "zero",
     "planck",
     "time_split",
     "classify_zone",
@@ -71,17 +72,6 @@ class SingularityProfile:
     delta: float
     gamma: float
     delta_star: float
-
-
-@dataclass(frozen=True)
-class MetricParams:
-    """Spectral shift ``k`` of the bracket ``<xi>_k = sqrt(k^2 + xi^2)``."""
-
-    k: float = 1.0
-
-    def __post_init__(self):
-        if not self.k >= 1.0:
-            raise ValueError(f"metric parameter k must satisfy k >= 1, got {self.k}")
 
 
 def make_profile(p: float, q: float, r: float, sigma: float, T: float) -> SingularityProfile:
@@ -132,6 +122,16 @@ def bracket(xi, k: float):
     return np.hypot(k, xi)
 
 
+def one(x):
+    """The constant factor 1, shaped like its argument."""
+    return np.ones_like(np.asarray(x, dtype=float))
+
+
+def zero(x):
+    """The constant factor 0, shaped like its argument."""
+    return np.zeros_like(np.asarray(x, dtype=float))
+
+
 # --------------------------------------------------------------------------
 # structure functions
 # --------------------------------------------------------------------------
@@ -144,13 +144,6 @@ def _fd1(f: Callable) -> Callable:
         return (f(x + _FD_STEP) - f(x - _FD_STEP)) / (2.0 * _FD_STEP)
 
     return d
-
-
-def _fd2(f: Callable) -> Callable:
-    def d2(x):
-        return (f(x + _FD_STEP) - 2.0 * f(x) + f(x - _FD_STEP)) / (_FD_STEP * _FD_STEP)
-
-    return d2
 
 
 @dataclass(frozen=True)
@@ -167,8 +160,6 @@ class StructurePair:
     phi: Callable
     domega: Callable
     dphi: Callable
-    d2omega: Callable
-    d2phi: Callable
     is_constant: bool = False
     label: str = "custom"
 
@@ -185,16 +176,12 @@ def poly_pair(kappa1: float, kappa2: float) -> StructurePair:
         def d1(x):
             return kappa * x * np.hypot(1.0, x) ** (kappa - 2.0)
 
-        def d2(x):
-            b = np.hypot(1.0, x)
-            return kappa * b ** (kappa - 2.0) + kappa * (kappa - 2.0) * x * x * b ** (kappa - 4.0)
+        return f, d1
 
-        return f, d1, d2
-
-    om, dom, d2om = power(kappa1)
-    ph, dph, d2ph = power(kappa2)
+    om, dom = power(kappa1)
+    ph, dph = power(kappa2)
     return StructurePair(
-        omega=om, phi=ph, domega=dom, dphi=dph, d2omega=d2om, d2phi=d2ph,
+        omega=om, phi=ph, domega=dom, dphi=dph,
         is_constant=(kappa1 == 0.0 and kappa2 == 0.0),
         label=f"poly({kappa1},{kappa2})",
     )
@@ -202,26 +189,17 @@ def poly_pair(kappa1: float, kappa2: float) -> StructurePair:
 
 def constant_pair() -> StructurePair:
     """The trivial pair ``omega = Phi = 1``."""
-
-    def one(x):
-        return np.ones_like(np.asarray(x, dtype=float))
-
-    def zero(x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    return StructurePair(one, one, zero, zero, zero, zero, is_constant=True, label="constant")
+    return StructurePair(one, one, zero, zero, is_constant=True, label="constant")
 
 
 def custom_pair(omega: Callable, phi: Callable, *, domega=None, dphi=None,
-                d2omega=None, d2phi=None, label: str = "custom") -> StructurePair:
+                label: str = "custom") -> StructurePair:
     """Wrap user functions; missing derivative oracles fall back to centered differences."""
     return StructurePair(
         omega=omega,
         phi=phi,
         domega=domega if domega is not None else _fd1(omega),
         dphi=dphi if dphi is not None else _fd1(phi),
-        d2omega=d2omega if d2omega is not None else _fd2(omega),
-        d2phi=d2phi if d2phi is not None else _fd2(phi),
         is_constant=False,
         label=label,
     )

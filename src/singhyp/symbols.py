@@ -36,12 +36,13 @@ from typing import Callable
 import numpy as np
 
 from .structure import (SingularityProfile, StructurePair, Zone, bracket, classify_zone,
-                        constant_pair, make_profile, poly_pair)
+                        constant_pair, make_profile, one, poly_pair, zero)
 
 __all__ = [
     "ExcisionCutoff",
     "smooth_cutoff",
     "CoefficientFamily",
+    "separable_family",
     "example_coefficient",
     "theorem_coefficient",
     "free_wave",
@@ -147,6 +148,7 @@ class CoefficientFamily:
     form ``c(t, x) xi^2`` (measured against ``omega^2 xi^2``).  ``separable``
     optionally holds ``(g(t), w(x), m(xi))`` factors with
     ``a = g(t) w(x) m(xi)``; the solver uses it for exact fast application.
+    Build such families with :func:`separable_family`.
     """
 
     a: Callable                 # (t, x, xi) -> real
@@ -170,6 +172,12 @@ class CoefficientFamily:
     osc_exponent: float | None = None  # b in the oscillation phase ~ t**-b, if any
     label: str = "family"
 
+    @property
+    def is_multiplier(self) -> bool:
+        """True when ``a`` and every symbol derived from it (excised symbol, root,
+        H) are independent of x, so their operators are Fourier multipliers."""
+        return not self.x_dependent and self.pair.is_constant
+
     def b_symbol(self, t, x, xi):
         """Lower-order symbol ``i b1(t,x) xi + b2(t,x)`` (0 where absent)."""
         out = np.zeros(np.broadcast(np.asarray(t), np.asarray(x), np.asarray(xi)).shape,
@@ -180,8 +188,36 @@ class CoefficientFamily:
             out = out + np.asarray(self.b2(t, x))
         return out
 
-    def has_lower_order(self) -> bool:
-        return any(f is not None for f in (self.b0, self.b1, self.b2))
+
+def separable_family(g: Callable, dg: Callable, w: Callable, dw: Callable, m: Callable,
+                     dm: Callable, **fields) -> CoefficientFamily:
+    """The family ``a(t, x, xi) = g(t) w(x) m(xi)`` with derivative oracles
+    ``dg w m``, ``g dw m`` and ``g w dm`` and ``separable = (g, w, m)``.
+
+    Each factor maps its argument to an array of the same shape (use
+    :func:`~singhyp.structure.one` and :func:`~singhyp.structure.zero` for
+    constant factors), so the products broadcast over any ``(t, x, xi)``.
+    ``fields`` are the remaining :class:`CoefficientFamily` fields.
+    """
+    return CoefficientFamily(
+        a=lambda t, x, xi: g(t) * w(x) * m(xi),
+        dt_a=lambda t, x, xi: dg(t) * w(x) * m(xi),
+        dx_a=lambda t, x, xi: g(t) * dw(x) * m(xi),
+        dxi_a=lambda t, x, xi: g(t) * w(x) * dm(xi),
+        separable=(g, w, m), **fields)
+
+
+def _xi_squared(xi):
+    return np.asarray(xi, dtype=float) ** 2
+
+
+def _two_xi(xi):
+    return 2.0 * np.asarray(xi, dtype=float)
+
+
+def _shifted_square(k: float) -> Callable:
+    """``xi -> <xi>_k^2``; its derivative is ``2 xi``."""
+    return lambda xi: bracket(xi, k) ** 2
 
 
 def example_coefficient(kappa1: float, kappa2: float, *, T: float = 1.0,
@@ -221,16 +257,11 @@ def example_coefficient(kappa1: float, kappa2: float, *, T: float = 1.0,
         return (-0.25 * t ** -1.25 * (2.0 + np.sin(t ** -0.125))
                 - 0.125 * t ** -0.25 * np.cos(t ** -0.125) * t ** -1.125)
 
-    return CoefficientFamily(
-        a=lambda t, x, xi: cx(x) * ct(t) * np.asarray(xi) ** 2,
-        dt_a=lambda t, x, xi: cx(x) * dct(t) * np.asarray(xi) ** 2,
-        dx_a=lambda t, x, xi: dcx(x) * ct(t) * np.asarray(xi) ** 2,
-        dxi_a=lambda t, x, xi: 2.0 * cx(x) * ct(t) * np.asarray(xi),
+    return separable_family(
+        ct, dct, cx, dcx, _xi_squared, _two_xi,
         pair=poly_pair(kappa1, kappa2),
         k=k, p=0.25, q=11.0 / 8.0, r=0.0, T=T,
         c0=1.0, spectral_shift=False, x_dependent=True,
-        separable=(ct, cx, lambda xi: np.asarray(xi) ** 2),
-        profile=None,
         osc_exponent=0.125,
         label=f"example11({kappa1},{kappa2})",
     )
@@ -277,17 +308,10 @@ def theorem_coefficient(p: float, q: float, *, amplitude: float = 0.5,
     def dw2(x):
         return 2.0 * np.asarray(om(x), dtype=float) * np.asarray(dom(x), dtype=float)
 
-    def m(xi):
-        return bracket(xi, k) ** 2
-
-    return CoefficientFamily(
-        a=lambda t, x, xi: g(t) * w2(x) * m(xi),
-        dt_a=lambda t, x, xi: dg(t) * w2(x) * m(xi),
-        dx_a=lambda t, x, xi: g(t) * dw2(x) * m(xi),
-        dxi_a=lambda t, x, xi: g(t) * w2(x) * 2.0 * np.asarray(xi),
+    return separable_family(
+        g, dg, w2, dw2, _shifted_square(k), _two_xi,
         pair=pair, k=k, p=p, q=q, r=r, T=T,
         c0=floor, spectral_shift=True, x_dependent=not pair.is_constant,
-        separable=(g, w2, m),
         profile=profile,
         osc_exponent=(q - 1.0) if amplitude > 0 else None,
         label=f"theorem(p={p},q={q})",
@@ -297,17 +321,10 @@ def theorem_coefficient(p: float, q: float, *, amplitude: float = 0.5,
 def free_wave(speed: float = 1.0, *, T: float = 1.0, k: float = 1.0) -> CoefficientFamily:
     """Constant-coefficient wave ``a = speed^2 xi^2`` (homogeneous, no shift)."""
     c2 = speed * speed
-    zero = lambda t, x, xi: np.zeros(np.broadcast(np.asarray(t), np.asarray(x),
-                                                  np.asarray(xi)).shape)
-    return CoefficientFamily(
-        a=lambda t, x, xi: c2 * np.asarray(xi) ** 2 + 0.0 * np.asarray(t) * np.asarray(x),
-        dt_a=zero, dx_a=zero,
-        dxi_a=lambda t, x, xi: 2.0 * c2 * np.asarray(xi) + 0.0 * np.asarray(t) * np.asarray(x),
+    return separable_family(
+        one, zero, one, zero, lambda xi: c2 * _xi_squared(xi), lambda xi: c2 * _two_xi(xi),
         pair=constant_pair(), k=k, p=0.0, q=1.25, r=0.0, T=T,
         c0=c2, spectral_shift=False, x_dependent=False,
-        separable=(lambda t: np.ones_like(np.asarray(t, dtype=float)),
-                   lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                   lambda xi: c2 * np.asarray(xi) ** 2),
         profile=make_profile(0.0, 1.25, 0.0, 3.0, T),
         label=f"free-wave(c={speed})",
     )
@@ -319,17 +336,10 @@ def reference_wave(*, T: float = 1.0, k: float = 1.0) -> CoefficientFamily:
     Excision leaves it unchanged, every correction block vanishes beyond the
     cutoff supports, and ``tau = <xi>_k`` exactly.
     """
-    one = lambda t: np.ones_like(np.asarray(t, dtype=float))
-    zero = lambda t, x, xi: np.zeros(np.broadcast(np.asarray(t), np.asarray(x),
-                                                  np.asarray(xi)).shape)
-    return CoefficientFamily(
-        a=lambda t, x, xi: bracket(xi, k) ** 2 + 0.0 * np.asarray(t) * np.asarray(x),
-        dt_a=zero, dx_a=zero,
-        dxi_a=lambda t, x, xi: 2.0 * np.asarray(xi) + 0.0 * np.asarray(t) * np.asarray(x),
+    return separable_family(
+        one, zero, one, zero, _shifted_square(k), _two_xi,
         pair=constant_pair(), k=k, p=0.0, q=1.25, r=0.0, T=T,
         c0=1.0, spectral_shift=True, x_dependent=False,
-        separable=(one, lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                   lambda xi: bracket(xi, k) ** 2),
         profile=make_profile(0.0, 1.25, 0.0, 3.0, T),
         label="reference-wave",
     )
@@ -436,15 +446,12 @@ class ExcisedCoefficient:
         return self.family.x_dependent
 
 
-def excise(family, cutoff: ExcisionCutoff | None = None,
-           pair: StructurePair | None = None, k: float | None = None) -> ExcisedCoefficient:
-    """Excise the principal symbol; defaults come from the family."""
-    return ExcisedCoefficient(
-        family=family,
-        cutoff=cutoff if cutoff is not None else smooth_cutoff(),
-        pair=pair if pair is not None else family.pair,
-        k=k if k is not None else family.k,
-    )
+def excise(family, cutoff: ExcisionCutoff | None = None) -> ExcisedCoefficient:
+    """Excise the principal symbol with the family's pair and shift ``k``
+    (default cutoff: :func:`smooth_cutoff`)."""
+    return ExcisedCoefficient(family=family,
+                              cutoff=cutoff if cutoff is not None else smooth_cutoff(),
+                              pair=family.pair, k=family.k)
 
 
 class EllipticityError(ValueError):
@@ -557,14 +564,10 @@ class HSymbol:
         return -0.5j * (term - term2)
 
 
-def h_symbol(root: CharacteristicRoot, cutoff: ExcisionCutoff | None = None,
-             pair: StructurePair | None = None, k: float | None = None) -> HSymbol:
-    return HSymbol(
-        root=root,
-        cutoff=cutoff if cutoff is not None else root.excised.cutoff,
-        pair=pair if pair is not None else root.excised.pair,
-        k=k if k is not None else root.excised.k,
-    )
+def h_symbol(root: CharacteristicRoot) -> HSymbol:
+    """The H symbol with the cutoff, pair and shift of the root's excision."""
+    exc = root.excised
+    return HSymbol(root=root, cutoff=exc.cutoff, pair=exc.pair, k=exc.k)
 
 
 # --------------------------------------------------------------------------

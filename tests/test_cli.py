@@ -1,13 +1,14 @@
 """Config validation, experiment runs, artifact contracts, determinism."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from singhyp.cli import ConfigError, RunConfig, main, run
-from singhyp.runio import write_field_csv, write_json, write_spectrum_csv
-from singhyp.quantize import GridSpec, dft_forward
+from singhyp.runio import write_json, write_trajectory
+from singhyp.quantize import GridSpec
 
 
 BASE = {
@@ -143,20 +144,18 @@ class TestRun:
 
 
 class TestRunio:
-    def test_field_and_spectrum_roundtrip_precision(self, tmp_path):
+    def test_trajectory_roundtrip_precision(self, tmp_path):
         grid = GridSpec(L=np.pi, N=32, k=1.0)
         rng = np.random.default_rng(3)
-        u = rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N)
-        p1 = write_field_csv(tmp_path / "f.csv", grid, u)
-        rows = [line.split(",") for line in p1.read_text().splitlines()[1:]]
-        back = np.array([float(r[1]) + 1j * float(r[2]) for r in rows])
-        assert np.array_equal(back, u)  # repr round-trips exactly
-        p2 = write_spectrum_csv(tmp_path / "s.csv", grid, u)
-        rows = [line.split(",") for line in p2.read_text().splitlines()[1:]]
-        xi_sorted = np.array([float(r[0]) for r in rows])
-        assert np.all(np.diff(xi_sorted) > 0)
-        c = np.abs(dft_forward(grid, u))
-        assert float(rows[0][1]) == pytest.approx(c[np.argsort(grid.xi)][0], rel=1e-15)
+        u, v = (rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N)
+                for _ in range(2))
+        traj = SimpleNamespace(grid=grid, snapshots=((0.5, u, v),))
+        (path,) = write_trajectory(tmp_path, traj)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        back_u = np.array([float(r[1]) + 1j * float(r[2]) for r in rows])
+        back_v = np.array([float(r[3]) + 1j * float(r[4]) for r in rows])
+        # repr round-trips exactly
+        assert np.array_equal(back_u, u) and np.array_equal(back_v, v)
 
     def test_json_serializes_numpy(self, tmp_path):
         p = write_json(tmp_path / "x.json", {"a": np.float64(0.1), "b": np.arange(3)})

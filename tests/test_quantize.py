@@ -4,7 +4,7 @@ and weighted Sobolev norms."""
 import numpy as np
 import pytest
 
-from singhyp.quantize import (GridSpec, OverflowGuardError, SobolevIndex, SpectralField,
+from singhyp.quantize import (GridSpec, OverflowGuardError, SobolevIndex,
                               apply_kn, apply_multiplier, dft_forward, dft_inverse, l2_norm,
                               loss_operator, loss_symbol, sobolev_norm)
 from singhyp.structure import bracket, constant_pair, poly_pair
@@ -211,12 +211,3 @@ class TestSobolevNorm:
         with pytest.raises(ValueError):
             sobolev_norm(grid, rand_field, SobolevIndex(0.0, 0.0, 0.0, 3.0, 2.0),
                          constant_pair())
-
-
-class TestSpectralField:
-    def test_cache_consistency(self, grid, rand_field):
-        f = SpectralField(grid, rand_field)
-        _ = f.spectrum()
-        assert f.cache_consistent()
-        f.values[:] *= 2.0  # stale cache must be detectable
-        assert not f.cache_consistent()

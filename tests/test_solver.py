@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from singhyp.quantize import GridSpec, apply_multiplier, l2_norm
-from singhyp.solver import (CauchyProblem, SolverError, SupportError, SystemOperators,
-                            assemble_rhs, graded_mesh, integrate, reduce_to_system,
-                            system_residual)
+from singhyp.solver import (CauchyProblem, Discretization, SolverError, SupportError,
+                            SystemOperators, assemble_rhs, graded_mesh, integrate,
+                            reduce_to_system, system_residual)
 from singhyp.structure import bracket, poly_pair
 from singhyp.symbols import free_wave, reference_wave, theorem_coefficient
 from singhyp.analysis import GaussianBump, closed_form, counterexample_family, \
@@ -244,12 +244,10 @@ class TestExcisionSolve:
         diff = l2_norm(grid, runs[True] - runs[False]) / l2_norm(grid, runs[False])
         assert diff <= 1.0
 
-    @pytest.mark.xfail(strict=False, reason=(
-        "the integrated excision defect grows like (Phi<xi>_k)^(2-(1-p)/(q-p)) with "
-        "positive exponent, so the on/off difference is an O(1)-in-k phase surgery "
-        "near t=0, not a quantity that decays monotonically in k"))
-    def test_difference_monotone_in_k(self):
-        diffs = []
+    def test_difference_order_one_in_k(self):
+        # the integrated excision defect grows like (Phi<xi>_k)^(2-(1-p)/(q-p)), so
+        # the on/off difference is an O(1) phase surgery near t = 0 for every k
+        # (0.53, 0.48, 0.15 at k = 4, 16, 64; not monotone: 0.52 at k = 256)
         for k in (4.0, 16.0, 64.0):
             grid = GridSpec(L=np.pi, N=64, k=k)
             fam = theorem_coefficient(0.0, 1.25, k=k)
@@ -261,9 +259,8 @@ class TestExcisionSolve:
                                      use_excision=flag)
                 traj = integrate(prob, grid, graded_mesh(fam, 0.0, 1.0, 512), [1.0])
                 runs[flag] = traj.snapshots[-1][1]
-            diffs.append(l2_norm(grid, runs[True] - runs[False])
-                         / l2_norm(grid, runs[False]))
-        assert diffs[0] >= diffs[1] >= diffs[2]
+            diff = l2_norm(grid, runs[True] - runs[False]) / l2_norm(grid, runs[False])
+            assert 0.1 <= diff <= 1.0, (k, diff)
 
 
 class TestSystem:
@@ -326,7 +323,7 @@ class TestSystem:
         assert system_residual(traj, prob, grid) == 0.0
 
     def test_dense_kn_path_matches_multiplier_path(self):
-        # x-independent family forced through the dense quantizer must agree
+        # x-independent symbols forced through the dense quantizer must agree
         grid = GridSpec(L=np.pi, N=64, k=4.0)
         fam = reference_wave(k=4.0)
         f1 = _band_field(grid)
@@ -334,7 +331,17 @@ class TestSystem:
         prob = CauchyProblem(family=fam, f1=f1, f2=f2, t_start=0.0, T=1.0)
         ops = SystemOperators(prob, grid)
         u1a, u2a = ops.reduce(0.7, f1, f2)
-        ops._mult_path = False  # exercise the dense route
+        ops._multiplier = False  # exercise the dense route
         u1b, u2b = ops.reduce(0.7, f1, f2)
         assert np.max(np.abs(u1a - u1b)) <= 1e-10 * np.max(np.abs(u1a))
         assert np.max(np.abs(u2a - u2b)) <= 1e-10 * np.max(np.abs(u2a))
+        # the excised constant-pair principal part, inside the blend window
+        fam = theorem_coefficient(0.0, 1.25, k=4.0)
+        prob = CauchyProblem(family=fam, f1=f1, f2=f2, t_start=0.0, T=1.0, use_excision=True)
+        disc = Discretization(prob, grid)
+        for t in (0.05, 0.7):
+            mult = disc.apply_principal(t, f1)
+            disc._multiplier = False
+            dense = disc.apply_principal(t, f1)
+            disc._multiplier = True
+            assert np.max(np.abs(mult - dense)) <= 1e-10 * np.max(np.abs(mult))

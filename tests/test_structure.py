@@ -53,15 +53,6 @@ class TestMakeProfile:
         assert pr.delta_star <= pr.delta
 
 
-class TestMetricParams:
-    def test_shift_floor(self):
-        from singhyp.structure import MetricParams
-
-        with pytest.raises(ValueError):
-            MetricParams(k=0.5)
-        assert bracket(0.0, MetricParams(k=3.0).k) == 3.0
-
-
 class TestPlanckAndSplit:
     def test_planck_identity_cases(self):
         pair = constant_pair()

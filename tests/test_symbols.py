@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from singhyp.structure import bracket, poly_pair
 from singhyp.symbols import (ClassDescriptor, EllipticityError, QuadratureError,
                              TimeQuadrature, char_root, example_coefficient, excise,
-                             fit_blowup_exponents, fit_power_law, graded_lattice, h_symbol,
-                             l1_defect, reference_wave, root_estimate_report, smooth_cutoff,
-                             symbol_class_report, theorem_coefficient)
+                             fit_blowup_exponents, fit_power_law, free_wave, graded_lattice,
+                             h_symbol, l1_defect, reference_wave, root_estimate_report,
+                             smooth_cutoff, symbol_class_report, theorem_coefficient)
 from singhyp.analysis import counterexample_family
 
 
@@ -87,6 +87,32 @@ class TestExampleCoefficient:
             assert fd_t == pytest.approx(dt(t, x, xi), rel=1e-6)
             assert fd_x == pytest.approx(dx(t, x, xi), rel=1e-6)
             assert fd_xi == pytest.approx(dxi(t, x, xi), rel=1e-6)
+
+
+BUILTIN_FAMILIES = {
+    "theorem": lambda: theorem_coefficient(0.0, 1.25, pair=poly_pair(0.5, 0.5), k=2.0),
+    "example11": lambda: example_coefficient(0.5, 0.75),
+    "free-wave": lambda: free_wave(1.5),
+    "reference-wave": lambda: reference_wave(k=2.0),
+    **{f"counterexample-{e}": (lambda e=e: counterexample_family(e, 2))
+       for e in ("7.1", "7.2", "7.3", "7.4")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_FAMILIES))
+def test_family_matches_its_separable_factors(name):
+    fam = BUILTIN_FAMILIES[name]()
+    rng = np.random.default_rng(5)
+    t, x, xi = rng.uniform(0.05, 1.0, 50), rng.uniform(-5, 5, 50), rng.uniform(-30, 30, 50)
+    g, w, m = fam.separable
+    assert np.array_equal(fam.a(t, x, xi), g(t) * w(x) * m(xi))
+    t, x, xi, h = 0.43, 0.7, 1.9, 1e-6
+    assert (fam.a(t + h, x, xi) - fam.a(t - h, x, xi)) / (2 * h) \
+        == pytest.approx(fam.dt_a(t, x, xi), rel=1e-6)
+    assert (fam.a(t, x + h, xi) - fam.a(t, x - h, xi)) / (2 * h) \
+        == pytest.approx(fam.dx_a(t, x, xi), rel=1e-6)
+    assert (fam.a(t, x, xi + h) - fam.a(t, x, xi - h)) / (2 * h) \
+        == pytest.approx(fam.dxi_a(t, x, xi), rel=1e-6)
 
 
 class TestTheoremCoefficient:
