@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .quantize import GridSpec, SobolevIndex, dft_forward, dft_inverse, sobolev_norm
-from .solver import Trajectory, apply_lower, apply_symbol
+from .solver import CauchyProblem, Discretization, Trajectory
 from .structure import (SingularityProfile, StructurePair, bracket, constant_pair, lambda_loss,
                         one, zero)
 from .symbols import (CoefficientFamily, SampleLattice, _two_xi, _xi_squared, char_root, excise,
@@ -263,8 +263,10 @@ def residual_check(example_id: str, m: int, u0, grid: GridSpec,
                    t_grid: Sequence[float] | None = None) -> float:
     """Max relative residual of the example's operator applied to its closed form.
 
-    Spatial derivatives act through the quantizer (exact for trig-polynomial
-    data); time derivatives use 5-point centered differences with step
+    Spatial derivatives act through the integrator's own right-hand side,
+    :meth:`~singhyp.solver.Discretization.rhs` (exact for trig-polynomial
+    data), so the check certifies what :func:`~singhyp.solver.integrate` runs;
+    time derivatives use 5-point centered differences with step
     ``5e-4 * t``, balancing the O(h^4) truncation (~1e-8 for 8-mode data)
     against the second-derivative cancellation roundoff (~1e-7).  The default
     time grid is ``linspace(T/2, T, 6)``; callers may pass any grid in (0, T].
@@ -276,6 +278,8 @@ def residual_check(example_id: str, m: int, u0, grid: GridSpec,
           else np.linspace(0.5 * fam.T, fam.T, 6))
     if np.any(ts <= 0):
         raise ValueError("t_grid must avoid t = 0")
+    z = np.zeros(grid.N)
+    disc = Discretization(CauchyProblem(family=fam, f1=z, f2=z, t_start=0.0, T=fam.T), grid)
     worst, peak = 0.0, 0.0
     for t in ts:
         h = 5e-4 * float(t)
@@ -284,10 +288,7 @@ def residual_check(example_id: str, m: int, u0, grid: GridSpec,
         um2, um1, uc, up1, up2 = stencil
         utt = (-um2 + 16.0 * um1 - 30.0 * uc + 16.0 * up1 - up2) / (12.0 * h * h)
         ut = (um2 - 8.0 * um1 + 8.0 * up1 - up2) / (12.0 * h)
-        res = (utt + apply_symbol(grid, fam.a, t, uc, fam.is_multiplier)
-               + apply_lower(grid, fam, t, uc))
-        if fam.b0 is not None:
-            res = res + np.asarray(fam.b0(t, grid.x)) * ut
+        res = utt - disc.rhs(t, uc, ut)[1]
         worst = max(worst, float(np.max(np.abs(res))))
         peak = max(peak, float(np.max(np.abs(uc))))
     return worst / max(peak, 1e-300)

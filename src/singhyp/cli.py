@@ -409,8 +409,9 @@ def suite(out_dir, seed: int = 42) -> int:
     # fault injection: an ellipticity-violating coefficient must surface a witness
     injected = {"name": "injected-ellipticity-fault", "pass": False}
     fam = theorem_coefficient(0.0, 1.25, k=2.0)
-    broken = fam.__class__(**{**fam.__dict__, "a": lambda t, x, xi: -np.ones(
-        np.broadcast(np.asarray(t), np.asarray(x), np.asarray(xi)).shape)})
+    broken = fam.__class__(**{**fam.__dict__, "separable": None,
+                              "a": lambda t, x, xi: -np.ones(np.broadcast(
+                                  np.asarray(t), np.asarray(x), np.asarray(xi)).shape)})
     try:
         char_root(excise(broken))
     except EllipticityError as e:

@@ -14,6 +14,10 @@ stages at the step midpoint, so the vector field is never evaluated at the
 singular time.  CFL violations trigger automatic step halving (up to 20
 levels).
 
+Every ``Op(sigma)`` comes from :func:`symbol_operator`, which picks once per
+(symbol, grid) the separable product ``g(t) w(x) m(D)``, the Fourier
+multiplier or the dense Kohn-Nirenberg product.
+
 The first-order reduction
 
     ``u1 = v + i Op(tau) u``,  ``u2 = Op(omega <D>_k) u - Op(H) u1``
@@ -47,7 +51,7 @@ __all__ = [
     "graded_mesh",
     "CauchyProblem",
     "Trajectory",
-    "apply_symbol",
+    "symbol_operator",
     "apply_lower",
     "assemble_rhs",
     "integrate",
@@ -172,16 +176,25 @@ class Trajectory:
             raise ValueError("snapshot times must be strictly increasing")
 
 
-def apply_symbol(grid: GridSpec, symbol: Callable, t: float, u, multiplier: bool):
-    """``Op(symbol(t, ., .)) u``.
+def symbol_operator(grid: GridSpec, family: CoefficientFamily,
+                    symbol: Callable | None = None) -> Callable:
+    """``(t, u) -> Op(symbol(t, ., .)) u`` on ``grid``, with the path chosen once.
 
-    With ``multiplier`` (the symbol does not depend on x, see
-    :attr:`CoefficientFamily.is_multiplier`) this is the exact Fourier
-    multiplier ``symbol(t, 0, xi)``; otherwise the dense Kohn-Nirenberg product.
+    ``symbol`` defaults to the family's ``a``.  That default on a separable
+    family is the exact product ``g(t) w(x) m(D)`` with ``w`` and ``m``
+    precomputed on the grid; any symbol of a multiplier family (see
+    :attr:`CoefficientFamily.is_multiplier`) is the Fourier multiplier
+    ``symbol(t, 0, xi)``; everything else is the dense Kohn-Nirenberg product.
     """
-    if multiplier:
-        return apply_multiplier(grid, symbol(t, 0.0, grid.xi), u)
-    return apply_kn(grid, lambda x, xi: symbol(t, x, xi), u)
+    if symbol is None and family.separable is not None:
+        g, w, m = family.separable
+        w = np.asarray(w(grid.x), dtype=float)
+        m = np.asarray(m(grid.xi), dtype=complex)
+        return lambda t, u: float(g(t)) * w * apply_multiplier(grid, m, u)
+    symbol = family.a if symbol is None else symbol
+    if family.is_multiplier:
+        return lambda t, u: apply_multiplier(grid, symbol(t, 0.0, grid.xi), u)
+    return lambda t, u: apply_kn(grid, lambda x, xi: symbol(t, x, xi), u)
 
 
 def apply_lower(grid: GridSpec, family: CoefficientFamily, t: float, u):
@@ -199,9 +212,7 @@ class Discretization:
     """Spatial operator application for one (problem, grid) pairing.
 
     The principal symbol is the excised ``atilde`` with ``use_excision`` and
-    the family's ``a`` otherwise.  Separable non-excised families use the exact
-    fast path ``Op(g w m) = w(x) * m(D) * g(t)``; everything else goes through
-    :func:`apply_symbol`.
+    the family's ``a`` otherwise; :func:`symbol_operator` picks its path.
     """
 
     def __init__(self, problem: CauchyProblem, grid: GridSpec):
@@ -209,20 +220,9 @@ class Discretization:
         self.problem = problem
         self.grid = grid
         fam = problem.family
-        self.excised = excise(fam, problem.cutoff) if problem.use_excision else None
-        self.symbol = self.excised.a if self.excised is not None else fam.a
-        self._multiplier = fam.is_multiplier
-        self._factors = None
-        if fam.separable is not None and self.excised is None:
-            g, w, m = fam.separable
-            self._factors = (g, np.asarray(w(grid.x), dtype=float),
-                             np.asarray(m(grid.xi), dtype=complex))
-
-    def apply_principal(self, t: float, u: np.ndarray) -> np.ndarray:
-        if self._factors is not None:
-            g, w, m = self._factors
-            return float(g(t)) * w * apply_multiplier(self.grid, m, u)
-        return apply_symbol(self.grid, self.symbol, t, u, self._multiplier)
+        atilde = excise(fam, problem.cutoff).a if problem.use_excision else None
+        self.symbol = fam.a if atilde is None else atilde
+        self.apply_principal = symbol_operator(grid, fam, atilde)
 
     def rhs(self, t: float, u: np.ndarray, v: np.ndarray):
         fam = self.problem.family
@@ -343,10 +343,8 @@ def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
 class SystemOperators:
     """Quantized building blocks of the 2x2 system.
 
-    Symbols are applied through the Kohn-Nirenberg quantization; for
-    multiplier families (x-independent symbol, constant pair) the exact
-    multiplier path is used.  Compositions follow the written operator order:
-    ``B0 H u = B0(H(u))``.
+    Each symbol's operator comes from :func:`symbol_operator`.  Compositions
+    follow the written operator order: ``B0 H u = B0(H(u))``.
     """
 
     def __init__(self, problem: CauchyProblem, grid: GridSpec, lam: float = 0.0):
@@ -357,30 +355,14 @@ class SystemOperators:
         self.excised = excise(fam, problem.cutoff)
         self.root = char_root(self.excised)
         self.h = h_symbol(self.root)
-        self._multiplier = fam.is_multiplier
+        self.apply_tau = symbol_operator(grid, fam, self.root.value)
+        self.apply_dt_tau = symbol_operator(grid, fam, self.root.dt)
+        self.apply_H = symbol_operator(grid, fam, self.h.value)
+        self.apply_dtH = symbol_operator(grid, fam, self.h.dt)
+        self.apply_defect = symbol_operator(grid, fam, self.excised.defect)
+        self.apply_excised = symbol_operator(grid, fam, self.excised.a)
         self._om = np.asarray(fam.pair.omega(grid.x), dtype=float)
         self._br = bracket(grid.xi, grid.k)
-
-    def _apply(self, sym_fn, t, u):
-        return apply_symbol(self.grid, sym_fn, t, u, self._multiplier)
-
-    def apply_tau(self, t, u):
-        return self._apply(self.root.value, t, u)
-
-    def apply_dt_tau(self, t, u):
-        return self._apply(self.root.dt, t, u)
-
-    def apply_H(self, t, u):
-        return self._apply(self.h.value, t, u)
-
-    def apply_dtH(self, t, u):
-        return self._apply(self.h.dt, t, u)
-
-    def apply_defect(self, t, u):
-        return self._apply(self.excised.defect, t, u)
-
-    def apply_excised(self, t, u):
-        return self._apply(self.excised.a, t, u)
 
     def apply_M(self, u):
         return self._om * apply_multiplier(self.grid, self._br, u)
@@ -464,11 +446,9 @@ class SystemOperators:
         return r1, r2
 
 
-def reduce_to_system(t: float, u, v, problem: CauchyProblem, grid: GridSpec,
-                     ops: SystemOperators | None = None):
+def reduce_to_system(t: float, u, v, problem: CauchyProblem, grid: GridSpec):
     """Change of variables ``(u, v) -> (u1, u2)`` at time ``t``."""
-    ops = ops if ops is not None else SystemOperators(problem, grid)
-    return ops.reduce(t, np.asarray(u, dtype=complex), np.asarray(v, dtype=complex))
+    return SystemOperators(problem, grid).reduce(t, u, v)
 
 
 def system_residual(traj: Trajectory, problem: CauchyProblem, grid: GridSpec,

@@ -172,6 +172,16 @@ class CoefficientFamily:
     osc_exponent: float | None = None  # b in the oscillation phase ~ t**-b, if any
     label: str = "family"
 
+    def __post_init__(self):
+        # the solver applies ``separable``, not ``a``: reject a rebuild that changed only ``a``
+        if self.separable is not None:
+            g, w, m = self.separable
+            x, xi = np.repeat([0.0, 0.5, 2.0], 3), self.k * np.tile([1.0, 3.0, 7.0], 3)
+            if not np.allclose(self.a(self.T, x, xi), g(self.T) * w(x) * m(xi), rtol=1e-12,
+                               atol=0.0):
+                raise ValueError(f"{self.label}: a is not the product of its separable "
+                                 "factors; rebuild with separable=None")
+
     @property
     def is_multiplier(self) -> bool:
         """True when ``a`` and every symbol derived from it (excised symbol, root,
@@ -356,6 +366,8 @@ class ExcisedCoefficient:
 
     Quacks like a family (same evaluation interface), so it can be re-excised;
     re-excision is the identity wherever ``s`` is outside the blend ``(1, 2)``.
+    Where ``cut == 1`` every method selects the reference value with ``np.where``,
+    so a raw coefficient undefined there (e.g. at t = 0) leaks no NaN.
     """
 
     family: CoefficientFamily
@@ -371,19 +383,12 @@ class ExcisedCoefficient:
         ref = np.asarray(self.pair.omega(x), dtype=float) ** 2 * br ** 2
         return t, br, phi_x, s, ref
 
-    @staticmethod
-    def _blend(flat_mask, flat_value, expr_value):
-        """Select the flat-region value where cut == 1 without letting a possibly
-        undefined raw coefficient (e.g. oscillations at t = 0) leak NaNs through
-        the zero factor."""
-        return np.where(flat_mask, flat_value, expr_value)
-
     def a(self, t, x, xi):
         t, br, phi_x, s, ref = self._parts(t, x, xi)
         c = self.cutoff.phi(s)
         with np.errstate(all="ignore"):
             raw = c * ref + (1.0 - c) * self.family.a(t, x, xi)
-        return self._blend(c >= 1.0, ref, raw)
+        return np.where(c >= 1.0, ref, raw)
 
     def dt_a(self, t, x, xi):
         t, br, phi_x, s, ref = self._parts(t, x, xi)
@@ -391,7 +396,7 @@ class ExcisedCoefficient:
         dc = self.cutoff.dphi(s) * phi_x * br
         with np.errstate(all="ignore"):
             raw = dc * (ref - self.family.a(t, x, xi)) + (1.0 - c) * self.family.dt_a(t, x, xi)
-        return self._blend(c >= 1.0, np.zeros_like(ref), raw)
+        return np.where(c >= 1.0, 0.0, raw)
 
     def dx_a(self, t, x, xi):
         t, br, phi_x, s, ref = self._parts(t, x, xi)
@@ -402,7 +407,7 @@ class ExcisedCoefficient:
         with np.errstate(all="ignore"):
             raw = (dc * (ref - self.family.a(t, x, xi)) + c * dref
                    + (1.0 - c) * self.family.dx_a(t, x, xi))
-        return self._blend(c >= 1.0, dref + 0.0 * raw.real, raw)
+        return np.where(c >= 1.0, dref, raw)
 
     def dxi_a(self, t, x, xi):
         t, br, phi_x, s, ref = self._parts(t, x, xi)
@@ -414,7 +419,7 @@ class ExcisedCoefficient:
         with np.errstate(all="ignore"):
             raw = (dc * (ref - self.family.a(t, x, xi)) + c * om2 * 2.0 * xi
                    + (1.0 - c) * self.family.dxi_a(t, x, xi))
-        return self._blend(c >= 1.0, om2 * 2.0 * xi + 0.0 * raw.real, raw)
+        return np.where(c >= 1.0, om2 * 2.0 * xi, raw)
 
     def defect(self, t, x, xi):
         """``a - atilde = cut(s) * (a - omega^2 <xi>_k^2)``; vanishes for s >= 2.
@@ -426,24 +431,12 @@ class ExcisedCoefficient:
 
     # family duck-typing
     @property
-    def p(self):
-        return self.family.p
-
-    @property
-    def q(self):
-        return self.family.q
-
-    @property
     def T(self):
         return self.family.T
 
     @property
     def spectral_shift(self):
         return self.family.spectral_shift
-
-    @property
-    def x_dependent(self):
-        return self.family.x_dependent
 
 
 def excise(family, cutoff: ExcisionCutoff | None = None) -> ExcisedCoefficient:

@@ -162,7 +162,7 @@ class TestPropagationSpeed:
     def test_weight_cancels(self):
         pair = poly_pair(0.5, 0.5)
         fam = free_wave(2.0)
-        fam = fam.__class__(**{**fam.__dict__,
+        fam = fam.__class__(**{**fam.__dict__, "separable": None,
                                "a": lambda t, x, xi: 4.0 * np.asarray(pair.omega(x)) ** 2
                                * np.asarray(xi) ** 2,
                                "pair": pair, "x_dependent": True})

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from singhyp.quantize import GridSpec, apply_multiplier, l2_norm
+from singhyp.quantize import GridSpec, apply_kn, apply_multiplier, l2_norm
 from singhyp.solver import (CauchyProblem, Discretization, SolverError, SupportError,
                             SystemOperators, assemble_rhs, graded_mesh, integrate,
-                            reduce_to_system, system_residual)
+                            reduce_to_system, symbol_operator, system_residual)
 from singhyp.structure import bracket, poly_pair
-from singhyp.symbols import free_wave, reference_wave, theorem_coefficient
+from singhyp.symbols import (char_root, excise, free_wave, h_symbol, reference_wave,
+                             theorem_coefficient)
 from singhyp.analysis import GaussianBump, closed_form, counterexample_family, \
     random_trig_poly
 
@@ -70,6 +71,22 @@ class TestAssembleRhs:
         _, dv = assemble_rhs(1.0, u, np.zeros_like(u), prob, grid)
         expect = apply_multiplier(grid, -grid.xi ** 2 + 2j * grid.xi, u)
         assert np.max(np.abs(dv - expect)) <= 1e-11 * np.max(np.abs(expect))
+
+
+    def test_rebuilt_family_uses_its_new_symbol(self):
+        # the solver applies a separable family through its factors, so a family
+        # rebuilt with a new ``a`` has to drop them
+        fam = free_wave(1.0)
+        a = lambda t, x, xi: 4.0 * np.asarray(xi, dtype=float) ** 2
+        with pytest.raises(ValueError, match="free-wave"):
+            fam.__class__(**{**fam.__dict__, "a": a})
+        fam = fam.__class__(**{**fam.__dict__, "a": a, "separable": None})
+        grid = GridSpec(L=np.pi, N=32, k=1.0)
+        mode = np.exp(3j * grid.x)
+        z = np.zeros_like(mode)
+        prob = CauchyProblem(family=fam, f1=mode, f2=z, t_start=0.0, T=1.0)
+        _, dv = assemble_rhs(0.5, mode, z, prob, grid)
+        assert np.max(np.abs(dv / mode + 36.0)) <= 1e-12
 
 
 class TestIntegrate:
@@ -322,26 +339,31 @@ class TestSystem:
                          np.linspace(0.2, 1.0, 5))
         assert system_residual(traj, prob, grid) == 0.0
 
-    def test_dense_kn_path_matches_multiplier_path(self):
-        # x-independent symbols forced through the dense quantizer must agree
-        grid = GridSpec(L=np.pi, N=64, k=4.0)
-        fam = reference_wave(k=4.0)
-        f1 = _band_field(grid)
-        f2 = _band_field(grid, 1)
-        prob = CauchyProblem(family=fam, f1=f1, f2=f2, t_start=0.0, T=1.0)
-        ops = SystemOperators(prob, grid)
-        u1a, u2a = ops.reduce(0.7, f1, f2)
-        ops._multiplier = False  # exercise the dense route
-        u1b, u2b = ops.reduce(0.7, f1, f2)
-        assert np.max(np.abs(u1a - u1b)) <= 1e-10 * np.max(np.abs(u1a))
-        assert np.max(np.abs(u2a - u2b)) <= 1e-10 * np.max(np.abs(u2a))
-        # the excised constant-pair principal part, inside the blend window
-        fam = theorem_coefficient(0.0, 1.25, k=4.0)
-        prob = CauchyProblem(family=fam, f1=f1, f2=f2, t_start=0.0, T=1.0, use_excision=True)
-        disc = Discretization(prob, grid)
-        for t in (0.05, 0.7):
-            mult = disc.apply_principal(t, f1)
-            disc._multiplier = False
-            dense = disc.apply_principal(t, f1)
-            disc._multiplier = True
-            assert np.max(np.abs(mult - dense)) <= 1e-10 * np.max(np.abs(mult))
+    @pytest.mark.parametrize("name, t", [("reference", 0.7), ("theorem", 0.05),
+                                         ("theorem", 0.7), ("theorem-poly", 0.05),
+                                         ("theorem-poly", 0.7)])
+    def test_operator_paths_match_dense_kn(self, name, t):
+        # every path symbol_operator picks (separable, multiplier, dense), and the
+        # solver's principal part with and without excision, against the dense
+        # KN product; t = 0.05 is inside the blend window, t = 0.7 beyond it
+        grid = GridSpec(L=8.0, N=64, k=4.0)
+        fam = {"reference": lambda: reference_wave(k=4.0),
+               "theorem": lambda: theorem_coefficient(0.0, 1.25, k=4.0),
+               "theorem-poly": lambda: theorem_coefficient(0.0, 1.25, pair=poly_pair(0.5, 0.5),
+                                                           k=4.0)}[name]()
+        u = GaussianBump(0.0, 0.45)(grid.x) * _band_field(grid)
+        excised = excise(fam)
+        root = char_root(excised)
+        h = h_symbol(root)
+
+        def check(got, symbol):
+            want = apply_kn(grid, lambda x, xi: symbol(t, x, xi), u)
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+        check(symbol_operator(grid, fam)(t, u), fam.a)
+        for symbol in (fam.a, root.value, root.dt, h.value, h.dt, excised.defect, excised.a):
+            check(symbol_operator(grid, fam, symbol)(t, u), symbol)
+        for use_excision, symbol in ((False, fam.a), (True, excised.a)):
+            prob = CauchyProblem(family=fam, f1=u, f2=u, t_start=0.0, T=1.0,
+                                 use_excision=use_excision)
+            check(Discretization(prob, grid).apply_principal(t, u), symbol)

@@ -211,6 +211,16 @@ class TestExcision:
         assert np.max(np.abs(v2 - v1) / v0) <= 1e-15
         assert np.max(np.abs(v1 - v0) / v0) <= 1e-15
 
+    def test_flat_region_derivatives_at_t_zero(self):
+        # the raw coefficient is undefined at t = 0 and must not leak NaNs
+        x, xi = 1.0, 2.0
+        om, dom = float(self.fam.pair.omega(x)), float(self.fam.pair.domega(x))
+        br2 = float(bracket(xi, self.fam.k)) ** 2
+        assert float(self.exc.dx_a(0.0, x, xi)) == pytest.approx(2.0 * om * dom * br2,
+                                                                 rel=1e-14)
+        assert float(self.exc.dxi_a(0.0, x, xi)) == pytest.approx(2.0 * om ** 2 * xi,
+                                                                  rel=1e-14)
+
     def test_derivative_oracles_match_fd(self):
         t, x, xi = 0.21, 1.4, 3.7  # inside the blend for this (x, xi)
         h = 1e-6
@@ -253,7 +263,7 @@ class TestCharRoot:
 
     def test_ellipticity_violation_raises_with_witness(self):
         fam = theorem_coefficient(0.0, 1.25, k=2.0)
-        broken = fam.__class__(**{**fam.__dict__,
+        broken = fam.__class__(**{**fam.__dict__, "separable": None,
                                   "a": lambda t, x, xi: -np.ones(np.broadcast(
                                       np.asarray(t), np.asarray(x), np.asarray(xi)).shape)})
         with pytest.raises(EllipticityError) as err:
