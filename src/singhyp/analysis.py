@@ -288,7 +288,7 @@ def residual_check(example_id: str, m: int, u0, grid: GridSpec,
         um2, um1, uc, up1, up2 = stencil
         utt = (-um2 + 16.0 * um1 - 30.0 * uc + 16.0 * up1 - up2) / (12.0 * h * h)
         ut = (um2 - 8.0 * um1 + 8.0 * up1 - up2) / (12.0 * h)
-        res = utt - disc.rhs(t, uc, ut)[1]
+        res = utt - disc.field(disc.rhs(t, disc.state(uc), disc.state(ut))[1])
         worst = max(worst, float(np.max(np.abs(res))))
         peak = max(peak, float(np.max(np.abs(uc))))
     return worst / max(peak, 1e-300)

@@ -18,6 +18,13 @@ Every ``Op(sigma)`` comes from :func:`symbol_operator`, which picks once per
 (symbol, grid) the separable product ``g(t) w(x) m(D)``, the Fourier
 multiplier or the dense Kohn-Nirenberg product.
 
+The integrator's state lives in one of two spaces, fixed per problem by
+:class:`Discretization`.  When every coefficient depends on t only (a
+multiplier family) the right-hand side is diagonal in xi, so RK4 steps the
+Fourier coefficients ``(u^, v^)`` directly, ``dv^ = -mu(t, xi) u^ - b0(t) v^ + f^``
+with ``mu = sigma(t, 0, xi) + i b1(t) xi + b2(t)``, and transforms back only
+at snapshots: no FFT per stage.  Every other problem is stepped on grid values.
+
 The first-order reduction
 
     ``u1 = v + i Op(tau) u``,  ``u2 = Op(omega <D>_k) u - Op(H) u1``
@@ -40,7 +47,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quantize import GridSpec, apply_kn, apply_multiplier, l2_norm
+from .quantize import GridSpec, apply_kn, apply_multiplier, dft_forward, dft_inverse, l2_norm
 from .structure import bracket
 from .symbols import CoefficientFamily, ExcisionCutoff, char_root, excise, h_symbol
 
@@ -213,6 +220,10 @@ class Discretization:
 
     The principal symbol is the excised ``atilde`` with ``use_excision`` and
     the family's ``a`` otherwise; :func:`symbol_operator` picks its path.
+    The state space is chosen here too: Fourier coefficients when the family
+    is a multiplier family (its coefficients are read at x = 0), grid values
+    otherwise.  :meth:`state` and :meth:`field` convert between grid fields and
+    states, and :meth:`rhs` acts on states.
     """
 
     def __init__(self, problem: CauchyProblem, grid: GridSpec):
@@ -223,14 +234,39 @@ class Discretization:
         atilde = excise(fam, problem.cutoff).a if problem.use_excision else None
         self.symbol = fam.a if atilde is None else atilde
         self.apply_principal = symbol_operator(grid, fam, atilde)
+        self.fourier = fam.is_multiplier
+        if self.fourier:
+            # xi with its Nyquist entry zeroed, as apply_lower does for b1 d/dx
+            self._xi_odd = np.where(np.arange(grid.N) == grid.N // 2, 0.0, grid.xi)
+            if atilde is None and fam.separable is not None:
+                g, w, m = fam.separable
+                wm = np.asarray(w(0.0) * m(grid.xi), dtype=complex)
+                self._sigma = lambda t: float(g(t)) * wm
+            else:
+                self._sigma = lambda t: self.symbol(t, 0.0, grid.xi)
+
+    def state(self, f):
+        """Integration state of the grid field ``f``: its Fourier coefficients
+        in Fourier space, ``f`` itself in physical space."""
+        return dft_forward(self.grid, f) if self.fourier else f
+
+    def field(self, c):
+        """Grid field of the state ``c``; the inverse of :meth:`state`."""
+        return dft_inverse(self.grid, c) if self.fourier else c
 
     def rhs(self, t: float, u: np.ndarray, v: np.ndarray):
+        """Time derivatives of the state ``(u, v)``, in the state's space."""
         fam = self.problem.family
-        dv = -self.apply_principal(t, u) - apply_lower(self.grid, fam, t, u)
+        if self.fourier:
+            x = 0.0
+            dv = -(self._sigma(t) + fam.b_symbol(t, 0.0, self._xi_odd)) * u
+        else:
+            x = self.grid.x
+            dv = -self.apply_principal(t, u) - apply_lower(self.grid, fam, t, u)
         if fam.b0 is not None:
-            dv = dv - np.asarray(fam.b0(t, self.grid.x)) * v
+            dv = dv - np.asarray(fam.b0(t, x)) * v
         if self.problem.forcing is not None:
-            dv = dv + self.problem.forcing(t, self.grid.x)
+            dv = dv + self.state(self.problem.forcing(t, self.grid.x))
         return v, dv
 
     def speed_bound(self, t: float) -> float:
@@ -250,8 +286,10 @@ class Discretization:
 
 def assemble_rhs(t: float, u, v, problem: CauchyProblem, grid: GridSpec):
     """Time derivatives ``(du, dv) = (v, f - b0 v - Op(a or atilde)u - Op(b)u)``."""
-    du, dv = Discretization(problem, grid).rhs(t, np.asarray(u, dtype=complex),
-                                               np.asarray(v, dtype=complex))
+    disc = Discretization(problem, grid)
+    du, dv = disc.rhs(t, disc.state(np.asarray(u, dtype=complex)),
+                      disc.state(np.asarray(v, dtype=complex)))
+    du, dv = disc.field(du), disc.field(dv)
     if not (np.all(np.isfinite(du)) and np.all(np.isfinite(dv))):
         raise SolverError(f"non-finite right-hand side at t={t}",
                           report={"t": t, "max_u": float(np.max(np.abs(u)))})
@@ -273,7 +311,10 @@ def _rk4_step(rhs, t0: float, dt: float, u, v, midpoint_only: bool):
 def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
               output_times: Sequence[float]) -> Trajectory:
     """RK4 over the graded mesh; snapshots at the mesh nodes nearest the
-    requested output times (the stored snapshot time is the exact node time).
+    requested output times (the stored snapshot time is the exact node time;
+    requests nearest the same node share one snapshot, and ``stats`` lists the
+    sorted requests as ``requested_times``).  Steps run on the state space of
+    :class:`Discretization`, named by ``stats["space"]``.
 
     The vector field is never sampled at a singular ``t_start``: the first step
     then uses midpoint-only stages.  Steps violating the CFL bound
@@ -289,11 +330,12 @@ def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
     out_req = np.sort(np.asarray(output_times, dtype=float))
     idx = np.unique(np.abs(nodes[None, :] - out_req[:, None]).argmin(axis=1))
 
-    u = np.asarray(problem.f1, dtype=complex).copy()
-    v = np.asarray(problem.f2, dtype=complex).copy()
+    # states are replaced by each step, never updated in place, so snapshots may hold them
+    u = disc.state(np.array(problem.f1, dtype=complex))
+    v = disc.state(np.array(problem.f2, dtype=complex))
     snapshots = []
     if 0 in idx:
-        snapshots.append((float(nodes[0]), u.copy(), v.copy()))
+        snapshots.append((float(nodes[0]), disc.field(u), disc.field(v)))
 
     singular = disc.singular_start()
     n_halvings = 0
@@ -322,7 +364,7 @@ def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
             raise SolverError(f"state became non-finite at t={t1}",
                               report={"t": t1, "step": j})
         if j + 1 in idx:
-            snapshots.append((t1, u.copy(), v.copy()))
+            snapshots.append((t1, disc.field(u), disc.field(v)))
 
     stats = {
         "steps": mesh.M,
@@ -331,6 +373,8 @@ def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
         "min_cfl_dt": min_cfl,
         "max_dt": float(np.max(np.diff(nodes))),
         "singular_start": bool(singular),
+        "space": "fourier" if disc.fourier else "physical",
+        "requested_times": out_req.tolist(),
     }
     return Trajectory(snapshots=tuple(snapshots), grid=grid, mesh=mesh, stats=stats)
 

@@ -173,14 +173,22 @@ class CoefficientFamily:
     label: str = "family"
 
     def __post_init__(self):
-        # the solver applies ``separable``, not ``a``: reject a rebuild that changed only ``a``
+        # the solver applies ``separable``, not ``a``, and reads the coefficients of an
+        # x-independent family at x = 0: reject a family that breaks either promise
+        x, xi = np.repeat([0.0, 0.5, 2.0], 3), self.k * np.tile([1.0, 3.0, 7.0], 3)
+        a = self.a(self.T, x, xi)
         if self.separable is not None:
             g, w, m = self.separable
-            x, xi = np.repeat([0.0, 0.5, 2.0], 3), self.k * np.tile([1.0, 3.0, 7.0], 3)
-            if not np.allclose(self.a(self.T, x, xi), g(self.T) * w(x) * m(xi), rtol=1e-12,
-                               atol=0.0):
+            if not np.allclose(a, g(self.T) * w(x) * m(xi), rtol=1e-12, atol=0.0):
                 raise ValueError(f"{self.label}: a is not the product of its separable "
                                  "factors; rebuild with separable=None")
+        if not self.x_dependent:
+            pairs = [(a, self.a(self.T, 0.0 * x, xi))]
+            pairs += [(b(self.T, x), b(self.T, 0.0 * x))
+                      for b in (self.b0, self.b1, self.b2) if b is not None]
+            if not all(np.allclose(f, f0, rtol=1e-12, atol=0.0) for f, f0 in pairs):
+                raise ValueError(f"{self.label}: flagged x_dependent=False, but a, b0, b1 "
+                                 "or b2 varies in x")
 
     @property
     def is_multiplier(self) -> bool:

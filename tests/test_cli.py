@@ -81,6 +81,8 @@ class TestRun:
         assert len(snaps) == 3
         header = snaps[0].read_text().splitlines()[0]
         assert header == "x,re_u,im_u,re_ut,im_ut"
+        stats = json.loads((tmp_path / "solve_stats.json").read_text())["stats"]
+        assert stats["space"] == "fourier" and stats["requested_times"] == [0.0, 0.5, 1.0]
 
     def test_determinism_bit_identical(self, tmp_path):
         cfg = {"experiment": "solve", "grid": {"L": 8.0, "N": 64, "k": 2.0},

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from singhyp.quantize import GridSpec, apply_kn, apply_multiplier, l2_norm
+import singhyp.solver as solver
 from singhyp.solver import (CauchyProblem, Discretization, SolverError, SupportError,
-                            SystemOperators, assemble_rhs, graded_mesh, integrate,
-                            reduce_to_system, symbol_operator, system_residual)
+                            SystemOperators, _rk4_step, apply_lower, assemble_rhs,
+                            graded_mesh, integrate, reduce_to_system, symbol_operator,
+                            system_residual)
 from singhyp.structure import bracket, poly_pair
 from singhyp.symbols import (char_root, excise, free_wave, h_symbol, reference_wave,
                              theorem_coefficient)
@@ -18,6 +20,24 @@ U0 = random_trig_poly(8, seed=42)
 
 def _band_field(grid, order=0):
     return np.asarray(U0(grid.x, order), dtype=complex)
+
+
+def _forced_reference_wave():
+    # u = sin(t) e^{i3x} for the shifted wave: f = (mu^2 - 1) sin(t) e^{i3x}, mu^2 = 4 + 9
+    grid = GridSpec(L=np.pi, N=64, k=2.0)
+    mode = np.exp(1j * 3 * grid.x)
+    prob = CauchyProblem(family=reference_wave(T=1.0, k=2.0),
+                         f1=np.zeros(grid.N, dtype=complex), f2=mode.copy(), t_start=0.0,
+                         T=1.0, forcing=lambda t, x: 12.0 * np.sin(t) * mode)
+    return prob, grid, 256, False
+
+
+def _problem(fam, grid, t_start, M, singular=False, **kw):
+    # a small full-band part puts every mode, the Nyquist mode too, in the data
+    noise = 1e-3 * np.random.default_rng(7).standard_normal((2, grid.N))
+    prob = CauchyProblem(family=fam, f1=_band_field(grid) + noise[0],
+                         f2=_band_field(grid, 1) + noise[1], t_start=t_start, T=1.0, **kw)
+    return prob, grid, M, singular
 
 
 class TestMesh:
@@ -122,19 +142,9 @@ class TestIntegrate:
         assert l2_norm(grid, u - exact) / l2_norm(grid, exact) <= 1e-5
 
     def test_forced_manufactured_solution(self):
-        # u = sin(t) e^{i3x} for the shifted wave: f = (mu^2 - 1) sin(t) e^{i3x}
-        grid = GridSpec(L=np.pi, N=64, k=2.0)
-        fam = reference_wave(T=1.0, k=2.0)
-        mu2 = 4.0 + 9.0
-        mode = np.exp(1j * 3 * grid.x)
-
-        def forcing(t, x):
-            return (mu2 - 1.0) * np.sin(t) * mode
-
-        z = np.zeros(grid.N, dtype=complex)
-        prob = CauchyProblem(family=fam, f1=z, f2=mode.copy(), t_start=0.0, T=1.0,
-                             forcing=forcing)
-        traj = integrate(prob, grid, graded_mesh(fam, 0.0, 1.0, 1024), [1.0])
+        prob, grid, _, _ = _forced_reference_wave()
+        mode = prob.f2
+        traj = integrate(prob, grid, graded_mesh(prob.family, 0.0, 1.0, 1024), [1.0])
         t, u, v = traj.snapshots[-1]
         assert l2_norm(grid, u - np.sin(t) * mode) / l2_norm(grid, mode) <= 1e-9
 
@@ -229,6 +239,96 @@ class TestIntegrate:
         traj = integrate(prob, grid, mesh, [0.33, 0.8])
         for t, _, _ in traj.snapshots:
             assert np.min(np.abs(mesh.nodes - t)) == 0.0
+
+    def test_merged_requests_are_recorded(self):
+        grid = GridSpec(L=np.pi, N=16, k=1.0)
+        fam = free_wave(1.0, k=1.0)
+        f1 = _band_field(grid)
+        prob = CauchyProblem(family=fam, f1=f1, f2=np.zeros_like(f1), t_start=0.0, T=1.0)
+        traj = integrate(prob, grid, graded_mesh(fam, 0.0, 1.0, 8), [0.5 + 1e-9, 0.5])
+        assert len(traj.snapshots) == 1
+        assert traj.stats["requested_times"] == [0.5, 0.5 + 1e-9]
+        assert traj.stats["space"] == "fourier"
+
+
+_PI64 = GridSpec(L=np.pi, N=64, k=1.0)
+FOURIER_CASES = {
+    **{f"7.1-m{m}": lambda m=m: _problem(counterexample_family("7.1", m), _PI64, 1e-3, 512)
+       for m in (0, 1, 3)},
+    "7.2": lambda: _problem(counterexample_family("7.2"), _PI64, 1e-3, 512),
+    "7.3": lambda: _problem(counterexample_family("7.3"), _PI64, 0.0, 512, singular=True),
+    "7.4": lambda: _problem(counterexample_family("7.4"), _PI64, 1e-3, 512),
+    "forced-reference": _forced_reference_wave,
+    "excised-theorem": lambda: _problem(theorem_coefficient(0.0, 1.25, k=4.0),
+                                        GridSpec(L=np.pi, N=64, k=4.0), 0.0, 512,
+                                        use_excision=True),
+}
+
+
+class TestFourierState:
+    @pytest.mark.parametrize("name", sorted(FOURIER_CASES))
+    def test_matches_physical_rk4(self, name):
+        # integrate steps Fourier coefficients; the reference steps grid values with
+        # the physical operators on the same nodes
+        prob, grid, M, singular = FOURIER_CASES[name]()
+        fam = prob.family
+        mesh = graded_mesh(fam, prob.t_start, 1.0, M)
+        traj = integrate(prob, grid, mesh, np.linspace(prob.t_start, 1.0, 5)[1:])
+        assert traj.stats["space"] == "fourier" and traj.stats["halvings"] == 0
+        assert traj.stats["singular_start"] == singular
+
+        principal = symbol_operator(grid, fam, excise(fam).a if prob.use_excision else None)
+
+        def rhs(t, u, v):
+            dv = -principal(t, u) - apply_lower(grid, fam, t, u)
+            if fam.b0 is not None:
+                dv = dv - fam.b0(t, grid.x) * v
+            if prob.forcing is not None:
+                dv = dv + prob.forcing(t, grid.x)
+            return v, dv
+
+        u, v = prob.f1, prob.f2
+        states = [(u, v)]
+        for j in range(M):
+            t0, t1 = mesh.nodes[j], mesh.nodes[j + 1]
+            u, v = _rk4_step(rhs, t0, t1 - t0, u, v, singular and j == 0)
+            states.append((u, v))
+        for t, u, v in traj.snapshots:
+            u_ref, v_ref = states[int(np.searchsorted(mesh.nodes, t))]
+            assert l2_norm(grid, u - u_ref) <= 1e-12 * l2_norm(grid, u_ref), t
+            assert l2_norm(grid, v - v_ref) <= 1e-12 * l2_norm(grid, v_ref), t
+
+    def test_transforms_only_at_data_and_snapshots(self, monkeypatch):
+        counts = {"dft_forward": 0, "dft_inverse": 0, "apply_multiplier": 0, "rhs": 0}
+
+        def counting(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapped)
+
+        for name in ("dft_forward", "dft_inverse", "apply_multiplier"):
+            counting(solver, name)
+        counting(Discretization, "rhs")
+        prob, grid, M, _ = _problem(counterexample_family("7.3"), _PI64, 0.0, 256)
+        traj = integrate(prob, grid, graded_mesh(prob.family, 0.0, 1.0, M), [0.0, 0.5, 1.0])
+        S = len(traj.snapshots)
+        assert S == 3 and counts["rhs"] > 0
+        assert (counts["dft_forward"], counts["dft_inverse"], counts["apply_multiplier"]) \
+            == (2, 2 * S, 0)
+
+        # an x-dependent family keeps the physical path: one multiplier per RHS
+        counts.update(dict.fromkeys(counts, 0))
+        grid = GridSpec(L=8.0, N=64, k=4.0)
+        fam = theorem_coefficient(0.0, 1.25, pair=poly_pair(0.5, 0.5), k=4.0)
+        f1 = GaussianBump(0.0, 0.45)(grid.x) * _band_field(grid)
+        prob = CauchyProblem(family=fam, f1=f1, f2=np.zeros_like(f1), t_start=0.0, T=1.0)
+        traj = integrate(prob, grid, graded_mesh(fam, 0.0, 1.0, 64), [0.5, 1.0])
+        assert traj.stats["space"] == "physical"
+        assert counts["rhs"] > 0 and counts["apply_multiplier"] == counts["rhs"]
+        assert counts["dft_forward"] == counts["dft_inverse"] == 0
 
 
 class TestExcisionSolve:

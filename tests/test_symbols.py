@@ -115,6 +115,13 @@ def test_family_matches_its_separable_factors(name):
         == pytest.approx(fam.dxi_a(t, x, xi), rel=1e-6)
 
 
+def test_x_independent_family_must_not_vary_in_x():
+    # the solver reads an x-independent family's coefficients at x = 0
+    fam = free_wave(1.0)
+    with pytest.raises(ValueError, match="free-wave.*x_dependent=False"):
+        fam.__class__(**{**fam.__dict__, "b1": lambda t, x: x, "separable": None})
+
+
 class TestTheoremCoefficient:
     def test_value_at_t1(self):
         fam = theorem_coefficient(0.0, 1.25, k=2.0)
