@@ -23,10 +23,10 @@ from .structure import (ProfileError, SingularityProfile, StructurePair, Zone, b
                         lambda_loss, make_profile, one, planck, poly_pair, time_split, zero)
 from .quantize import (GridSpec, OverflowGuardError, SobolevIndex, apply_kn, apply_multiplier,
                        dft_forward, dft_inverse, l2_norm, loss_operator, sobolev_norm)
-from .symbols import (CharacteristicRoot, CoefficientFamily, EllipticityError, ExcisionCutoff,
-                      QuadratureError, TimeQuadrature, char_root, example_coefficient, excise,
+from .symbols import (CharacteristicRoot, CoefficientFamily, EllipticityError, QuadratureError,
+                      TimeQuadrature, char_root, cut, dcut, example_coefficient, excise,
                       fit_blowup_exponents, free_wave, graded_lattice, h_symbol, l1_defect,
-                      reference_wave, root_estimate_report, separable_family, smooth_cutoff,
+                      reference_wave, root_estimate_report, separable_family,
                       symbol_class_report, theorem_coefficient)
 from .solver import (CauchyProblem, SolverError, SupportError, TimeMesh, Trajectory,
                      assemble_rhs, graded_mesh, integrate, reduce_to_system, system_residual)

@@ -442,11 +442,11 @@ CRITERIA = (
 )
 
 
-def run_all(echo=print) -> list[CriterionResult]:
+def run_all() -> list[CriterionResult]:
+    """Run every criterion in order, printing each result line as it finishes."""
     results = []
     for fn in CRITERIA:
         res = fn()
         results.append(res)
-        if echo is not None:
-            echo(res.line())
+        print(res.line())
     return results

@@ -44,7 +44,7 @@ from .solver import CauchyProblem, Discretization, Trajectory
 from .structure import (SingularityProfile, StructurePair, bracket, constant_pair, lambda_loss,
                         one, zero)
 from .symbols import (CoefficientFamily, SampleLattice, _two_xi, _xi_squared, char_root, excise,
-                      graded_lattice, h_symbol, separable_family, smooth_cutoff)
+                      cut, graded_lattice, h_symbol, separable_family)
 
 __all__ = [
     "falling_factorial",
@@ -432,33 +432,33 @@ class EnergyTrace:
     data_bound: np.ndarray
     verdict: float
     lam: float
-    floor: float
 
     @property
     def energy(self) -> np.ndarray:
         return self.norm_u + self.norm_v
 
 
-def _denoise(grid: GridSpec, values, floor: float):
-    if floor <= 0.0:
-        return np.asarray(values, dtype=complex)
+SPECTRAL_FLOOR = 1e-12  # energy_monitor drops modes below this fraction of the peak
+
+
+def _denoise(grid: GridSpec, values):
     c = dft_forward(grid, values)
     peak = float(np.max(np.abs(c)))
     if peak == 0.0:
         return np.asarray(values, dtype=complex)
-    c[np.abs(c) < floor * peak] = 0.0
+    c[np.abs(c) < SPECTRAL_FLOOR * peak] = 0.0
     return dft_inverse(grid, c)
 
 
 def energy_monitor(traj: Trajectory, s: tuple[float, float], profile: SingularityProfile,
-                   pair: StructurePair, lam: float, forcing: Callable | None = None,
-                   spectral_floor: float = 1e-12) -> EnergyTrace:
+                   pair: StructurePair, lam: float,
+                   forcing: Callable | None = None) -> EnergyTrace:
     """Weighted Sobolev energies along the trajectory and the verdict ``sup E/D``.
 
-    ``spectral_floor`` masks modes below that fraction of the spectral peak
-    before weighting: the sub-exponential weights would otherwise amplify the
-    FFT roundoff floor past the true (sub-double-precision) spectral tail.
-    Pass 0 to disable.  ``lam = 0`` monitors unweighted norms (Lambda == 0).
+    Modes below ``SPECTRAL_FLOOR`` times the spectral peak are masked before
+    weighting: the sub-exponential weights would otherwise amplify the FFT
+    roundoff floor past the true (sub-double-precision) spectral tail.
+    ``lam = 0`` monitors unweighted norms (Lambda == 0).
     """
     grid = traj.grid
     s1, s2 = s
@@ -468,8 +468,8 @@ def energy_monitor(traj: Trajectory, s: tuple[float, float], profile: Singularit
     norms_u, norms_v, supports = [], [], []
     for (t, u, v), eps in zip(traj.snapshots, lam_vals):
         eps = float(max(eps, 0.0))
-        uu = _denoise(grid, u, spectral_floor)
-        vv = _denoise(grid, v, spectral_floor)
+        uu = _denoise(grid, u)
+        vv = _denoise(grid, v)
         nu = sobolev_norm(grid, uu, SobolevIndex(s1 + 1.0, s2 + 1.0, eps, profile.sigma,
                                                  grid.k), pair)
         nv = sobolev_norm(grid, vv, SobolevIndex(s1, s2, eps, profile.sigma, grid.k), pair)
@@ -481,9 +481,9 @@ def energy_monitor(traj: Trajectory, s: tuple[float, float], profile: Singularit
 
     t0, u0, v0 = traj.snapshots[0]
     eps0 = float(lam_vals[0])
-    d0 = (sobolev_norm(grid, _denoise(grid, u0, spectral_floor),
+    d0 = (sobolev_norm(grid, _denoise(grid, u0),
                        SobolevIndex(s1 + 1.0, s2 + 1.0, eps0, profile.sigma, grid.k), pair)
-          + sobolev_norm(grid, _denoise(grid, v0, spectral_floor),
+          + sobolev_norm(grid, _denoise(grid, v0),
                          SobolevIndex(s1, s2, eps0, profile.sigma, grid.k), pair))
     data_bound = np.full(times.shape, d0)
     if forcing is not None:
@@ -501,7 +501,7 @@ def energy_monitor(traj: Trajectory, s: tuple[float, float], profile: Singularit
     verdict = float(np.max(ratios)) if np.any(energy > 0) else 0.0
     return EnergyTrace(times=times, norm_u=np.asarray(norms_u), norm_v=np.asarray(norms_v),
                        lam_values=np.asarray(lam_vals), support=np.asarray(supports),
-                       data_bound=data_bound, verdict=verdict, lam=lam, floor=spectral_floor)
+                       data_bound=data_bound, verdict=verdict, lam=lam)
 
 
 # --------------------------------------------------------------------------
@@ -517,20 +517,19 @@ class LambdaFit:
 
 
 def fit_lambda(family: CoefficientFamily, profile: SingularityProfile, *,
-               lattice: SampleLattice | None = None, cutoff=None,
-               max_iter: int = 3) -> LambdaFit:
+               lattice: SampleLattice | None = None) -> LambdaFit:
     """Smallest ``lam`` with ``|sigma(A0)| + |sigma(A1)| <= lam t^(ds-1) (Phi<xi>_k)^(1/sigma)``
     on the lattice.
 
     Symbol magnitudes are evaluated pointwise (entrywise sums of the 2x2
     blocks; composition entries as products of symbols, so the commutator
     entries vanish and the disjoint-support products drop out exactly).  With
-    ``b0 != 0`` the block B3 references lam itself; the fixed point is iterated.
+    ``b0 != 0`` the block B3 references lam itself; the fixed point is iterated
+    at most three times.
     """
     pair, k = family.pair, family.k
     lattice = lattice if lattice is not None else graded_lattice(family.T)
-    cutoff = cutoff if cutoff is not None else smooth_cutoff()
-    exc = excise(family, cutoff)
+    exc = excise(family)
     root = char_root(exc)
     hsym = h_symbol(root)
 
@@ -550,7 +549,7 @@ def fit_lambda(family: CoefficientFamily, profile: SingularityProfile, *,
     # atilde - tau^2 vanishes pointwise; B1 keeps the root's drift and the lower order
     sig_B1 = (-1j * dt_tau + b_low) / m_sym
     s_arg = tt * np.asarray(pair.phi(xx), dtype=float) * br
-    phi3 = cutoff.phi(s_arg / 3.0)
+    phi3 = cut(s_arg / 3.0)
     sig_2iHtau_minus_M = -m_sym * phi3
     sig_B2_core = sig_2iHtau_minus_M - h_val * sig_B1 * h_val + h_dt
 
@@ -559,7 +558,7 @@ def fit_lambda(family: CoefficientFamily, profile: SingularityProfile, *,
 
     lam = 0.0
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(3):
         iterations += 1
         if b0 is not None:
             sig_B3 = b0 * (1.0 - 1j * lam * h_val / m_sym)

@@ -73,91 +73,93 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
-def _known(section: dict, allowed: set[str], where: str):
+def _known(section, allowed: set[str], where: str) -> dict:
+    """``section`` itself, once it is an object with no key outside ``allowed``."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown field '{where}.{sorted(unknown)[0]}'")
+    return section
+
+
+def _fields(section: dict, where: str, spec) -> dict:
+    """``{key: conv(value)}`` per ``(key, default, conv)`` in ``spec``, the value
+    defaulting to ``default``; one that does not convert is a ConfigError naming
+    ``where.key``."""
+    out = {}
+    for key, default, conv in spec:
+        try:
+            out[key] = conv(section.get(key, default))
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"invalid field '{where}.{key}': {e}") from e
+    return out
 
 
 class RunConfig:
     """Validated experiment configuration (validation happens before any
-    computation; unknown keys are rejected)."""
+    computation; unknown keys are rejected, and a field that does not convert
+    to its type is a ConfigError naming it)."""
 
     def __init__(self, raw: dict):
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
-        _known(raw, _TOP_KEYS, "config")
-        self.raw = raw
+        self.raw = _known(raw, _TOP_KEYS, "config")
         self.experiment = _require(raw, "experiment", "config")
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(
                 f"config.experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
 
-        g = raw.get("grid", {})
-        _known(g, {"L", "N", "k"}, "grid")
+        g = _fields(_known(raw.get("grid", {}), {"L", "N", "k"}, "grid"), "grid",
+                    (("L", 8.0, float), ("N", 256, int), ("k", 1.0, float)))
         try:
-            self.grid = GridSpec(L=float(g.get("L", 8.0)), N=int(g.get("N", 256)),
-                                 k=float(g.get("k", 1.0)))
+            self.grid = GridSpec(**g)
         except ValueError as e:
             raise ConfigError(f"grid: {e}") from e
 
-        m = raw.get("mesh", {})
-        _known(m, {"M", "kappa", "t_start"}, "mesh")
-        self.mesh_m = int(m.get("M", 2048))
+        m = _fields(_known(raw.get("mesh", {}), {"M", "kappa", "t_start"}, "mesh"), "mesh", (
+            ("M", 2048, int), ("kappa", None, lambda v: v if v is None else float(v)),
+            ("t_start", 0.0, float)))
+        self.mesh_m, self.mesh_kappa, self.t_start = m["M"], m["kappa"], m["t_start"]
         if self.mesh_m < 8:
             raise ConfigError("mesh.M must be >= 8")
-        self.mesh_kappa = m.get("kappa")
-        if self.mesh_kappa is not None:
-            self.mesh_kappa = float(self.mesh_kappa)
-        self.t_start = float(m.get("t_start", 0.0))
+        if self.mesh_kappa is not None and not self.mesh_kappa > 0.0:
+            raise ConfigError(f"mesh.kappa must be > 0, got {self.mesh_kappa}")
 
-        p = raw.get("profile", {})
-        _known(p, {"p", "q", "r", "sigma", "T", "lambda"}, "profile")
-        self.profile_params = {
-            "p": float(p.get("p", 0.0)), "q": float(p.get("q", 1.25)),
-            "r": float(p.get("r", 0.0)), "sigma": float(p.get("sigma", 3.0)),
-            "T": float(p.get("T", 1.0)),
-        }
-        self.lam = p.get("lambda", "fit")
-        if self.lam != "fit":
-            self.lam = float(self.lam)
+        p = _known(raw.get("profile", {}), {"p", "q", "r", "sigma", "T", "lambda"}, "profile")
+        self.profile_params = _fields(p, "profile", [(key, default, float) for key, default in (
+            ("p", 0.0), ("q", 1.25), ("r", 0.0), ("sigma", 3.0), ("T", 1.0))])
+        self.lam = _fields(p, "profile", (
+            ("lambda", "fit", lambda v: v if v == "fit" else float(v)),))["lambda"]
         try:
             self.profile = make_profile(**self.profile_params)
         except ProfileError as e:
             raise ConfigError(f"profile: {e}") from e
+        if not 0.0 <= self.t_start < self.profile.T:
+            raise ConfigError(f"mesh.t_start must lie in [0, profile.T), got {self.t_start}")
 
-        f = raw.get("family", {"id": "theorem"})
-        _known(f, {"id", "params"}, "family")
-        self.family_id = _require(f, "id", "family")
+        f = _known(raw.get("family", {"id": "theorem"}), {"id", "params"}, "family")
+        self.family_id = str(_require(f, "id", "family"))
         self.family_params = f.get("params", {})
         if not isinstance(self.family_params, dict):
             raise ConfigError("family.params must be an object")
 
-        d = raw.get("data", {})
-        _known(d, {"kind", "modes", "seed", "width", "center", "velocity",
-                   "velocity_scale"}, "data")
-        self.data = {
-            "kind": d.get("kind", "bump"),
-            "modes": int(d.get("modes", 8)),
-            "seed": int(d.get("seed", 42)),
-            "width": float(d.get("width", 0.7)),
-            "center": float(d.get("center", 0.0)),
-            "velocity": d.get("velocity", "zero"),
-            "velocity_scale": float(d.get("velocity_scale", -1.0)),
-        }
+        d = _known(raw.get("data", {}), {"kind", "modes", "seed", "width", "center", "velocity",
+                                         "velocity_scale"}, "data")
+        self.data = _fields(d, "data", (
+            ("kind", "bump", str), ("modes", 8, int), ("seed", 42, int), ("width", 0.7, float),
+            ("center", 0.0, float), ("velocity", "zero", str), ("velocity_scale", -1.0, float)))
         if self.data["kind"] not in ("trig", "bump"):
             raise ConfigError("data.kind must be 'trig' or 'bump'")
         if self.data["velocity"] not in ("zero", "dx"):
             raise ConfigError("data.velocity must be 'zero' or 'dx'")
+        if not self.data["width"] > 0.0:
+            raise ConfigError(f"data.width must be > 0, got {self.data['width']}")
 
-        self.output_times = raw.get("output_times")
-        if self.output_times is not None:
-            self.output_times = [float(t) for t in self.output_times]
+        self.output_times = _fields(raw, "config", (("output_times", None, lambda ts: (
+            ts if ts is None else [float(t) for t in ts])),))["output_times"]
 
-        z = raw.get("zones", {})
-        _known(z, {"nt", "nx", "nxi", "N"}, "zones")
-        self.zones = {"nt": int(z.get("nt", 16)), "nx": int(z.get("nx", 17)),
-                      "nxi": int(z.get("nxi", 17)), "N": float(z.get("N", 2.0))}
+        z = _known(raw.get("zones", {}), {"nt", "nx", "nxi", "N"}, "zones")
+        self.zones = _fields(z, "zones", (("nt", 16, int), ("nx", 17, int), ("nxi", 17, int),
+                                          ("N", 2.0, float)))
 
     # ------------------------------------------------------------------
 
@@ -399,7 +401,7 @@ def suite(out_dir, seed: int = 42) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    results = run_all(echo=print)
+    results = run_all()
     entries = [{"criterion": r.number, "name": r.name, "pass": r.passed,
                 "runtime_s": r.runtime_s,
                 "details": {k: v for k, v in r.details.items()

@@ -39,13 +39,13 @@ def write_csv(path: Path, header: list[str], rows) -> Path:
     return path
 
 
-def write_trajectory(out_dir: Path, traj, prefix: str = "snapshot") -> list[Path]:
-    """One CSV per snapshot with columns x, re/im of u and du/dt."""
+def write_trajectory(out_dir: Path, traj) -> list[Path]:
+    """One CSV ``snapshot_<i>.csv`` per snapshot with columns x, re/im of u and du/dt."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     for i, (t, u, v) in enumerate(traj.snapshots):
-        path = out_dir / f"{prefix}_{i:04d}.csv"
+        path = out_dir / f"snapshot_{i:04d}.csv"
         rows = ((float(x), float(a.real), float(a.imag), float(b.real), float(b.imag))
                 for x, a, b in zip(traj.grid.x, u, v))
         write_csv(path, ["x", "re_u", "im_u", "re_ut", "im_ut"], rows)

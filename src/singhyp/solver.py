@@ -36,7 +36,9 @@ auxiliary H.  ``system_residual`` checks that identity on stored snapshots
 with centered time differences; it is a consistency monitor, not a second
 integrator.  Operator compositions are applied left to right as written, so
 the reported residual carries the quantization-commutator floor on top of the
-O(dt^2) differencing error (zero floor for multiplier families).
+O(dt^2) differencing error (zero floor for multiplier families).  Each operator
+product of the system right-hand side is formed once and shared between the
+blocks that use it.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import numpy as np
 
 from .quantize import GridSpec, apply_kn, apply_multiplier, dft_forward, dft_inverse, l2_norm
 from .structure import bracket
-from .symbols import CoefficientFamily, ExcisionCutoff, char_root, excise, h_symbol
+from .symbols import CoefficientFamily, char_root, excise, h_symbol
 
 __all__ = [
     "SolverError",
@@ -137,7 +139,6 @@ class CauchyProblem:
     T: float
     forcing: Callable | None = None
     use_excision: bool = False
-    cutoff: ExcisionCutoff | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.t_start < self.T:
@@ -231,7 +232,7 @@ class Discretization:
         self.problem = problem
         self.grid = grid
         fam = problem.family
-        atilde = excise(fam, problem.cutoff).a if problem.use_excision else None
+        atilde = excise(fam).a if problem.use_excision else None
         self.symbol = fam.a if atilde is None else atilde
         self.apply_principal = symbol_operator(grid, fam, atilde)
         self.fourier = fam.is_multiplier
@@ -396,7 +397,7 @@ class SystemOperators:
         self.grid = grid
         self.lam = lam
         fam = problem.family
-        self.excised = excise(fam, problem.cutoff)
+        self.excised = excise(fam)
         self.root = char_root(self.excised)
         self.h = h_symbol(self.root)
         self.apply_tau = symbol_operator(grid, fam, self.root.value)
@@ -426,19 +427,6 @@ class SystemOperators:
         out = out + apply_lower(self.grid, self.problem.family, t, w)
         return out
 
-    def B2(self, t, u):
-        hu = self.apply_H(t, u)
-        out = 2j * self.apply_H(t, self.apply_tau(t, u)) - self.apply_M(u)
-        # i [M, tau] M^-1 H
-        w = self.apply_Minv(hu)
-        out = out + 1j * (self.apply_M(self.apply_tau(t, w))
-                          - self.apply_tau(t, self.apply_M(w)))
-        # i [tau, H]
-        out = out + 1j * (self.apply_tau(t, hu) - self.apply_H(t, self.apply_tau(t, u)))
-        out = out - self.apply_H(t, self.B1(t, hu))
-        out = out + self.apply_dtH(t, u)
-        return out
-
     def _b0_field(self, t):
         fam = self.problem.family
         return np.asarray(fam.b0(t, self.grid.x)) if fam.b0 is not None else None
@@ -455,6 +443,11 @@ class SystemOperators:
             return np.zeros_like(u)
         return 1j * self.lam * b0 * self.apply_Minv(u)
 
+    def commutator(self, t, u):
+        """``i [M, tau] M^-1 u``."""
+        w = self.apply_Minv(u)
+        return 1j * (self.apply_M(self.apply_tau(t, w)) - self.apply_tau(t, self.apply_M(w)))
+
     # system assembly --------------------------------------------------------
 
     def reduce(self, t, u, v):
@@ -463,7 +456,9 @@ class SystemOperators:
         return u1, u2
 
     def system_rhs(self, t, u1, u2):
-        """``(D - A0 - A1) U + F`` for ``U = (u1, u2)``."""
+        """``(D - A0 - A1) U + F`` for ``U = (u1, u2)``; each operator product
+        (``H u1``, ``B1 H u1``, ``B3 u1``, ``H tau u1``) is formed once and shared
+        between the blocks that use it."""
         d1 = 1j * self.apply_tau(t, u1)
         d2 = -1j * self.apply_tau(t, u2)
         hu1 = self.apply_H(t, u1)
@@ -476,11 +471,17 @@ class SystemOperators:
         b1h = self.B1(t, hu1)
         b1u2 = self.B1(t, u2)
         b4u2 = self.B4(t, u2)
-        a1_1 = b1h + self.B3(t, u1) + b1u2 + b4u2
-        w = self.apply_Minv(u2)
-        comm = 1j * (self.apply_M(self.apply_tau(t, w)) - self.apply_tau(t, self.apply_M(w)))
-        a1_2 = (self.B2(t, u1) - self.apply_H(t, self.B3(t, u1))
-                + comm - self.apply_H(t, b1u2 + b4u2))
+        b3u1 = self.B3(t, u1)
+        a1_1 = b1h + b3u1 + b1u2 + b4u2
+        # B2 = 2i H tau - M + i[M,tau]M^-1 H + i[tau, H] - H B1 H + dt H
+        htu1 = self.apply_H(t, self.apply_tau(t, u1))
+        b2 = 2j * htu1 - self.apply_M(u1)
+        b2 = b2 + self.commutator(t, hu1)
+        b2 = b2 + 1j * (self.apply_tau(t, hu1) - htu1)
+        b2 = b2 - self.apply_H(t, b1h)
+        b2 = b2 + self.apply_dtH(t, u1)
+        a1_2 = (b2 - self.apply_H(t, b3u1)
+                + self.commutator(t, u2) - self.apply_H(t, b1u2 + b4u2))
         r1 = d1 - a0_1 - a1_1
         r2 = d2 - a0_2 - a1_2
         if self.problem.forcing is not None:

@@ -313,11 +313,6 @@ class PropertyReport:
         return json.dumps({"passed": self.passed, "checks": rows}, indent=2)
 
 
-def _default_samples() -> np.ndarray:
-    mags = np.logspace(-3, 4, 512)
-    return np.concatenate([[0.0], mags, -mags])
-
-
 _STABILITY_FACTOR = 2.0
 _PREDICATE_SLACK = 1e-9
 
@@ -335,9 +330,8 @@ def _stable_fit(name, values_full, values_small, witness_args, detail=""):
     return AxiomCheck(name, c_full, bool(ok), witness, detail)
 
 
-def check_structure_properties(pair: StructurePair, sample_set=None,
-                               radii: Sequence[float] = (0.25, 0.5), *,
-                               n_pairs: int = 64, seed: int = 42) -> PropertyReport:
+def check_structure_properties(pair: StructurePair,
+                               radii: Sequence[float] = (0.25, 0.5)) -> PropertyReport:
     """Empirically check the structure-function axioms for ``omega`` and ``Phi``.
 
     Checks, per function f in {omega, Phi}: lower bound ``f >= 1``, monotonicity
@@ -345,17 +339,20 @@ def check_structure_properties(pair: StructurePair, sample_set=None,
     (``|x-y| <= r*f(y)`` forces ``f(x)/f(y)`` bounded), temperance exponent,
     subadditivity ``|f(x)-f(y)| <= f(x+y) <= f(x)+f(y)``, the derivative bound
     ``|f'(x)| <= C*f(x)/<x>`` and the two scaling laws; plus the ordering
-    ``omega <= C*Phi``.  Failures are report entries with the witnessing sample,
-    never exceptions.
+    ``omega <= C*Phi``.  Samples are 0 and ``+-|x|`` log-spaced on ``[1e-3, 1e4]``,
+    with 64 random pairs per radius (seed 42).  Failures are report entries
+    with the witnessing sample, never exceptions.
 
     Default radii stay below 1: the bracket <x> itself is slowly varying only
     for radii r < 1 (at r = 1 the ball |x - y| <= <y> reaches the origin and
     the ratio is unbounded), and the built-in pairs are powers of it.
     """
-    xs = np.asarray(sample_set, dtype=float) if sample_set is not None else _default_samples()
     if any(rad <= 0 for rad in radii):
         raise ValueError("radii must be positive")
-    rng = np.random.default_rng(seed)
+    mags = np.logspace(-3, 4, 512)
+    xs = np.concatenate([[0.0], mags, -mags])
+    n_pairs = 64
+    rng = np.random.default_rng(42)
     small = np.abs(xs) <= 1e2
     checks: list[AxiomCheck] = []
 

@@ -8,7 +8,7 @@ with closed-form first derivatives, optional lower-order coefficients
 shift ``k`` and the blow-up exponents ``p, q, r``.
 
 The excision replaces ``a`` by the elliptic reference ``omega^2 <xi>_k^2``
-for ``t Phi(x) <xi>_k <= 1``, blending smoothly up to ``2``:
+for ``t Phi(x) <xi>_k <= 1``, blending smoothly up to ``2`` by the fixed :func:`cut`:
 
     ``atilde = cut(s) * omega^2 <xi>_k^2 + (1 - cut(s)) * a``,  ``s = t Phi <xi>_k``.
 
@@ -39,8 +39,8 @@ from .structure import (SingularityProfile, StructurePair, Zone, bracket, classi
                         constant_pair, make_profile, one, poly_pair, zero)
 
 __all__ = [
-    "ExcisionCutoff",
-    "smooth_cutoff",
+    "cut",
+    "dcut",
     "CoefficientFamily",
     "separable_family",
     "example_coefficient",
@@ -92,46 +92,36 @@ def _dpsi(r):
     return out
 
 
-@dataclass(frozen=True)
-class ExcisionCutoff:
-    """Smooth cutoff with ``phi = 1`` on ``(-inf, 1]``, ``phi = 0`` on ``[2, inf)``,
-    monotone non-increasing in between; ``dphi`` is its exact derivative."""
-
-    phi: Callable
-    dphi: Callable
-
-
-def smooth_cutoff() -> ExcisionCutoff:
-    """The bump-quotient cutoff ``psi(2-s) / (psi(2-s) + psi(s-1))``.
+def cut(s):
+    """The excision cutoff ``psi(2-s) / (psi(2-s) + psi(s-1))``: 1 on ``(-inf, 1]``,
+    0 on ``[2, inf)``, monotone non-increasing in between.
 
     Exactly 1 below s=1 and exactly 0 above s=2 (not just to rounding), since
     ``psi`` vanishes identically on the closed negative half-line.
     """
+    s = np.asarray(s, dtype=float)
+    a = _psi(2.0 - s)
+    b = _psi(s - 1.0)
+    den = a + b
+    out = np.ones_like(s)
+    mid = den > 0
+    out[mid] = a[mid] / den[mid]
+    out[s >= 2.0] = 0.0
+    return out
 
-    def phi(s):
-        s = np.asarray(s, dtype=float)
-        a = _psi(2.0 - s)
-        b = _psi(s - 1.0)
-        den = a + b
-        out = np.ones_like(s)
-        mid = den > 0
-        out[mid] = a[mid] / den[mid]
-        out[s >= 2.0] = 0.0
-        return out
 
-    def dphi(s):
-        s = np.asarray(s, dtype=float)
-        a = _psi(2.0 - s)
-        b = _psi(s - 1.0)
-        da = _dpsi(2.0 - s)
-        db = _dpsi(s - 1.0)
-        den = (a + b) ** 2
-        out = np.zeros_like(s)
-        mid = (s > 1.0) & (s < 2.0)
-        out[mid] = -(da[mid] * b[mid] + a[mid] * db[mid]) / den[mid]
-        return out
-
-    return ExcisionCutoff(phi=phi, dphi=dphi)
+def dcut(s):
+    """The exact derivative of :func:`cut`."""
+    s = np.asarray(s, dtype=float)
+    a = _psi(2.0 - s)
+    b = _psi(s - 1.0)
+    da = _dpsi(2.0 - s)
+    db = _dpsi(s - 1.0)
+    den = (a + b) ** 2
+    out = np.zeros_like(s)
+    mid = (s > 1.0) & (s < 2.0)
+    out[mid] = -(da[mid] * b[mid] + a[mid] * db[mid]) / den[mid]
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -370,7 +360,8 @@ def reference_wave(*, T: float = 1.0, k: float = 1.0) -> CoefficientFamily:
 
 @dataclass(frozen=True)
 class ExcisedCoefficient:
-    """``atilde = cut(s) omega^2 <xi>_k^2 + (1 - cut(s)) a``, ``s = t Phi <xi>_k``.
+    """``atilde = cut(s) omega^2 <xi>_k^2 + (1 - cut(s)) a``, ``s = t Phi <xi>_k``,
+    with the module's :func:`cut`.
 
     Quacks like a family (same evaluation interface), so it can be re-excised;
     re-excision is the identity wherever ``s`` is outside the blend ``(1, 2)``.
@@ -379,7 +370,6 @@ class ExcisedCoefficient:
     """
 
     family: CoefficientFamily
-    cutoff: ExcisionCutoff
     pair: StructurePair
     k: float
 
@@ -393,23 +383,23 @@ class ExcisedCoefficient:
 
     def a(self, t, x, xi):
         t, br, phi_x, s, ref = self._parts(t, x, xi)
-        c = self.cutoff.phi(s)
+        c = cut(s)
         with np.errstate(all="ignore"):
             raw = c * ref + (1.0 - c) * self.family.a(t, x, xi)
         return np.where(c >= 1.0, ref, raw)
 
     def dt_a(self, t, x, xi):
         t, br, phi_x, s, ref = self._parts(t, x, xi)
-        c = self.cutoff.phi(s)
-        dc = self.cutoff.dphi(s) * phi_x * br
+        c = cut(s)
+        dc = dcut(s) * phi_x * br
         with np.errstate(all="ignore"):
             raw = dc * (ref - self.family.a(t, x, xi)) + (1.0 - c) * self.family.dt_a(t, x, xi)
         return np.where(c >= 1.0, 0.0, raw)
 
     def dx_a(self, t, x, xi):
         t, br, phi_x, s, ref = self._parts(t, x, xi)
-        c = self.cutoff.phi(s)
-        dc = self.cutoff.dphi(s) * t * np.asarray(self.pair.dphi(x), dtype=float) * br
+        c = cut(s)
+        dc = dcut(s) * t * np.asarray(self.pair.dphi(x), dtype=float) * br
         om = np.asarray(self.pair.omega(x), dtype=float)
         dref = 2.0 * om * np.asarray(self.pair.domega(x), dtype=float) * br ** 2
         with np.errstate(all="ignore"):
@@ -420,9 +410,9 @@ class ExcisedCoefficient:
     def dxi_a(self, t, x, xi):
         t, br, phi_x, s, ref = self._parts(t, x, xi)
         xi = np.asarray(xi, dtype=float)
-        c = self.cutoff.phi(s)
+        c = cut(s)
         dbr = xi / br
-        dc = self.cutoff.dphi(s) * t * phi_x * dbr
+        dc = dcut(s) * t * phi_x * dbr
         om2 = np.asarray(self.pair.omega(x), dtype=float) ** 2
         with np.errstate(all="ignore"):
             raw = (dc * (ref - self.family.a(t, x, xi)) + c * om2 * 2.0 * xi
@@ -435,7 +425,7 @@ class ExcisedCoefficient:
         Requires t > 0 when the raw coefficient is undefined at 0.
         """
         t, br, phi_x, s, ref = self._parts(t, x, xi)
-        return self.cutoff.phi(s) * (self.family.a(t, x, xi) - ref)
+        return cut(s) * (self.family.a(t, x, xi) - ref)
 
     # family duck-typing
     @property
@@ -447,12 +437,9 @@ class ExcisedCoefficient:
         return self.family.spectral_shift
 
 
-def excise(family, cutoff: ExcisionCutoff | None = None) -> ExcisedCoefficient:
-    """Excise the principal symbol with the family's pair and shift ``k``
-    (default cutoff: :func:`smooth_cutoff`)."""
-    return ExcisedCoefficient(family=family,
-                              cutoff=cutoff if cutoff is not None else smooth_cutoff(),
-                              pair=family.pair, k=family.k)
+def excise(family) -> ExcisedCoefficient:
+    """Excise the principal symbol with the family's pair and shift ``k``."""
+    return ExcisedCoefficient(family=family, pair=family.pair, k=family.k)
 
 
 class EllipticityError(ValueError):
@@ -533,14 +520,13 @@ class HSymbol:
     """
 
     root: CharacteristicRoot
-    cutoff: ExcisionCutoff
     pair: StructurePair
     k: float
 
     def _mask(self, t, x, xi):
         s = np.asarray(t, dtype=float) * np.asarray(self.pair.phi(x), dtype=float) \
             * bracket(xi, self.k)
-        return 1.0 - self.cutoff.phi(s / 3.0), s
+        return 1.0 - cut(s / 3.0), s
 
     def value(self, t, x, xi):
         mask, _ = self._mask(t, x, xi)
@@ -554,7 +540,7 @@ class HSymbol:
         mask, s = self._mask(t, x, xi)
         tau = self.root.value(t, x, xi)
         dtau = self.root.dt(t, x, xi)
-        dmask = -self.cutoff.dphi(s / 3.0) * np.asarray(self.pair.phi(x), dtype=float) \
+        dmask = -dcut(s / 3.0) * np.asarray(self.pair.phi(x), dtype=float) \
             * bracket(xi, self.k) / 3.0
         num = np.asarray(self.pair.omega(x), dtype=float) * bracket(xi, self.k)
         good = tau > 0
@@ -566,9 +552,9 @@ class HSymbol:
 
 
 def h_symbol(root: CharacteristicRoot) -> HSymbol:
-    """The H symbol with the cutoff, pair and shift of the root's excision."""
+    """The H symbol with the pair and shift of the root's excision."""
     exc = root.excised
-    return HSymbol(root=root, cutoff=exc.cutoff, pair=exc.pair, k=exc.k)
+    return HSymbol(root=root, pair=exc.pair, k=exc.k)
 
 
 # --------------------------------------------------------------------------
@@ -580,19 +566,22 @@ class QuadratureError(RuntimeError):
     """Raised when the defect quadrature fails its refinement check."""
 
 
+QUAD_EPS_RATIO = 1e-14  # bottom panel edge of TimeQuadrature, relative to t_hi
+QUAD_NODES = 5  # Gauss-Legendre nodes per TimeQuadrature panel
+
+
 @dataclass(frozen=True)
 class TimeQuadrature:
-    """Composite Gauss-Legendre rule on geometric panels of ``[eps_ratio*t_hi, t_hi]``.
+    """Composite ``QUAD_NODES``-point Gauss-Legendre rule on geometric panels of
+    ``[QUAD_EPS_RATIO*t_hi, t_hi]``.
 
     Geometric grading resolves both the integrable ``t**-p`` singularity and the
     bounded oscillations ``sin(pi t**(1-q))`` whose phase diverges at 0; the
-    mass below the bottom panel is O(eps_ratio**(1-p)) relative.
+    mass below the bottom panel is O(QUAD_EPS_RATIO**(1-p)) relative.
     """
 
     panels: int = 1024
-    eps_ratio: float = 1e-14
     rtol: float = 1e-6
-    nodes: int = 5
 
     def integrate(self, f: Callable, t_hi: float) -> float:
         v1 = self._run(f, t_hi, self.panels)
@@ -604,8 +593,8 @@ class TimeQuadrature:
         return v2
 
     def _run(self, f, t_hi, panels):
-        nodes, weights = np.polynomial.legendre.leggauss(self.nodes)
-        edges = self.eps_ratio * t_hi * (1.0 / self.eps_ratio) ** np.linspace(0.0, 1.0, panels + 1)
+        nodes, weights = np.polynomial.legendre.leggauss(QUAD_NODES)
+        edges = QUAD_EPS_RATIO * t_hi * (1.0 / QUAD_EPS_RATIO) ** np.linspace(0.0, 1.0, panels + 1)
         lo, hi = edges[:-1], edges[1:]
         half = 0.5 * (hi - lo)
         mid = 0.5 * (hi + lo)
@@ -680,17 +669,17 @@ def _windowed_envelope(fn, edges, per_window):
     return np.asarray(ts_at_max), np.asarray(maxima)
 
 
-def fit_blowup_exponents(family: CoefficientFamily, *, n_windows: int = 14,
-                         per_window: int = 128, probes=None):
+def fit_blowup_exponents(family: CoefficientFamily):
     """Fitted blow-up orders of ``sup_{x,xi} |a|/(omega^2 <xi>_k^2)`` and of the
     same ratio for ``dt a``: returns ``(p_fit, q_fit)``.
 
-    Windowed-envelope fitting on phase-equidistributed windows: the oscillatory
+    Windowed-envelope fitting on 14 phase-equidistributed windows of 128 samples,
+    with the sup over the probes ``(x, xi) = (0, k), (1, 4k)``: the oscillatory
     factor's cosine zeros make raw pointwise log-fits unbounded below, while
     per-window maxima track the envelope.
     """
-    if probes is None:
-        probes = [(0.0, family.k), (1.0, 4.0 * family.k)]
+    n_windows, per_window = 14, 128
+    probes = [(0.0, family.k), (1.0, 4.0 * family.k)]
     b = family.osc_exponent
     if b is None and family.q > 1.0:
         b = family.q - 1.0
@@ -727,14 +716,13 @@ class SampleLattice:
         return np.meshgrid(self.t, self.x, self.xi, indexing="ij")
 
 
-def graded_lattice(T: float, *, nt: int = 32, nx: int = 33, nxi: int = 33,
-                   x_max: float = 100.0, xi_max: float = 200.0,
-                   t_min_ratio: float = 1e-5) -> SampleLattice:
-    t = np.geomspace(t_min_ratio * T, T, nt)
+def graded_lattice(T: float, *, nt: int = 32, nx: int = 33, nxi: int = 33) -> SampleLattice:
+    """Geometric samples of t in [1e-5 T, T], |x| in [0.5, 100] and 0, |xi| in [0.5, 200]."""
+    t = np.geomspace(1e-5 * T, T, nt)
     half = (nx - 1) // 2
-    x = np.concatenate([[0.0], np.geomspace(0.5, x_max, half), -np.geomspace(0.5, x_max, half)])
+    x = np.concatenate([[0.0], np.geomspace(0.5, 100.0, half), -np.geomspace(0.5, 100.0, half)])
     half_xi = nxi // 2
-    xi = np.concatenate([np.geomspace(0.5, xi_max, half_xi), -np.geomspace(0.5, xi_max, half_xi)])
+    xi = np.concatenate([np.geomspace(0.5, 200.0, half_xi), -np.geomspace(0.5, 200.0, half_xi)])
     return SampleLattice(t=np.sort(t), x=np.sort(x), xi=np.sort(xi))
 
 
@@ -791,10 +779,9 @@ class FitReport:
         return json.dumps({"meta": self.meta, "entries": rows}, indent=2)
 
 
-def _zone_masks(lattice: SampleLattice, profile, pair: StructurePair, k: float,
-                zone_constant: float):
+def _zone_masks(lattice: SampleLattice, profile, pair: StructurePair, k: float):
     tt, xx, ww = lattice.mesh()
-    codes = classify_zone(tt, xx, ww, zone_constant, profile, pair, k)
+    codes = classify_zone(tt, xx, ww, 1.0, profile, pair, k)
     s = tt * np.asarray(pair.phi(xx), dtype=float) * bracket(ww, k)
     return {
         "all": np.ones_like(s, dtype=bool),
@@ -807,9 +794,7 @@ def _zone_masks(lattice: SampleLattice, profile, pair: StructurePair, k: float,
 
 def symbol_class_report(derivatives: Callable, descriptor: ClassDescriptor, profile,
                         pair: StructurePair, k: float, lattice: SampleLattice, *,
-                        max_order: int = 2, zone_constant: float = 1.0,
-                        zones=("all", "interior", "exterior", "excision_flat",
-                               "exterior_pure")) -> FitReport:
+                        max_order: int = 2) -> FitReport:
     """Fit minimal class constants and time exponents on a lattice.
 
     ``derivatives(alpha, beta)`` returns the callable ``(t, x, xi)`` evaluating
@@ -820,7 +805,7 @@ def symbol_class_report(derivatives: Callable, descriptor: ClassDescriptor, prof
     reported as ``inf`` with the witnessing sample.
     """
     tt, xx, ww = lattice.mesh()
-    masks = _zone_masks(lattice, profile, pair, k, zone_constant)
+    masks = _zone_masks(lattice, profile, pair, k)
     entries = []
     for alpha in range(max_order + 1):
         for beta in range(max_order + 1 - alpha):
@@ -830,8 +815,7 @@ def symbol_class_report(derivatives: Callable, descriptor: ClassDescriptor, prof
             vals = np.abs(np.asarray(fn(tt, xx, ww), dtype=complex))
             env = descriptor.envelope(alpha, beta, xx, ww, pair, k)
             ratio = vals / env
-            for zone in zones:
-                mask = masks[zone]
+            for zone, mask in masks.items():
                 n = int(np.count_nonzero(mask))
                 if n < 2:
                     entries.append(FitEntry(zone, alpha, beta, 0.0, 0.0, 0.0, n))
@@ -856,7 +840,7 @@ def symbol_class_report(derivatives: Callable, descriptor: ClassDescriptor, prof
                 entries.append(FitEntry(zone, alpha, beta, c, expo, resid, n))
     return FitReport(entries=tuple(entries),
                      meta={"m1": descriptor.m1, "m2": descriptor.m2,
-                           "zone_constant": zone_constant,
+                           "zone_constant": 1.0,
                            "nt": lattice.t.size, "nx": lattice.x.size,
                            "nxi": lattice.xi.size})
 
@@ -885,7 +869,7 @@ def root_estimate_report(root: CharacteristicRoot, profile, *, lattice=None) -> 
     fit = symbol_class_report(derivs, ClassDescriptor(m1=1.0, m2=1.0), profile, pair, k,
                               lattice, max_order=1)
     tt, xx, ww = lattice.mesh()
-    masks = _zone_masks(lattice, profile, pair, k, 1.0)
+    masks = _zone_masks(lattice, profile, pair, k)
     flat = masks["excision_flat"]
     scale = np.asarray(pair.omega(xx), dtype=float) * bracket(ww, k)
     dt_vals = np.abs(root.dt(tt, xx, ww)) / scale

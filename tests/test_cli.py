@@ -136,6 +136,30 @@ class TestRun:
         assert run(cfg, tmp_path) == 2
         assert "|x| <= L/2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key, value, field", [
+        ("mesh", "kappa", 0, "mesh.kappa"), ("mesh", "kappa", -1, "mesh.kappa"),
+        ("mesh", "t_start", 2.0, "mesh.t_start"), (None, "output_times", 5, "output_times"),
+        ("mesh", "M", "abc", "mesh.M"), ("profile", "T", "x", "profile.T"),
+        ("data", "width", -1, "data.width")])
+    def test_malformed_field_status_2(self, tmp_path, capsys, section, key, value, field):
+        cfg = {"experiment": "solve", "grid": {"L": 8.0, "N": 64, "k": 2.0},
+               "mesh": {"M": 32}, "profile": {"T": 1.0}, "family": {"id": "free-wave"},
+               "data": {"kind": "bump", "width": 0.5}}
+        (cfg if section is None else cfg[section])[key] = value
+        assert run(cfg, tmp_path) == 2
+        assert field in capsys.readouterr().err
+
+    def test_check_cone(self, tmp_path):
+        cfg = {"experiment": "check-cone", "grid": {"L": 12.0, "N": 256, "k": 1.0},
+               "mesh": {"M": 512}, "data": {"width": 0.25}}
+        assert run(cfg, tmp_path) == 0
+        verdicts = json.loads((tmp_path / "verdict.json").read_text())["verdicts"]
+        assert [v["name"] for v in verdicts] == ["cone-oscillating-speed", "cone-constant-wave"]
+        assert all(v["valid"] and v["pass"] for v in verdicts)
+        assert abs(verdicts[0]["c_star"] - 3.0) <= 1e-3
+        for name in ("cone_oscillating.csv", "cone_wave.csv"):
+            assert (tmp_path / name).read_text().splitlines()[0] == "t,measured,predicted"
+
     def test_main_entry_point(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(dict(BASE)))

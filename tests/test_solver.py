@@ -1,5 +1,7 @@
 """Graded-mesh RK4 integration and the first-order system machinery."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -467,3 +469,61 @@ class TestSystem:
             prob = CauchyProblem(family=fam, f1=u, f2=u, t_start=0.0, T=1.0,
                                  use_excision=use_excision)
             check(Discretization(prob, grid).apply_principal(t, u), symbol)
+
+    @staticmethod
+    def _composed_system_rhs(ops, t, u1, u2):
+        # the system right-hand side composed block by block, with B2 applied as
+        # its own operator: every product it shares with other blocks is recomputed
+        tau, H, M, Minv = ops.apply_tau, ops.apply_H, ops.apply_M, ops.apply_Minv
+
+        def comm(u):
+            w = Minv(u)
+            return 1j * (M(tau(t, w)) - tau(t, M(w)))
+
+        def B2(u):
+            hu = H(t, u)
+            out = 2j * H(t, tau(t, u)) - M(u)
+            out = out + comm(hu)
+            out = out + 1j * (tau(t, hu) - H(t, tau(t, u)))
+            out = out - H(t, ops.B1(t, hu))
+            return out + ops.apply_dtH(t, u)
+
+        hu1 = H(t, u1)
+        b0h, b0u2 = ops.B0(t, hu1), ops.B0(t, u2)
+        a0_1 = b0h + b0u2
+        a0_2 = -H(t, b0h) + H(t, b0u2)
+        b1h, b1u2, b4u2 = ops.B1(t, hu1), ops.B1(t, u2), ops.B4(t, u2)
+        a1_1 = b1h + ops.B3(t, u1) + b1u2 + b4u2
+        a1_2 = B2(u1) - H(t, ops.B3(t, u1)) + comm(u2) - H(t, b1u2 + b4u2)
+        r1 = 1j * tau(t, u1) - a0_1 - a1_1
+        r2 = -1j * tau(t, u2) - a0_2 - a1_2
+        if ops.problem.forcing is not None:
+            f = ops.problem.forcing(t, ops.grid.x)
+            r1, r2 = r1 + f, r2 - H(t, f)
+        return r1, r2
+
+    @pytest.mark.parametrize("t", [0.05, 0.3, 0.9])
+    @pytest.mark.parametrize("b0, forced", [(False, False), (True, False), (False, True),
+                                            (True, True)])
+    @pytest.mark.parametrize("poly", [True, False])
+    def test_system_rhs_forms_each_product_once(self, monkeypatch, poly, b0, forced, t):
+        grid = GridSpec(L=8.0, N=64, k=4.0)
+        fam = theorem_coefficient(0.0, 1.25, k=4.0,
+                                  pair=poly_pair(0.5, 0.5) if poly else None)
+        if b0:
+            fam = dataclasses.replace(
+                fam, b0=lambda t, x: np.full(np.shape(x), 0.3))
+        bump = GaussianBump(0.0, 0.45)(grid.x)
+        forcing = (lambda t, x: np.sin(3.0 * t) * bump) if forced else None
+        u1, u2 = bump * _band_field(grid), bump * _band_field(grid, 1)
+        prob = CauchyProblem(family=fam, f1=u1, f2=u2, t_start=0.0, T=1.0, forcing=forcing)
+        ops = SystemOperators(prob, grid, lam=0.7)
+        want = self._composed_system_rhs(ops, t, u1, u2)
+
+        calls = []
+        kn = solver.apply_kn
+        monkeypatch.setattr(solver, "apply_kn", lambda *a: calls.append(1) or kn(*a))
+        got = ops.system_rhs(t, u1, u2)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        # the composition above makes 33 dense products, 36 with b0 and forcing
+        assert len(calls) == (26 + b0 + forced if poly else 0)

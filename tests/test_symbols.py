@@ -10,34 +10,32 @@ from hypothesis import strategies as st
 
 from singhyp.structure import bracket, poly_pair
 from singhyp.symbols import (ClassDescriptor, EllipticityError, QuadratureError,
-                             TimeQuadrature, char_root, example_coefficient, excise,
+                             TimeQuadrature, char_root, cut, dcut, example_coefficient, excise,
                              fit_blowup_exponents, fit_power_law, free_wave, graded_lattice,
                              h_symbol, l1_defect, reference_wave, root_estimate_report,
-                             smooth_cutoff, symbol_class_report, theorem_coefficient)
+                             symbol_class_report, theorem_coefficient)
 from singhyp.analysis import counterexample_family
 
 
 class TestCutoff:
-    cut = smooth_cutoff()
-
     def test_plateaus_are_exact(self):
         s = np.array([-3.0, 0.0, 0.5, 1.0])
-        assert np.all(self.cut.phi(s) == 1.0)
+        assert np.all(cut(s) == 1.0)
         s = np.array([2.0, 2.5, 10.0])
-        assert np.all(self.cut.phi(s) == 0.0)
+        assert np.all(cut(s) == 0.0)
 
     @given(st.floats(1.0, 2.0))
     @settings(max_examples=100, deadline=None)
     def test_range_and_monotonicity(self, s):
-        v = float(self.cut.phi(np.array([s]))[0])
+        v = float(cut(np.array([s]))[0])
         assert 0.0 <= v <= 1.0
-        v2 = float(self.cut.phi(np.array([min(s + 0.01, 2.0)]))[0])
+        v2 = float(cut(np.array([min(s + 0.01, 2.0)]))[0])
         assert v2 <= v + 1e-12
 
     def test_derivative_matches_finite_difference(self):
         s = np.linspace(0.5, 2.5, 401)
-        fd = (self.cut.phi(s + 1e-6) - self.cut.phi(s - 1e-6)) / 2e-6
-        assert np.max(np.abs(fd - self.cut.dphi(s))) <= 1e-8
+        fd = (cut(s + 1e-6) - cut(s - 1e-6)) / 2e-6
+        assert np.max(np.abs(fd - dcut(s))) <= 1e-8
 
 
 class TestExampleCoefficient:
