@@ -3,10 +3,12 @@
 
 Every criterion is deterministic (fixed seeds) and self-contained; the pytest
 gate and the CLI suite both call :func:`run_all`, so they cannot drift apart.
+Nor can the CLI's check experiments: they call the functions the criteria call.
 """
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, field
 
@@ -20,10 +22,16 @@ from .quantize import (GridSpec, SobolevIndex, apply_kn, apply_multiplier, dft_f
 from .solver import CauchyProblem, graded_mesh, integrate, system_residual
 from .structure import (Zone, bracket, classify_zone, constant_pair, lambda_loss,
                         make_profile, planck, poly_pair, time_split)
-from .symbols import (char_root, excise, fit_blowup_exponents, fit_power_law, l1_defect,
-                      reference_wave, root_estimate_report, theorem_coefficient)
+from .symbols import (char_root, excise, fit_blowup_exponents, fit_power_law, free_wave,
+                      l1_defect, reference_wave, root_estimate_report, theorem_coefficient)
 
-__all__ = ["CriterionResult", "CRITERIA", "run_all"]
+__all__ = ["CriterionResult", "CRITERIA", "RESIDUAL_CASES", "RESIDUAL_TOL", "cone_experiment",
+           "estimate_checks", "run_all"]
+
+# (example id, m) of every closed form whose residual is certified
+RESIDUAL_CASES = (("7.1", 0), ("7.1", 1), ("7.1", 2), ("7.1", 3), ("7.2", 0), ("7.3", 0),
+                  ("7.4", 0))
+RESIDUAL_TOL = 1e-6
 
 
 @dataclass
@@ -46,6 +54,53 @@ def _timed(number, name, fn):
                            runtime_s=time.perf_counter() - t0, details=details)
 
 
+def cone_experiment(grid: GridSpec, wave_grid: GridSpec, m: int, wave_m: int, bump, T: float):
+    """``(c_star, report_7_3, report_wave)``: ``c*`` of example 7.3, and cone
+    checks about ``bump.center`` of 7.3 from ``(bump, 2 bump')`` up to ``t = 0.2 L``
+    and of the constant wave from ``(bump, -bump')`` up to ``min(2, 0.2 L)``, on
+    meshes of ``m`` and ``wave_m`` steps."""
+    fam = counterexample_family("7.3", k=grid.k, T=max(3.0, T))
+    c_star = propagation_speed(fam, grid, np.linspace(1e-4, 3.0, 30001))
+    famw = free_wave(1.0, T=max(2.5, T), k=wave_grid.k)
+    reports = []
+    for family, g, mesh_m, velocity, speed, t_end, nsnap in (
+            (fam, grid, m, 2.0, 3.0, 0.2 * grid.L, 13),
+            (famw, wave_grid, wave_m, -1.0, 1.0, min(2.0, 0.2 * wave_grid.L), 9)):
+        prob = CauchyProblem(family=family, f1=np.asarray(bump(g.x), dtype=complex),
+                             f2=velocity * np.asarray(bump(g.x, 1), dtype=complex),
+                             t_start=0.0, T=family.T)
+        traj = integrate(prob, g, graded_mesh(family, 0.0, t_end, mesh_m),
+                         np.linspace(0.0, t_end, nsnap))
+        reports.append(cone_check(traj, ConeSpec(bump.center, speed=speed, exponent=1.0,
+                                                 pair=constant_pair())))
+    return (c_star, *reports)
+
+
+def estimate_checks(family) -> tuple[dict, list[dict]]:
+    """``(payload, verdicts)``: the root's interior and exterior time exponents,
+    its flat-region ``max |dt tau|`` and the fitted ``(p, q)`` of an admissible family."""
+    rep = root_estimate_report(char_root(excise(family)), family.profile)
+    p_fit, q_fit = fit_blowup_exponents(family)
+    payload = {"interior_exponent": rep.interior_exponent,
+               "exterior_exponent": rep.exterior_exponent,
+               "dt_tau_flat_max": rep.dt_tau_flat_max, "p_fit": p_fit, "q_fit": q_fit,
+               "fit_report": json.loads(rep.fit.to_json())}
+    p, q = family.p, family.q
+    verdicts = [
+        {"name": "root-interior-exponent", "pass": bool(abs(rep.interior_exponent) <= 0.1),
+         "value": rep.interior_exponent},
+        {"name": "root-exterior-exponent",
+         "pass": bool(abs(rep.exterior_exponent - p / 2.0) <= 0.1),
+         "value": rep.exterior_exponent},
+        {"name": "dt-root-flat-zero", "pass": bool(rep.dt_tau_flat_max <= 1e-14),
+         "value": rep.dt_tau_flat_max},
+        {"name": "blowup-exponents",
+         "pass": bool(abs(p_fit - p) <= 0.1 and abs(q_fit - q) <= 0.1),
+         "p_fit": p_fit, "q_fit": q_fit},
+    ]
+    return payload, verdicts
+
+
 # --------------------------------------------------------------------------
 
 
@@ -57,11 +112,10 @@ def criterion_1_counterexample_fidelity() -> CriterionResult:
         grid = GridSpec(L=np.pi, N=1024, k=1.0)
         u0 = random_trig_poly(8, seed=42)
         checks, details = [], {}
-        for ex, m in [("7.1", 0), ("7.1", 1), ("7.1", 2), ("7.1", 3),
-                      ("7.2", 0), ("7.3", 0), ("7.4", 0)]:
+        for ex, m in RESIDUAL_CASES:
             r = residual_check(ex, m, u0, grid)
             details[f"residual[{ex},m={m}]"] = r
-            checks.append(r < 1e-6)
+            checks.append(r < RESIDUAL_TOL)
         for ex, m, t_start in [("7.1", 0, 1e-3), ("7.1", 3, 1e-3), ("7.2", 0, 1e-3),
                                ("7.3", 0, 0.0)]:
             fam = counterexample_family(ex, m, k=grid.k)
@@ -120,7 +174,7 @@ def criterion_3_nonuniqueness() -> CriterionResult:
         data_peak = max(float(np.max(np.abs(f1))), float(np.max(np.abs(f2))))
         witness_peak = float(np.max(np.abs(sol.u(1.0, grid.x))))
         details = {"residual": r, "data_peak": data_peak, "witness_peak": witness_peak}
-        return [r < 1e-6, data_peak == 0.0, witness_peak > 0.1], details
+        return [r < RESIDUAL_TOL, data_peak == 0.0, witness_peak > 0.1], details
 
     return _timed(3, "nonuniqueness witness", body)
 
@@ -130,43 +184,16 @@ def criterion_4_cone_condition() -> CriterionResult:
     t = 0.2 L, and <= t + slack for the constant wave; c* = 3 derived."""
 
     def body():
-        checks, details = [], {}
-        L = 12.0
-        grid = GridSpec(L=L, N=1024, k=1.0)
-        fam = counterexample_family("7.3", k=1.0, T=3.0)
-        c_star = propagation_speed(fam, grid, np.linspace(1e-4, 3.0, 30001))
-        details["c_star"] = c_star
-        checks.append(abs(c_star - 3.0) <= 1e-3)
-        bump = GaussianBump(0.0, 0.25)
-        f1 = np.asarray(bump(grid.x), dtype=complex)
-        f2 = 2.0 * np.asarray(bump(grid.x, 1), dtype=complex)
-        prob = CauchyProblem(family=fam, f1=f1, f2=f2, t_start=0.0, T=3.0)
-        t_end = 0.2 * L
         t_run = time.perf_counter()
-        traj = integrate(prob, grid, graded_mesh(fam, 0.0, t_end, 4096),
-                         np.linspace(0.0, t_end, 13))
-        rep = cone_check(traj, ConeSpec(0.0, 0.0, speed=3.0, exponent=1.0,
-                                        pair=constant_pair()))
-        details["cone_7.3_valid"] = rep.valid
-        details["cone_7.3_rows"] = rep.to_rows()
-        checks.append(rep.valid and rep.passed)
-
-        from .symbols import free_wave
-        gw = GridSpec(L=L, N=512, k=1.0)
-        famw = free_wave(1.0, T=2.5, k=1.0)
-        f1w = np.asarray(bump(gw.x), dtype=complex)
-        f2w = -np.asarray(bump(gw.x, 1), dtype=complex)
-        probw = CauchyProblem(family=famw, f1=f1w, f2=f2w, t_start=0.0, T=2.5)
-        trajw = integrate(probw, gw, graded_mesh(famw, 0.0, 2.0, 1024),
-                          np.linspace(0.0, 2.0, 9))
-        repw = cone_check(trajw, ConeSpec(0.0, 0.0, speed=1.0, exponent=1.0,
-                                          pair=constant_pair()))
-        details["cone_wave_rows"] = repw.to_rows()
-        checks.append(repw.valid and repw.passed)
+        c_star, rep, repw = cone_experiment(GridSpec(L=12.0, N=1024, k=1.0),
+                                            GridSpec(L=12.0, N=512, k=1.0), 4096, 1024,
+                                            GaussianBump(0.0, 0.25), 1.0)
         elapsed = time.perf_counter() - t_run
-        details["time"] = elapsed
-        checks.append(elapsed <= 60.0)
-        return checks, details
+        details = {"c_star": c_star, "cone_7.3_valid": rep.valid,
+                   "cone_7.3_rows": rep.to_rows(), "cone_wave_rows": repw.to_rows(),
+                   "time": elapsed}
+        return [abs(c_star - 3.0) <= 1e-3, rep.valid and rep.passed,
+                repw.valid and repw.passed, elapsed <= 60.0], details
 
     return _timed(4, "cone condition / finite propagation speed", body)
 
@@ -371,19 +398,13 @@ def criterion_9_symbol_reports() -> CriterionResult:
         t_start = time.perf_counter()
         checks, details = [], {}
         for (p, q) in ((0.0, 1.25), (0.25, 1.3)):
-            fam = theorem_coefficient(p, q, k=2.0)
-            rep = root_estimate_report(char_root(excise(fam)), fam.profile)
-            details[f"interior_exp[p={p}]"] = rep.interior_exponent
-            details[f"exterior_exp[p={p}]"] = rep.exterior_exponent
-            details[f"dt_tau_flat[p={p}]"] = rep.dt_tau_flat_max
-            checks.append(abs(rep.interior_exponent) <= 0.1)
-            checks.append(abs(rep.exterior_exponent - p / 2.0) <= 0.1)
-            checks.append(rep.dt_tau_flat_max <= 1e-14)
-            pf, qf = fit_blowup_exponents(fam)
-            details[f"p_fit[p={p}]"] = pf
-            details[f"q_fit[p={p}]"] = qf
-            checks.append(abs(pf - p) <= 0.1)
-            checks.append(abs(qf - q) <= 0.1)
+            payload, verdicts = estimate_checks(theorem_coefficient(p, q, k=2.0))
+            details[f"interior_exp[p={p}]"] = payload["interior_exponent"]
+            details[f"exterior_exp[p={p}]"] = payload["exterior_exponent"]
+            details[f"dt_tau_flat[p={p}]"] = payload["dt_tau_flat_max"]
+            details[f"p_fit[p={p}]"] = payload["p_fit"]
+            details[f"q_fit[p={p}]"] = payload["q_fit"]
+            checks.extend(v["pass"] for v in verdicts)
         checks.append(time.perf_counter() - t_start <= 120.0)
         return checks, details
 
@@ -415,12 +436,11 @@ def criterion_10_system_residual() -> CriterionResult:
 
         fam73 = counterexample_family("7.3", k=4.0, T=1.0)
         sol = closed_form("7.3", 0, u0)
-        g73 = GridSpec(L=np.pi, N=256, k=4.0)
-        f1c, f2c = sol.initial_data(g73, 0.0)
+        f1c, f2c = sol.initial_data(grid, 0.0)
         prob73 = CauchyProblem(family=fam73, f1=f1c, f2=f2c, t_start=0.0, T=1.0)
-        traj73 = integrate(prob73, g73, graded_mesh(fam73, 0.0, 1.0, 4096),
+        traj73 = integrate(prob73, grid, graded_mesh(fam73, 0.0, 1.0, 4096),
                            np.linspace(0.25, 1.0, 513))
-        r73 = system_residual(traj73, prob73, g73)
+        r73 = system_residual(traj73, prob73, grid)
         details["residual_7.3"] = r73
         checks.append(r73 < 1e-2)
         return checks, details

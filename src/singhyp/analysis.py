@@ -164,8 +164,6 @@ def drift_argument(t):
 class ClosedFormSolution:
     """Exact solution ``u(t, y)`` and its time derivative for one example."""
 
-    example_id: str
-    m: int
     u: Callable
     ut: Callable
 
@@ -195,23 +193,20 @@ def closed_form(example_id: str, m: int, u0) -> ClosedFormSolution:
                             for j, c in enumerate(cj) if j >= 1)
             return out
 
-        return ClosedFormSolution(example_id, m, u, ut)
+        return ClosedFormSolution(u, ut)
     if example_id == "7.2":
         return ClosedFormSolution(
-            example_id, m,
             u=lambda t, y: np.asarray(t, dtype=float) * u0(y + t, 0),
             ut=lambda t, y: u0(y + t, 0) + np.asarray(t, dtype=float) * u0(y + t, 1),
         )
     if example_id == "7.3":
         return ClosedFormSolution(
-            example_id, m,
             u=lambda t, y: u0(y + drift_argument(t), 0),
             ut=lambda t, y: (2.0 + np.sin(np.sqrt(np.asarray(t, dtype=float))))
             * u0(y + drift_argument(t), 1),
         )
     # 7.4: nonzero solution with identically zero Cauchy data
     return ClosedFormSolution(
-        example_id, m,
         u=lambda t, y: np.asarray(t, dtype=float) ** 2 * u0(y + t, 0),
         ut=lambda t, y: 2.0 * np.asarray(t, dtype=float) * u0(y + t, 0)
         + np.asarray(t, dtype=float) ** 2 * u0(y + t, 1),
@@ -245,6 +240,8 @@ def counterexample_family(example_id: str, m: int = 0, *, k: float = 1.0,
                           T: float = 1.0) -> CoefficientFamily:
     """Coefficient family of the example's operator (homogeneous ``xi^2`` principal part)."""
     _check_example_id(example_id)
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
     # g(t), g'(t), q, r, b0(t), b1(t): the principal part is g(t) xi^2
     g, dg, q, r, b0, b1 = {
         "7.1": (one, zero, 0.0, 1.0, _over_t(0.5), _over_t(-(4.0 * m + 1.0) * 0.5)),
@@ -355,11 +352,12 @@ def support_radius(grid: GridSpec, values, center: float = 0.0,
 
 @dataclass(frozen=True)
 class ConeSpec:
-    """Vertex, speed constant, time exponent ``1 - p/2`` and weight of the cone
-    ``|x - x0| <= speed * omega(x) * (t0 - t)**exponent``."""
+    """Centre ``x0``, speed constant, time exponent ``1 - p/2`` and weight of the
+    forward support-growth bound
+    ``R(t) <= R(t0) + speed * max omega * (t - t0)**exponent + 3 dx``, measured
+    about ``x0`` from the first snapshot time ``t0`` (see :func:`cone_check`)."""
 
     x0: float
-    t0: float
     speed: float
     exponent: float
     pair: StructurePair
@@ -376,8 +374,6 @@ class ConeReport:
     valid: bool
     passed: bool
     rows: tuple  # (t, measured_radius, predicted_radius)
-    initial_radius: float
-    threshold: float
 
     def to_rows(self):
         return [{"t": t, "measured": m, "predicted": p} for (t, m, p) in self.rows]
@@ -406,8 +402,7 @@ def cone_check(traj: Trajectory, cone: ConeSpec, threshold: float = 1e-10) -> Co
         rows.append((float(t), r, predicted))
         if r > predicted:
             passed = False
-    return ConeReport(valid=valid, passed=passed and valid, rows=tuple(rows),
-                      initial_radius=r_init, threshold=threshold)
+    return ConeReport(valid=valid, passed=passed and valid, rows=tuple(rows))
 
 
 # --------------------------------------------------------------------------
@@ -479,13 +474,7 @@ def energy_monitor(traj: Trajectory, s: tuple[float, float], profile: Singularit
         norms_v.append(nv)
         supports.append(support_radius(grid, u))
 
-    t0, u0, v0 = traj.snapshots[0]
-    eps0 = float(lam_vals[0])
-    d0 = (sobolev_norm(grid, _denoise(grid, u0),
-                       SobolevIndex(s1 + 1.0, s2 + 1.0, eps0, profile.sigma, grid.k), pair)
-          + sobolev_norm(grid, _denoise(grid, v0),
-                         SobolevIndex(s1, s2, eps0, profile.sigma, grid.k), pair))
-    data_bound = np.full(times.shape, d0)
+    data_bound = np.full(times.shape, norms_u[0] + norms_v[0])
     if forcing is not None:
         fnorm = np.array([
             sobolev_norm(grid, forcing(float(t), grid.x),
@@ -513,7 +502,6 @@ def energy_monitor(traj: Trajectory, s: tuple[float, float], profile: Singularit
 class LambdaFit:
     value: float
     witness: tuple  # (t, x, xi) achieving the bound
-    iterations: int
 
 
 def fit_lambda(family: CoefficientFamily, profile: SingularityProfile, *,
@@ -557,9 +545,7 @@ def fit_lambda(family: CoefficientFamily, profile: SingularityProfile, *,
     weight = tt ** (1.0 - ds) / (np.asarray(pair.phi(xx), dtype=float) * br) ** (1.0 / profile.sigma)
 
     lam = 0.0
-    iterations = 0
     for _ in range(3):
-        iterations += 1
         if b0 is not None:
             sig_B3 = b0 * (1.0 - 1j * lam * h_val / m_sym)
             sig_B4 = 1j * lam * b0 / m_sym
@@ -578,6 +564,6 @@ def fit_lambda(family: CoefficientFamily, profile: SingularityProfile, *,
         lam_new = float(demand.ravel()[i])
         witness = (float(tt.ravel()[i]), float(xx.ravel()[i]), float(ww.ravel()[i]))
         if b0 is None or abs(lam_new - lam) <= 1e-10 * max(lam_new, 1.0):
-            return LambdaFit(value=lam_new, witness=witness, iterations=iterations)
+            return LambdaFit(value=lam_new, witness=witness)
         lam = lam_new
-    return LambdaFit(value=lam, witness=witness, iterations=iterations)
+    return LambdaFit(value=lam, witness=witness)

@@ -28,9 +28,11 @@ Config schema (unknown keys are rejected)::
       "zones":   {"nt": 16, "nx": 17, "nxi": 17, "N": 2.0}
     }
 
-Family ids: ``theorem``, ``example11``, ``free-wave``, ``reference-wave``,
-``counterexample-7.1`` ... ``counterexample-7.4`` (counterexamples take
-``{"m": int}`` and use their oracle initial data).
+Family ids and the ``params`` each accepts, with defaults (other keys are
+rejected): ``theorem`` (``pair`` ``[kappa1, kappa2]``, else the constant pair;
+``amplitude`` 0.5), ``example11`` (``kappa1``, ``kappa2`` 0.5), ``free-wave``
+(``speed`` 1.0), ``reference-wave`` (none), ``counterexample-7.1`` ... ``-7.4``
+(an integer ``m >= 0``, 0; counterexamples use their oracle initial data).
 """
 
 from __future__ import annotations
@@ -44,16 +46,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (ConeSpec, GaussianBump, closed_form, cone_check,
-                       counterexample_family, energy_monitor, fit_lambda, propagation_speed,
-                       random_trig_poly, residual_check)
+from .acceptance import RESIDUAL_CASES, RESIDUAL_TOL, cone_experiment, estimate_checks, run_all
+from .analysis import (EXAMPLE_IDS, GaussianBump, closed_form, counterexample_family,
+                       energy_monitor, fit_lambda, random_trig_poly, residual_check)
 from .quantize import GridSpec, OverflowGuardError
 from .runio import build_manifest, write_csv, write_json, write_trajectory
 from .solver import CauchyProblem, SolverError, SupportError, graded_mesh, integrate
 from .structure import ProfileError, classify_zone, constant_pair, make_profile, poly_pair
-from .symbols import (EllipticityError, QuadratureError, char_root, excise,
-                      fit_blowup_exponents, free_wave, reference_wave, root_estimate_report,
-                      theorem_coefficient, example_coefficient)
+from .symbols import (EllipticityError, QuadratureError, char_root, excise, free_wave,
+                      reference_wave, theorem_coefficient, example_coefficient)
 
 __all__ = ["ConfigError", "RunConfig", "run", "suite", "main"]
 
@@ -61,6 +62,15 @@ EXPERIMENTS = ("solve", "verify-counterexamples", "check-cone", "check-energy",
                "symbol-report", "zones-dump")
 _TOP_KEYS = {"experiment", "grid", "mesh", "profile", "family", "data", "output_times",
              "zones"}
+# the params each family id accepts, as :func:`_fields` specs
+_FAMILY_PARAMS = {
+    "theorem": (("pair", None, lambda v: v if v is None else poly_pair(*map(float, v))),
+                ("amplitude", 0.5, float)),
+    "example11": (("kappa1", 0.5, float), ("kappa2", 0.5, float)),
+    "free-wave": (("speed", 1.0, float),),
+    "reference-wave": (),
+    **{f"counterexample-{ex}": (("m", 0, int),) for ex in EXAMPLE_IDS},
+}
 
 
 class ConfigError(ValueError):
@@ -138,9 +148,9 @@ class RunConfig:
 
         f = _known(raw.get("family", {"id": "theorem"}), {"id", "params"}, "family")
         self.family_id = str(_require(f, "id", "family"))
-        self.family_params = f.get("params", {})
-        if not isinstance(self.family_params, dict):
-            raise ConfigError("family.params must be an object")
+        spec = _FAMILY_PARAMS.get(self.family_id, ())
+        params = _known(f.get("params", {}), {key for key, _, _ in spec}, "family.params")
+        self.family_params = _fields(params, "family.params", spec)
 
         d = _known(raw.get("data", {}), {"kind", "modes", "seed", "width", "center", "velocity",
                                          "velocity_scale"}, "data")
@@ -164,39 +174,36 @@ class RunConfig:
     # ------------------------------------------------------------------
 
     def build_family(self):
-        pid = self.family_id
-        pp = self.profile_params
-        params = dict(self.family_params)
-        if pid == "theorem":
-            kappas = params.pop("pair", None)
-            pair = poly_pair(*kappas) if kappas else constant_pair()
-            return theorem_coefficient(pp["p"], pp["q"], r=pp["r"], sigma=pp["sigma"],
-                                       T=pp["T"], k=self.grid.k, pair=pair, **params)
-        if pid == "example11":
-            return example_coefficient(params.get("kappa1", 0.5), params.get("kappa2", 0.5),
-                                       T=pp["T"], k=self.grid.k)
-        if pid == "free-wave":
-            return free_wave(params.get("speed", 1.0), T=pp["T"], k=self.grid.k)
-        if pid == "reference-wave":
-            return reference_wave(T=pp["T"], k=self.grid.k)
-        if pid.startswith("counterexample-"):
-            ex = pid.removeprefix("counterexample-")
-            return counterexample_family(ex, int(params.get("m", 0)), k=self.grid.k,
-                                         T=pp["T"])
-        raise ConfigError(f"family.id: unknown family {pid!r}")
+        pid, pp, params = self.family_id, self.profile_params, self.family_params
+        if pid not in _FAMILY_PARAMS:
+            raise ConfigError(f"family.id: unknown family {pid!r}")
+        common = {"T": pp["T"], "k": self.grid.k}
+        try:
+            if pid == "theorem":
+                return theorem_coefficient(pp["p"], pp["q"], r=pp["r"], sigma=pp["sigma"],
+                                           **params, **common)
+            if pid == "example11":
+                return example_coefficient(**params, **common)
+            if pid == "free-wave":
+                return free_wave(**params, **common)
+            if pid == "reference-wave":
+                return reference_wave(**common)
+            return counterexample_family(pid.removeprefix("counterexample-"), **params,
+                                         **common)
+        except ValueError as e:
+            raise ConfigError(f"family.params: {e}") from e
 
     def build_profile_fn(self):
         if self.data["kind"] == "trig":
             return random_trig_poly(self.data["modes"], self.data["seed"])
         return GaussianBump(self.data["center"], self.data["width"])
 
-    def build_data(self, family):
+    def build_data(self):
+        u0 = self.build_profile_fn()
         if self.family_id.startswith("counterexample-"):
             ex = self.family_id.removeprefix("counterexample-")
-            sol = closed_form(ex, int(self.family_params.get("m", 0)),
-                              self.build_profile_fn())
-            return sol.initial_data(self.grid, self.t_start)
-        u0 = self.build_profile_fn()
+            return closed_form(ex, self.family_params["m"], u0).initial_data(
+                self.grid, self.t_start)
         f1 = np.asarray(u0(self.grid.x), dtype=complex)
         if self.data["velocity"] == "zero":
             f2 = np.zeros_like(f1)
@@ -218,7 +225,7 @@ def _derived(cfg: RunConfig) -> dict:
 
 def _exp_solve(cfg: RunConfig, out: Path, seed: int):
     family = cfg.build_family()
-    f1, f2 = cfg.build_data(family)
+    f1, f2 = cfg.build_data()
     prob = CauchyProblem(family=family, f1=f1, f2=f2, t_start=cfg.t_start,
                          T=cfg.profile.T)
     mesh = graded_mesh(family, cfg.t_start, cfg.profile.T, cfg.mesh_m, cfg.mesh_kappa)
@@ -231,51 +238,27 @@ def _exp_solve(cfg: RunConfig, out: Path, seed: int):
 
 
 def _exp_verify_counterexamples(cfg: RunConfig, out: Path, seed: int):
-    grid = cfg.grid
     u0 = random_trig_poly(cfg.data["modes"], cfg.data["seed"])
-    verdicts, rows = [], []
-    for ex in ("7.1", "7.2", "7.3", "7.4"):
-        ms = (0, 1, 2, 3) if ex == "7.1" else (0,)
-        worst = max(residual_check(ex, m, u0, grid) for m in ms)
-        verdicts.append({"name": f"counterexample-{ex}", "residual": worst,
-                         "pass": bool(worst < 1e-6)})
-        rows.append((f"counterexample-{ex}", worst))
-    table = write_csv(out / "residuals.csv", ["example", "max_residual"], rows)
+    residuals = {}
+    for ex, m in RESIDUAL_CASES:
+        residuals.setdefault(ex, []).append(residual_check(ex, m, u0, cfg.grid))
+    verdicts = [{"name": f"counterexample-{ex}", "residual": max(rs),
+                 "pass": bool(max(rs) < RESIDUAL_TOL)} for ex, rs in residuals.items()]
+    table = write_csv(out / "residuals.csv", ["example", "max_residual"],
+                      [(v["name"], v["residual"]) for v in verdicts])
     return [table], verdicts
 
 
 def _exp_check_cone(cfg: RunConfig, out: Path, seed: int):
-    grid = cfg.grid
-    bump = GaussianBump(cfg.data["center"], cfg.data["width"])
-    verdicts, artifacts = [], []
-    fam = counterexample_family("7.3", k=grid.k, T=max(3.0, cfg.profile.T))
-    c_star = propagation_speed(fam, grid, np.linspace(1e-4, 3.0, 30001))
-    f1 = np.asarray(bump(grid.x), dtype=complex)
-    f2 = 2.0 * np.asarray(bump(grid.x, 1), dtype=complex)
-    t_end = 0.2 * grid.L
-    prob = CauchyProblem(family=fam, f1=f1, f2=f2, t_start=0.0, T=max(3.0, cfg.profile.T))
-    traj = integrate(prob, grid, graded_mesh(fam, 0.0, t_end, cfg.mesh_m),
-                     np.linspace(0.0, t_end, 13))
-    rep = cone_check(traj, ConeSpec(cfg.data["center"], 0.0, speed=3.0, exponent=1.0,
-                                    pair=constant_pair()))
-    artifacts.append(write_csv(out / "cone_oscillating.csv",
-                               ["t", "measured", "predicted"], rep.rows))
-    verdicts.append({"name": "cone-oscillating-speed", "pass": bool(rep.passed),
-                     "valid": rep.valid, "c_star": c_star})
-
-    famw = free_wave(1.0, T=max(2.5, cfg.profile.T), k=grid.k)
-    f2w = -np.asarray(bump(grid.x, 1), dtype=complex)
-    probw = CauchyProblem(family=famw, f1=f1, f2=f2w, t_start=0.0,
-                          T=max(2.5, cfg.profile.T))
-    t_endw = min(2.0, 0.2 * grid.L)
-    trajw = integrate(probw, grid, graded_mesh(famw, 0.0, t_endw, cfg.mesh_m),
-                      np.linspace(0.0, t_endw, 9))
-    repw = cone_check(trajw, ConeSpec(cfg.data["center"], 0.0, speed=1.0, exponent=1.0,
-                                      pair=constant_pair()))
-    artifacts.append(write_csv(out / "cone_wave.csv", ["t", "measured", "predicted"],
-                               repw.rows))
-    verdicts.append({"name": "cone-constant-wave", "pass": bool(repw.passed),
-                     "valid": repw.valid})
+    c_star, rep, repw = cone_experiment(
+        cfg.grid, cfg.grid, cfg.mesh_m, cfg.mesh_m,
+        GaussianBump(cfg.data["center"], cfg.data["width"]), cfg.profile.T)
+    artifacts = [write_csv(out / name, ["t", "measured", "predicted"], r.rows)
+                 for name, r in (("cone_oscillating.csv", rep), ("cone_wave.csv", repw))]
+    verdicts = [{"name": "cone-oscillating-speed", "pass": bool(rep.passed),
+                 "valid": rep.valid, "c_star": c_star},
+                {"name": "cone-constant-wave", "pass": bool(repw.passed),
+                 "valid": repw.valid}]
     return artifacts, verdicts
 
 
@@ -284,7 +267,7 @@ def _exp_check_energy(cfg: RunConfig, out: Path, seed: int):
     if family.profile is None:
         raise ConfigError("family: check-energy needs an admissible profile")
     lam = fit_lambda(family, family.profile).value if cfg.lam == "fit" else cfg.lam
-    f1, f2 = cfg.build_data(family)
+    f1, f2 = cfg.build_data()
     prob = CauchyProblem(family=family, f1=f1, f2=f2, t_start=cfg.t_start,
                          T=cfg.profile.T)
     traj = integrate(prob, cfg.grid, graded_mesh(family, cfg.t_start, cfg.profile.T,
@@ -305,30 +288,8 @@ def _exp_symbol_report(cfg: RunConfig, out: Path, seed: int):
     family = cfg.build_family()
     if family.profile is None:
         raise ConfigError("family: symbol-report needs an admissible profile")
-    rep = root_estimate_report(char_root(excise(family)), family.profile)
-    p_fit, q_fit = fit_blowup_exponents(family)
-    payload = {
-        "interior_exponent": rep.interior_exponent,
-        "exterior_exponent": rep.exterior_exponent,
-        "dt_tau_flat_max": rep.dt_tau_flat_max,
-        "p_fit": p_fit,
-        "q_fit": q_fit,
-        "fit_report": json.loads(rep.fit.to_json()),
-    }
+    payload, verdicts = estimate_checks(family)
     art = write_json(out / "symbol_report.json", payload)
-    p, q = family.p, family.q
-    verdicts = [
-        {"name": "root-interior-exponent", "pass": bool(abs(rep.interior_exponent) <= 0.1),
-         "value": rep.interior_exponent},
-        {"name": "root-exterior-exponent",
-         "pass": bool(abs(rep.exterior_exponent - p / 2.0) <= 0.1),
-         "value": rep.exterior_exponent},
-        {"name": "dt-root-flat-zero", "pass": bool(rep.dt_tau_flat_max <= 1e-14),
-         "value": rep.dt_tau_flat_max},
-        {"name": "blowup-exponents",
-         "pass": bool(abs(p_fit - p) <= 0.1 and abs(q_fit - q) <= 0.1),
-         "p_fit": p_fit, "q_fit": q_fit},
-    ]
     return [art], verdicts
 
 
@@ -396,8 +357,6 @@ def run(raw_config: dict, out_dir, seed: int = 42) -> int:
 def suite(out_dir, seed: int = 42) -> int:
     """Run the full acceptance battery plus a fault-injection check and write
     one aggregated verdict JSON."""
-    from .acceptance import run_all
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()

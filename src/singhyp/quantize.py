@@ -88,6 +88,12 @@ class GridSpec:
         return _grid_arrays(self)[1]
 
     @property
+    def xi_odd(self) -> np.ndarray:
+        """:attr:`xi` with the ``-N/2`` entry zeroed, for odd (derivative type)
+        multipliers, where the Nyquist frequency's sign is a pure convention."""
+        return _grid_arrays(self)[3]
+
+    @property
     def xi_max(self) -> float:
         return (np.pi / self.L) * (self.N // 2)
 
@@ -99,15 +105,15 @@ def _grid_arrays(grid: GridSpec):
     j = np.where(i < grid.N // 2, i, i - grid.N)
     xi = (np.pi / grid.L) * j
     phase = np.where(j % 2 == 0, 1.0, -1.0)  # exp(i xi_j L) = (-1)^j
-    for a in (x, xi, phase):
+    xi_odd = np.where(i == grid.N // 2, 0.0, xi)
+    for a in (x, xi, phase, xi_odd):
         a.setflags(write=False)
-    return x, xi, phase
+    return x, xi, phase, xi_odd
 
 
 @lru_cache(maxsize=4)
 def _kn_phase(grid: GridSpec) -> np.ndarray:
-    x, xi, _ = _grid_arrays(grid)
-    E = np.exp(1j * np.outer(x, xi))
+    E = np.exp(1j * np.outer(grid.x, grid.xi))
     E.setflags(write=False)
     return E
 
@@ -116,7 +122,7 @@ def dft_forward(grid: GridSpec, values) -> np.ndarray:
     u = np.asarray(values)
     if u.shape != (grid.N,):
         raise ValueError(f"field size {u.shape} does not match grid N={grid.N}")
-    _, _, phase = _grid_arrays(grid)
+    phase = _grid_arrays(grid)[2]
     return grid.dx * phase * np.fft.fft(u)
 
 
@@ -124,7 +130,7 @@ def dft_inverse(grid: GridSpec, coeffs) -> np.ndarray:
     c = np.asarray(coeffs)
     if c.shape != (grid.N,):
         raise ValueError(f"coefficient size {c.shape} does not match grid N={grid.N}")
-    _, _, phase = _grid_arrays(grid)
+    phase = _grid_arrays(grid)[2]
     return np.fft.ifft(c * phase) / grid.dx
 
 
@@ -148,17 +154,11 @@ def _multiplier_values(grid: GridSpec, m) -> np.ndarray:
     return vals
 
 
-def apply_multiplier(grid: GridSpec, m, values, *, zero_nyquist: bool = False) -> np.ndarray:
-    """Apply a Fourier multiplier ``m(xi)``.
-
-    ``zero_nyquist=True`` zeroes the ``-N/2`` mode; use it for odd (derivative
-    type) multipliers, where the Nyquist frequency's sign is a pure convention.
-    """
+def apply_multiplier(grid: GridSpec, m, values) -> np.ndarray:
+    """Apply a Fourier multiplier ``m(xi)``; an odd (derivative type) one is
+    built on :attr:`GridSpec.xi_odd`."""
     vals = _multiplier_values(grid, m)
-    c = dft_forward(grid, values) * vals
-    if zero_nyquist:
-        c[grid.N // 2] = 0.0
-    return dft_inverse(grid, c)
+    return dft_inverse(grid, dft_forward(grid, values) * vals)
 
 
 def apply_kn(grid: GridSpec, symbol, values) -> np.ndarray:

@@ -209,7 +209,7 @@ def apply_lower(grid: GridSpec, family: CoefficientFamily, t: float, u):
     """``Op(b) u = b1(t, x) du/dx + b2(t, x) u`` (0 where both are absent)."""
     out = np.zeros_like(u)
     if family.b1 is not None:
-        du = apply_multiplier(grid, 1j * grid.xi, u, zero_nyquist=True)
+        du = apply_multiplier(grid, 1j * grid.xi_odd, u)
         out = out + np.asarray(family.b1(t, grid.x)) * du
     if family.b2 is not None:
         out = out + np.asarray(family.b2(t, grid.x)) * u
@@ -237,8 +237,7 @@ class Discretization:
         self.apply_principal = symbol_operator(grid, fam, atilde)
         self.fourier = fam.is_multiplier
         if self.fourier:
-            # xi with its Nyquist entry zeroed, as apply_lower does for b1 d/dx
-            self._xi_odd = np.where(np.arange(grid.N) == grid.N // 2, 0.0, grid.xi)
+            self._xi_odd = grid.xi_odd
             if atilde is None and fam.separable is not None:
                 g, w, m = fam.separable
                 wm = np.asarray(w(0.0) * m(grid.xi), dtype=complex)

@@ -177,7 +177,7 @@ class TestConeCheck:
         prob = CauchyProblem(family=fam, f1=z, f2=z, t_start=0.0, T=1.5)
         traj = integrate(prob, grid, graded_mesh(fam, 0.0, 1.0, 128),
                          np.linspace(0, 1, 5))
-        rep = cone_check(traj, ConeSpec(0.0, 0.0, 1.0, 1.0, constant_pair()))
+        rep = cone_check(traj, ConeSpec(0.0, 1.0, 1.0, constant_pair()))
         assert rep.passed
 
     def test_gaussian_bump_speed_bound(self):
@@ -188,7 +188,7 @@ class TestConeCheck:
         prob = CauchyProblem(family=fam, f1=f1, f2=np.zeros_like(f1), t_start=0.0, T=2.5)
         traj = integrate(prob, grid, graded_mesh(fam, 0.0, 2.0, 512),
                          np.linspace(0, 2, 9))
-        rep = cone_check(traj, ConeSpec(0.0, 0.0, 1.0, 1.0, constant_pair()))
+        rep = cone_check(traj, ConeSpec(0.0, 1.0, 1.0, constant_pair()))
         assert rep.valid and rep.passed
 
     def test_wraparound_invalidates(self):
@@ -199,14 +199,14 @@ class TestConeCheck:
         prob = CauchyProblem(family=fam, f1=f1, f2=np.zeros_like(f1), t_start=0.0, T=4.0)
         traj = integrate(prob, grid, graded_mesh(fam, 0.0, 3.5, 1024),
                          np.linspace(0, 3.5, 8))
-        rep = cone_check(traj, ConeSpec(0.0, 0.0, 1.0, 1.0, constant_pair()))
+        rep = cone_check(traj, ConeSpec(0.0, 1.0, 1.0, constant_pair()))
         assert not rep.valid and not rep.passed
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            ConeSpec(0.0, 0.0, -1.0, 1.0, constant_pair())
+            ConeSpec(0.0, -1.0, 1.0, constant_pair())
         with pytest.raises(ValueError):
-            ConeSpec(0.0, 0.0, 1.0, 0.5, constant_pair())
+            ConeSpec(0.0, 1.0, 0.5, constant_pair())
 
 
 class TestEnergyMonitor:
@@ -288,6 +288,7 @@ class TestEnergyMonitor:
         trace = energy_monitor(traj, (0.0, 0.0), fam.profile, fam.pair, 0.0,
                                forcing=forcing)
         assert np.all(np.diff(trace.data_bound) >= 0.0)
+        assert trace.data_bound[0] == trace.energy[0]
         assert trace.data_bound[-1] > trace.data_bound[0]
         assert np.isfinite(trace.verdict)
 

@@ -149,6 +149,34 @@ class TestRun:
         assert run(cfg, tmp_path) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family, field", [
+        ({"id": "theorem", "params": {"bogus": 1}}, "family.params.bogus"),
+        ({"id": "theorem", "params": {"pair": 5}}, "family.params.pair"),
+        ({"id": "theorem", "params": {"pair": [0.5]}}, "family.params.pair"),
+        ({"id": "theorem", "params": {"r": 0.5}}, "family.params.r"),
+        ({"id": "theorem", "params": {"amplitude": 3.0}}, "family.params"),
+        ({"id": "counterexample-7.1", "params": {"m": "x"}}, "family.params.m"),
+        ({"id": "counterexample-7.1", "params": {"m": -1}}, "family.params"),
+        ({"id": "example11", "params": {"kappa1": 0.9, "kappa2": 0.1}}, "family.params"),
+        ({"id": "counterexample-7.9"}, "family.id"),
+        ({"id": "example11", "params": {"bogus": 1}}, "family.params.bogus")])
+    def test_malformed_family_status_2(self, tmp_path, capsys, family, field):
+        cfg = {"experiment": "solve", "grid": {"L": 8.0, "N": 64, "k": 2.0},
+               "mesh": {"M": 32}, "family": family, "data": {"kind": "bump", "width": 0.5}}
+        assert run(cfg, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+
+    def test_check_cone_failure_status_1(self, tmp_path):
+        # a wide bump on a small torus reaches 3L/4: both cone checks are invalid
+        cfg = {"experiment": "check-cone", "grid": {"L": 4.0, "N": 64, "k": 1.0},
+               "mesh": {"M": 64}, "data": {"width": 1.0}}
+        assert run(cfg, tmp_path) == 1
+        verdicts = json.loads((tmp_path / "verdict.json").read_text())["verdicts"]
+        assert [v["name"] for v in verdicts] == ["cone-oscillating-speed", "cone-constant-wave"]
+        assert not any(v["valid"] or v["pass"] for v in verdicts)
+        assert (tmp_path / "manifest.json").exists()
+
     def test_check_cone(self, tmp_path):
         cfg = {"experiment": "check-cone", "grid": {"L": 12.0, "N": 256, "k": 1.0},
                "mesh": {"M": 512}, "data": {"width": 0.25}}

@@ -36,6 +36,10 @@ class TestGridSpec:
         assert grid.xi[1] == pytest.approx(np.pi / grid.L)
         # Nyquist mode carries the negative frequency -N/2
         assert grid.xi[grid.N // 2] == pytest.approx(-(np.pi / grid.L) * (grid.N // 2))
+        # the odd-multiplier frequencies drop only that convention-bound sign
+        odd = np.array(grid.xi)
+        odd[grid.N // 2] = 0.0
+        assert np.array_equal(grid.xi_odd, odd)
 
 
 class TestDft:
@@ -78,7 +82,7 @@ class TestMultiplier:
 
     def test_derivative_matches_finite_difference(self, grid):
         u = np.exp(np.cos(grid.x))  # smooth periodic
-        spectral = apply_multiplier(grid, lambda xi: 1j * xi, u, zero_nyquist=True)
+        spectral = apply_multiplier(grid, 1j * grid.xi_odd, u)
         fd = (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * grid.dx)
         # centered difference is O(dx^2); spectral is exact for this bandwidth
         assert np.max(np.abs(spectral.real - fd)) <= 0.7 * grid.dx ** 2 * np.max(np.abs(u))
