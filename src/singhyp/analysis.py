@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .quantize import GridSpec, SobolevIndex, dft_forward, dft_inverse, sobolev_norm
-from .solver import CauchyProblem, Discretization, Trajectory
+from .solver import CauchyProblem, Trajectory, assemble_rhs
 from .structure import (SingularityProfile, StructurePair, bracket, constant_pair, lambda_loss,
                         one, zero)
 from .symbols import (CoefficientFamily, SampleLattice, _two_xi, _xi_squared, char_root, excise,
@@ -261,8 +261,8 @@ def residual_check(example_id: str, m: int, u0, grid: GridSpec,
     """Max relative residual of the example's operator applied to its closed form.
 
     Spatial derivatives act through the integrator's own right-hand side,
-    :meth:`~singhyp.solver.Discretization.rhs` (exact for trig-polynomial
-    data), so the check certifies what :func:`~singhyp.solver.integrate` runs;
+    :func:`~singhyp.solver.assemble_rhs` (exact for trig-polynomial data), so
+    the check certifies what :func:`~singhyp.solver.integrate` runs;
     time derivatives use 5-point centered differences with step
     ``5e-4 * t``, balancing the O(h^4) truncation (~1e-8 for 8-mode data)
     against the second-derivative cancellation roundoff (~1e-7).  The default
@@ -276,7 +276,7 @@ def residual_check(example_id: str, m: int, u0, grid: GridSpec,
     if np.any(ts <= 0):
         raise ValueError("t_grid must avoid t = 0")
     z = np.zeros(grid.N)
-    disc = Discretization(CauchyProblem(family=fam, f1=z, f2=z, t_start=0.0, T=fam.T), grid)
+    prob = CauchyProblem(family=fam, f1=z, f2=z, t_start=0.0, T=fam.T)
     worst, peak = 0.0, 0.0
     for t in ts:
         h = 5e-4 * float(t)
@@ -285,7 +285,7 @@ def residual_check(example_id: str, m: int, u0, grid: GridSpec,
         um2, um1, uc, up1, up2 = stencil
         utt = (-um2 + 16.0 * um1 - 30.0 * uc + 16.0 * up1 - up2) / (12.0 * h * h)
         ut = (um2 - 8.0 * um1 + 8.0 * up1 - up2) / (12.0 * h)
-        res = utt - disc.field(disc.rhs(t, disc.state(uc), disc.state(ut))[1])
+        res = utt - assemble_rhs(t, uc, ut, prob, grid)[1]
         worst = max(worst, float(np.max(np.abs(res))))
         peak = max(peak, float(np.max(np.abs(uc))))
     return worst / max(peak, 1e-300)

@@ -62,6 +62,15 @@ EXPERIMENTS = ("solve", "verify-counterexamples", "check-cone", "check-energy",
                "symbol-report", "zones-dump")
 _TOP_KEYS = {"experiment", "grid", "mesh", "profile", "family", "data", "output_times",
              "zones"}
+
+
+def _int(value) -> int:
+    """``int(value)``, refusing a non-integral number rather than truncating it."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 # the params each family id accepts, as :func:`_fields` specs
 _FAMILY_PARAMS = {
     "theorem": (("pair", None, lambda v: v if v is None else poly_pair(*map(float, v))),
@@ -69,7 +78,7 @@ _FAMILY_PARAMS = {
     "example11": (("kappa1", 0.5, float), ("kappa2", 0.5, float)),
     "free-wave": (("speed", 1.0, float),),
     "reference-wave": (),
-    **{f"counterexample-{ex}": (("m", 0, int),) for ex in EXAMPLE_IDS},
+    **{f"counterexample-{ex}": (("m", 0, _int),) for ex in EXAMPLE_IDS},
 }
 
 
@@ -119,14 +128,14 @@ class RunConfig:
                 f"config.experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
 
         g = _fields(_known(raw.get("grid", {}), {"L", "N", "k"}, "grid"), "grid",
-                    (("L", 8.0, float), ("N", 256, int), ("k", 1.0, float)))
+                    (("L", 8.0, float), ("N", 256, _int), ("k", 1.0, float)))
         try:
             self.grid = GridSpec(**g)
         except ValueError as e:
             raise ConfigError(f"grid: {e}") from e
 
         m = _fields(_known(raw.get("mesh", {}), {"M", "kappa", "t_start"}, "mesh"), "mesh", (
-            ("M", 2048, int), ("kappa", None, lambda v: v if v is None else float(v)),
+            ("M", 2048, _int), ("kappa", None, lambda v: v if v is None else float(v)),
             ("t_start", 0.0, float)))
         self.mesh_m, self.mesh_kappa, self.t_start = m["M"], m["kappa"], m["t_start"]
         if self.mesh_m < 8:
@@ -155,7 +164,7 @@ class RunConfig:
         d = _known(raw.get("data", {}), {"kind", "modes", "seed", "width", "center", "velocity",
                                          "velocity_scale"}, "data")
         self.data = _fields(d, "data", (
-            ("kind", "bump", str), ("modes", 8, int), ("seed", 42, int), ("width", 0.7, float),
+            ("kind", "bump", str), ("modes", 8, _int), ("seed", 42, _int), ("width", 0.7, float),
             ("center", 0.0, float), ("velocity", "zero", str), ("velocity_scale", -1.0, float)))
         if self.data["kind"] not in ("trig", "bump"):
             raise ConfigError("data.kind must be 'trig' or 'bump'")
@@ -168,7 +177,7 @@ class RunConfig:
             ts if ts is None else [float(t) for t in ts])),))["output_times"]
 
         z = _known(raw.get("zones", {}), {"nt", "nx", "nxi", "N"}, "zones")
-        self.zones = _fields(z, "zones", (("nt", 16, int), ("nx", 17, int), ("nxi", 17, int),
+        self.zones = _fields(z, "zones", (("nt", 16, _int), ("nx", 17, _int), ("nxi", 17, _int),
                                           ("N", 2.0, float)))
 
     # ------------------------------------------------------------------
@@ -223,21 +232,25 @@ def _derived(cfg: RunConfig) -> dict:
             "version": __version__}
 
 
-def _exp_solve(cfg: RunConfig, out: Path, seed: int):
-    family = cfg.build_family()
+def _trajectory(cfg: RunConfig, family, n_out: int):
+    """``family`` integrated from the configured data on the configured mesh, with
+    snapshots at ``output_times`` (default ``n_out`` evenly spaced)."""
     f1, f2 = cfg.build_data()
-    prob = CauchyProblem(family=family, f1=f1, f2=f2, t_start=cfg.t_start,
-                         T=cfg.profile.T)
+    prob = CauchyProblem(family=family, f1=f1, f2=f2, t_start=cfg.t_start, T=cfg.profile.T)
     mesh = graded_mesh(family, cfg.t_start, cfg.profile.T, cfg.mesh_m, cfg.mesh_kappa)
-    outs = cfg.output_times or list(np.linspace(cfg.t_start, cfg.profile.T, 9))
-    traj = integrate(prob, cfg.grid, mesh, outs)
+    return integrate(prob, cfg.grid, mesh,
+                     cfg.output_times or list(np.linspace(cfg.t_start, cfg.profile.T, n_out)))
+
+
+def _exp_solve(cfg: RunConfig, out: Path):
+    traj = _trajectory(cfg, cfg.build_family(), 9)
     artifacts = write_trajectory(out, traj)
     stats = write_json(out / "solve_stats.json",
                        {"stats": traj.stats, "snapshot_times": list(traj.times)})
     return artifacts + [stats], []
 
 
-def _exp_verify_counterexamples(cfg: RunConfig, out: Path, seed: int):
+def _exp_verify_counterexamples(cfg: RunConfig, out: Path):
     u0 = random_trig_poly(cfg.data["modes"], cfg.data["seed"])
     residuals = {}
     for ex, m in RESIDUAL_CASES:
@@ -249,7 +262,13 @@ def _exp_verify_counterexamples(cfg: RunConfig, out: Path, seed: int):
     return [table], verdicts
 
 
-def _exp_check_cone(cfg: RunConfig, out: Path, seed: int):
+def _exp_check_cone(cfg: RunConfig, out: Path):
+    for field, ignored in (("data.kind", cfg.data["kind"] != "bump"),
+                           ("mesh.kappa", cfg.mesh_kappa is not None),
+                           ("mesh.t_start", cfg.t_start != 0.0)):
+        if ignored:
+            raise ConfigError(f"{field}: check-cone runs a Gaussian bump on the default "
+                              "graded mesh from t = 0")
     c_star, rep, repw = cone_experiment(
         cfg.grid, cfg.grid, cfg.mesh_m, cfg.mesh_m,
         GaussianBump(cfg.data["center"], cfg.data["width"]), cfg.profile.T)
@@ -262,18 +281,13 @@ def _exp_check_cone(cfg: RunConfig, out: Path, seed: int):
     return artifacts, verdicts
 
 
-def _exp_check_energy(cfg: RunConfig, out: Path, seed: int):
+def _exp_check_energy(cfg: RunConfig, out: Path):
     family = cfg.build_family()
     if family.profile is None:
         raise ConfigError("family: check-energy needs an admissible profile")
     lam = fit_lambda(family, family.profile).value if cfg.lam == "fit" else cfg.lam
-    f1, f2 = cfg.build_data()
-    prob = CauchyProblem(family=family, f1=f1, f2=f2, t_start=cfg.t_start,
-                         T=cfg.profile.T)
-    traj = integrate(prob, cfg.grid, graded_mesh(family, cfg.t_start, cfg.profile.T,
-                                                 cfg.mesh_m, cfg.mesh_kappa),
-                     cfg.output_times or list(np.linspace(cfg.t_start, cfg.profile.T, 17)))
-    trace = energy_monitor(traj, (0.0, 0.0), family.profile, family.pair, lam)
+    trace = energy_monitor(_trajectory(cfg, family, 17), (0.0, 0.0), family.profile,
+                           family.pair, lam)
     rows = zip(trace.times, trace.norm_u, trace.norm_v, trace.lam_values,
                trace.data_bound, trace.support)
     table = write_csv(out / "energy_trace.csv",
@@ -284,7 +298,7 @@ def _exp_check_energy(cfg: RunConfig, out: Path, seed: int):
     return [table], verdicts
 
 
-def _exp_symbol_report(cfg: RunConfig, out: Path, seed: int):
+def _exp_symbol_report(cfg: RunConfig, out: Path):
     family = cfg.build_family()
     if family.profile is None:
         raise ConfigError("family: symbol-report needs an admissible profile")
@@ -293,7 +307,7 @@ def _exp_symbol_report(cfg: RunConfig, out: Path, seed: int):
     return [art], verdicts
 
 
-def _exp_zones_dump(cfg: RunConfig, out: Path, seed: int):
+def _exp_zones_dump(cfg: RunConfig, out: Path):
     z = cfg.zones
     pair = constant_pair()
     ts = np.linspace(0.0, cfg.profile.T, z["nt"])
@@ -334,7 +348,7 @@ def run(raw_config: dict, out_dir, seed: int = 42) -> int:
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     try:
-        artifacts, verdicts = _RUNNERS[cfg.experiment](cfg, out, seed)
+        artifacts, verdicts = _RUNNERS[cfg.experiment](cfg, out)
     except (ConfigError, SupportError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -15,15 +15,11 @@ singular time.  CFL violations trigger automatic step halving (up to 20
 levels).
 
 Every ``Op(sigma)`` comes from :func:`symbol_operator`, which picks once per
-(symbol, grid) the separable product ``g(t) w(x) m(D)``, the Fourier
-multiplier or the dense Kohn-Nirenberg product.
-
-The integrator's state lives in one of two spaces, fixed per problem by
-:class:`Discretization`.  When every coefficient depends on t only (a
-multiplier family) the right-hand side is diagonal in xi, so RK4 steps the
-Fourier coefficients ``(u^, v^)`` directly, ``dv^ = -mu(t, xi) u^ - b0(t) v^ + f^``
-with ``mu = sigma(t, 0, xi) + i b1(t) xi + b2(t)``, and transforms back only
-at snapshots: no FFT per stage.  Every other problem is stepped on grid values.
+(symbol, grid) the separable product ``g(t) w(x) m(D)``, the diagonal
+product in xi or the dense Kohn-Nirenberg product, and ``Op(b)`` from
+:func:`lower_operator`.  They act on the family's states: Fourier coefficients
+of a multiplier family (coefficients depend on t only, so every operator is
+diagonal in xi and RK4 transforms only at snapshots), grid values otherwise.
 
 The first-order reduction
 
@@ -34,16 +30,18 @@ turns ``Pu = f`` into ``dU/dt = (D - A0 - A1) U + F`` with
 excision defect, the root's time derivative, the lower-order symbol and the
 auxiliary H.  ``system_residual`` checks that identity on stored snapshots
 with centered time differences; it is a consistency monitor, not a second
-integrator.  Operator compositions are applied left to right as written, so
-the reported residual carries the quantization-commutator floor on top of the
-O(dt^2) differencing error (zero floor for multiplier families).  Each operator
-product of the system right-hand side is formed once and shared between the
-blocks that use it.
+integrator, and its blocks act on the integrator's states through the same
+operators.  Compositions are applied left to right as written, so the reported
+residual carries the quantization-commutator floor on top of the O(dt^2)
+differencing error (zero floor for multiplier families).  Each operator product
+of the system right-hand side is formed once and shared between the blocks.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -53,21 +51,9 @@ from .quantize import GridSpec, apply_kn, apply_multiplier, dft_forward, dft_inv
 from .structure import bracket
 from .symbols import CoefficientFamily, char_root, excise, h_symbol
 
-__all__ = [
-    "SolverError",
-    "SupportError",
-    "TimeMesh",
-    "graded_mesh",
-    "CauchyProblem",
-    "Trajectory",
-    "symbol_operator",
-    "apply_lower",
-    "assemble_rhs",
-    "integrate",
-    "SystemOperators",
-    "reduce_to_system",
-    "system_residual",
-]
+__all__ = ["SolverError", "SupportError", "TimeMesh", "graded_mesh", "CauchyProblem",
+           "Trajectory", "symbol_operator", "lower_operator", "assemble_rhs", "integrate",
+           "SystemOperators", "reduce_to_system", "system_residual"]
 
 MAX_HALVINGS = 20
 SUPPORT_RTOL = 1e-12
@@ -102,10 +88,6 @@ class TimeMesh:
         return self.nodes.size - 1
 
 
-def _grading_exponent(family) -> float:
-    return max(2.0, 2.0 / (1.0 - family.p), 2.0 / (1.0 - family.r))
-
-
 def graded_mesh(family, t_start: float, t_end: float, m: int,
                 kappa: float | None = None) -> TimeMesh:
     """Graded mesh on ``[t_start, t_end]``.
@@ -116,7 +98,8 @@ def graded_mesh(family, t_start: float, t_end: float, m: int,
     if not 0.0 <= t_start < t_end:
         raise ValueError(f"need 0 <= t_start < t_end, got [{t_start}, {t_end}]")
     if kappa is None:
-        kappa = _grading_exponent(family) if t_start == 0.0 else 2.0
+        kappa = (max(2.0, 2.0 / (1.0 - family.p), 2.0 / (1.0 - family.r))
+                 if t_start == 0.0 else 2.0)
     j = np.arange(m + 1, dtype=float) / m
     nodes = t_start + (t_end - t_start) * j ** kappa
     nodes[-1] = t_end
@@ -155,8 +138,6 @@ class CauchyProblem:
             for name, f in (("f1", self.f1), ("f2", self.f2)):
                 f = np.asarray(f)
                 peak = float(np.max(np.abs(f)))
-                if peak == 0.0:
-                    continue
                 outside = np.abs(grid.x) > grid.L / 2.0
                 leak = float(np.max(np.abs(f[outside]), initial=0.0))
                 if leak > SUPPORT_RTOL * peak:
@@ -179,52 +160,69 @@ class Trajectory:
         return np.array([s[0] for s in self.snapshots])
 
     def __post_init__(self):
-        ts = self.times
-        if np.any(np.diff(ts) <= 0):
+        if np.any(np.diff(self.times) <= 0):
             raise ValueError("snapshot times must be strictly increasing")
+
+
+_StateSpace = namedtuple("_StateSpace", "name x multiply state field")
+
+
+def _state_space(grid: GridSpec, family: CoefficientFamily) -> _StateSpace:
+    """Where the operators of ``family`` act: on Fourier coefficients, with the
+    coefficients read at ``x = 0``, for a multiplier family; on grid values
+    otherwise.  ``multiply(m, u)`` applies ``m(D)`` given on ``grid.xi``, and
+    ``state``/``field`` convert grid fields to states and back."""
+    if family.is_multiplier:
+        return _StateSpace("fourier", 0.0, operator.mul, lambda f: dft_forward(grid, f),
+                           lambda c: dft_inverse(grid, c))
+    return _StateSpace("physical", grid.x, lambda m, u: apply_multiplier(grid, m, u),
+                       lambda f: f, lambda c: c)
 
 
 def symbol_operator(grid: GridSpec, family: CoefficientFamily,
                     symbol: Callable | None = None) -> Callable:
-    """``(t, u) -> Op(symbol(t, ., .)) u`` on ``grid``, with the path chosen once.
+    """``(t, u) -> Op(symbol(t, ., .)) u`` on the family's states, with the path
+    chosen once.
 
     ``symbol`` defaults to the family's ``a``.  That default on a separable
     family is the exact product ``g(t) w(x) m(D)`` with ``w`` and ``m``
-    precomputed on the grid; any symbol of a multiplier family (see
-    :attr:`CoefficientFamily.is_multiplier`) is the Fourier multiplier
-    ``symbol(t, 0, xi)``; everything else is the dense Kohn-Nirenberg product.
+    precomputed; any symbol of a multiplier family (see
+    :attr:`CoefficientFamily.is_multiplier`) acts on Fourier coefficients as the
+    diagonal product ``symbol(t, 0, xi) u``; everything else is the dense
+    Kohn-Nirenberg product on grid values.
     """
+    space = _state_space(grid, family)
     if symbol is None and family.separable is not None:
         g, w, m = family.separable
-        w = np.asarray(w(grid.x), dtype=float)
+        w = np.asarray(w(space.x), dtype=float)
         m = np.asarray(m(grid.xi), dtype=complex)
-        return lambda t, u: float(g(t)) * w * apply_multiplier(grid, m, u)
+        return lambda t, u: float(g(t)) * w * space.multiply(m, u)
     symbol = family.a if symbol is None else symbol
     if family.is_multiplier:
-        return lambda t, u: apply_multiplier(grid, symbol(t, 0.0, grid.xi), u)
+        return lambda t, u: symbol(t, 0.0, grid.xi) * u
     return lambda t, u: apply_kn(grid, lambda x, xi: symbol(t, x, xi), u)
 
 
-def apply_lower(grid: GridSpec, family: CoefficientFamily, t: float, u):
-    """``Op(b) u = b1(t, x) du/dx + b2(t, x) u`` (0 where both are absent)."""
-    out = np.zeros_like(u)
-    if family.b1 is not None:
-        du = apply_multiplier(grid, 1j * grid.xi_odd, u)
-        out = out + np.asarray(family.b1(t, grid.x)) * du
-    if family.b2 is not None:
-        out = out + np.asarray(family.b2(t, grid.x)) * u
-    return out
+def lower_operator(grid: GridSpec, family: CoefficientFamily) -> Callable:
+    """``(t, u) -> Op(b) u = b1(t, x) du/dx + b2(t, x) u`` on the family's states;
+    an absent coefficient's term is left out (the operator is 0 when both are)."""
+    space = _state_space(grid, family)
+    x, ixi, b1, b2 = space.x, 1j * grid.xi_odd, family.b1, family.b2
+    if b1 is None:
+        return (lambda t, u: 0.0) if b2 is None else (lambda t, u: np.asarray(b2(t, x)) * u)
+    if b2 is None:
+        return lambda t, u: np.asarray(b1(t, x)) * space.multiply(ixi, u)
+    return lambda t, u: (np.asarray(b1(t, x)) * space.multiply(ixi, u)
+                         + np.asarray(b2(t, x)) * u)
 
 
 class Discretization:
     """Spatial operator application for one (problem, grid) pairing.
 
     The principal symbol is the excised ``atilde`` with ``use_excision`` and
-    the family's ``a`` otherwise; :func:`symbol_operator` picks its path.
-    The state space is chosen here too: Fourier coefficients when the family
-    is a multiplier family (its coefficients are read at x = 0), grid values
-    otherwise.  :meth:`state` and :meth:`field` convert between grid fields and
-    states, and :meth:`rhs` acts on states.
+    the family's ``a`` otherwise.  :meth:`rhs` acts on the family's states
+    through :func:`symbol_operator` and :func:`lower_operator`; ``state`` and
+    ``field`` convert grid fields to states and back.
     """
 
     def __init__(self, problem: CauchyProblem, grid: GridSpec):
@@ -235,38 +233,18 @@ class Discretization:
         atilde = excise(fam).a if problem.use_excision else None
         self.symbol = fam.a if atilde is None else atilde
         self.apply_principal = symbol_operator(grid, fam, atilde)
-        self.fourier = fam.is_multiplier
-        if self.fourier:
-            self._xi_odd = grid.xi_odd
-            if atilde is None and fam.separable is not None:
-                g, w, m = fam.separable
-                wm = np.asarray(w(0.0) * m(grid.xi), dtype=complex)
-                self._sigma = lambda t: float(g(t)) * wm
-            else:
-                self._sigma = lambda t: self.symbol(t, 0.0, grid.xi)
-
-    def state(self, f):
-        """Integration state of the grid field ``f``: its Fourier coefficients
-        in Fourier space, ``f`` itself in physical space."""
-        return dft_forward(self.grid, f) if self.fourier else f
-
-    def field(self, c):
-        """Grid field of the state ``c``; the inverse of :meth:`state`."""
-        return dft_inverse(self.grid, c) if self.fourier else c
+        self.apply_lower = lower_operator(grid, fam)
+        self.space = _state_space(grid, fam)
+        self.state, self.field = self.space.state, self.space.field
 
     def rhs(self, t: float, u: np.ndarray, v: np.ndarray):
         """Time derivatives of the state ``(u, v)``, in the state's space."""
-        fam = self.problem.family
-        if self.fourier:
-            x = 0.0
-            dv = -(self._sigma(t) + fam.b_symbol(t, 0.0, self._xi_odd)) * u
-        else:
-            x = self.grid.x
-            dv = -self.apply_principal(t, u) - apply_lower(self.grid, fam, t, u)
+        fam, forcing = self.problem.family, self.problem.forcing
+        dv = -self.apply_principal(t, u) - self.apply_lower(t, u)
         if fam.b0 is not None:
-            dv = dv - np.asarray(fam.b0(t, x)) * v
-        if self.problem.forcing is not None:
-            dv = dv + self.state(self.problem.forcing(t, self.grid.x))
+            dv = dv - np.asarray(fam.b0(t, self.space.x)) * v
+        if forcing is not None:
+            dv = dv + self.state(forcing(t, self.grid.x))
         return v, dv
 
     def speed_bound(self, t: float) -> float:
@@ -373,7 +351,7 @@ def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
         "min_cfl_dt": min_cfl,
         "max_dt": float(np.max(np.diff(nodes))),
         "singular_start": bool(singular),
-        "space": "fourier" if disc.fourier else "physical",
+        "space": disc.space.name,
         "requested_times": out_req.tolist(),
     }
     return Trajectory(snapshots=tuple(snapshots), grid=grid, mesh=mesh, stats=stats)
@@ -387,8 +365,11 @@ def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
 class SystemOperators:
     """Quantized building blocks of the 2x2 system.
 
-    Each symbol's operator comes from :func:`symbol_operator`.  Compositions
-    follow the written operator order: ``B0 H u = B0(H(u))``.
+    Each symbol's operator comes from :func:`symbol_operator` and ``Op(b)`` from
+    :func:`lower_operator`, so every block acts on the integrator's states
+    (Fourier coefficients for a multiplier family, grid values otherwise);
+    ``state`` and ``field`` convert.  Compositions follow the written operator
+    order: ``B0 H u = B0(H(u))``.
     """
 
     def __init__(self, problem: CauchyProblem, grid: GridSpec, lam: float = 0.0):
@@ -405,14 +386,17 @@ class SystemOperators:
         self.apply_dtH = symbol_operator(grid, fam, self.h.dt)
         self.apply_defect = symbol_operator(grid, fam, self.excised.defect)
         self.apply_excised = symbol_operator(grid, fam, self.excised.a)
-        self._om = np.asarray(fam.pair.omega(grid.x), dtype=float)
+        self.apply_lower = lower_operator(grid, fam)
+        self.space = _state_space(grid, fam)
+        self.state, self.field = self.space.state, self.space.field
+        self._om = np.asarray(fam.pair.omega(self.space.x), dtype=float)
         self._br = bracket(grid.xi, grid.k)
 
     def apply_M(self, u):
-        return self._om * apply_multiplier(self.grid, self._br, u)
+        return self._om * self.space.multiply(self._br, u)
 
     def apply_Minv(self, u):
-        return apply_multiplier(self.grid, 1.0 / self._br, u / self._om)
+        return self.space.multiply(1.0 / self._br, u / self._om)
 
     # correction blocks -----------------------------------------------------
 
@@ -423,24 +407,20 @@ class SystemOperators:
         w = self.apply_Minv(u)
         out = -1j * self.apply_dt_tau(t, w)
         out = out + self.apply_excised(t, w) - self.apply_tau(t, self.apply_tau(t, w))
-        out = out + apply_lower(self.grid, self.problem.family, t, w)
-        return out
+        return out + self.apply_lower(t, w)
 
     def _b0_field(self, t):
         fam = self.problem.family
-        return np.asarray(fam.b0(t, self.grid.x)) if fam.b0 is not None else None
+        return np.asarray(fam.b0(t, self.space.x)) if fam.b0 is not None else None
 
     def B3(self, t, u):
         b0 = self._b0_field(t)
-        if b0 is None:
-            return np.zeros_like(u)
-        return b0 * (u - 1j * self.lam * self.apply_Minv(self.apply_H(t, u)))
+        return (np.zeros_like(u) if b0 is None
+                else b0 * (u - 1j * self.lam * self.apply_Minv(self.apply_H(t, u))))
 
     def B4(self, t, u):
         b0 = self._b0_field(t)
-        if b0 is None:
-            return np.zeros_like(u)
-        return 1j * self.lam * b0 * self.apply_Minv(u)
+        return np.zeros_like(u) if b0 is None else 1j * self.lam * b0 * self.apply_Minv(u)
 
     def commutator(self, t, u):
         """``i [M, tau] M^-1 u``."""
@@ -450,9 +430,8 @@ class SystemOperators:
     # system assembly --------------------------------------------------------
 
     def reduce(self, t, u, v):
-        u1 = np.asarray(v, dtype=complex) + 1j * self.apply_tau(t, np.asarray(u, dtype=complex))
-        u2 = self.apply_M(np.asarray(u, dtype=complex)) - self.apply_H(t, u1)
-        return u1, u2
+        u1 = v + 1j * self.apply_tau(t, u)
+        return u1, self.apply_M(u) - self.apply_H(t, u1)
 
     def system_rhs(self, t, u1, u2):
         """``(D - A0 - A1) U + F`` for ``U = (u1, u2)``; each operator product
@@ -484,15 +463,17 @@ class SystemOperators:
         r1 = d1 - a0_1 - a1_1
         r2 = d2 - a0_2 - a1_2
         if self.problem.forcing is not None:
-            f = self.problem.forcing(t, self.grid.x)
+            f = self.state(self.problem.forcing(t, self.grid.x))
             r1 = r1 + f
             r2 = r2 - self.apply_H(t, f)
         return r1, r2
 
 
 def reduce_to_system(t: float, u, v, problem: CauchyProblem, grid: GridSpec):
-    """Change of variables ``(u, v) -> (u1, u2)`` at time ``t``."""
-    return SystemOperators(problem, grid).reduce(t, u, v)
+    """Change of variables ``(u, v) -> (u1, u2)`` of grid fields at time ``t``."""
+    ops = SystemOperators(problem, grid)
+    u1, u2 = ops.reduce(t, ops.state(u), ops.state(v))
+    return ops.field(u1), ops.field(u2)
 
 
 def system_residual(traj: Trajectory, problem: CauchyProblem, grid: GridSpec,
@@ -501,26 +482,30 @@ def system_residual(traj: Trajectory, problem: CauchyProblem, grid: GridSpec,
 
     ``dU/dt`` uses 3-point centered differences on the (possibly non-uniform)
     snapshot times; expected size O(dt^2) plus the quantization-commutator
-    floor.  Zero trajectories return 0.
+    floor.  Each snapshot is converted once to the states the integrator's
+    operators act on (see :class:`SystemOperators`); on Fourier coefficients the
+    Parseval constant cancels in the ratio.  Zero trajectories return 0; a
+    non-finite residual raises :class:`SolverError` naming the snapshot time.
     """
     if len(traj.snapshots) < 3:
         raise ValueError("system_residual needs at least 3 snapshots")
     ops = SystemOperators(problem, grid, lam=lam)
     times = traj.times
-    reduced = [ops.reduce(float(t), u, v) for (t, u, v) in traj.snapshots]
+    reduced = [ops.reduce(float(t), ops.state(u), ops.state(v))
+               for (t, u, v) in traj.snapshots]
     worst = 0.0
     for i in range(1, len(reduced) - 1):
         h1 = times[i] - times[i - 1]
         h2 = times[i + 1] - times[i]
         denom = h1 * h2 * (h1 + h2)
-        dU = []
-        for comp in (0, 1):
-            um, u0, up = reduced[i - 1][comp], reduced[i][comp], reduced[i + 1][comp]
-            dU.append((h1 * h1 * up - h2 * h2 * um - (h1 * h1 - h2 * h2) * u0) / denom)
+        dU = [(h1 * h1 * up - h2 * h2 * um - (h1 * h1 - h2 * h2) * u0) / denom
+              for um, u0, up in zip(reduced[i - 1], reduced[i], reduced[i + 1])]
         r1, r2 = ops.system_rhs(float(times[i]), reduced[i][0], reduced[i][1])
         res = math.sqrt(l2_norm(grid, dU[0] - r1) ** 2 + l2_norm(grid, dU[1] - r2) ** 2)
         scale = math.sqrt(l2_norm(grid, reduced[i][0]) ** 2 + l2_norm(grid, reduced[i][1]) ** 2)
-        if scale == 0.0:
-            continue
-        worst = max(worst, res / scale)
+        if not (math.isfinite(res) and math.isfinite(scale)):
+            raise SolverError(f"non-finite system residual at t={times[i]}",
+                              report={"t": float(times[i]), "res": res, "scale": scale})
+        if scale > 0.0:
+            worst = max(worst, res / scale)
     return worst

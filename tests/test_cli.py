@@ -140,7 +140,8 @@ class TestRun:
         ("mesh", "kappa", 0, "mesh.kappa"), ("mesh", "kappa", -1, "mesh.kappa"),
         ("mesh", "t_start", 2.0, "mesh.t_start"), (None, "output_times", 5, "output_times"),
         ("mesh", "M", "abc", "mesh.M"), ("profile", "T", "x", "profile.T"),
-        ("data", "width", -1, "data.width")])
+        ("data", "width", -1, "data.width"), ("grid", "N", 64.9, "grid.N"),
+        ("mesh", "M", 32.5, "mesh.M"), ("data", "modes", 2.5, "data.modes")])
     def test_malformed_field_status_2(self, tmp_path, capsys, section, key, value, field):
         cfg = {"experiment": "solve", "grid": {"L": 8.0, "N": 64, "k": 2.0},
                "mesh": {"M": 32}, "profile": {"T": 1.0}, "family": {"id": "free-wave"},
@@ -159,7 +160,8 @@ class TestRun:
         ({"id": "counterexample-7.1", "params": {"m": -1}}, "family.params"),
         ({"id": "example11", "params": {"kappa1": 0.9, "kappa2": 0.1}}, "family.params"),
         ({"id": "counterexample-7.9"}, "family.id"),
-        ({"id": "example11", "params": {"bogus": 1}}, "family.params.bogus")])
+        ({"id": "example11", "params": {"bogus": 1}}, "family.params.bogus"),
+        ({"id": "counterexample-7.1", "params": {"m": 1.5}}, "family.params.m")])
     def test_malformed_family_status_2(self, tmp_path, capsys, family, field):
         cfg = {"experiment": "solve", "grid": {"L": 8.0, "N": 64, "k": 2.0},
                "mesh": {"M": 32}, "family": family, "data": {"kind": "bump", "width": 0.5}}
@@ -176,6 +178,17 @@ class TestRun:
         assert [v["name"] for v in verdicts] == ["cone-oscillating-speed", "cone-constant-wave"]
         assert not any(v["valid"] or v["pass"] for v in verdicts)
         assert (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("data", "kind", "trig"), ("mesh", "kappa", 5.0), ("mesh", "t_start", 0.1)])
+    def test_check_cone_rejects_ignored_field(self, tmp_path, capsys, section, key, value):
+        # check-cone runs a Gaussian bump on the default graded mesh from t = 0
+        cfg = {"experiment": "check-cone", "grid": {"L": 12.0, "N": 64, "k": 1.0},
+               "mesh": {"M": 64}, "data": {"width": 0.25}}
+        cfg[section][key] = value
+        assert run(cfg, tmp_path) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "verdict.json").exists()
 
     def test_check_cone(self, tmp_path):
         cfg = {"experiment": "check-cone", "grid": {"L": 12.0, "N": 256, "k": 1.0},

@@ -8,9 +8,8 @@ import pytest
 from singhyp.quantize import GridSpec, apply_kn, apply_multiplier, l2_norm
 import singhyp.solver as solver
 from singhyp.solver import (CauchyProblem, Discretization, SolverError, SupportError,
-                            SystemOperators, _rk4_step, apply_lower, assemble_rhs,
-                            graded_mesh, integrate, reduce_to_system, symbol_operator,
-                            system_residual)
+                            SystemOperators, _rk4_step, assemble_rhs, graded_mesh,
+                            integrate, reduce_to_system, symbol_operator, system_residual)
 from singhyp.structure import bracket, poly_pair
 from singhyp.symbols import (char_root, excise, free_wave, h_symbol, reference_wave,
                              theorem_coefficient)
@@ -32,6 +31,21 @@ def _forced_reference_wave():
                          f1=np.zeros(grid.N, dtype=complex), f2=mode.copy(), t_start=0.0,
                          T=1.0, forcing=lambda t, x: 12.0 * np.sin(t) * mode)
     return prob, grid, 256, False
+
+
+def _counting(monkeypatch, counts, owner, name):
+    # count the calls of ``owner.name`` in ``counts[name]``
+    fn = getattr(owner, name)
+
+    def wrapped(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(owner, name, wrapped)
+
+
+def _physical(fam):
+    # the same coefficients flagged x-dependent: every operator acts on grid values
+    return dataclasses.replace(fam, x_dependent=True)
 
 
 def _problem(fam, grid, t_start, M, singular=False, **kw):
@@ -271,7 +285,7 @@ class TestFourierState:
     @pytest.mark.parametrize("name", sorted(FOURIER_CASES))
     def test_matches_physical_rk4(self, name):
         # integrate steps Fourier coefficients; the reference steps grid values with
-        # the physical operators on the same nodes
+        # the operators of the family rebuilt as x-dependent, on the same nodes
         prob, grid, M, singular = FOURIER_CASES[name]()
         fam = prob.family
         mesh = graded_mesh(fam, prob.t_start, 1.0, M)
@@ -279,10 +293,13 @@ class TestFourierState:
         assert traj.stats["space"] == "fourier" and traj.stats["halvings"] == 0
         assert traj.stats["singular_start"] == singular
 
+        fam = _physical(fam)
         principal = symbol_operator(grid, fam, excise(fam).a if prob.use_excision else None)
+        b1, b2 = (b or (lambda t, x: 0.0) for b in (fam.b1, fam.b2))
 
         def rhs(t, u, v):
-            dv = -principal(t, u) - apply_lower(grid, fam, t, u)
+            du = apply_multiplier(grid, 1j * grid.xi_odd, u)
+            dv = -principal(t, u) - b1(t, grid.x) * du - b2(t, grid.x) * u
             if fam.b0 is not None:
                 dv = dv - fam.b0(t, grid.x) * v
             if prob.forcing is not None:
@@ -302,18 +319,9 @@ class TestFourierState:
 
     def test_transforms_only_at_data_and_snapshots(self, monkeypatch):
         counts = {"dft_forward": 0, "dft_inverse": 0, "apply_multiplier": 0, "rhs": 0}
-
-        def counting(owner, name):
-            fn = getattr(owner, name)
-
-            def wrapped(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-            monkeypatch.setattr(owner, name, wrapped)
-
         for name in ("dft_forward", "dft_inverse", "apply_multiplier"):
-            counting(solver, name)
-        counting(Discretization, "rhs")
+            _counting(monkeypatch, counts, solver, name)
+        _counting(monkeypatch, counts, Discretization, "rhs")
         prob, grid, M, _ = _problem(counterexample_family("7.3"), _PI64, 0.0, 256)
         traj = integrate(prob, grid, graded_mesh(prob.family, 0.0, 1.0, M), [0.0, 0.5, 1.0])
         S = len(traj.snapshots)
@@ -382,6 +390,17 @@ class TestExcisionSolve:
             assert 0.1 <= diff <= 1.0, (k, diff)
 
 
+# (family, t_start, use_excision) of multiplier families for the system machinery
+SYSTEM_CASES = {
+    "reference": lambda: (reference_wave(k=4.0), 0.0, False),
+    **{f"7.1-m{m}": lambda m=m: (counterexample_family("7.1", m, k=4.0), 1e-3, False)
+       for m in (0, 3)},
+    **{ex: lambda ex=ex: (counterexample_family(ex, k=4.0), 0.0 if ex == "7.3" else 1e-3, False)
+       for ex in ("7.2", "7.3", "7.4")},
+    "excised-theorem": lambda: (theorem_coefficient(0.0, 1.25, k=4.0), 0.0, True),
+}
+
+
 class TestSystem:
     def test_zero_state_reduces_to_zero(self):
         grid = GridSpec(L=np.pi, N=64, k=2.0)
@@ -432,6 +451,64 @@ class TestSystem:
         with pytest.raises(ValueError):
             system_residual(traj, prob, grid)
 
+    @pytest.mark.parametrize("nan_at", ["every-snapshot", "one-snapshot"])
+    def test_non_finite_residual_raises(self, nan_at):
+        # a NaN forcing must fail loudly, not give its snapshots up or read as 0
+        grid = GridSpec(L=np.pi, N=64, k=2.0)
+        fam = reference_wave(k=2.0)
+        f1 = _band_field(grid)
+        prob = CauchyProblem(family=fam, f1=f1, f2=np.zeros_like(f1), t_start=0.0, T=1.0)
+        traj = integrate(prob, grid, graded_mesh(fam, 0.0, 1.0, 64), np.linspace(0.2, 1.0, 5))
+        t_bad = traj.times[1 if nan_at == "every-snapshot" else 2]
+        bad = (lambda t: True) if nan_at == "every-snapshot" else (lambda t: t == t_bad)
+        nan_forcing = lambda t, x: np.full(np.shape(x), np.nan if bad(t) else 0.0)
+        with pytest.raises(SolverError, match=f"non-finite system residual at t={t_bad}"):
+            system_residual(traj, dataclasses.replace(prob, forcing=nan_forcing), grid)
+
+    @pytest.mark.parametrize("extra", [False, True], ids=["plain", "b0-forced"])
+    @pytest.mark.parametrize("name", sorted(SYSTEM_CASES))
+    def test_fourier_states_match_physical(self, name, extra):
+        # a multiplier family's system machinery on Fourier coefficients against the
+        # family rebuilt as x-dependent, whose operators act on grid values
+        fam, t_start, use_excision = SYSTEM_CASES[name]()
+        grid = GridSpec(L=np.pi, N=64, k=4.0)
+        forcing = None
+        if extra:
+            fam = dataclasses.replace(fam, b0=lambda t, x: np.full(np.shape(x), 0.3))
+            forcing = lambda t, x, f=_band_field(grid): np.sin(3.0 * t) * f
+        prob, _, M, _ = _problem(fam, grid, t_start, 256, forcing=forcing,
+                                 use_excision=use_excision)
+        phys = dataclasses.replace(prob, family=_physical(fam))
+        traj = integrate(prob, grid, graded_mesh(fam, t_start, 1.0, M),
+                         np.linspace(0.25, 1.0, 9))
+        ops, ops_phys = SystemOperators(prob, grid, lam=0.7), SystemOperators(phys, grid, lam=0.7)
+        assert (ops.space.name, ops_phys.space.name) == ("fourier", "physical")
+
+        def close(got, want):
+            assert l2_norm(grid, got - want) <= 1e-12 * l2_norm(grid, want)
+
+        t, u, v = traj.snapshots[4]
+        reduced = reduce_to_system(t, u, v, phys, grid)
+        for got, want in zip(reduce_to_system(t, u, v, prob, grid), reduced):
+            close(got, want)
+        rhs = ops.system_rhs(t, *map(ops.state, reduced))
+        for got, want in zip(rhs, ops_phys.system_rhs(t, *reduced)):
+            close(ops.field(got), want)
+        want = system_residual(traj, phys, grid, lam=0.7)
+        assert abs(system_residual(traj, prob, grid, lam=0.7) - want) <= 1e-12 * want
+
+    def test_residual_transforms_each_snapshot_once(self, monkeypatch):
+        grid = GridSpec(L=np.pi, N=64, k=4.0)
+        prob, _, M, _ = _problem(counterexample_family("7.3", k=4.0), grid, 0.0, 256)
+        traj = integrate(prob, grid, graded_mesh(prob.family, 0.0, 1.0, M),
+                         np.linspace(0.25, 1.0, 9))
+        counts = dict.fromkeys(("dft_forward", "dft_inverse", "apply_multiplier"), 0)
+        for name in list(counts):
+            _counting(monkeypatch, counts, solver, name)
+        system_residual(traj, prob, grid)
+        assert counts["dft_forward"] + counts["dft_inverse"] <= 2 * len(traj.snapshots)
+        assert counts["apply_multiplier"] == 0
+
     def test_zero_trajectory_residual_zero(self):
         grid = GridSpec(L=np.pi, N=64, k=2.0)
         fam = reference_wave(k=2.0)
@@ -447,7 +524,8 @@ class TestSystem:
     def test_operator_paths_match_dense_kn(self, name, t):
         # every path symbol_operator picks (separable, multiplier, dense), and the
         # solver's principal part with and without excision, against the dense
-        # KN product; t = 0.05 is inside the blend window, t = 0.7 beyond it
+        # KN product on grid values; t = 0.05 is inside the blend window, t = 0.7
+        # beyond it
         grid = GridSpec(L=8.0, N=64, k=4.0)
         fam = {"reference": lambda: reference_wave(k=4.0),
                "theorem": lambda: theorem_coefficient(0.0, 1.25, k=4.0),
@@ -458,17 +536,21 @@ class TestSystem:
         root = char_root(excised)
         h = h_symbol(root)
 
-        def check(got, symbol):
+        disc = Discretization(CauchyProblem(family=fam, f1=u, f2=u, t_start=0.0, T=1.0), grid)
+
+        def check(op, symbol):
+            # operators act on the family's states: Fourier coefficients on a multiplier family
+            got = disc.field(op(t, disc.state(u)))
             want = apply_kn(grid, lambda x, xi: symbol(t, x, xi), u)
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
-        check(symbol_operator(grid, fam)(t, u), fam.a)
+        check(symbol_operator(grid, fam), fam.a)
         for symbol in (fam.a, root.value, root.dt, h.value, h.dt, excised.defect, excised.a):
-            check(symbol_operator(grid, fam, symbol)(t, u), symbol)
+            check(symbol_operator(grid, fam, symbol), symbol)
         for use_excision, symbol in ((False, fam.a), (True, excised.a)):
             prob = CauchyProblem(family=fam, f1=u, f2=u, t_start=0.0, T=1.0,
                                  use_excision=use_excision)
-            check(Discretization(prob, grid).apply_principal(t, u), symbol)
+            check(Discretization(prob, grid).apply_principal, symbol)
 
     @staticmethod
     def _composed_system_rhs(ops, t, u1, u2):
@@ -498,7 +580,7 @@ class TestSystem:
         r1 = 1j * tau(t, u1) - a0_1 - a1_1
         r2 = -1j * tau(t, u2) - a0_2 - a1_2
         if ops.problem.forcing is not None:
-            f = ops.problem.forcing(t, ops.grid.x)
+            f = ops.state(ops.problem.forcing(t, ops.grid.x))
             r1, r2 = r1 + f, r2 - H(t, f)
         return r1, r2
 
@@ -515,9 +597,10 @@ class TestSystem:
                 fam, b0=lambda t, x: np.full(np.shape(x), 0.3))
         bump = GaussianBump(0.0, 0.45)(grid.x)
         forcing = (lambda t, x: np.sin(3.0 * t) * bump) if forced else None
-        u1, u2 = bump * _band_field(grid), bump * _band_field(grid, 1)
-        prob = CauchyProblem(family=fam, f1=u1, f2=u2, t_start=0.0, T=1.0, forcing=forcing)
+        f1, f2 = bump * _band_field(grid), bump * _band_field(grid, 1)
+        prob = CauchyProblem(family=fam, f1=f1, f2=f2, t_start=0.0, T=1.0, forcing=forcing)
         ops = SystemOperators(prob, grid, lam=0.7)
+        u1, u2 = ops.state(f1), ops.state(f2)
         want = self._composed_system_rhs(ops, t, u1, u2)
 
         calls = []
