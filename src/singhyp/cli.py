@@ -263,12 +263,15 @@ def _exp_verify_counterexamples(cfg: RunConfig, out: Path):
 
 
 def _exp_check_cone(cfg: RunConfig, out: Path):
+    data = cfg.raw.get("data", {})
     for field, ignored in (("data.kind", cfg.data["kind"] != "bump"),
+                           ("data.modes", "modes" in data), ("data.seed", "seed" in data),
+                           ("family", "family" in cfg.raw),
                            ("mesh.kappa", cfg.mesh_kappa is not None),
                            ("mesh.t_start", cfg.t_start != 0.0)):
         if ignored:
-            raise ConfigError(f"{field}: check-cone runs a Gaussian bump on the default "
-                              "graded mesh from t = 0")
+            raise ConfigError(f"{field}: check-cone ignores it (it runs a Gaussian bump under "
+                              "its own families on the default mesh from t = 0)")
     c_star, rep, repw = cone_experiment(
         cfg.grid, cfg.grid, cfg.mesh_m, cfg.mesh_m,
         GaussianBump(cfg.data["center"], cfg.data["width"]), cfg.profile.T)

@@ -19,8 +19,8 @@ A symbol ``a(x, xi)`` acts in left (Kohn-Nirenberg) quantization:
     ``(Op(a)u)(x_i) = (1/2L) * sum_j a(x_i, xi_j) coeff_j exp(i x_i xi_j)``
 
 i.e. the frequency part acts first, multiplication by x-factors second; for a
-product symbol ``g(x)m(xi)`` this is exactly ``g * (m(D)u)``.  The dense O(N^2)
-application is deliberate (desk scale, correctness over speed).
+product symbol ``g(x)m(xi)`` this is exactly ``g * (m(D)u)``.  :func:`apply_kn` is
+the dense O(N^2) product and the reference; :func:`kn_band` forms it on some columns.
 
 Legitimacy of the torus model: structure functions are evaluated as given
 (non-periodic), so runs keep data supported in ``|x| <= L/2`` and stop before
@@ -45,6 +45,7 @@ __all__ = [
     "dft_inverse",
     "l2_norm",
     "apply_multiplier",
+    "kn_band",
     "apply_kn",
     "loss_symbol",
     "loss_operator",
@@ -161,6 +162,16 @@ def apply_multiplier(grid: GridSpec, m, values) -> np.ndarray:
     return dft_inverse(grid, dft_forward(grid, values) * vals)
 
 
+def kn_band(grid: GridSpec, lattice, cols) -> np.ndarray:
+    """``exp(i x xi_j) a(x, xi_j)`` on the lattice columns ``cols`` (indices or a slice), whose
+    ``@ coeffs[cols] / (2L)`` is their part of ``Op(a) u``; OverflowGuardError unless finite."""
+    E = _kn_phase(grid)[:, cols]
+    A = np.broadcast_to(np.asarray(lattice, dtype=complex), E.shape)
+    if not np.all(np.isfinite(A)):
+        raise OverflowGuardError("Kohn-Nirenberg symbol not finite on the grid lattice")
+    return E * A
+
+
 def apply_kn(grid: GridSpec, symbol, values) -> np.ndarray:
     """Dense Kohn-Nirenberg application of a symbol ``a(x, xi)``.
 
@@ -169,15 +180,8 @@ def apply_kn(grid: GridSpec, symbol, values) -> np.ndarray:
     rows indexed by ``x`` and columns by ``xi`` in FFT layout.  Cost O(N^2).
     """
     if callable(symbol):
-        A = np.asarray(symbol(grid.x[:, None], grid.xi[None, :]), dtype=complex)
-    else:
-        A = np.asarray(symbol, dtype=complex)
-    if A.shape != (grid.N, grid.N):
-        A = np.broadcast_to(A, (grid.N, grid.N)).astype(complex)
-    if not np.all(np.isfinite(A)):
-        raise OverflowGuardError("Kohn-Nirenberg symbol not finite on the grid lattice")
-    c = dft_forward(grid, values)
-    return (_kn_phase(grid) * A) @ c / (2.0 * grid.L)
+        symbol = symbol(grid.x[:, None], grid.xi[None, :])
+    return kn_band(grid, symbol, slice(None)) @ dft_forward(grid, values) / (2.0 * grid.L)
 
 
 @dataclass(frozen=True)

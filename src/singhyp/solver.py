@@ -16,7 +16,7 @@ levels).
 
 Every ``Op(sigma)`` comes from :func:`symbol_operator`, which picks once per
 (symbol, grid) the separable product ``g(t) w(x) m(D)``, the diagonal
-product in xi or the dense Kohn-Nirenberg product, and ``Op(b)`` from
+product in xi or the banded Kohn-Nirenberg product, and ``Op(b)`` from
 :func:`lower_operator`.  They act on the family's states: Fourier coefficients
 of a multiplier family (coefficients depend on t only, so every operator is
 diagonal in xi and RK4 transforms only at snapshots), grid values otherwise.
@@ -47,9 +47,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quantize import GridSpec, apply_kn, apply_multiplier, dft_forward, dft_inverse, l2_norm
+# apply_kn is not called here, but perfbench's self-test patches solver.apply_kn
+from .quantize import (GridSpec, _multiplier_values, apply_kn, apply_multiplier,  # noqa: F401
+                       dft_forward, dft_inverse, kn_band, l2_norm)
 from .structure import bracket
-from .symbols import CoefficientFamily, char_root, excise, h_symbol
+from .symbols import CoefficientFamily, char_root, excise, h_symbol, uniform_columns
 
 __all__ = ["SolverError", "SupportError", "TimeMesh", "graded_mesh", "CauchyProblem",
            "Trajectory", "symbol_operator", "lower_operator", "assemble_rhs", "integrate",
@@ -179,28 +181,69 @@ def _state_space(grid: GridSpec, family: CoefficientFamily) -> _StateSpace:
                        lambda f: f, lambda c: c)
 
 
+class _Operator:
+    """``(t, u) -> apply(parts(t)[0], u)``, summing ``parts(t)[1]`` lattice columns; keeps
+    the last ``t``'s parts (RK4 stages 2 and 3 share it) unless a dense N x N matrix."""
+
+    def __init__(self, path: str, parts: Callable, apply: Callable):
+        self.path, self.lattice_columns, self._parts, self._apply = path, 0, parts, apply
+        self._t = self._last = None
+
+    def __call__(self, t, u):
+        if t != self._t:
+            self._t = self._last = None  # one band product alive at a time, not two
+            last, n = self._parts(t)
+            self.lattice_columns += n
+            if self.path == "dense":
+                return self._apply(last, u)
+            self._t, self._last = t, last
+        return self._apply(self._last, u)
+
+
 def symbol_operator(grid: GridSpec, family: CoefficientFamily,
-                    symbol: Callable | None = None) -> Callable:
+                    symbol: Callable | None = None) -> _Operator:
     """``(t, u) -> Op(symbol(t, ., .)) u`` on the family's states, with the path
-    chosen once.
+    chosen once and named by the operator's ``path``.
 
     ``symbol`` defaults to the family's ``a``.  That default on a separable
     family is the exact product ``g(t) w(x) m(D)`` with ``w`` and ``m``
-    precomputed; any symbol of a multiplier family (see
+    precomputed (``separable``); any symbol of a multiplier family (see
     :attr:`CoefficientFamily.is_multiplier`) acts on Fourier coefficients as the
-    diagonal product ``symbol(t, 0, xi) u``; everything else is the dense
-    Kohn-Nirenberg product on grid values.
-    """
+    diagonal product ``symbol(t, 0, xi) u`` (``diagonal``).  On grid values, an
+    excision-derived symbol is multipliers on the columns of :func:`uniform_columns`
+    and :func:`kn_band` on the band of at most ``2/t * 2L/pi`` others (``banded``);
+    any other is all band (``dense``)."""
     space = _state_space(grid, family)
     if symbol is None and family.separable is not None:
         g, w, m = family.separable
         w = np.asarray(w(space.x), dtype=float)
         m = np.asarray(m(grid.xi), dtype=complex)
-        return lambda t, u: float(g(t)) * w * space.multiply(m, u)
+        return _Operator("separable", lambda t: (float(g(t)) * w, 0),
+                         lambda gw, u: gw * space.multiply(m, u))
     symbol = family.a if symbol is None else symbol
     if family.is_multiplier:
-        return lambda t, u: symbol(t, 0.0, grid.xi) * u
-    return lambda t, u: apply_kn(grid, lambda x, xi: symbol(t, x, xi), u)
+        return _Operator("diagonal", lambda t: (symbol(t, 0.0, grid.xi), 0), operator.mul)
+    forms = uniform_columns(symbol, grid.x, grid.xi)
+
+    def parts(t):
+        terms, cols = [], slice(None)
+        if forms is not None:
+            scale, phi, br, low, high = forms
+            # the cutoff's own floating-point order, s = t * Phi * <xi>_k
+            lo, hi = t * np.max(phi) * br / scale <= 1.0, t * np.min(phi) * br / scale >= 2.0
+            terms = [(w, _multiplier_values(grid, np.where(mask, m, 0.0)))
+                     for mask, side in ((lo, low), (hi, high)) if mask.any() for w, m in side(t)]
+            cols = np.flatnonzero(~(lo | hi))
+        xi = grid.xi[cols]
+        lattice = symbol(t, grid.x[:, None], xi[None, :]) if xi.size else 0.0
+        return (terms, cols, kn_band(grid, lattice, cols)), xi.size
+
+    def apply(parts, u):
+        terms, cols, band = parts
+        c = dft_forward(grid, u)
+        return band @ c[cols] / (2.0 * grid.L) + sum(w * dft_inverse(grid, m * c) for w, m in terms)
+
+    return _Operator("dense" if forms is None else "banded", parts, apply)
 
 
 def lower_operator(grid: GridSpec, family: CoefficientFamily) -> Callable:
@@ -292,7 +335,7 @@ def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
     requested output times (the stored snapshot time is the exact node time;
     requests nearest the same node share one snapshot, and ``stats`` lists the
     sorted requests as ``requested_times``).  Steps run on the state space of
-    :class:`Discretization`, named by ``stats["space"]``.
+    :class:`Discretization`, named by ``stats["space"]`` (and ``operator``, ``lattice_columns``).
 
     The vector field is never sampled at a singular ``t_start``: the first step
     then uses midpoint-only stages.  Steps violating the CFL bound
@@ -352,6 +395,8 @@ def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
         "max_dt": float(np.max(np.diff(nodes))),
         "singular_start": bool(singular),
         "space": disc.space.name,
+        "operator": disc.apply_principal.path,
+        "lattice_columns": disc.apply_principal.lattice_columns,
         "requested_times": out_req.tolist(),
     }
     return Trajectory(snapshots=tuple(snapshots), grid=grid, mesh=mesh, stats=stats)

@@ -54,6 +54,7 @@ __all__ = [
     "char_root",
     "HSymbol",
     "h_symbol",
+    "uniform_columns",
     "QuadratureError",
     "TimeQuadrature",
     "l1_defect",
@@ -137,8 +138,8 @@ class CoefficientFamily:
     (ellipticity measured against ``omega^2 <xi>_k^2``) or is homogeneous of the
     form ``c(t, x) xi^2`` (measured against ``omega^2 xi^2``).  ``separable``
     optionally holds ``(g(t), w(x), m(xi))`` factors with
-    ``a = g(t) w(x) m(xi)``; the solver uses it for exact fast application.
-    Build such families with :func:`separable_family`.
+    ``a = g(t) w(x) m(xi)`` and ``dg`` is ``g'``; the solver uses them for exact
+    fast application.  Build such families with :func:`separable_family`.
     """
 
     a: Callable                 # (t, x, xi) -> real
@@ -158,20 +159,23 @@ class CoefficientFamily:
     b1: Callable | None = None  # (t, x) -> real, symbol i*b1*xi
     b2: Callable | None = None  # (t, x) -> real, zero order
     separable: tuple | None = None
+    dg: Callable | None = None
     profile: SingularityProfile | None = None
     osc_exponent: float | None = None  # b in the oscillation phase ~ t**-b, if any
     label: str = "family"
 
     def __post_init__(self):
-        # the solver applies ``separable``, not ``a``, and reads the coefficients of an
+        # the solver applies ``separable`` and ``dg``, not ``a`` and ``dt_a``, and reads an
         # x-independent family at x = 0: reject a family that breaks either promise
         x, xi = np.repeat([0.0, 0.5, 2.0], 3), self.k * np.tile([1.0, 3.0, 7.0], 3)
         a = self.a(self.T, x, xi)
         if self.separable is not None:
             g, w, m = self.separable
-            if not np.allclose(a, g(self.T) * w(x) * m(xi), rtol=1e-12, atol=0.0):
-                raise ValueError(f"{self.label}: a is not the product of its separable "
-                                 "factors; rebuild with separable=None")
+            dt = [] if self.dg is None else [(self.dt_a(self.T, x, xi), self.dg(self.T))]
+            if not all(np.allclose(f, gt * w(x) * m(xi), rtol=1e-12, atol=0.0)
+                       for f, gt in [(a, g(self.T))] + dt):
+                raise ValueError(f"{self.label}: a or dt_a is not the product of its "
+                                 "separable factors; rebuild with separable=None")
         if not self.x_dependent:
             pairs = [(a, self.a(self.T, 0.0 * x, xi))]
             pairs += [(b(self.T, x), b(self.T, 0.0 * x))
@@ -200,7 +204,7 @@ class CoefficientFamily:
 def separable_family(g: Callable, dg: Callable, w: Callable, dw: Callable, m: Callable,
                      dm: Callable, **fields) -> CoefficientFamily:
     """The family ``a(t, x, xi) = g(t) w(x) m(xi)`` with derivative oracles
-    ``dg w m``, ``g dw m`` and ``g w dm`` and ``separable = (g, w, m)``.
+    ``dg w m``, ``g dw m`` and ``g w dm``, ``separable = (g, w, m)`` and ``dg``.
 
     Each factor maps its argument to an array of the same shape (use
     :func:`~singhyp.structure.one` and :func:`~singhyp.structure.zero` for
@@ -212,7 +216,7 @@ def separable_family(g: Callable, dg: Callable, w: Callable, dw: Callable, m: Ca
         dt_a=lambda t, x, xi: dg(t) * w(x) * m(xi),
         dx_a=lambda t, x, xi: g(t) * dw(x) * m(xi),
         dxi_a=lambda t, x, xi: g(t) * w(x) * dm(xi),
-        separable=(g, w, m), **fields)
+        separable=(g, w, m), dg=dg, **fields)
 
 
 def _xi_squared(xi):
@@ -555,6 +559,40 @@ def h_symbol(root: CharacteristicRoot) -> HSymbol:
     """The H symbol with the pair and shift of the root's excision."""
     exc = root.excised
     return HSymbol(root=root, pair=exc.pair, k=exc.k)
+
+
+def uniform_columns(symbol, x, xi):
+    """``(scale, phi, br, low, high)``: an excision-derived ``symbol`` (``a``, ``defect``
+    of an ExcisedCoefficient, ``value``, ``dt`` of a CharacteristicRoot or HSymbol) of a
+    separable family is ``sum w(x) m(xi)`` over the pairs of ``low(t)`` on the columns
+    where ``s / scale <= 1`` for every ``x``, of ``high(t)`` where ``s / scale >= 2``
+    (``s = t phi(x) br(xi)``).  None for other symbols, no ``dg``, or ``w`` or ``m`` < 0."""
+    owner = getattr(symbol, "__self__", None)
+    exc = getattr(getattr(owner, "root", owner), "excised", owner)
+    name = next((f"{type(owner).__name__}.{n}" for n in ("a", "defect", "value", "dt")
+                 if symbol == getattr(owner, n, None)), None)
+    fam = getattr(exc, "family", None)  # a re-excised symbol's is not separable
+    if not (isinstance(exc, ExcisedCoefficient) and name and getattr(fam, "dg", None)
+            and fam.separable):
+        return None
+    (g, w, m), dg = fam.separable, fam.dg
+    wx, mx = np.asarray(w(x), dtype=float), np.asarray(m(xi), dtype=float)
+    if np.any(wx < 0.0) or np.any(mx < 0.0):
+        return None
+    om, br = np.asarray(exc.pair.omega(x), dtype=float), bracket(xi, exc.k)
+    sw, sm = np.sqrt(wx), np.sqrt(mx)
+    # omega / sqrt(w) and <xi>_k / sqrt(m), 0 where tau = 0 (as in HSymbol)
+    ow, bm = (np.divide(a, b, out=np.zeros_like(a), where=b > 0.0) for a, b in ((om, sw), (br, sm)))
+    sg, nil = lambda t: np.sqrt(g(t)), lambda t: []
+    scale, low, high = {
+        "ExcisedCoefficient.a": (1.0, lambda t: [(om**2, br**2)], lambda t: [(wx, g(t) * mx)]),
+        "ExcisedCoefficient.defect": (1.0, lambda t: [(wx, g(t) * mx), (om**2, -br**2)], nil),
+        "CharacteristicRoot.value": (1.0, lambda t: [(om, br)], lambda t: [(sw, sg(t) * sm)]),
+        "CharacteristicRoot.dt": (1.0, nil, lambda t: [(sw, dg(t) / (2.0 * sg(t)) * sm)]),
+        "HSymbol.value": (3.0, nil, lambda t: [(ow, -0.5j / sg(t) * bm)]),
+        "HSymbol.dt": (3.0, nil, lambda t: [(ow, 0.25j * dg(t) / g(t) ** 1.5 * bm)]),
+    }[name]
+    return scale, np.asarray(exc.pair.phi(x), dtype=float), br, low, high
 
 
 # --------------------------------------------------------------------------

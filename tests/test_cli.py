@@ -83,6 +83,7 @@ class TestRun:
         assert header == "x,re_u,im_u,re_ut,im_ut"
         stats = json.loads((tmp_path / "solve_stats.json").read_text())["stats"]
         assert stats["space"] == "fourier" and stats["requested_times"] == [0.0, 0.5, 1.0]
+        assert (stats["operator"], stats["lattice_columns"]) == ("separable", 0)
 
     def test_determinism_bit_identical(self, tmp_path):
         cfg = {"experiment": "solve", "grid": {"L": 8.0, "N": 64, "k": 2.0},
@@ -180,14 +181,17 @@ class TestRun:
         assert (tmp_path / "manifest.json").exists()
 
     @pytest.mark.parametrize("section, key, value", [
-        ("data", "kind", "trig"), ("mesh", "kappa", 5.0), ("mesh", "t_start", 0.1)])
+        ("data", "kind", "trig"), ("mesh", "kappa", 5.0), ("mesh", "t_start", 0.1),
+        ("data", "modes", 8), ("data", "seed", 42), ("family", "id", "theorem")])
     def test_check_cone_rejects_ignored_field(self, tmp_path, capsys, section, key, value):
-        # check-cone runs a Gaussian bump on the default graded mesh from t = 0
+        # check-cone runs a Gaussian bump on the default graded mesh from t = 0, under
+        # its own two families: a set family (even the default) is rejected as a whole
         cfg = {"experiment": "check-cone", "grid": {"L": 12.0, "N": 64, "k": 1.0},
                "mesh": {"M": 64}, "data": {"width": 0.25}}
-        cfg[section][key] = value
+        cfg.setdefault(section, {})[key] = value
         assert run(cfg, tmp_path) == 2
-        assert f"{section}.{key}" in capsys.readouterr().err
+        field = section if section == "family" else f"{section}.{key}"
+        assert f"{field}:" in capsys.readouterr().err
         assert not (tmp_path / "verdict.json").exists()
 
     def test_check_cone(self, tmp_path):

@@ -5,14 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from singhyp.quantize import GridSpec, apply_kn, apply_multiplier, l2_norm
+from singhyp.quantize import GridSpec, OverflowGuardError, apply_kn, apply_multiplier, l2_norm
 import singhyp.solver as solver
 from singhyp.solver import (CauchyProblem, Discretization, SolverError, SupportError,
                             SystemOperators, _rk4_step, assemble_rhs, graded_mesh,
                             integrate, reduce_to_system, symbol_operator, system_residual)
 from singhyp.structure import bracket, poly_pair
-from singhyp.symbols import (char_root, excise, free_wave, h_symbol, reference_wave,
-                             theorem_coefficient)
+from singhyp.symbols import (char_root, example_coefficient, excise, free_wave, h_symbol,
+                             reference_wave, theorem_coefficient)
 from singhyp.analysis import GaussianBump, closed_form, counterexample_family, \
     random_trig_poly
 
@@ -328,6 +328,7 @@ class TestFourierState:
         assert S == 3 and counts["rhs"] > 0
         assert (counts["dft_forward"], counts["dft_inverse"], counts["apply_multiplier"]) \
             == (2, 2 * S, 0)
+        assert (traj.stats["operator"], traj.stats["lattice_columns"]) == ("separable", 0)
 
         # an x-dependent family keeps the physical path: one multiplier per RHS
         counts.update(dict.fromkeys(counts, 0))
@@ -342,6 +343,26 @@ class TestFourierState:
 
 
 class TestExcisionSolve:
+    def test_banded_principal_part_once_per_stage_time(self, monkeypatch):
+        # the excised x-dependent principal part forms its band product at most once
+        # per stage time (RK4 stages 2 and 3 share one), and over far fewer than N
+        # lattice columns per time
+        counts = {"kn_band": 0, "_rk4_step": 0}
+        for name in counts:
+            _counting(monkeypatch, counts, solver, name)
+        grid = GridSpec(L=8.0, N=64, k=4.0)
+        fam = theorem_coefficient(0.0, 1.25, pair=poly_pair(0.5, 0.5), k=4.0)
+        f1 = GaussianBump(0.0, 0.45)(grid.x) * _band_field(grid)
+        prob = CauchyProblem(family=fam, f1=f1, f2=np.zeros_like(f1), t_start=0.0, T=1.0,
+                             use_excision=True)
+        mesh = graded_mesh(fam, 0.0, 1.0, 256)
+        traj = integrate(prob, grid, mesh, [0.5, 1.0])
+        assert traj.stats["halvings"] == 0 and traj.stats["operator"] == "banded"
+        assert 0 < counts["kn_band"] <= 3 * counts["_rk4_step"]
+        t0, dt = mesh.nodes[:-1], np.diff(mesh.nodes)
+        stage_times = np.unique(np.concatenate([t0, t0 + 0.5 * dt, t0 + dt]))
+        assert 0 < traj.stats["lattice_columns"] < grid.N * stage_times.size
+
     def test_on_off_identical_when_window_empty(self):
         # t_start * Phi_min * k >= 2: the excised symbol equals a on the whole run
         grid = GridSpec(L=np.pi, N=128, k=16.0)
@@ -389,6 +410,10 @@ class TestExcisionSolve:
             diff = l2_norm(grid, runs[True] - runs[False]) / l2_norm(grid, runs[False])
             assert 0.1 <= diff <= 1.0, (k, diff)
 
+
+# the symbol operators of SystemOperators
+_SYMBOL_OPERATORS = ("apply_tau", "apply_dt_tau", "apply_H", "apply_dtH", "apply_defect",
+                     "apply_excised")
 
 # (family, t_start, use_excision) of multiplier families for the system machinery
 SYSTEM_CASES = {
@@ -497,6 +522,29 @@ class TestSystem:
         want = system_residual(traj, phys, grid, lam=0.7)
         assert abs(system_residual(traj, prob, grid, lam=0.7) - want) <= 1e-12 * want
 
+    def test_system_rhs_evaluates_each_symbol_once(self, monkeypatch):
+        # on a multiplier family every operator is diagonal: one system_rhs evaluates
+        # each of its six symbols once, however often it applies the operator
+        counts = []
+
+        def counting(grid, fam, symbol=None, _make=solver.symbol_operator):
+            i = len(counts)
+            counts.append(0)
+
+            def counted(t, x, xi):
+                counts[i] += 1
+                return symbol(t, x, xi)
+            return _make(grid, fam, counted)
+
+        monkeypatch.setattr(solver, "symbol_operator", counting)
+        grid = GridSpec(L=np.pi, N=64, k=4.0)
+        prob, _, _, _ = _problem(counterexample_family("7.3", k=4.0), grid, 0.0, 256)
+        ops = SystemOperators(prob, grid, lam=0.7)
+        u1, u2 = ops.reduce(0.5, ops.state(prob.f1), ops.state(prob.f2))
+        counts[:] = [0] * len(counts)
+        ops.system_rhs(0.3, u1, u2)
+        assert counts == [1] * 6
+
     def test_residual_transforms_each_snapshot_once(self, monkeypatch):
         grid = GridSpec(L=np.pi, N=64, k=4.0)
         prob, _, M, _ = _problem(counterexample_family("7.3", k=4.0), grid, 0.0, 256)
@@ -518,19 +566,25 @@ class TestSystem:
                          np.linspace(0.2, 1.0, 5))
         assert system_residual(traj, prob, grid) == 0.0
 
-    @pytest.mark.parametrize("name, t", [("reference", 0.7), ("theorem", 0.05),
-                                         ("theorem", 0.7), ("theorem-poly", 0.05),
-                                         ("theorem-poly", 0.7)])
+    @pytest.mark.parametrize("name, t", [
+        ("reference", 0.7), ("theorem", 0.05), ("theorem", 0.7), ("theorem-poly", 0.05),
+        ("theorem-poly", 0.7),
+        *[(name, t) for name in ("theorem-poly", "example") for t in (0.0, 0.02, 0.05, 0.3, 0.9)
+          if (name, t) != ("theorem-poly", 0.05)],
+        ("theorem-poly-N1024", 0.05)])
     def test_operator_paths_match_dense_kn(self, name, t):
-        # every path symbol_operator picks (separable, multiplier, dense), and the
-        # solver's principal part with and without excision, against the dense
-        # KN product on grid values; t = 0.05 is inside the blend window, t = 0.7
-        # beyond it
-        grid = GridSpec(L=8.0, N=64, k=4.0)
+        # every path symbol_operator picks (separable, diagonal, banded, dense), and the
+        # solver's principal part with and without excision, against the dense KN
+        # product on grid values.  With k = 4 and L = 8: at t = 0 every column has
+        # cut = 1, t = 0.02 and 0.05 are inside the blend window, at t = 0.9 the
+        # excised symbols' band is empty; "example" has w != omega^2 and m = xi^2,
+        # which vanishes at xi = 0
+        grid = GridSpec(L=8.0, N=1024 if name.endswith("N1024") else 64, k=4.0)
+        poly = poly_pair(0.5, 0.5)
         fam = {"reference": lambda: reference_wave(k=4.0),
                "theorem": lambda: theorem_coefficient(0.0, 1.25, k=4.0),
-               "theorem-poly": lambda: theorem_coefficient(0.0, 1.25, pair=poly_pair(0.5, 0.5),
-                                                           k=4.0)}[name]()
+               "theorem-poly": lambda: theorem_coefficient(0.0, 1.25, pair=poly, k=4.0),
+               "example": lambda: example_coefficient(0.5, 0.5, k=4.0)}[name.split("-N")[0]]()
         u = GaussianBump(0.0, 0.45)(grid.x) * _band_field(grid)
         excised = excise(fam)
         root = char_root(excised)
@@ -539,14 +593,26 @@ class TestSystem:
         disc = Discretization(CauchyProblem(family=fam, f1=u, f2=u, t_start=0.0, T=1.0), grid)
 
         def check(op, symbol):
-            # operators act on the family's states: Fourier coefficients on a multiplier family
+            # operators act on the family's states: Fourier coefficients on a multiplier
+            # family; banded operators meet the tighter bound
+            try:
+                want = apply_kn(grid, lambda x, xi: symbol(t, x, xi), u)
+            except (RuntimeWarning, OverflowGuardError) as e:  # a, defect undefined at t = 0
+                with pytest.raises(type(e)):
+                    op(t, disc.state(u))
+                return
             got = disc.field(op(t, disc.state(u)))
-            want = apply_kn(grid, lambda x, xi: symbol(t, x, xi), u)
-            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+            tol = 1e-12 if op.path == "banded" else 1e-10
+            assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want)), (op.path, symbol)
 
         check(symbol_operator(grid, fam), fam.a)
         for symbol in (fam.a, root.value, root.dt, h.value, h.dt, excised.defect, excised.a):
-            check(symbol_operator(grid, fam, symbol), symbol)
+            op = symbol_operator(grid, fam, symbol)
+            assert op.path == ("diagonal" if fam.is_multiplier
+                               else "dense" if symbol == fam.a else "banded")
+            check(op, symbol)
+        twice = excise(excised).a  # re-excised: no separable factors, so all band
+        check(symbol_operator(grid, fam, twice), twice)
         for use_excision, symbol in ((False, fam.a), (True, excised.a)):
             prob = CauchyProblem(family=fam, f1=u, f2=u, t_start=0.0, T=1.0,
                                  use_excision=use_excision)
@@ -604,9 +670,10 @@ class TestSystem:
         want = self._composed_system_rhs(ops, t, u1, u2)
 
         calls = []
-        kn = solver.apply_kn
-        monkeypatch.setattr(solver, "apply_kn", lambda *a: calls.append(1) or kn(*a))
+        for name in _SYMBOL_OPERATORS:
+            monkeypatch.setattr(ops, name, lambda t, u, op=getattr(ops, name):
+                                calls.append(1) or op(t, u))
         got = ops.system_rhs(t, u1, u2)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        # the composition above makes 33 dense products, 36 with b0 and forcing
-        assert len(calls) == (26 + b0 + forced if poly else 0)
+        # the composition above makes 33 operator applications, 36 with b0 and forcing
+        assert len(calls) == 26 + b0 + forced
