@@ -19,8 +19,12 @@ A symbol ``a(x, xi)`` acts in left (Kohn-Nirenberg) quantization:
     ``(Op(a)u)(x_i) = (1/2L) * sum_j a(x_i, xi_j) coeff_j exp(i x_i xi_j)``
 
 i.e. the frequency part acts first, multiplication by x-factors second; for a
-product symbol ``g(x)m(xi)`` this is exactly ``g * (m(D)u)``.  :func:`apply_kn` is
-the dense O(N^2) product and the reference; :func:`kn_band` forms it on some columns.
+product symbol ``g(x)m(xi)`` this is exactly ``g * (m(D)u)``.  :func:`kn_band`
+forms this product on some columns ``cols`` of the lattice, stored xi-major: the
+cached phase matrix ``exp(i xi_j x_i)`` has rows ``j``, so a band is a block of
+whole rows, and ``coeff[cols] @ band / (2L)`` is its part of ``Op(a)u``.  Symbol
+lattices are evaluated x-major (rows ``x``) and transposed only in that product.
+:func:`apply_kn` is the dense O(N^2) product through all columns, the reference.
 
 Legitimacy of the torus model: structure functions are evaluated as given
 (non-periodic), so runs keep data supported in ``|x| <= L/2`` and stop before
@@ -114,7 +118,8 @@ def _grid_arrays(grid: GridSpec):
 
 @lru_cache(maxsize=4)
 def _kn_phase(grid: GridSpec) -> np.ndarray:
-    E = np.exp(1j * np.outer(grid.x, grid.xi))
+    """``exp(i xi_j x_i)`` with rows ``j`` (xi-major)."""
+    E = np.exp(1j * np.outer(grid.xi, grid.x))
     E.setflags(write=False)
     return E
 
@@ -163,13 +168,13 @@ def apply_multiplier(grid: GridSpec, m, values) -> np.ndarray:
 
 
 def kn_band(grid: GridSpec, lattice, cols) -> np.ndarray:
-    """``exp(i x xi_j) a(x, xi_j)`` on the lattice columns ``cols`` (indices or a slice), whose
-    ``@ coeffs[cols] / (2L)`` is their part of ``Op(a) u``; OverflowGuardError unless finite."""
-    E = _kn_phase(grid)[:, cols]
-    A = np.broadcast_to(np.asarray(lattice, dtype=complex), E.shape)
-    if not np.all(np.isfinite(A)):
+    """``exp(i xi_j x) a(x, xi_j)`` on the lattice columns ``cols`` (indices or a slice),
+    stored xi-major: row ``r`` is lattice column ``cols[r]``, so ``coeffs[cols] @ band / (2L)``
+    is their part of ``Op(a) u``.  ``lattice`` has rows x (it may be anything that broadcasts
+    to ``(N, len(cols))``); OverflowGuardError unless finite."""
+    if not np.all(np.isfinite(lattice)):
         raise OverflowGuardError("Kohn-Nirenberg symbol not finite on the grid lattice")
-    return E * A
+    return _kn_phase(grid)[cols] * np.atleast_2d(lattice).T
 
 
 def apply_kn(grid: GridSpec, symbol, values) -> np.ndarray:
@@ -181,7 +186,7 @@ def apply_kn(grid: GridSpec, symbol, values) -> np.ndarray:
     """
     if callable(symbol):
         symbol = symbol(grid.x[:, None], grid.xi[None, :])
-    return kn_band(grid, symbol, slice(None)) @ dft_forward(grid, values) / (2.0 * grid.L)
+    return dft_forward(grid, values) @ kn_band(grid, symbol, slice(None)) / (2.0 * grid.L)
 
 
 @dataclass(frozen=True)

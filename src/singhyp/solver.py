@@ -182,11 +182,13 @@ def _state_space(grid: GridSpec, family: CoefficientFamily) -> _StateSpace:
 
 
 class _Operator:
-    """``(t, u) -> apply(parts(t)[0], u)``, summing ``parts(t)[1]`` lattice columns; keeps
-    the last ``t``'s parts (RK4 stages 2 and 3 share it) unless a dense N x N matrix."""
+    """``(t, u) -> apply(parts(t)[0], u)``, summing ``parts(t)[1]`` lattice columns and
+    counting the lattices (``parts`` with columns) it formed; keeps the last ``t``'s parts
+    (RK4 stages 2 and 3 share it) unless a dense N x N matrix."""
 
     def __init__(self, path: str, parts: Callable, apply: Callable):
-        self.path, self.lattice_columns, self._parts, self._apply = path, 0, parts, apply
+        self.path, self._parts, self._apply = path, parts, apply
+        self.lattice_columns = self.lattice_evals = 0
         self._t = self._last = None
 
     def __call__(self, t, u):
@@ -194,6 +196,7 @@ class _Operator:
             self._t = self._last = None  # one band product alive at a time, not two
             last, n = self._parts(t)
             self.lattice_columns += n
+            self.lattice_evals += n > 0
             if self.path == "dense":
                 return self._apply(last, u)
             self._t, self._last = t, last
@@ -241,7 +244,7 @@ def symbol_operator(grid: GridSpec, family: CoefficientFamily,
     def apply(parts, u):
         terms, cols, band = parts
         c = dft_forward(grid, u)
-        return band @ c[cols] / (2.0 * grid.L) + sum(w * dft_inverse(grid, m * c) for w, m in terms)
+        return c[cols] @ band / (2.0 * grid.L) + sum(w * dft_inverse(grid, m * c) for w, m in terms)
 
     return _Operator("dense" if forms is None else "banded", parts, apply)
 
@@ -297,11 +300,13 @@ class Discretization:
         return float(np.sqrt(np.max(np.abs(vals)) / xi_ref**2))
 
     def singular_start(self) -> bool:
-        fam = self.problem.family
-        t0 = self.problem.t_start
+        """Whether a coefficient is not finite at ``t_start``: the principal symbol at
+        ``xi = k`` and ``xi_max``, and ``b0``, ``b1``, ``b2``, each at every x the
+        states are read at (the grid, or ``x = 0`` for Fourier coefficients)."""
+        fam, t0, x = self.problem.family, self.problem.t_start, self.space.x
         with np.errstate(all="ignore"):
-            vals = [self.symbol(t0, 0.0, self.grid.k)]
-            vals += [b(t0, 0.0) for b in (fam.b0, fam.b1, fam.b2) if b is not None]
+            vals = [self.symbol(t0, x, xi) for xi in (self.grid.k, self.grid.xi_max)]
+            vals += [b(t0, x) for b in (fam.b0, fam.b1, fam.b2) if b is not None]
         return not all(np.all(np.isfinite(v)) for v in vals)
 
 
@@ -335,7 +340,8 @@ def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
     requested output times (the stored snapshot time is the exact node time;
     requests nearest the same node share one snapshot, and ``stats`` lists the
     sorted requests as ``requested_times``).  Steps run on the state space of
-    :class:`Discretization`, named by ``stats["space"]`` (and ``operator``, ``lattice_columns``).
+    :class:`Discretization`, named by ``stats["space"]`` (and ``operator``, ``lattice_columns``,
+    ``lattice_evals``).  ``stats["halving_steps"]`` maps each halved mesh step to its level.
 
     The vector field is never sampled at a singular ``t_start``: the first step
     then uses midpoint-only stages.  Steps violating the CFL bound
@@ -359,7 +365,7 @@ def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
         snapshots.append((float(nodes[0]), disc.field(u), disc.field(v)))
 
     singular = disc.singular_start()
-    n_halvings = 0
+    halving_steps = {}
     min_cfl = math.inf
     for j in range(mesh.M):
         t0, t1 = float(nodes[j]), float(nodes[j + 1])
@@ -376,7 +382,7 @@ def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
                     f"(dt={dt:.3e}, dt_max={dt_max:.3e})",
                     report={"t": t0, "dt": dt, "dt_max": dt_max})
             n_sub = 2 ** level
-            n_halvings += level
+            halving_steps[j] = level
         h = dt / n_sub
         for i in range(n_sub):
             midpoint_only = singular and j == 0 and i == 0
@@ -389,7 +395,8 @@ def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
 
     stats = {
         "steps": mesh.M,
-        "halvings": n_halvings,
+        "halvings": sum(halving_steps.values()),
+        "halving_steps": halving_steps,
         "kappa": mesh.kappa,
         "min_cfl_dt": min_cfl,
         "max_dt": float(np.max(np.diff(nodes))),
@@ -397,6 +404,7 @@ def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
         "space": disc.space.name,
         "operator": disc.apply_principal.path,
         "lattice_columns": disc.apply_principal.lattice_columns,
+        "lattice_evals": disc.apply_principal.lattice_evals,
         "requested_times": out_req.tolist(),
     }
     return Trajectory(snapshots=tuple(snapshots), grid=grid, mesh=mesh, stats=stats)

@@ -76,52 +76,30 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 
-def _psi(r):
-    """exp(-1/r) for r > 0, identically 0 for r <= 0 (smooth glue)."""
-    r = np.asarray(r, dtype=float)
-    out = np.zeros_like(r)
-    pos = r > 0
-    out[pos] = np.exp(-1.0 / r[pos])
-    return out
-
-
-def _dpsi(r):
-    r = np.asarray(r, dtype=float)
-    out = np.zeros_like(r)
-    pos = r > 0
-    out[pos] = np.exp(-1.0 / r[pos]) / (r[pos] * r[pos])
-    return out
-
-
 def cut(s):
-    """The excision cutoff ``psi(2-s) / (psi(2-s) + psi(s-1))``: 1 on ``(-inf, 1]``,
-    0 on ``[2, inf)``, monotone non-increasing in between.
-
-    Exactly 1 below s=1 and exactly 0 above s=2 (not just to rounding), since
-    ``psi`` vanishes identically on the closed negative half-line.
+    """The excision cutoff ``a / (a + b)``, ``a = exp(-1/(2-s))``, ``b = exp(-1/(s-1))``:
+    exactly 1 on ``(-inf, 1]`` (and at NaN), exactly 0 on ``[2, inf)``, monotone
+    non-increasing in between.  The exponentials are evaluated on the open window
+    ``1 < s < 2`` only; every other entry is one of the two constants.
     """
     s = np.asarray(s, dtype=float)
-    a = _psi(2.0 - s)
-    b = _psi(s - 1.0)
-    den = a + b
-    out = np.ones_like(s)
-    mid = den > 0
-    out[mid] = a[mid] / den[mid]
-    out[s >= 2.0] = 0.0
+    out = np.where(s >= 2.0, 0.0, 1.0)
+    mid = (s > 1.0) & (s < 2.0)
+    w = s[mid]
+    a, b = np.exp(-1.0 / (2.0 - w)), np.exp(-1.0 / (w - 1.0))
+    out[mid] = a / (a + b)
     return out
 
 
 def dcut(s):
-    """The exact derivative of :func:`cut`."""
+    """The exact derivative of :func:`cut`, evaluated on the open window ``1 < s < 2``
+    only and 0 elsewhere."""
     s = np.asarray(s, dtype=float)
-    a = _psi(2.0 - s)
-    b = _psi(s - 1.0)
-    da = _dpsi(2.0 - s)
-    db = _dpsi(s - 1.0)
-    den = (a + b) ** 2
     out = np.zeros_like(s)
     mid = (s > 1.0) & (s < 2.0)
-    out[mid] = -(da[mid] * b[mid] + a[mid] * db[mid]) / den[mid]
+    ra, rb = 2.0 - s[mid], s[mid] - 1.0
+    a, b = np.exp(-1.0 / ra), np.exp(-1.0 / rb)
+    out[mid] = -(a / (ra * ra) * b + a * (b / (rb * rb))) / (a + b) ** 2
     return out
 
 

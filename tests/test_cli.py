@@ -84,6 +84,7 @@ class TestRun:
         stats = json.loads((tmp_path / "solve_stats.json").read_text())["stats"]
         assert stats["space"] == "fourier" and stats["requested_times"] == [0.0, 0.5, 1.0]
         assert (stats["operator"], stats["lattice_columns"]) == ("separable", 0)
+        assert (stats["lattice_evals"], stats["halving_steps"]) == (0, {})
 
     def test_determinism_bit_identical(self, tmp_path):
         cfg = {"experiment": "solve", "grid": {"L": 8.0, "N": 64, "k": 2.0},

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from singhyp.quantize import (GridSpec, OverflowGuardError, SobolevIndex,
-                              apply_kn, apply_multiplier, dft_forward, dft_inverse, l2_norm,
-                              loss_operator, loss_symbol, sobolev_norm)
+                              apply_kn, apply_multiplier, dft_forward, dft_inverse, kn_band,
+                              l2_norm, loss_operator, loss_symbol, sobolev_norm)
 from singhyp.structure import bracket, constant_pair, poly_pair
 from singhyp.analysis import random_trig_poly
 
@@ -129,6 +129,33 @@ class TestKohnNirenberg:
         lhs = apply_kn(grid, sym, 2.0 * u + 3j * v)
         rhs = 2.0 * apply_kn(grid, sym, u) + 3j * apply_kn(grid, sym, v)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_band_layout_matches_dft_matrix_product(self, grid, rand_field, kind):
+        # c[cols] @ kn_band(...) / (2L) is the cols part of the Kohn-Nirenberg product
+        # written with explicit DFT matrices, for a slice, the two runs of a symmetric
+        # xi-window in FFT layout, and no columns at all (the lattice is then 0.0)
+        x, xi, N = grid.x, grid.xi, grid.N
+        c = grid.dx * np.exp(-1j * np.outer(xi, x)) @ rand_field
+        full = np.cos(x)[:, None] * bracket(xi, 1.0)[None, :] + np.sin(xi / 3.0)[None, :]
+        if kind == "complex":
+            full = full * np.exp(1j * np.outer(x, xi) / 7.0)
+        for cols in (slice(5, 40), np.r_[3:20, N - 19:N - 2], np.array([], dtype=int)):
+            xi_band = xi[cols]
+            lattice = full[:, cols] if xi_band.size else 0.0
+            got = c[cols] @ kn_band(grid, lattice, cols) / (2.0 * grid.L)
+            want = (np.exp(1j * np.outer(x, xi_band)) * full[:, cols]) @ c[cols] / (2.0 * grid.L)
+            assert got.shape == (N,)
+            assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1e-300)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_band_rejects_non_finite_lattice(self, grid, bad):
+        lattice = np.ones((grid.N, 4), dtype=complex)
+        lattice[7, 2] = bad
+        with pytest.raises(OverflowGuardError):
+            kn_band(grid, lattice, slice(0, 4))
+        with pytest.raises(OverflowGuardError):
+            kn_band(grid, lattice.real, np.r_[0, 1, grid.N - 2, grid.N - 1])
 
     def test_unit_symbol_is_identity(self, grid, rand_field):
         out = apply_kn(grid, lambda x, xi: 1.0 + 0.0 * x + 0.0 * xi, rand_field)

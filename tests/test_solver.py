@@ -137,6 +137,23 @@ class TestIntegrate:
         t, u, v = traj.snapshots[-1]
         assert l2_norm(grid, u - f1) / l2_norm(grid, f1) <= 1e-8
 
+    def test_singular_start_probes_every_grid_x(self, monkeypatch):
+        # b2 is finite at x = 0 but infinite for x > 1 at t_start = 0: the first step
+        # must sample midpoints only, so the vector field never meets t = 0
+        grid = GridSpec(L=8.0, N=64, k=1.0)
+        fam = dataclasses.replace(
+            free_wave(1.0), x_dependent=True,
+            b2=lambda t, x: np.where(np.asarray(x) > 1.0, 1.0 / np.sqrt(t), 0.0))
+        f1 = GaussianBump(0.0, 0.45)(grid.x) * _band_field(grid)
+        prob = CauchyProblem(family=fam, f1=f1, f2=np.zeros_like(f1), t_start=0.0, T=1.0)
+        times = []
+        rhs = Discretization.rhs
+        monkeypatch.setattr(Discretization, "rhs",
+                            lambda self, t, u, v: times.append(t) or rhs(self, t, u, v))
+        traj = integrate(prob, grid, graded_mesh(fam, 0.0, 1.0, 64), [1.0])
+        assert traj.stats["singular_start"] and min(times) > 0.0
+        assert np.all(np.isfinite(traj.snapshots[-1][1]))
+
     def test_zero_data_zero_trajectory(self):
         grid = GridSpec(L=np.pi, N=64, k=1.0)
         fam = counterexample_family("7.3")
@@ -232,7 +249,8 @@ class TestIntegrate:
         prob = CauchyProblem(family=fam, f1=f1, f2=np.zeros_like(f1), t_start=0.0, T=1.0)
         mesh = graded_mesh(fam, 0.0, 1.0, 16, kappa=1.0000001)
         traj = integrate(prob, grid, mesh, [1.0])
-        assert traj.stats["halvings"] > 0
+        assert traj.stats["halvings"] == sum(traj.stats["halving_steps"].values()) > 0
+        assert (traj.stats["operator"], traj.stats["lattice_evals"]) == ("separable", 0)
         fam2 = free_wave(1e9, T=1.0, k=1.0)
         prob2 = CauchyProblem(family=fam2, f1=f1, f2=np.zeros_like(f1), t_start=0.0, T=1.0)
         with pytest.raises(SolverError, match="CFL"):
@@ -292,6 +310,7 @@ class TestFourierState:
         traj = integrate(prob, grid, mesh, np.linspace(prob.t_start, 1.0, 5)[1:])
         assert traj.stats["space"] == "fourier" and traj.stats["halvings"] == 0
         assert traj.stats["singular_start"] == singular
+        assert traj.stats["lattice_evals"] == 0 and traj.stats["halving_steps"] == {}
 
         fam = _physical(fam)
         principal = symbol_operator(grid, fam, excise(fam).a if prob.use_excision else None)
@@ -328,7 +347,8 @@ class TestFourierState:
         assert S == 3 and counts["rhs"] > 0
         assert (counts["dft_forward"], counts["dft_inverse"], counts["apply_multiplier"]) \
             == (2, 2 * S, 0)
-        assert (traj.stats["operator"], traj.stats["lattice_columns"]) == ("separable", 0)
+        assert (traj.stats["operator"], traj.stats["lattice_columns"],
+                traj.stats["lattice_evals"]) == ("separable", 0, 0)
 
         # an x-dependent family keeps the physical path: one multiplier per RHS
         counts.update(dict.fromkeys(counts, 0))
@@ -337,7 +357,7 @@ class TestFourierState:
         f1 = GaussianBump(0.0, 0.45)(grid.x) * _band_field(grid)
         prob = CauchyProblem(family=fam, f1=f1, f2=np.zeros_like(f1), t_start=0.0, T=1.0)
         traj = integrate(prob, grid, graded_mesh(fam, 0.0, 1.0, 64), [0.5, 1.0])
-        assert traj.stats["space"] == "physical"
+        assert traj.stats["space"] == "physical" and traj.stats["lattice_evals"] == 0
         assert counts["rhs"] > 0 and counts["apply_multiplier"] == counts["rhs"]
         assert counts["dft_forward"] == counts["dft_inverse"] == 0
 
@@ -359,9 +379,28 @@ class TestExcisionSolve:
         traj = integrate(prob, grid, mesh, [0.5, 1.0])
         assert traj.stats["halvings"] == 0 and traj.stats["operator"] == "banded"
         assert 0 < counts["kn_band"] <= 3 * counts["_rk4_step"]
+        assert 0 < traj.stats["lattice_evals"] <= min(counts["kn_band"],
+                                                      2 * counts["_rk4_step"] + 1)
         t0, dt = mesh.nodes[:-1], np.diff(mesh.nodes)
         stage_times = np.unique(np.concatenate([t0, t0 + 0.5 * dt, t0 + dt]))
         assert 0 < traj.stats["lattice_columns"] < grid.N * stage_times.size
+
+    def test_counters_locate_halvings(self, monkeypatch):
+        # a coarse mesh halves the later steps: halving_steps names each one with its
+        # level, and the lattice is still formed at most twice per substep plus once
+        counts = {"_rk4_step": 0}
+        _counting(monkeypatch, counts, solver, "_rk4_step")
+        grid = GridSpec(L=8.0, N=64, k=4.0)
+        fam = theorem_coefficient(0.0, 1.25, pair=poly_pair(0.5, 0.5), k=4.0)
+        f1 = GaussianBump(0.0, 0.45)(grid.x) * _band_field(grid)
+        prob = CauchyProblem(family=fam, f1=f1, f2=np.zeros_like(f1), t_start=0.0, T=1.0,
+                             use_excision=True)
+        traj = integrate(prob, grid, graded_mesh(fam, 0.0, 1.0, 32), [1.0])
+        levels = traj.stats["halving_steps"]
+        assert traj.stats["halvings"] == sum(levels.values()) > 0
+        assert counts["_rk4_step"] == 32 + sum(2 ** lv - 1 for lv in levels.values())
+        assert all(isinstance(j, int) and 0 <= j < 32 and lv >= 1 for j, lv in levels.items())
+        assert 0 < traj.stats["lattice_evals"] <= 2 * counts["_rk4_step"] + 1
 
     def test_on_off_identical_when_window_empty(self):
         # t_start * Phi_min * k >= 2: the excised symbol equals a on the whole run

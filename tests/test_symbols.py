@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singhyp.quantize import GridSpec
 from singhyp.structure import bracket, poly_pair
 from singhyp.symbols import (ClassDescriptor, EllipticityError, QuadratureError,
                              TimeQuadrature, char_root, cut, dcut, example_coefficient, excise,
@@ -17,7 +18,62 @@ from singhyp.symbols import (ClassDescriptor, EllipticityError, QuadratureError,
 from singhyp.analysis import counterexample_family
 
 
+def _psi(r):
+    r = np.asarray(r, dtype=float)
+    out = np.zeros_like(r)
+    pos = r > 0
+    out[pos] = np.exp(-1.0 / r[pos])
+    return out
+
+
+def _dpsi(r):
+    r = np.asarray(r, dtype=float)
+    out = np.zeros_like(r)
+    pos = r > 0
+    out[pos] = np.exp(-1.0 / r[pos]) / (r[pos] * r[pos])
+    return out
+
+
+def _cut_reference(s):
+    # psi(2-s) / (psi(2-s) + psi(s-1)) over the whole array, 1 where both vanish
+    s = np.asarray(s, dtype=float)
+    a, b = _psi(2.0 - s), _psi(s - 1.0)
+    den = a + b
+    out = np.ones_like(s)
+    mid = den > 0
+    out[mid] = a[mid] / den[mid]
+    out[s >= 2.0] = 0.0
+    return out
+
+
+def _dcut_reference(s):
+    s = np.asarray(s, dtype=float)
+    a, b, da, db = _psi(2.0 - s), _psi(s - 1.0), _dpsi(2.0 - s), _dpsi(s - 1.0)
+    den = (a + b) ** 2
+    out = np.zeros_like(s)
+    mid = (s > 1.0) & (s < 2.0)
+    out[mid] = -(da[mid] * b[mid] + a[mid] * db[mid]) / den[mid]
+    return out
+
+
 class TestCutoff:
+    def test_matches_two_glue_formulas_bitwise(self):
+        # cut/dcut evaluate only on the window 1 < s < 2; every entry, NaN positions
+        # included, equals the two-psi formulas evaluated everywhere
+        edges = [np.nextafter(e, d) for e in (1.0, 2.0) for d in (-np.inf, np.inf)]
+        special = np.array([-np.inf, np.inf, np.nan, 1.0, 2.0, 0.0, -1.0, 1.5, *edges])
+        grid = GridSpec(L=8.0, N=64, k=4.0)
+        phi, br = poly_pair(0.5, 0.5).phi(grid.x), bracket(grid.xi, grid.k)
+        h_args = [t * phi[:, None] * br[None, :] / 3.0 for t in (0.02, 0.05, 0.3, 0.9)]
+        sweeps = [np.float64(1.5), np.float64(np.nan), np.array(2.0), special,
+                  np.linspace(0.5, 2.5, 10_000), *h_args]
+        for s in sweeps:
+            for fn, ref in ((cut, _cut_reference), (dcut, _dcut_reference)):
+                got, want = fn(s), ref(s)
+                assert got.shape == want.shape == np.shape(s)
+                assert np.array_equal(got, want, equal_nan=True), (fn.__name__, s)
+        assert np.array_equal(cut(special)[:3], [1.0, 0.0, 1.0])  # -inf, inf, NaN
+
     def test_plateaus_are_exact(self):
         s = np.array([-3.0, 0.0, 0.5, 1.0])
         assert np.all(cut(s) == 1.0)
