@@ -28,6 +28,10 @@ Config schema (unknown keys are rejected)::
       "zones":   {"nt": 16, "nx": 17, "nxi": 17, "N": 2.0}
     }
 
+Ranges: ``mesh.M >= 8``, ``mesh.kappa > 0``, ``profile.lambda`` ``"fit"`` or finite
+``>= 0`` (0: the unweighted monitor), ``data.width > 0``, ``zones.nt >= 2``,
+``zones.nx, zones.nxi >= 1``, ``zones.N > 0``.
+
 Family ids and the ``params`` each accepts, with defaults (other keys are
 rejected): ``theorem`` (``pair`` ``[kappa1, kappa2]``, else the constant pair;
 ``amplitude`` 0.5), ``example11`` (``kappa1``, ``kappa2`` 0.5), ``free-wave``
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -58,11 +63,6 @@ from .symbols import (EllipticityError, QuadratureError, char_root, excise, free
 
 __all__ = ["ConfigError", "RunConfig", "run", "suite", "main"]
 
-EXPERIMENTS = ("solve", "verify-counterexamples", "check-cone", "check-energy",
-               "symbol-report", "zones-dump")
-_TOP_KEYS = {"experiment", "grid", "mesh", "profile", "family", "data", "output_times",
-             "zones"}
-
 
 def _int(value) -> int:
     """``int(value)``, refusing a non-integral number rather than truncating it."""
@@ -71,14 +71,55 @@ def _int(value) -> int:
     return int(value)
 
 
-# the params each family id accepts, as :func:`_fields` specs
-_FAMILY_PARAMS = {
-    "theorem": (("pair", None, lambda v: v if v is None else poly_pair(*map(float, v))),
-                ("amplitude", 0.5, float)),
-    "example11": (("kappa1", 0.5, float), ("kappa2", 0.5, float)),
-    "free-wave": (("speed", 1.0, float),),
-    "reference-wave": (),
-    **{f"counterexample-{ex}": (("m", 0, _int),) for ex in EXAMPLE_IDS},
+def _where(conv, ok, need: str):
+    """``conv`` refusing a converted value ``v`` unless ``ok(v)``; ``need`` says which pass."""
+    def convert(value):
+        v = conv(value)
+        if not ok(v):
+            raise ValueError(f"must be {need}, got {v!r}")
+        return v
+    return convert
+
+
+def _at_least(n: int):
+    return _where(_int, lambda v: v >= n, f"an integer >= {n}")
+
+
+_positive = _where(float, lambda v: v > 0.0, "> 0")
+_lambda = _where(float, lambda v: math.isfinite(v) and v >= 0.0, "'fit' or a finite number >= 0")
+
+# each config section's fields as ``(key, default, conv)``; ``conv`` converts the
+# value and checks its range, and the keys are all the section accepts
+_SECTIONS = {
+    "grid": (("L", 8.0, float), ("N", 256, _int), ("k", 1.0, float)),
+    "mesh": (("M", 2048, _at_least(8)),
+             ("kappa", None, lambda v: v if v is None else _positive(v)),
+             ("t_start", 0.0, float)),
+    "profile": (("p", 0.0, float), ("q", 1.25, float), ("r", 0.0, float), ("sigma", 3.0, float),
+                ("T", 1.0, float), ("lambda", "fit", lambda v: v if v == "fit" else _lambda(v))),
+    "data": (("kind", "bump", _where(str, lambda v: v in ("trig", "bump"), "'trig' or 'bump'")),
+             ("modes", 8, _int), ("seed", 42, _int), ("width", 0.7, _positive),
+             ("center", 0.0, float),
+             ("velocity", "zero", _where(str, lambda v: v in ("zero", "dx"), "'zero' or 'dx'")),
+             ("velocity_scale", -1.0, float)),
+    "zones": (("nt", 16, _at_least(2)), ("nx", 17, _at_least(1)), ("nxi", 17, _at_least(1)),
+              ("N", 2.0, _positive)),
+}
+_TOP_KEYS = {"experiment", "family", "output_times", *_SECTIONS}
+
+# each family id: its constructor, called with the profile's parameters and the
+# family's params plus ``T`` and ``k``, and the params it accepts as ``_SECTIONS`` specs
+_FAMILIES = {
+    "theorem": (lambda pp, **kw: theorem_coefficient(pp["p"], pp["q"], r=pp["r"],
+                                                     sigma=pp["sigma"], **kw),
+                (("pair", None, lambda v: v if v is None else poly_pair(*map(float, v))),
+                 ("amplitude", 0.5, float))),
+    "example11": (lambda pp, **kw: example_coefficient(**kw),
+                  (("kappa1", 0.5, float), ("kappa2", 0.5, float))),
+    "free-wave": (lambda pp, **kw: free_wave(**kw), (("speed", 1.0, float),)),
+    "reference-wave": (lambda pp, **kw: reference_wave(**kw), ()),
+    **{f"counterexample-{ex}": (lambda pp, ex=ex, **kw: counterexample_family(ex, **kw),
+                                (("m", 0, _int),)) for ex in EXAMPLE_IDS},
 }
 
 
@@ -102,10 +143,11 @@ def _known(section, allowed: set[str], where: str) -> dict:
     return section
 
 
-def _fields(section: dict, where: str, spec) -> dict:
+def _fields(section, where: str, spec) -> dict:
     """``{key: conv(value)}`` per ``(key, default, conv)`` in ``spec``, the value
-    defaulting to ``default``; one that does not convert is a ConfigError naming
-    ``where.key``."""
+    defaulting to ``default``, of ``section``, an object with no other key; a value
+    that does not convert is a ConfigError naming ``where.key``."""
+    _known(section, {key for key, _, _ in spec}, where)
     out = {}
     for key, default, conv in spec:
         try:
@@ -118,87 +160,49 @@ def _fields(section: dict, where: str, spec) -> dict:
 class RunConfig:
     """Validated experiment configuration (validation happens before any
     computation; unknown keys are rejected, and a field that does not convert
-    to its type is a ConfigError naming it)."""
+    to its type or lies outside its range is a ConfigError naming it)."""
 
     def __init__(self, raw: dict):
         self.raw = _known(raw, _TOP_KEYS, "config")
         self.experiment = _require(raw, "experiment", "config")
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in _RUNNERS:
             raise ConfigError(
-                f"config.experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
+                f"config.experiment must be one of {tuple(_RUNNERS)}, got {self.experiment!r}")
 
-        g = _fields(_known(raw.get("grid", {}), {"L", "N", "k"}, "grid"), "grid",
-                    (("L", 8.0, float), ("N", 256, _int), ("k", 1.0, float)))
+        sec = {name: _fields(raw.get(name, {}), name, spec) for name, spec in _SECTIONS.items()}
         try:
-            self.grid = GridSpec(**g)
+            self.grid = GridSpec(**sec["grid"])
         except ValueError as e:
             raise ConfigError(f"grid: {e}") from e
-
-        m = _fields(_known(raw.get("mesh", {}), {"M", "kappa", "t_start"}, "mesh"), "mesh", (
-            ("M", 2048, _int), ("kappa", None, lambda v: v if v is None else float(v)),
-            ("t_start", 0.0, float)))
+        m = sec["mesh"]
         self.mesh_m, self.mesh_kappa, self.t_start = m["M"], m["kappa"], m["t_start"]
-        if self.mesh_m < 8:
-            raise ConfigError("mesh.M must be >= 8")
-        if self.mesh_kappa is not None and not self.mesh_kappa > 0.0:
-            raise ConfigError(f"mesh.kappa must be > 0, got {self.mesh_kappa}")
-
-        p = _known(raw.get("profile", {}), {"p", "q", "r", "sigma", "T", "lambda"}, "profile")
-        self.profile_params = _fields(p, "profile", [(key, default, float) for key, default in (
-            ("p", 0.0), ("q", 1.25), ("r", 0.0), ("sigma", 3.0), ("T", 1.0))])
-        self.lam = _fields(p, "profile", (
-            ("lambda", "fit", lambda v: v if v == "fit" else float(v)),))["lambda"]
+        self.lam = sec["profile"].pop("lambda")
+        self.profile_params = sec["profile"]
         try:
             self.profile = make_profile(**self.profile_params)
         except ProfileError as e:
             raise ConfigError(f"profile: {e}") from e
         if not 0.0 <= self.t_start < self.profile.T:
             raise ConfigError(f"mesh.t_start must lie in [0, profile.T), got {self.t_start}")
+        self.data, self.zones = sec["data"], sec["zones"]
 
         f = _known(raw.get("family", {"id": "theorem"}), {"id", "params"}, "family")
         self.family_id = str(_require(f, "id", "family"))
-        spec = _FAMILY_PARAMS.get(self.family_id, ())
-        params = _known(f.get("params", {}), {key for key, _, _ in spec}, "family.params")
-        self.family_params = _fields(params, "family.params", spec)
-
-        d = _known(raw.get("data", {}), {"kind", "modes", "seed", "width", "center", "velocity",
-                                         "velocity_scale"}, "data")
-        self.data = _fields(d, "data", (
-            ("kind", "bump", str), ("modes", 8, _int), ("seed", 42, _int), ("width", 0.7, float),
-            ("center", 0.0, float), ("velocity", "zero", str), ("velocity_scale", -1.0, float)))
-        if self.data["kind"] not in ("trig", "bump"):
-            raise ConfigError("data.kind must be 'trig' or 'bump'")
-        if self.data["velocity"] not in ("zero", "dx"):
-            raise ConfigError("data.velocity must be 'zero' or 'dx'")
-        if not self.data["width"] > 0.0:
-            raise ConfigError(f"data.width must be > 0, got {self.data['width']}")
-
-        self.output_times = _fields(raw, "config", (("output_times", None, lambda ts: (
-            ts if ts is None else [float(t) for t in ts])),))["output_times"]
-
-        z = _known(raw.get("zones", {}), {"nt", "nx", "nxi", "N"}, "zones")
-        self.zones = _fields(z, "zones", (("nt", 16, _int), ("nx", 17, _int), ("nxi", 17, _int),
-                                          ("N", 2.0, float)))
+        self.family_params = _fields(f.get("params", {}), "family.params",
+                                     _FAMILIES.get(self.family_id, (None, ()))[1])
+        self.output_times = _fields({"output_times": raw.get("output_times")}, "config", (
+            ("output_times", None, lambda ts: ts if ts is None else [float(t) for t in ts]),
+        ))["output_times"]
 
     # ------------------------------------------------------------------
 
     def build_family(self):
-        pid, pp, params = self.family_id, self.profile_params, self.family_params
-        if pid not in _FAMILY_PARAMS:
-            raise ConfigError(f"family.id: unknown family {pid!r}")
-        common = {"T": pp["T"], "k": self.grid.k}
+        if self.family_id not in _FAMILIES:
+            raise ConfigError(f"family.id: unknown family {self.family_id!r}")
+        pp = self.profile_params
         try:
-            if pid == "theorem":
-                return theorem_coefficient(pp["p"], pp["q"], r=pp["r"], sigma=pp["sigma"],
-                                           **params, **common)
-            if pid == "example11":
-                return example_coefficient(**params, **common)
-            if pid == "free-wave":
-                return free_wave(**params, **common)
-            if pid == "reference-wave":
-                return reference_wave(**common)
-            return counterexample_family(pid.removeprefix("counterexample-"), **params,
-                                         **common)
+            return _FAMILIES[self.family_id][0](pp, **self.family_params, T=pp["T"],
+                                                k=self.grid.k)
         except ValueError as e:
             raise ConfigError(f"family.params: {e}") from e
 
@@ -342,15 +346,11 @@ _RUNNERS = {
 def run(raw_config: dict, out_dir, seed: int = 42) -> int:
     """Run one experiment; returns the process exit status (0 pass / 2 config /
     3 numerical)."""
+    out = Path(out_dir)
     try:
         cfg = RunConfig(raw_config)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
-    try:
+        out.mkdir(parents=True, exist_ok=True)
+        t0 = time.perf_counter()
         artifacts, verdicts = _RUNNERS[cfg.experiment](cfg, out)
     except (ConfigError, SupportError) as e:
         print(f"config error: {e}", file=sys.stderr)
@@ -393,8 +393,7 @@ def suite(out_dir, seed: int = 42) -> int:
     try:
         char_root(excise(broken))
     except EllipticityError as e:
-        injected = {"name": "injected-ellipticity-fault", "pass": True,
-                    "witness": list(e.witness)}
+        injected.update({"pass": True, "witness": list(e.witness)})
     entries.append(injected)
 
     passed = all(e["pass"] for e in entries)

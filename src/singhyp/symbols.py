@@ -439,6 +439,18 @@ def _default_root_lattice(T):
     return t, x, xi
 
 
+def _guarded_div(num, den, where):
+    """``num / den`` where ``where`` holds and 0 elsewhere, on the broadcast shape."""
+    out = np.zeros(np.broadcast(num, den).shape)
+    np.divide(num, den, out=out, where=where)
+    return out
+
+
+def _d_root(da, tau):
+    """``d tau = da / (2 tau)`` of ``tau = sqrt(atilde)``, 0 where ``tau = 0``."""
+    return _guarded_div(da, 2.0 * tau, tau > 0.0)
+
+
 @dataclass(frozen=True)
 class CharacteristicRoot:
     """``tau = sqrt(atilde)``, with closed-form first derivatives by the chain rule."""
@@ -449,20 +461,14 @@ class CharacteristicRoot:
     def value(self, t, x, xi):
         return np.sqrt(self.excised.a(t, x, xi))
 
-    def _safe_div(self, num, tau):
-        out = np.zeros(np.broadcast(np.asarray(num), np.asarray(tau)).shape)
-        np.divide(np.asarray(num, dtype=float), 2.0 * np.asarray(tau, dtype=float),
-                  out=out, where=np.asarray(tau) > 0.0)
-        return out
-
     def dt(self, t, x, xi):
-        return self._safe_div(self.excised.dt_a(t, x, xi), self.value(t, x, xi))
+        return _d_root(self.excised.dt_a(t, x, xi), self.value(t, x, xi))
 
     def dx(self, t, x, xi):
-        return self._safe_div(self.excised.dx_a(t, x, xi), self.value(t, x, xi))
+        return _d_root(self.excised.dx_a(t, x, xi), self.value(t, x, xi))
 
     def dxi(self, t, x, xi):
-        return self._safe_div(self.excised.dxi_a(t, x, xi), self.value(t, x, xi))
+        return _d_root(self.excised.dxi_a(t, x, xi), self.value(t, x, xi))
 
 
 def char_root(excised: ExcisedCoefficient, lattice=None) -> CharacteristicRoot:
@@ -514,23 +520,18 @@ class HSymbol:
         mask, _ = self._mask(t, x, xi)
         tau = self.root.value(t, x, xi)
         num = np.asarray(self.pair.omega(x), dtype=float) * bracket(xi, self.k) * mask
-        out = np.zeros(np.broadcast(np.asarray(num), np.asarray(tau)).shape)
-        np.divide(num, tau, out=out, where=(tau > 0) & (mask > 0))
-        return -0.5j * out
+        return -0.5j * _guarded_div(num, tau, (tau > 0) & (mask > 0))
 
     def dt(self, t, x, xi):
         mask, s = self._mask(t, x, xi)
         tau = self.root.value(t, x, xi)
-        dtau = self.root.dt(t, x, xi)
+        dtau = _d_root(self.root.excised.dt_a(t, x, xi), tau)
         dmask = -dcut(s / 3.0) * np.asarray(self.pair.phi(x), dtype=float) \
             * bracket(xi, self.k) / 3.0
         num = np.asarray(self.pair.omega(x), dtype=float) * bracket(xi, self.k)
         good = tau > 0
-        term = np.zeros(np.broadcast(np.asarray(num * dmask), np.asarray(tau)).shape)
-        np.divide(num * dmask, tau, out=term, where=good)
-        term2 = np.zeros_like(term)
-        np.divide(num * mask * dtau, tau * tau, out=term2, where=good)
-        return -0.5j * (term - term2)
+        return -0.5j * (_guarded_div(num * dmask, tau, good)
+                        - _guarded_div(num * mask * dtau, tau * tau, good))
 
 
 def h_symbol(root: CharacteristicRoot) -> HSymbol:
@@ -744,19 +745,15 @@ def graded_lattice(T: float, *, nt: int = 32, nx: int = 33, nxi: int = 33) -> Sa
 
 @dataclass(frozen=True)
 class ClassDescriptor:
-    """Symbol-class envelope ``<xi>^(m1 - rho1|a| + rho2|b|) omega^m2 Phi^(-rt1|b| + rt2|a|)``."""
+    """Symbol-class envelope ``<xi>^(m1 - |a|) omega^m2 Phi^(-|b|)`` of ``d_xi^a D_x^b``."""
 
     m1: float
     m2: float
-    rho: tuple = (1.0, 0.0)
-    rho_tilde: tuple = (1.0, 0.0)
 
     def envelope(self, alpha: int, beta: int, x, xi, pair: StructurePair, k: float):
-        e_xi = self.m1 - self.rho[0] * alpha + self.rho[1] * beta
-        e_phi = -self.rho_tilde[0] * beta + self.rho_tilde[1] * alpha
-        return (bracket(xi, k) ** e_xi
+        return (bracket(xi, k) ** (self.m1 - alpha)
                 * np.asarray(pair.omega(x), dtype=float) ** self.m2
-                * np.asarray(pair.phi(x), dtype=float) ** e_phi)
+                * np.asarray(pair.phi(x), dtype=float) ** -beta)
 
 
 @dataclass(frozen=True)

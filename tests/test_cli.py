@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from singhyp.acceptance import CriterionResult
 from singhyp.cli import ConfigError, RunConfig, main, run
 from singhyp.runio import write_json, write_trajectory
 from singhyp.quantize import GridSpec
@@ -171,6 +172,23 @@ class TestRun:
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("experiment, section, key, value", [
+        ("zones-dump", "zones", "N", -1.0), ("zones-dump", "zones", "N", 0.0),
+        ("zones-dump", "zones", "nt", 0), ("zones-dump", "zones", "nt", 1),
+        ("zones-dump", "zones", "nx", 0), ("zones-dump", "zones", "nxi", 0),
+        ("check-energy", "profile", "lambda", -1.0),
+        ("check-energy", "profile", "lambda", float("nan"))])
+    def test_out_of_range_field_status_2(self, tmp_path, capsys, experiment, section, key,
+                                         value):
+        # each ran before: a traceback (N < 0), a vacuous or failed verdict (nt, nx, nxi)
+        # or a pass with a negative or NaN lambda, which the monitor read as unweighted
+        cfg = {"experiment": experiment, "grid": {"L": 8.0, "N": 64, "k": 2.0},
+               "mesh": {"M": 32}, section: {key: value}}
+        assert run(cfg, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert f"{section}.{key}" in err and "Traceback" not in err
+        assert not (tmp_path / "verdict.json").exists()
+
     def test_check_cone_failure_status_1(self, tmp_path):
         # a wide bump on a small torus reaches 3L/4: both cone checks are invalid
         cfg = {"experiment": "check-cone", "grid": {"L": 4.0, "N": 64, "k": 1.0},
@@ -213,6 +231,26 @@ class TestRun:
         assert main(["--config", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "out2")]) == 2
         capsys.readouterr()
+
+
+class TestSuite:
+    @pytest.mark.parametrize("second_passes", [True, False])
+    def test_suite_aggregates_criteria_and_fault(self, tmp_path, monkeypatch, capsys,
+                                                 second_passes):
+        results = [CriterionResult(1, "one", True, 0.5, {"x": 1.5, "rows": [[0.0, 1.0]],
+                                                         "ok": True, "note": "a"}),
+                   CriterionResult(2, "two", second_passes, 0.25, {"n": 3, "arr": np.zeros(2)})]
+        monkeypatch.setattr("singhyp.cli.run_all", lambda: results)
+        assert main(["--suite", "--out", str(tmp_path)]) == (0 if second_passes else 1)
+        capsys.readouterr()
+        payload = json.loads((tmp_path / "suite.json").read_text())
+        assert payload["passed"] is second_passes and payload["seed"] == 42
+        first, second, injected = payload["checks"]
+        assert (first["criterion"], first["pass"], first["runtime_s"]) == (1, True, 0.5)
+        assert first["details"] == {"x": 1.5, "ok": True, "note": "a"}
+        assert (second["pass"], second["details"]) == (second_passes, {"n": 3})
+        assert injected["name"] == "injected-ellipticity-fault" and injected["pass"]
+        assert len(injected["witness"]) == 4
 
 
 class TestRunio:

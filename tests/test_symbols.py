@@ -341,6 +341,56 @@ class TestCharRoot:
         assert float(fd) == pytest.approx(float(root.dt(t, x, xi)), rel=1e-5)
 
 
+def _root_d_reference(da, tau):
+    # d tau = da / (2 tau) where tau > 0, as CharacteristicRoot first wrote it
+    out = np.zeros(np.broadcast(np.asarray(da), np.asarray(tau)).shape)
+    np.divide(np.asarray(da, dtype=float), 2.0 * np.asarray(tau, dtype=float), out=out,
+              where=np.asarray(tau) > 0.0)
+    return out
+
+
+def _h_reference(h, t, x, xi):
+    # (value, dt) of the H symbol as HSymbol first wrote them, dt through root.dt
+    br = bracket(xi, h.k)
+    s = np.asarray(t, dtype=float) * np.asarray(h.pair.phi(x), dtype=float) * br
+    mask = 1.0 - cut(s / 3.0)
+    tau = h.root.value(t, x, xi)
+    num = np.asarray(h.pair.omega(x), dtype=float) * br * mask
+    value = np.zeros(np.broadcast(np.asarray(num), np.asarray(tau)).shape)
+    np.divide(num, tau, out=value, where=(tau > 0) & (mask > 0))
+    dtau = h.root.dt(t, x, xi)
+    dmask = -dcut(s / 3.0) * np.asarray(h.pair.phi(x), dtype=float) * br / 3.0
+    num = np.asarray(h.pair.omega(x), dtype=float) * br
+    good = tau > 0
+    term = np.zeros(np.broadcast(np.asarray(num * dmask), np.asarray(tau)).shape)
+    np.divide(num * dmask, tau, out=term, where=good)
+    term2 = np.zeros_like(term)
+    np.divide(num * mask * dtau, tau * tau, out=term2, where=good)
+    return -0.5j * value, -0.5j * (term - term2)
+
+
+@pytest.mark.parametrize("fam", [
+    theorem_coefficient(0.0, 1.25, k=2.0),
+    theorem_coefficient(0.0, 1.25, pair=poly_pair(0.5, 0.5), k=2.0),
+    example_coefficient(0.5, 0.5, k=2.0), free_wave(1.5, k=40.0),
+    counterexample_family("7.3", k=1.0)],
+    ids=["theorem-constant", "theorem-poly", "example11", "free-wave", "7.3"])
+def test_root_and_h_match_reference_formulas_bitwise(fam):
+    # the free wave has tau = 0 at xi = 0 once t k >= 2: both guards return 0 there
+    root = char_root(excise(fam))
+    h = h_symbol(root)
+    x = np.linspace(-20.0, 20.0, 17)[:, None]
+    xi = np.linspace(-40.0, 40.0, 33)[None, :]
+    for t in np.geomspace(5e-4, 0.9, 6):
+        tau = root.value(t, x, xi)
+        for d, da in ((root.dt, root.excised.dt_a), (root.dx, root.excised.dx_a),
+                      (root.dxi, root.excised.dxi_a)):
+            assert np.array_equal(d(t, x, xi), _root_d_reference(da(t, x, xi), tau))
+        value, dt = _h_reference(h, t, x, xi)
+        assert np.array_equal(h.value(t, x, xi), value)
+        assert np.array_equal(h.dt(t, x, xi), dt)
+
+
 class TestHSymbol:
     fam = theorem_coefficient(0.0, 1.25, pair=poly_pair(0.5, 0.5), k=2.0)
     root = char_root(excise(fam))
