@@ -325,17 +325,27 @@ def loss_slope(grid: GridSpec, u_t, u0, band: tuple[int, int] | None = None) -> 
     return float(coef[0])
 
 
+_SPEED_VALUES = 1 << 15  # lattice values (256 KiB of float64) per propagation_speed chunk
+
+
 def propagation_speed(family: CoefficientFamily, grid: GridSpec,
                       t_samples: Sequence[float]) -> float:
-    """``c* = max sqrt(a(t, x, 1)) * omega(x)^-1 * t^(p/2)`` over samples and grid."""
-    ts = np.asarray(t_samples, dtype=float)
+    """``c* = max sqrt(a(t, x, 1)) * omega(x)^-1 * t^(p/2)`` over samples and grid.
+
+    ``a`` is evaluated on a chunk of samples at a time (``_SPEED_VALUES`` lattice
+    values), and ``t^(p/2)`` one sample at a time."""
+    ts = np.asarray(t_samples, dtype=float).ravel()
     if np.any(ts <= 0):
         raise ValueError("t_samples must lie in (0, T]")
     om = np.asarray(family.pair.omega(grid.x), dtype=float)
+    chunk = max(1, _SPEED_VALUES // grid.N)
     best = 0.0
-    for t in ts:
-        vals = np.sqrt(np.abs(np.asarray(family.a(t, grid.x, 1.0), dtype=float)))
-        best = max(best, float(np.max(vals / om)) * float(t) ** (family.p / 2.0))
+    for a in range(0, ts.size, chunk):
+        t = ts[a:a + chunk]
+        vals = np.asarray(family.a(t[:, None], grid.x, 1.0), dtype=float)
+        vals = np.sqrt(np.abs(np.broadcast_to(vals, (t.size, grid.N))))
+        weight = np.array([s ** (family.p / 2.0) for s in t.tolist()])
+        best = max(best, float(np.max(np.max(vals / om, axis=1) * weight)))
     return best
 
 

@@ -28,7 +28,8 @@ Config schema (unknown keys are rejected)::
       "zones":   {"nt": 16, "nx": 17, "nxi": 17, "N": 2.0}
     }
 
-Ranges: ``mesh.M >= 8``, ``mesh.kappa > 0``, ``profile.lambda`` ``"fit"`` or finite
+Ranges: ``mesh.M >= 8``, ``mesh.kappa > 0`` with strictly increasing graded nodes
+(a large kappa underflows ``(j/M)**kappa``), ``profile.lambda`` ``"fit"`` or finite
 ``>= 0`` (0: the unweighted monitor), ``data.width > 0``, ``zones.nt >= 2``,
 ``zones.nx, zones.nxi >= 1``, ``zones.N > 0``.
 
@@ -184,6 +185,13 @@ class RunConfig:
             raise ConfigError(f"profile: {e}") from e
         if not 0.0 <= self.t_start < self.profile.T:
             raise ConfigError(f"mesh.t_start must lie in [0, profile.T), got {self.t_start}")
+        if self.mesh_kappa is not None:
+            # (j/M)**kappa underflows for a large kappa, repeating the first nodes
+            try:
+                graded_mesh(None, self.t_start, self.profile.T, self.mesh_m, self.mesh_kappa)
+            except ValueError as e:
+                raise ConfigError(f"mesh.kappa: {self.mesh_kappa!r} is too large for "
+                                  f"mesh.M = {self.mesh_m} ({e})") from e
         self.data, self.zones = sec["data"], sec["zones"]
 
         f = _known(raw.get("family", {"id": "theorem"}), {"id", "params"}, "family")

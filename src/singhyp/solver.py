@@ -20,6 +20,12 @@ product in xi or the banded Kohn-Nirenberg product, and ``Op(b)`` from
 :func:`lower_operator`.  They act on the family's states: Fourier coefficients
 of a multiplier family (coefficients depend on t only, so every operator is
 diagonal in xi and RK4 transforms only at snapshots), grid values otherwise.
+On Fourier coefficients every time a run reads is known before it is read, so
+each operator evaluates its coefficients over a column of times in one call:
+``integrate`` over the stage times of a block of substeps (and the CFL bound
+over a chunk of step midpoints), ``system_residual`` over a chunk of snapshot
+times.  On grid values each operator forms its parts one ``t`` at a time and
+keeps the last ``t``'s.
 
 The first-order reduction
 
@@ -39,6 +45,7 @@ of the system right-hand side is formed once and shared between the blocks.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections import namedtuple
@@ -60,6 +67,10 @@ __all__ = ["SolverError", "SupportError", "TimeMesh", "graded_mesh", "CauchyProb
 MAX_HALVINGS = 20
 SUPPORT_RTOL = 1e-12
 CFL_SAFETY = 0.5
+# a table of parts holds at most this many times, and at most this many
+# coefficient values (32 KiB of float64), per operator
+_TABLE_TIMES, _TABLE_VALUES = 768, 1 << 12
+_CHUNK_STEPS = 256  # mesh steps whose CFL bounds one speed_bound call gives on Fourier states
 
 
 class SolverError(RuntimeError):
@@ -182,25 +193,42 @@ def _state_space(grid: GridSpec, family: CoefficientFamily) -> _StateSpace:
 
 
 class _Operator:
-    """``(t, u) -> apply(parts(t)[0], u)``, summing ``parts(t)[1]`` lattice columns and
-    counting the lattices (``parts`` with columns) it formed; keeps the last ``t``'s parts
-    (RK4 stages 2 and 3 share it) unless a dense N x N matrix."""
+    """``(t, u) -> apply(part, u)``, the part at ``t`` looked up in a table of parts by time.
 
-    def __init__(self, path: str, parts: Callable, apply: Callable):
-        self.path, self._parts, self._apply = path, parts, apply
+    On a miss ``parts(t)`` gives the part and its number of lattice columns (summed in
+    ``lattice_columns``; ``lattice_evals`` counts the lattices formed), and the table keeps
+    that ``t`` alone (RK4 stages 2 and 3 share it) unless the part is a dense N x N matrix.
+    A path on Fourier coefficients also has ``column(times)``, its parts at every time of
+    a 1-D array in one vectorised call; :meth:`prime` tabulates them.  ``width`` is the
+    number of values a part holds."""
+
+    def __init__(self, path: str, parts: Callable, apply: Callable,
+                 column: Callable | None = None, width: int = 1):
+        self.path, self._parts, self._apply, self._column = path, parts, apply, column
+        self.width = width
         self.lattice_columns = self.lattice_evals = 0
-        self._t = self._last = None
+        self._table = {}
+
+    def prime(self, times: np.ndarray) -> None:
+        """Replace the table by the parts at ``times`` (a no-op without ``column``)."""
+        if self._column is not None:
+            self._table = dict(zip(times.tolist(), self._column(times)))
 
     def __call__(self, t, u):
-        if t != self._t:
-            self._t = self._last = None  # one band product alive at a time, not two
-            last, n = self._parts(t)
+        part = self._table.get(t)
+        if part is None:
+            self._table = {}  # one band product alive at a time, not two
+            part, n = self._parts(t)
             self.lattice_columns += n
             self.lattice_evals += n > 0
-            if self.path == "dense":
-                return self._apply(last, u)
-            self._t, self._last = t, last
-        return self._apply(self._last, u)
+            if self.path != "dense":
+                self._table = {t: part}
+        return self._apply(part, u)
+
+
+def _times_per_table(ops) -> int:
+    """How many times a table of every operator in ``ops`` may hold."""
+    return max(3, min(_TABLE_TIMES, _TABLE_VALUES // max(op.width for op in ops)))
 
 
 def symbol_operator(grid: GridSpec, family: CoefficientFamily,
@@ -215,17 +243,23 @@ def symbol_operator(grid: GridSpec, family: CoefficientFamily,
     diagonal product ``symbol(t, 0, xi) u`` (``diagonal``).  On grid values, an
     excision-derived symbol is multipliers on the columns of :func:`uniform_columns`
     and :func:`kn_band` on the band of at most ``2/t * 2L/pi`` others (``banded``);
-    any other is all band (``dense``)."""
+    any other is all band (``dense``).  On Fourier coefficients the operator
+    evaluates ``g`` or ``symbol`` over a column of times (:meth:`_Operator.prime`)."""
     space = _state_space(grid, family)
+    fourier = space.name == "fourier"
     if symbol is None and family.separable is not None:
         g, w, m = family.separable
         w = np.asarray(w(space.x), dtype=float)
         m = np.asarray(m(grid.xi), dtype=complex)
+        column = (lambda ts: np.broadcast_to(g(ts) * w, ts.shape).tolist()) if fourier else None
         return _Operator("separable", lambda t: (float(g(t)) * w, 0),
-                         lambda gw, u: gw * space.multiply(m, u))
+                         lambda gw, u: gw * space.multiply(m, u), column)
     symbol = family.a if symbol is None else symbol
-    if family.is_multiplier:
-        return _Operator("diagonal", lambda t: (symbol(t, 0.0, grid.xi), 0), operator.mul)
+    if fourier:
+        return _Operator("diagonal", lambda t: (symbol(t, 0.0, grid.xi), 0), operator.mul,
+                         lambda ts: list(np.broadcast_to(symbol(ts[:, None], 0.0, grid.xi),
+                                                         (ts.size, grid.N))),
+                         width=grid.N)
     forms = uniform_columns(symbol, grid.x, grid.xi)
 
     def parts(t):
@@ -249,17 +283,35 @@ def symbol_operator(grid: GridSpec, family: CoefficientFamily,
     return _Operator("dense" if forms is None else "banded", parts, apply)
 
 
-def lower_operator(grid: GridSpec, family: CoefficientFamily) -> Callable:
+def _coefficient_operator(grid: GridSpec, family: CoefficientFamily, terms) -> _Operator:
+    """``(t, u) -> sum of b(t, x) m(D) u`` over the ``(b, m)`` of ``terms`` whose ``b`` is
+    not None (``m`` None: the identity) on the family's states, 0 when none is left.  On
+    Fourier coefficients the ``b`` are read at ``x = 0`` over a column of times too."""
+    space = _state_space(grid, family)
+    terms = [(b, m) for b, m in terms if b is not None]
+    x = space.x
+    if not terms:
+        return _Operator("coefficient", lambda t: ((), 0), lambda bs, u: 0.0)
+    (_, m0), *rest = terms
+
+    def apply(bs, u):
+        out = bs[0] * (u if m0 is None else space.multiply(m0, u))
+        for b, (_, m) in zip(bs[1:], rest):
+            out = out + b * (u if m is None else space.multiply(m, u))
+        return out
+
+    def column(ts):
+        return list(zip(*(np.broadcast_to(b(ts, x), ts.shape).tolist() for b, _ in terms)))
+
+    return _Operator("coefficient", lambda t: (tuple(np.asarray(b(t, x)) for b, _ in terms), 0),
+                     apply, column if space.name == "fourier" else None, width=len(terms))
+
+
+def lower_operator(grid: GridSpec, family: CoefficientFamily) -> _Operator:
     """``(t, u) -> Op(b) u = b1(t, x) du/dx + b2(t, x) u`` on the family's states;
     an absent coefficient's term is left out (the operator is 0 when both are)."""
-    space = _state_space(grid, family)
-    x, ixi, b1, b2 = space.x, 1j * grid.xi_odd, family.b1, family.b2
-    if b1 is None:
-        return (lambda t, u: 0.0) if b2 is None else (lambda t, u: np.asarray(b2(t, x)) * u)
-    if b2 is None:
-        return lambda t, u: np.asarray(b1(t, x)) * space.multiply(ixi, u)
-    return lambda t, u: (np.asarray(b1(t, x)) * space.multiply(ixi, u)
-                         + np.asarray(b2(t, x)) * u)
+    return _coefficient_operator(grid, family,
+                                 ((family.b1, 1j * grid.xi_odd), (family.b2, None)))
 
 
 class Discretization:
@@ -267,8 +319,10 @@ class Discretization:
 
     The principal symbol is the excised ``atilde`` with ``use_excision`` and
     the family's ``a`` otherwise.  :meth:`rhs` acts on the family's states
-    through :func:`symbol_operator` and :func:`lower_operator`; ``state`` and
-    ``field`` convert grid fields to states and back.
+    through :func:`symbol_operator`, :func:`lower_operator` and the ``b0``
+    multiplication; :meth:`prime` tabulates their coefficients over a column of
+    times on Fourier coefficients.  ``state`` and ``field`` convert grid fields to
+    states and back.
     """
 
     def __init__(self, problem: CauchyProblem, grid: GridSpec):
@@ -280,22 +334,38 @@ class Discretization:
         self.symbol = fam.a if atilde is None else atilde
         self.apply_principal = symbol_operator(grid, fam, atilde)
         self.apply_lower = lower_operator(grid, fam)
+        self.apply_b0 = _coefficient_operator(grid, fam, ((fam.b0, None),))
+        self._ops = (self.apply_principal, self.apply_lower, self.apply_b0)
+        self.times_per_table = _times_per_table(self._ops)
         self.space = _state_space(grid, fam)
         self.state, self.field = self.space.state, self.space.field
+
+    def prime(self, times: np.ndarray) -> None:
+        """Evaluate every coefficient :meth:`rhs` reads at ``times`` in one call each."""
+        for op in self._ops:
+            op.prime(times)
 
     def rhs(self, t: float, u: np.ndarray, v: np.ndarray):
         """Time derivatives of the state ``(u, v)``, in the state's space."""
         fam, forcing = self.problem.family, self.problem.forcing
-        dv = -self.apply_principal(t, u) - self.apply_lower(t, u)
+        dv = -self.apply_principal(t, u)
+        if fam.b1 is not None or fam.b2 is not None:
+            dv = dv - self.apply_lower(t, u)
         if fam.b0 is not None:
-            dv = dv - np.asarray(fam.b0(t, self.space.x)) * v
+            dv = dv - self.apply_b0(t, v)
         if forcing is not None:
             dv = dv + self.state(forcing(t, self.grid.x))
         return v, dv
 
-    def speed_bound(self, t: float) -> float:
-        """sup over the grid of sqrt(a(t, x, xi_max)/xi_max^2) (excised a if active)."""
+    def speed_bound(self, t):
+        """sup over the grid of sqrt(a(t, x, xi_max)/xi_max^2) (excised a if active).  For
+        an array of times, the array of bounds, each over the points the states are read at
+        (``x = 0`` on Fourier coefficients), in one call."""
         xi_ref = self.grid.xi_max
+        if isinstance(t, np.ndarray):
+            x = np.atleast_1d(self.space.x)
+            vals = np.abs(np.asarray(self.symbol(t[:, None], x, xi_ref), dtype=float))
+            return np.sqrt(np.max(np.broadcast_to(vals, (t.size, x.size)), axis=1) / xi_ref**2)
         vals = np.asarray(self.symbol(t, self.grid.x, xi_ref), dtype=float)
         return float(np.sqrt(np.max(np.abs(vals)) / xi_ref**2))
 
@@ -334,6 +404,49 @@ def _rk4_step(rhs, t0: float, dt: float, u, v, midpoint_only: bool):
     return u_new, v_new
 
 
+def _stage_times(substeps, midpoint_only: bool) -> np.ndarray:
+    """Every time :func:`_rk4_step` samples over ``substeps`` (``(j, t0, h, last)``
+    each), formed as it forms them: ``t0``, ``t0 + 0.5 h`` and ``t0 + h``, less the first
+    substep's ``t0`` when that substep samples its midpoint only."""
+    _, t0, h, _ = (np.array(c) for c in zip(*substeps))
+    return np.concatenate([t0[int(midpoint_only):], t0 + 0.5 * h, t0 + h])
+
+
+def _substeps(disc: Discretization, nodes: np.ndarray, log: dict):
+    """``(j, t0, h, last)`` per RK4 substep of the mesh: mesh step ``j`` split into
+    substeps of length ``h``, ``last`` on its final one.
+
+    A step violating the CFL bound ``dt <= 0.5 dx / speed_bound`` at its midpoint is
+    halved up to ``MAX_HALVINGS`` levels; ``log`` records each halved step's level in
+    ``halving_steps`` and the least bound in ``min_cfl_dt``.  On Fourier coefficients one
+    ``speed_bound`` call gives the bounds of ``_CHUNK_STEPS`` steps, on grid values one
+    call gives each step's."""
+    dx, fourier = disc.grid.dx, disc.space.name == "fourier"
+    for j0 in range(0, nodes.size - 1, _CHUNK_STEPS):
+        t0s = nodes[j0:min(j0 + _CHUNK_STEPS, nodes.size - 1)]
+        t1s = nodes[j0 + 1:j0 + 1 + t0s.size]
+        mids = 0.5 * (t0s + t1s)
+        bounds = (disc.speed_bound(mids).tolist() if fourier
+                  else (disc.speed_bound(t) for t in mids.tolist()))
+        for j, t0, t1, s in zip(range(j0, j0 + t0s.size), t0s.tolist(), t1s.tolist(), bounds):
+            dt = t1 - t0
+            dt_max = CFL_SAFETY * dx / max(s, 1e-300)
+            log["min_cfl_dt"] = min(log["min_cfl_dt"], dt_max)
+            n_sub = 1
+            if dt > dt_max:
+                level = math.ceil(math.log2(dt / dt_max))
+                if level > MAX_HALVINGS:
+                    raise SolverError(
+                        f"CFL requires more than {MAX_HALVINGS} halvings at t={t0} "
+                        f"(dt={dt:.3e}, dt_max={dt_max:.3e})",
+                        report={"t": t0, "dt": dt, "dt_max": dt_max})
+                n_sub = 2 ** level
+                log["halving_steps"][j] = level
+            h = dt / n_sub
+            for i in range(n_sub):
+                yield j, t0 + i * h, h, i == n_sub - 1
+
+
 def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
               output_times: Sequence[float]) -> Trajectory:
     """RK4 over the graded mesh; snapshots at the mesh nodes nearest the
@@ -341,11 +454,14 @@ def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
     requests nearest the same node share one snapshot, and ``stats`` lists the
     sorted requests as ``requested_times``).  Steps run on the state space of
     :class:`Discretization`, named by ``stats["space"]`` (and ``operator``, ``lattice_columns``,
-    ``lattice_evals``).  ``stats["halving_steps"]`` maps each halved mesh step to its level.
+    ``lattice_evals``).  ``stats["halving_steps"]`` maps each halved mesh step to its level,
+    and ``stats["substeps"]`` counts the RK4 substeps.
 
     The vector field is never sampled at a singular ``t_start``: the first step
     then uses midpoint-only stages.  Steps violating the CFL bound
-    ``dt <= 0.5 dx / speed_bound`` are halved up to 20 levels.
+    ``dt <= 0.5 dx / speed_bound`` are halved up to 20 levels.  On Fourier
+    coefficients the coefficients are evaluated over the stage times of a block of
+    substeps at once (:meth:`Discretization.prime`) before the block is stepped.
     """
     disc = Discretization(problem, grid)
     nodes = mesh.nodes
@@ -365,40 +481,35 @@ def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
         snapshots.append((float(nodes[0]), disc.field(u), disc.field(v)))
 
     singular = disc.singular_start()
-    halving_steps = {}
-    min_cfl = math.inf
-    for j in range(mesh.M):
-        t0, t1 = float(nodes[j]), float(nodes[j + 1])
-        dt = t1 - t0
-        s = disc.speed_bound(0.5 * (t0 + t1))
-        dt_max = CFL_SAFETY * grid.dx / max(s, 1e-300)
-        min_cfl = min(min_cfl, dt_max)
-        n_sub = 1
-        if dt > dt_max:
-            level = math.ceil(math.log2(dt / dt_max))
-            if level > MAX_HALVINGS:
-                raise SolverError(
-                    f"CFL requires more than {MAX_HALVINGS} halvings at t={t0} "
-                    f"(dt={dt:.3e}, dt_max={dt_max:.3e})",
-                    report={"t": t0, "dt": dt, "dt_max": dt_max})
-            n_sub = 2 ** level
-            halving_steps[j] = level
-        h = dt / n_sub
-        for i in range(n_sub):
-            midpoint_only = singular and j == 0 and i == 0
-            u, v = _rk4_step(disc.rhs, t0 + i * h, h, u, v, midpoint_only)
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-            raise SolverError(f"state became non-finite at t={t1}",
-                              report={"t": t1, "step": j})
-        if j + 1 in idx:
-            snapshots.append((t1, disc.field(u), disc.field(v)))
+    log = {"halving_steps": {}, "min_cfl_dt": math.inf}
+    substeps = _substeps(disc, nodes, log)
+    # on Fourier coefficients a block's stage times (three per substep) fill one table
+    # of parts; grid values are stepped one substep at a time
+    fourier = disc.space.name == "fourier"
+    n = 0
+    while block := list(itertools.islice(substeps, disc.times_per_table // 3 if fourier else 1)):
+        if fourier:
+            disc.prime(_stage_times(block, singular and n == 0))
+        for j, t0, h, last in block:
+            u, v = _rk4_step(disc.rhs, t0, h, u, v, singular and n == 0)
+            n += 1
+            if not last:
+                continue
+            t1 = float(nodes[j + 1])
+            if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+                raise SolverError(f"state became non-finite at t={t1}",
+                                  report={"t": t1, "step": j})
+            if j + 1 in idx:
+                snapshots.append((t1, disc.field(u), disc.field(v)))
 
+    halving_steps = log["halving_steps"]
     stats = {
         "steps": mesh.M,
+        "substeps": n,
         "halvings": sum(halving_steps.values()),
         "halving_steps": halving_steps,
         "kappa": mesh.kappa,
-        "min_cfl_dt": min_cfl,
+        "min_cfl_dt": log["min_cfl_dt"],
         "max_dt": float(np.max(np.diff(nodes))),
         "singular_start": bool(singular),
         "space": disc.space.name,
@@ -440,10 +551,19 @@ class SystemOperators:
         self.apply_defect = symbol_operator(grid, fam, self.excised.defect)
         self.apply_excised = symbol_operator(grid, fam, self.excised.a)
         self.apply_lower = lower_operator(grid, fam)
+        self.apply_b0 = _coefficient_operator(grid, fam, ((fam.b0, None),))
+        self._ops = (self.apply_tau, self.apply_dt_tau, self.apply_H, self.apply_dtH,
+                     self.apply_defect, self.apply_excised, self.apply_lower, self.apply_b0)
+        self.times_per_table = _times_per_table(self._ops)
         self.space = _state_space(grid, fam)
         self.state, self.field = self.space.state, self.space.field
         self._om = np.asarray(fam.pair.omega(self.space.x), dtype=float)
         self._br = bracket(grid.xi, grid.k)
+
+    def prime(self, times: np.ndarray) -> None:
+        """Evaluate every symbol and coefficient of the blocks at ``times`` in one call each."""
+        for op in self._ops:
+            op.prime(times)
 
     def apply_M(self, u):
         return self._om * self.space.multiply(self._br, u)
@@ -462,18 +582,15 @@ class SystemOperators:
         out = out + self.apply_excised(t, w) - self.apply_tau(t, self.apply_tau(t, w))
         return out + self.apply_lower(t, w)
 
-    def _b0_field(self, t):
-        fam = self.problem.family
-        return np.asarray(fam.b0(t, self.space.x)) if fam.b0 is not None else None
-
     def B3(self, t, u):
-        b0 = self._b0_field(t)
-        return (np.zeros_like(u) if b0 is None
-                else b0 * (u - 1j * self.lam * self.apply_Minv(self.apply_H(t, u))))
+        if self.problem.family.b0 is None:
+            return np.zeros_like(u)
+        return self.apply_b0(t, u - 1j * self.lam * self.apply_Minv(self.apply_H(t, u)))
 
     def B4(self, t, u):
-        b0 = self._b0_field(t)
-        return np.zeros_like(u) if b0 is None else 1j * self.lam * b0 * self.apply_Minv(u)
+        if self.problem.family.b0 is None:
+            return np.zeros_like(u)
+        return 1j * self.lam * self.apply_b0(t, self.apply_Minv(u))
 
     def commutator(self, t, u):
         """``i [M, tau] M^-1 u``."""
@@ -537,17 +654,27 @@ def system_residual(traj: Trajectory, problem: CauchyProblem, grid: GridSpec,
     snapshot times; expected size O(dt^2) plus the quantization-commutator
     floor.  Each snapshot is converted once to the states the integrator's
     operators act on (see :class:`SystemOperators`); on Fourier coefficients the
-    Parseval constant cancels in the ratio.  Zero trajectories return 0; a
-    non-finite residual raises :class:`SolverError` naming the snapshot time.
+    Parseval constant cancels in the ratio, and the symbols are evaluated over a
+    chunk of snapshot times at once.  Zero trajectories return 0; a non-finite
+    residual raises :class:`SolverError` naming the snapshot time.
     """
     if len(traj.snapshots) < 3:
         raise ValueError("system_residual needs at least 3 snapshots")
     ops = SystemOperators(problem, grid, lam=lam)
     times = traj.times
-    reduced = [ops.reduce(float(t), ops.state(u), ops.state(v))
-               for (t, u, v) in traj.snapshots]
+    per = ops.times_per_table
+    # reduce reads tau and H at every snapshot, system_rhs every operator at the interior
+    # ones: each loop tabulates what it reads over a chunk of times
+    reduced = []
+    for i, (t, u, v) in enumerate(traj.snapshots):
+        if i % per == 0:
+            for op in (ops.apply_tau, ops.apply_H):
+                op.prime(times[i:i + per])
+        reduced.append(ops.reduce(float(t), ops.state(u), ops.state(v)))
     worst = 0.0
     for i in range(1, len(reduced) - 1):
+        if (i - 1) % per == 0:
+            ops.prime(times[i:min(i + per, len(reduced) - 1)])
         h1 = times[i] - times[i - 1]
         h2 = times[i + 1] - times[i]
         denom = h1 * h2 * (h1 + h2)

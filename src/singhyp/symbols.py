@@ -118,6 +118,8 @@ class CoefficientFamily:
     optionally holds ``(g(t), w(x), m(xi))`` factors with
     ``a = g(t) w(x) m(xi)`` and ``dg`` is ``g'``; the solver uses them for exact
     fast application.  Build such families with :func:`separable_family`.
+    Every coefficient broadcasts over arrays of its arguments: the solver reads
+    an x-independent family's over a column of times.
     """
 
     a: Callable                 # (t, x, xi) -> real

@@ -159,6 +159,16 @@ class TestPropagationSpeed:
         c = propagation_speed(fam, self.grid, np.linspace(1e-4, 3.0, 30001))
         assert c == pytest.approx(3.0, abs=1e-3)
 
+    def test_chunks_match_per_sample_loop(self):
+        # criterion 4's inputs: the chunked evaluation gives the per-sample c* to the bit
+        grid = GridSpec(L=12.0, N=1024, k=1.0)
+        fam = counterexample_family("7.3", k=1.0, T=3.0)
+        ts = np.linspace(1e-4, 3.0, 30001)
+        om = np.asarray(fam.pair.omega(grid.x), dtype=float)
+        want = max(float(np.max(np.sqrt(np.abs(fam.a(t, grid.x, 1.0))) / om))
+                   * float(t) ** (fam.p / 2.0) for t in ts)
+        assert propagation_speed(fam, grid, ts) == want
+
     def test_weight_cancels(self):
         pair = poly_pair(0.5, 0.5)
         fam = free_wave(2.0)

@@ -86,6 +86,7 @@ class TestRun:
         assert stats["space"] == "fourier" and stats["requested_times"] == [0.0, 0.5, 1.0]
         assert (stats["operator"], stats["lattice_columns"]) == ("separable", 0)
         assert (stats["lattice_evals"], stats["halving_steps"]) == (0, {})
+        assert stats["substeps"] == 128
 
     def test_determinism_bit_identical(self, tmp_path):
         cfg = {"experiment": "solve", "grid": {"L": 8.0, "N": 64, "k": 2.0},
@@ -152,6 +153,26 @@ class TestRun:
         (cfg if section is None else cfg[section])[key] = value
         assert run(cfg, tmp_path) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kappa", ["500.0", "1e999"])
+    def test_underflowing_kappa_status_2(self, tmp_path, capsys, kappa):
+        # (j/M)**kappa underflows and repeats the first nodes; 1e999 reads as inf
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"experiment": "solve", "grid": {"L": 8.0, "N": 64, "k": 2.0}, '
+                            f'"mesh": {{"M": 32, "kappa": {kappa}}}, '
+                            '"family": {"id": "free-wave"}, "data": {"width": 0.5}}')
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "mesh.kappa" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_steep_kappa_still_runs(self, tmp_path):
+        cfg = {"experiment": "solve", "grid": {"L": 8.0, "N": 64, "k": 2.0},
+               "mesh": {"M": 32, "kappa": 50.0}, "family": {"id": "free-wave"},
+               "data": {"width": 0.5}}
+        assert run(cfg, tmp_path) == 0
+        stats = json.loads((tmp_path / "solve_stats.json").read_text())["stats"]
+        assert stats["kappa"] == 50.0
 
     @pytest.mark.parametrize("family, field", [
         ({"id": "theorem", "params": {"bogus": 1}}, "family.params.bogus"),

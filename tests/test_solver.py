@@ -312,7 +312,13 @@ class TestFourierState:
         assert traj.stats["singular_start"] == singular
         assert traj.stats["lattice_evals"] == 0 and traj.stats["halving_steps"] == {}
 
-        fam = _physical(fam)
+        self._assert_physical_rk4(prob, grid, mesh, traj)
+
+    @staticmethod
+    def _assert_physical_rk4(prob, grid, mesh, traj):
+        # the reference steps grid values with the operators of the family rebuilt as
+        # x-dependent, over the substeps traj.stats["halving_steps"] names
+        fam = _physical(prob.family)
         principal = symbol_operator(grid, fam, excise(fam).a if prob.use_excision else None)
         b1, b2 = (b or (lambda t, x: 0.0) for b in (fam.b1, fam.b2))
 
@@ -327,14 +333,74 @@ class TestFourierState:
 
         u, v = prob.f1, prob.f2
         states = [(u, v)]
-        for j in range(M):
-            t0, t1 = mesh.nodes[j], mesh.nodes[j + 1]
-            u, v = _rk4_step(rhs, t0, t1 - t0, u, v, singular and j == 0)
+        for j in range(mesh.M):
+            t0, t1 = float(mesh.nodes[j]), float(mesh.nodes[j + 1])
+            n_sub = 2 ** traj.stats["halving_steps"].get(j, 0)
+            h = (t1 - t0) / n_sub
+            for i in range(n_sub):
+                midpoint_only = traj.stats["singular_start"] and j == 0 and i == 0
+                u, v = _rk4_step(rhs, t0 + i * h, h, u, v, midpoint_only)
             states.append((u, v))
         for t, u, v in traj.snapshots:
             u_ref, v_ref = states[int(np.searchsorted(mesh.nodes, t))]
             assert l2_norm(grid, u - u_ref) <= 1e-12 * l2_norm(grid, u_ref), t
             assert l2_norm(grid, v - v_ref) <= 1e-12 * l2_norm(grid, v_ref), t
+
+    @pytest.mark.parametrize("table_times", [768, 30])
+    @pytest.mark.parametrize("case", ["free-wave-40", "7.3-coarse"])
+    def test_halved_steps_match_physical_rk4(self, monkeypatch, case, table_times):
+        # CFL halving on Fourier coefficients: the coefficients are evaluated over the
+        # stage times of blocks of substeps (of 10 substeps with 30-time tables, which
+        # split halved steps), against grid values stepped over the same substeps
+        monkeypatch.setattr(solver, "_TABLE_TIMES", table_times)
+        fam, t_start, M = {"free-wave-40": (free_wave(40.0), 1e-3, 16),
+                           "7.3-coarse": (counterexample_family("7.3"), 0.0, 16)}[case]
+        prob, grid, _, _ = _problem(fam, _PI64, t_start, M)
+        mesh = graded_mesh(fam, t_start, 1.0, M)
+        traj = integrate(prob, grid, mesh, np.linspace(t_start, 1.0, 5)[1:])
+        levels = traj.stats["halving_steps"]
+        assert traj.stats["space"] == "fourier" and len(set(levels.values())) > 1
+        assert traj.stats["substeps"] == M + sum(2 ** lv - 1 for lv in levels.values())
+        assert traj.stats["singular_start"] == (t_start == 0.0)
+        # the levels of a speed bound taken one step at a time over the whole grid
+        disc = Discretization(prob, grid)
+        want = {}
+        for j, (t0, t1) in enumerate(zip(mesh.nodes[:-1], mesh.nodes[1:])):
+            dt_max = solver.CFL_SAFETY * grid.dx / disc.speed_bound(float(0.5 * (t0 + t1)))
+            if t1 - t0 > dt_max:
+                want[j] = int(np.ceil(np.log2((t1 - t0) / dt_max)))
+        assert levels == want
+        self._assert_physical_rk4(prob, grid, mesh, traj)
+
+    def test_coefficients_evaluated_per_block(self, monkeypatch):
+        # 7.3 from its singular start with halved steps: g, b1 and speed_bound are called
+        # once per block or chunk, not once per stage, and rhs still 4 times per substep
+        counts = dict.fromkeys(("g", "b1", "speed_bound", "rhs", "_rk4_step"), 0)
+
+        def counted(name, fn):
+            def wrapped(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapped
+
+        fam = counterexample_family("7.3")
+        g, w, m = fam.separable
+        fam = dataclasses.replace(fam, separable=(counted("g", g), w, m),
+                                  b1=counted("b1", fam.b1))
+        for name in ("speed_bound", "rhs"):
+            _counting(monkeypatch, counts, Discretization, name)
+        _counting(monkeypatch, counts, solver, "_rk4_step")
+        grid = GridSpec(L=np.pi, N=256, k=1.0)
+        prob, _, M, _ = _problem(fam, grid, 0.0, 640)
+        counts.update(dict.fromkeys(counts, 0))  # the family's construction probes g and b1
+        traj = integrate(prob, grid, graded_mesh(fam, 0.0, 1.0, M), [1.0])
+        n = traj.stats["substeps"]
+        blocks = -(-n // (Discretization(prob, grid).times_per_table // 3))
+        assert traj.stats["halvings"] > 0 and blocks > 1
+        assert counts["_rk4_step"] == n and counts["rhs"] == 4 * n
+        assert counts["speed_bound"] == -(-M // solver._CHUNK_STEPS) > 1
+        # b1 is also probed once at t_start for a singular start
+        assert counts["g"] == counts["b1"] - 1 == blocks
 
     def test_transforms_only_at_data_and_snapshots(self, monkeypatch):
         counts = {"dft_forward": 0, "dft_inverse": 0, "apply_multiplier": 0, "rhs": 0}
@@ -399,6 +465,7 @@ class TestExcisionSolve:
         levels = traj.stats["halving_steps"]
         assert traj.stats["halvings"] == sum(levels.values()) > 0
         assert counts["_rk4_step"] == 32 + sum(2 ** lv - 1 for lv in levels.values())
+        assert traj.stats["substeps"] == counts["_rk4_step"]
         assert all(isinstance(j, int) and 0 <= j < 32 and lv >= 1 for j, lv in levels.items())
         assert 0 < traj.stats["lattice_evals"] <= 2 * counts["_rk4_step"] + 1
 
