@@ -29,7 +29,8 @@ Config schema (unknown keys are rejected)::
     }
 
 Ranges: ``mesh.M >= 8``, ``mesh.kappa > 0`` with strictly increasing graded nodes
-(a large kappa underflows ``(j/M)**kappa``), ``profile.lambda`` ``"fit"`` or finite
+(a large kappa underflows ``(j/M)**kappa``; a null kappa from ``t_start = 0`` needs
+the family's ``p, r < 1``), ``profile.lambda`` ``"fit"`` or finite
 ``>= 0`` (0: the unweighted monitor), ``data.width > 0``, ``zones.nt >= 2``,
 ``zones.nx, zones.nxi >= 1``, ``zones.N > 0``.
 
@@ -247,9 +248,12 @@ def _derived(cfg: RunConfig) -> dict:
 def _trajectory(cfg: RunConfig, family, n_out: int):
     """``family`` integrated from the configured data on the configured mesh, with
     snapshots at ``output_times`` (default ``n_out`` evenly spaced)."""
+    try:
+        mesh = graded_mesh(family, cfg.t_start, cfg.profile.T, cfg.mesh_m, cfg.mesh_kappa)
+    except ValueError as e:  # the family's default grading, undefined from t_start = 0
+        raise ConfigError(f"mesh.t_start/mesh.kappa: {e}") from e
     f1, f2 = cfg.build_data()
     prob = CauchyProblem(family=family, f1=f1, f2=f2, t_start=cfg.t_start, T=cfg.profile.T)
-    mesh = graded_mesh(family, cfg.t_start, cfg.profile.T, cfg.mesh_m, cfg.mesh_kappa)
     return integrate(prob, cfg.grid, mesh,
                      cfg.output_times or list(np.linspace(cfg.t_start, cfg.profile.T, n_out)))
 

@@ -20,12 +20,13 @@ product in xi or the banded Kohn-Nirenberg product, and ``Op(b)`` from
 :func:`lower_operator`.  They act on the family's states: Fourier coefficients
 of a multiplier family (coefficients depend on t only, so every operator is
 diagonal in xi and RK4 transforms only at snapshots), grid values otherwise.
-On Fourier coefficients every time a run reads is known before it is read, so
-each operator evaluates its coefficients over a column of times in one call:
-``integrate`` over the stage times of a block of substeps (and the CFL bound
-over a chunk of step midpoints), ``system_residual`` over a chunk of snapshot
-times.  On grid values each operator forms its parts one ``t`` at a time and
-keeps the last ``t``'s.
+Every time a run reads is known before it is read, so each operator whose parts
+are coefficients in t (separable, diagonal, ``Op(b)``, ``b0``) evaluates them over
+a column of times in one call, on both state spaces: ``integrate`` over the stage
+times of a block of substeps (and the CFL bound over a chunk of step midpoints),
+``system_residual`` over a chunk of snapshot times.  Only a banded or dense
+product, whose lattice columns move with t, forms its parts one ``t`` at a time
+and keeps the last ``t``'s.
 
 The first-order reduction
 
@@ -70,7 +71,6 @@ CFL_SAFETY = 0.5
 # a table of parts holds at most this many times, and at most this many
 # coefficient values (32 KiB of float64), per operator
 _TABLE_TIMES, _TABLE_VALUES = 768, 1 << 12
-_CHUNK_STEPS = 256  # mesh steps whose CFL bounds one speed_bound call gives on Fourier states
 
 
 class SolverError(RuntimeError):
@@ -107,9 +107,16 @@ def graded_mesh(family, t_start: float, t_end: float, m: int,
 
     For ``t_start = 0`` the default grading is ``max(2, 2/(1-p), 2/(1-r))``;
     for positive starts the singularity is excluded and ``kappa = 2`` is used.
+    That default needs ``p, r < 1`` (a ``ValueError`` otherwise).
     """
     if not 0.0 <= t_start < t_end:
         raise ValueError(f"need 0 <= t_start < t_end, got [{t_start}, {t_end}]")
+    if kappa is None and t_start == 0.0:
+        for name in ("p", "r"):
+            if getattr(family, name) >= 1.0:
+                raise ValueError(f"the default grading 2/(1-{name}) needs {name} < 1, got "
+                                 f"{name} = {getattr(family, name):g}: give a positive t_start "
+                                 "or an explicit kappa")
     if kappa is None:
         kappa = (max(2.0, 2.0 / (1.0 - family.p), 2.0 / (1.0 - family.r))
                  if t_start == 0.0 else 2.0)
@@ -195,22 +202,24 @@ def _state_space(grid: GridSpec, family: CoefficientFamily) -> _StateSpace:
 class _Operator:
     """``(t, u) -> apply(part, u)``, the part at ``t`` looked up in a table of parts by time.
 
-    On a miss ``parts(t)`` gives the part and its number of lattice columns (summed in
-    ``lattice_columns``; ``lattice_evals`` counts the lattices formed), and the table keeps
-    that ``t`` alone (RK4 stages 2 and 3 share it) unless the part is a dense N x N matrix.
-    A path on Fourier coefficients also has ``column(times)``, its parts at every time of
-    a 1-D array in one vectorised call; :meth:`prime` tabulates them.  ``width`` is the
-    number of values a part holds."""
+    A coefficient path (``separable``, ``diagonal``, ``coefficient``) has ``column(times)``,
+    its parts at every time of a 1-D array in one vectorised call, which :meth:`prime`
+    tabulates; ``width`` is the number of values a part holds.  A band path (``banded``,
+    ``dense``), and a ``coefficient`` operator with no terms to tabulate, has ``parts(t)``,
+    the part at one ``t`` and its number of lattice columns (summed in ``lattice_columns``;
+    ``lattice_evals`` counts the lattices formed).  On a miss the table keeps that ``t``
+    alone (RK4 stages 2 and 3 share it), formed by ``column(np.array([t]))`` or
+    ``parts(t)``, unless the part is a dense N x N matrix."""
 
-    def __init__(self, path: str, parts: Callable, apply: Callable,
-                 column: Callable | None = None, width: int = 1):
-        self.path, self._parts, self._apply, self._column = path, parts, apply, column
-        self.width = width
+    def __init__(self, path: str, apply: Callable, column: Callable | None = None,
+                 parts: Callable | None = None, width: int = 1):
+        self.path, self._apply, self._column, self.width = path, apply, column, width
+        self._parts = parts or (lambda t: (column(np.array([t]))[0], 0))
         self.lattice_columns = self.lattice_evals = 0
         self._table = {}
 
     def prime(self, times: np.ndarray) -> None:
-        """Replace the table by the parts at ``times`` (a no-op without ``column``)."""
+        """Replace the table by the parts at ``times`` (a no-op on a band path)."""
         if self._column is not None:
             self._table = dict(zip(times.tolist(), self._column(times)))
 
@@ -226,9 +235,13 @@ class _Operator:
         return self._apply(part, u)
 
 
-def _times_per_table(ops) -> int:
-    """How many times a table of every operator in ``ops`` may hold."""
-    return max(3, min(_TABLE_TIMES, _TABLE_VALUES // max(op.width for op in ops)))
+def _rows(f: Callable, ts: np.ndarray, x) -> list:
+    """``f(t, x)`` at every time of ``ts`` in one call: one row per time, an array over
+    ``x`` on grid values and the value at ``x = 0`` on Fourier coefficients, as a Python
+    float (which multiplies a state measurably faster than a numpy scalar)."""
+    if np.ndim(x):
+        return list(np.broadcast_to(f(ts[:, None], x), (ts.size, np.size(x))))
+    return np.broadcast_to(f(ts, x), ts.shape).tolist()
 
 
 def symbol_operator(grid: GridSpec, family: CoefficientFamily,
@@ -243,20 +256,18 @@ def symbol_operator(grid: GridSpec, family: CoefficientFamily,
     diagonal product ``symbol(t, 0, xi) u`` (``diagonal``).  On grid values, an
     excision-derived symbol is multipliers on the columns of :func:`uniform_columns`
     and :func:`kn_band` on the band of at most ``2/t * 2L/pi`` others (``banded``);
-    any other is all band (``dense``).  On Fourier coefficients the operator
-    evaluates ``g`` or ``symbol`` over a column of times (:meth:`_Operator.prime`)."""
+    any other is all band (``dense``).  A separable or diagonal operator evaluates ``g``
+    or ``symbol`` over a column of times (:meth:`_Operator.prime`)."""
     space = _state_space(grid, family)
-    fourier = space.name == "fourier"
     if symbol is None and family.separable is not None:
         g, w, m = family.separable
         w = np.asarray(w(space.x), dtype=float)
         m = np.asarray(m(grid.xi), dtype=complex)
-        column = (lambda ts: np.broadcast_to(g(ts) * w, ts.shape).tolist()) if fourier else None
-        return _Operator("separable", lambda t: (float(g(t)) * w, 0),
-                         lambda gw, u: gw * space.multiply(m, u), column)
+        return _Operator("separable", lambda gw, u: gw * space.multiply(m, u),
+                         lambda ts: _rows(lambda t, x: g(t) * w, ts, space.x), width=w.size)
     symbol = family.a if symbol is None else symbol
-    if fourier:
-        return _Operator("diagonal", lambda t: (symbol(t, 0.0, grid.xi), 0), operator.mul,
+    if space.name == "fourier":
+        return _Operator("diagonal", operator.mul,
                          lambda ts: list(np.broadcast_to(symbol(ts[:, None], 0.0, grid.xi),
                                                          (ts.size, grid.N))),
                          width=grid.N)
@@ -280,18 +291,17 @@ def symbol_operator(grid: GridSpec, family: CoefficientFamily,
         c = dft_forward(grid, u)
         return c[cols] @ band / (2.0 * grid.L) + sum(w * dft_inverse(grid, m * c) for w, m in terms)
 
-    return _Operator("dense" if forms is None else "banded", parts, apply)
+    return _Operator("dense" if forms is None else "banded", apply, parts=parts)
 
 
 def _coefficient_operator(grid: GridSpec, family: CoefficientFamily, terms) -> _Operator:
     """``(t, u) -> sum of b(t, x) m(D) u`` over the ``(b, m)`` of ``terms`` whose ``b`` is
-    not None (``m`` None: the identity) on the family's states, 0 when none is left.  On
-    Fourier coefficients the ``b`` are read at ``x = 0`` over a column of times too."""
+    not None (``m`` None: the identity) on the family's states, 0 when none is left.  The
+    ``b`` are evaluated over a column of times (on Fourier coefficients at ``x = 0``)."""
     space = _state_space(grid, family)
     terms = [(b, m) for b, m in terms if b is not None]
-    x = space.x
     if not terms:
-        return _Operator("coefficient", lambda t: ((), 0), lambda bs, u: 0.0)
+        return _Operator("coefficient", lambda bs, u: 0.0, parts=lambda t: ((), 0))
     (_, m0), *rest = terms
 
     def apply(bs, u):
@@ -300,11 +310,9 @@ def _coefficient_operator(grid: GridSpec, family: CoefficientFamily, terms) -> _
             out = out + b * (u if m is None else space.multiply(m, u))
         return out
 
-    def column(ts):
-        return list(zip(*(np.broadcast_to(b(ts, x), ts.shape).tolist() for b, _ in terms)))
-
-    return _Operator("coefficient", lambda t: (tuple(np.asarray(b(t, x)) for b, _ in terms), 0),
-                     apply, column if space.name == "fourier" else None, width=len(terms))
+    return _Operator("coefficient", apply,
+                     lambda ts: list(zip(*(_rows(b, ts, space.x) for b, _ in terms))),
+                     width=len(terms) * np.size(space.x))
 
 
 def lower_operator(grid: GridSpec, family: CoefficientFamily) -> _Operator:
@@ -314,36 +322,45 @@ def lower_operator(grid: GridSpec, family: CoefficientFamily) -> _Operator:
                                  ((family.b1, 1j * grid.xi_odd), (family.b2, None)))
 
 
-class Discretization:
+class _Operators:
+    """The operators of one (problem, grid) pairing on the family's states: ``ops``,
+    ``Op(b)`` (``apply_lower``) and the ``b0`` multiplication (``apply_b0``).  ``state`` and
+    ``field`` convert grid fields to states and back, and :meth:`prime` tabulates every
+    operator's coefficients over a column of at most ``times_per_table`` times."""
+
+    def __init__(self, problem: CauchyProblem, grid: GridSpec, *ops: _Operator):
+        fam = problem.family
+        self.problem, self.grid = problem, grid
+        self.space = _state_space(grid, fam)
+        self.state, self.field = self.space.state, self.space.field
+        self.apply_lower = lower_operator(grid, fam)
+        self.apply_b0 = _coefficient_operator(grid, fam, ((fam.b0, None),))
+        self._ops = (*ops, self.apply_lower, self.apply_b0)
+        widest = max(op.width for op in self._ops)
+        self.times_per_table = max(3, min(_TABLE_TIMES, _TABLE_VALUES // widest))
+
+    def prime(self, times: np.ndarray) -> None:
+        """Evaluate every coefficient of the operators at ``times`` in one call each."""
+        for op in self._ops:
+            op.prime(times)
+
+
+class Discretization(_Operators):
     """Spatial operator application for one (problem, grid) pairing.
 
     The principal symbol is the excised ``atilde`` with ``use_excision`` and
     the family's ``a`` otherwise.  :meth:`rhs` acts on the family's states
     through :func:`symbol_operator`, :func:`lower_operator` and the ``b0``
-    multiplication; :meth:`prime` tabulates their coefficients over a column of
-    times on Fourier coefficients.  ``state`` and ``field`` convert grid fields to
-    states and back.
+    multiplication.
     """
 
     def __init__(self, problem: CauchyProblem, grid: GridSpec):
         problem.validate(grid)
-        self.problem = problem
-        self.grid = grid
         fam = problem.family
         atilde = excise(fam).a if problem.use_excision else None
         self.symbol = fam.a if atilde is None else atilde
         self.apply_principal = symbol_operator(grid, fam, atilde)
-        self.apply_lower = lower_operator(grid, fam)
-        self.apply_b0 = _coefficient_operator(grid, fam, ((fam.b0, None),))
-        self._ops = (self.apply_principal, self.apply_lower, self.apply_b0)
-        self.times_per_table = _times_per_table(self._ops)
-        self.space = _state_space(grid, fam)
-        self.state, self.field = self.space.state, self.space.field
-
-    def prime(self, times: np.ndarray) -> None:
-        """Evaluate every coefficient :meth:`rhs` reads at ``times`` in one call each."""
-        for op in self._ops:
-            op.prime(times)
+        super().__init__(problem, grid, self.apply_principal)
 
     def rhs(self, t: float, u: np.ndarray, v: np.ndarray):
         """Time derivatives of the state ``(u, v)``, in the state's space."""
@@ -357,17 +374,13 @@ class Discretization:
             dv = dv + self.state(forcing(t, self.grid.x))
         return v, dv
 
-    def speed_bound(self, t):
-        """sup over the grid of sqrt(a(t, x, xi_max)/xi_max^2) (excised a if active).  For
-        an array of times, the array of bounds, each over the points the states are read at
-        (``x = 0`` on Fourier coefficients), in one call."""
-        xi_ref = self.grid.xi_max
-        if isinstance(t, np.ndarray):
-            x = np.atleast_1d(self.space.x)
-            vals = np.abs(np.asarray(self.symbol(t[:, None], x, xi_ref), dtype=float))
-            return np.sqrt(np.max(np.broadcast_to(vals, (t.size, x.size)), axis=1) / xi_ref**2)
-        vals = np.asarray(self.symbol(t, self.grid.x, xi_ref), dtype=float)
-        return float(np.sqrt(np.max(np.abs(vals)) / xi_ref**2))
+    def speed_bound(self, ts: np.ndarray) -> np.ndarray:
+        """sqrt(|a(t, x, xi_max)|) / xi_max (excised a if active) at each time of ``ts``,
+        the sup over the points the states are read at (the grid, or ``x = 0`` on Fourier
+        coefficients), in one call."""
+        xi_ref, x = self.grid.xi_max, np.atleast_1d(self.space.x)
+        vals = np.abs(np.asarray(self.symbol(ts[:, None], x, xi_ref), dtype=float))
+        return np.sqrt(np.max(np.broadcast_to(vals, (ts.size, x.size)), axis=1) / xi_ref**2)
 
     def singular_start(self) -> bool:
         """Whether a coefficient is not finite at ``t_start``: the principal symbol at
@@ -418,17 +431,15 @@ def _substeps(disc: Discretization, nodes: np.ndarray, log: dict):
 
     A step violating the CFL bound ``dt <= 0.5 dx / speed_bound`` at its midpoint is
     halved up to ``MAX_HALVINGS`` levels; ``log`` records each halved step's level in
-    ``halving_steps`` and the least bound in ``min_cfl_dt``.  On Fourier coefficients one
-    ``speed_bound`` call gives the bounds of ``_CHUNK_STEPS`` steps, on grid values one
-    call gives each step's."""
-    dx, fourier = disc.grid.dx, disc.space.name == "fourier"
-    for j0 in range(0, nodes.size - 1, _CHUNK_STEPS):
-        t0s = nodes[j0:min(j0 + _CHUNK_STEPS, nodes.size - 1)]
+    ``halving_steps`` and the least bound in ``min_cfl_dt``.  One ``speed_bound`` call
+    gives the bounds of a chunk of steps, ``_TABLE_VALUES`` values of the symbol."""
+    dx, chunk = disc.grid.dx, max(1, _TABLE_VALUES // np.size(disc.space.x))
+    for j0 in range(0, nodes.size - 1, chunk):
+        t0s = nodes[j0:min(j0 + chunk, nodes.size - 1)]
         t1s = nodes[j0 + 1:j0 + 1 + t0s.size]
-        mids = 0.5 * (t0s + t1s)
-        bounds = (disc.speed_bound(mids).tolist() if fourier
-                  else (disc.speed_bound(t) for t in mids.tolist()))
-        for j, t0, t1, s in zip(range(j0, j0 + t0s.size), t0s.tolist(), t1s.tolist(), bounds):
+        bounds = disc.speed_bound(0.5 * (t0s + t1s))
+        # floats made one step at a time: lists of a whole chunk's would raise the peak memory
+        for j, t0, t1, s in zip(itertools.count(j0), *(map(float, a) for a in (t0s, t1s, bounds))):
             dt = t1 - t0
             dt_max = CFL_SAFETY * dx / max(s, 1e-300)
             log["min_cfl_dt"] = min(log["min_cfl_dt"], dt_max)
@@ -459,9 +470,9 @@ def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
 
     The vector field is never sampled at a singular ``t_start``: the first step
     then uses midpoint-only stages.  Steps violating the CFL bound
-    ``dt <= 0.5 dx / speed_bound`` are halved up to 20 levels.  On Fourier
-    coefficients the coefficients are evaluated over the stage times of a block of
-    substeps at once (:meth:`Discretization.prime`) before the block is stepped.
+    ``dt <= 0.5 dx / speed_bound`` are halved up to 20 levels.  The coefficients are
+    evaluated over the stage times of a block of substeps at once
+    (:meth:`Discretization.prime`) before the block is stepped.
     """
     disc = Discretization(problem, grid)
     nodes = mesh.nodes
@@ -483,13 +494,10 @@ def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
     singular = disc.singular_start()
     log = {"halving_steps": {}, "min_cfl_dt": math.inf}
     substeps = _substeps(disc, nodes, log)
-    # on Fourier coefficients a block's stage times (three per substep) fill one table
-    # of parts; grid values are stepped one substep at a time
-    fourier = disc.space.name == "fourier"
+    # a block's stage times (three per substep) fill one table of parts
     n = 0
-    while block := list(itertools.islice(substeps, disc.times_per_table // 3 if fourier else 1)):
-        if fourier:
-            disc.prime(_stage_times(block, singular and n == 0))
+    while block := list(itertools.islice(substeps, disc.times_per_table // 3)):
+        disc.prime(_stage_times(block, singular and n == 0))
         for j, t0, h, last in block:
             u, v = _rk4_step(disc.rhs, t0, h, u, v, singular and n == 0)
             n += 1
@@ -526,19 +534,16 @@ def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
 # --------------------------------------------------------------------------
 
 
-class SystemOperators:
+class SystemOperators(_Operators):
     """Quantized building blocks of the 2x2 system.
 
     Each symbol's operator comes from :func:`symbol_operator` and ``Op(b)`` from
     :func:`lower_operator`, so every block acts on the integrator's states
-    (Fourier coefficients for a multiplier family, grid values otherwise);
-    ``state`` and ``field`` convert.  Compositions follow the written operator
-    order: ``B0 H u = B0(H(u))``.
+    (Fourier coefficients for a multiplier family, grid values otherwise).
+    Compositions follow the written operator order: ``B0 H u = B0(H(u))``.
     """
 
     def __init__(self, problem: CauchyProblem, grid: GridSpec, lam: float = 0.0):
-        self.problem = problem
-        self.grid = grid
         self.lam = lam
         fam = problem.family
         self.excised = excise(fam)
@@ -550,20 +555,10 @@ class SystemOperators:
         self.apply_dtH = symbol_operator(grid, fam, self.h.dt)
         self.apply_defect = symbol_operator(grid, fam, self.excised.defect)
         self.apply_excised = symbol_operator(grid, fam, self.excised.a)
-        self.apply_lower = lower_operator(grid, fam)
-        self.apply_b0 = _coefficient_operator(grid, fam, ((fam.b0, None),))
-        self._ops = (self.apply_tau, self.apply_dt_tau, self.apply_H, self.apply_dtH,
-                     self.apply_defect, self.apply_excised, self.apply_lower, self.apply_b0)
-        self.times_per_table = _times_per_table(self._ops)
-        self.space = _state_space(grid, fam)
-        self.state, self.field = self.space.state, self.space.field
+        super().__init__(problem, grid, self.apply_tau, self.apply_dt_tau, self.apply_H,
+                         self.apply_dtH, self.apply_defect, self.apply_excised)
         self._om = np.asarray(fam.pair.omega(self.space.x), dtype=float)
         self._br = bracket(grid.xi, grid.k)
-
-    def prime(self, times: np.ndarray) -> None:
-        """Evaluate every symbol and coefficient of the blocks at ``times`` in one call each."""
-        for op in self._ops:
-            op.prime(times)
 
     def apply_M(self, u):
         return self._om * self.space.multiply(self._br, u)
@@ -654,8 +649,8 @@ def system_residual(traj: Trajectory, problem: CauchyProblem, grid: GridSpec,
     snapshot times; expected size O(dt^2) plus the quantization-commutator
     floor.  Each snapshot is converted once to the states the integrator's
     operators act on (see :class:`SystemOperators`); on Fourier coefficients the
-    Parseval constant cancels in the ratio, and the symbols are evaluated over a
-    chunk of snapshot times at once.  Zero trajectories return 0; a non-finite
+    Parseval constant cancels in the ratio.  The coefficient operators are evaluated
+    over a chunk of snapshot times at once.  Zero trajectories return 0; a non-finite
     residual raises :class:`SolverError` naming the snapshot time.
     """
     if len(traj.snapshots) < 3:

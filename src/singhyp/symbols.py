@@ -119,7 +119,7 @@ class CoefficientFamily:
     ``a = g(t) w(x) m(xi)`` and ``dg`` is ``g'``; the solver uses them for exact
     fast application.  Build such families with :func:`separable_family`.
     Every coefficient broadcasts over arrays of its arguments: the solver reads
-    an x-independent family's over a column of times.
+    ``g``, ``b0``, ``b1`` and ``b2`` over a column of times against a row of x.
     """
 
     a: Callable                 # (t, x, xi) -> real

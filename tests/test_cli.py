@@ -166,6 +166,15 @@ class TestRun:
         assert "mesh.kappa" in err and "Traceback" not in err
         assert not (tmp_path / "out" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("example", ["7.1", "7.2", "7.4"])
+    def test_undefined_default_grading_status_2(self, tmp_path, capsys, example):
+        # r = 1: the default grading 2/(1-r) from t_start = 0 is undefined
+        cfg = {"experiment": "solve", "family": {"id": f"counterexample-{example}"}}
+        assert run(cfg, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "mesh.t_start/mesh.kappa" in err and "r = 1" in err
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_steep_kappa_still_runs(self, tmp_path):
         cfg = {"experiment": "solve", "grid": {"L": 8.0, "N": 64, "k": 2.0},
                "mesh": {"M": 32, "kappa": 50.0}, "family": {"id": "free-wave"},

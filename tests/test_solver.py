@@ -4,12 +4,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singhyp.quantize import GridSpec, OverflowGuardError, apply_kn, apply_multiplier, l2_norm
 import singhyp.solver as solver
 from singhyp.solver import (CauchyProblem, Discretization, SolverError, SupportError,
                             SystemOperators, _rk4_step, assemble_rhs, graded_mesh,
-                            integrate, reduce_to_system, symbol_operator, system_residual)
+                            integrate, lower_operator, reduce_to_system, symbol_operator,
+                            system_residual)
 from singhyp.structure import bracket, poly_pair
 from singhyp.symbols import (char_root, example_coefficient, excise, free_wave, h_symbol,
                              reference_wave, theorem_coefficient)
@@ -74,6 +77,15 @@ class TestMesh:
         fam = counterexample_family("7.1", 2)  # r = 1, excluded singularity
         mesh = graded_mesh(fam, 1e-3, 1.0, 64)
         assert mesh.kappa == 2.0
+
+    @pytest.mark.parametrize("example", ["7.1", "7.2", "7.4"])
+    def test_undefined_default_grading(self, example):
+        # r = 1: 2/(1-r) has no value, so a start at 0 needs an explicit kappa
+        fam = counterexample_family(example)
+        msg = r"2/\(1-r\) needs r < 1, got r = 1: give a positive t_start or an explicit kappa"
+        with pytest.raises(ValueError, match=msg):
+            graded_mesh(fam, 0.0, 1.0, 16)
+        assert graded_mesh(fam, 0.0, 1.0, 16, kappa=3.0).kappa == 3.0
 
     def test_rejects_bad_interval(self):
         with pytest.raises(ValueError):
@@ -363,17 +375,18 @@ class TestFourierState:
         assert traj.stats["substeps"] == M + sum(2 ** lv - 1 for lv in levels.values())
         assert traj.stats["singular_start"] == (t_start == 0.0)
         # the levels of a speed bound taken one step at a time over the whole grid
-        disc = Discretization(prob, grid)
         want = {}
         for j, (t0, t1) in enumerate(zip(mesh.nodes[:-1], mesh.nodes[1:])):
-            dt_max = solver.CFL_SAFETY * grid.dx / disc.speed_bound(float(0.5 * (t0 + t1)))
+            a = fam.a(float(0.5 * (t0 + t1)), grid.x, grid.xi_max)
+            dt_max = solver.CFL_SAFETY * grid.dx / np.sqrt(np.max(np.abs(a)) / grid.xi_max**2)
             if t1 - t0 > dt_max:
                 want[j] = int(np.ceil(np.log2((t1 - t0) / dt_max)))
         assert levels == want
         self._assert_physical_rk4(prob, grid, mesh, traj)
 
     def test_coefficients_evaluated_per_block(self, monkeypatch):
-        # 7.3 from its singular start with halved steps: g, b1 and speed_bound are called
+        # from a singular start with halved steps, on Fourier coefficients (7.3) and on grid
+        # values (the theorem family with x-dependent omega): g, b1 and speed_bound are called
         # once per block or chunk, not once per stage, and rhs still 4 times per substep
         counts = dict.fromkeys(("g", "b1", "speed_bound", "rhs", "_rk4_step"), 0)
 
@@ -383,24 +396,36 @@ class TestFourierState:
                 return fn(*args)
             return wrapped
 
-        fam = counterexample_family("7.3")
-        g, w, m = fam.separable
-        fam = dataclasses.replace(fam, separable=(counted("g", g), w, m),
-                                  b1=counted("b1", fam.b1))
         for name in ("speed_bound", "rhs"):
             _counting(monkeypatch, counts, Discretization, name)
         _counting(monkeypatch, counts, solver, "_rk4_step")
-        grid = GridSpec(L=np.pi, N=256, k=1.0)
-        prob, _, M, _ = _problem(fam, grid, 0.0, 640)
-        counts.update(dict.fromkeys(counts, 0))  # the family's construction probes g and b1
-        traj = integrate(prob, grid, graded_mesh(fam, 0.0, 1.0, M), [1.0])
-        n = traj.stats["substeps"]
-        blocks = -(-n // (Discretization(prob, grid).times_per_table // 3))
-        assert traj.stats["halvings"] > 0 and blocks > 1
-        assert counts["_rk4_step"] == n and counts["rhs"] == 4 * n
-        assert counts["speed_bound"] == -(-M // solver._CHUNK_STEPS) > 1
-        # b1 is also probed once at t_start for a singular start
-        assert counts["g"] == counts["b1"] - 1 == blocks
+        grid73 = GridSpec(L=np.pi, N=256, k=1.0)
+        prob73 = _problem(counterexample_family("7.3"), grid73, 0.0, 640)[0]
+        grid = GridSpec(L=8.0, N=128, k=4.0)
+        f1 = GaussianBump(0.0, 0.45)(grid.x) * _band_field(grid)
+        theorem = CauchyProblem(family=theorem_coefficient(0.0, 1.25, pair=poly_pair(0.5, 0.5),
+                                                           k=4.0),
+                                f1=f1, f2=np.zeros_like(f1), t_start=0.0, T=1.0)
+        for space, prob, grid, M in (("fourier", prob73, grid73, 640),
+                                     ("physical", theorem, grid, 48)):
+            fam = prob.family
+            g, w, m = fam.separable
+            b1 = fam.b1 and counted("b1", fam.b1)
+            fam = dataclasses.replace(fam, separable=(counted("g", g), w, m), b1=b1)
+            prob = dataclasses.replace(prob, family=fam)
+            counts.update(dict.fromkeys(counts, 0))  # the family's construction probes g, b1
+            traj = integrate(prob, grid, graded_mesh(fam, 0.0, 1.0, M), [1.0])
+            disc = Discretization(prob, grid)
+            n = traj.stats["substeps"]
+            blocks = -(-n // (disc.times_per_table // 3))
+            chunks = -(-M // (solver._TABLE_VALUES // np.size(disc.space.x)))
+            assert traj.stats["space"] == space and traj.stats["singular_start"]
+            assert traj.stats["halvings"] > 0 and blocks > 1
+            assert counts["_rk4_step"] == n and counts["rhs"] == 4 * n
+            assert counts["speed_bound"] == chunks and (space == "fourier" or chunks > 1)
+            assert counts["g"] == blocks
+            # b1 (of 7.3 only) is also probed once at t_start for a singular start
+            assert counts["b1"] == (blocks + 1 if b1 else 0)
 
     def test_transforms_only_at_data_and_snapshots(self, monkeypatch):
         counts = {"dft_forward": 0, "dft_inverse": 0, "apply_multiplier": 0, "rhs": 0}
@@ -426,6 +451,41 @@ class TestFourierState:
         assert traj.stats["space"] == "physical" and traj.stats["lattice_evals"] == 0
         assert counts["rhs"] > 0 and counts["apply_multiplier"] == counts["rhs"]
         assert counts["dft_forward"] == counts["dft_inverse"] == 0
+
+
+def _coefficient_ops(x_dependent):
+    # the separable principal part, Op(b) and the b0 multiplication, with coefficients that
+    # vary in t (and in x on grid values), plus a diagonal operator on Fourier coefficients
+    grid = GridSpec(L=8.0, N=32, k=2.0)
+    c = 1.0 if x_dependent else 0.0
+    fam = theorem_coefficient(0.25, 1.25, pair=poly_pair(0.5, 0.5) if x_dependent else None,
+                              k=2.0)
+    fam = dataclasses.replace(fam, b0=lambda t, x: np.sqrt(t) * (1.0 + c * x * x),
+                              b1=lambda t, x: np.cos(t * (1.0 + c * x)))
+    ops = [symbol_operator(grid, fam), lower_operator(grid, fam),
+           solver._coefficient_operator(grid, fam, ((fam.b0, None),))]
+    if not x_dependent:
+        ops.append(symbol_operator(grid, fam, fam.dt_a))
+    state = np.random.default_rng(3).standard_normal(grid.N) + 0j
+    return ops, state
+
+
+class TestCoefficientTables:
+    @pytest.mark.parametrize("x_dependent", [False, True], ids=["fourier", "physical"])
+    @settings(max_examples=50, deadline=1000)
+    @given(data=st.data())
+    def test_primed_parts_match_single_time(self, x_dependent, data):
+        # the parts tabulated over a column of times, repeats included, are bitwise the
+        # parts a fresh operator forms at each time alone
+        base = data.draw(st.lists(st.floats(1e-12, 1.0), min_size=1, max_size=6))
+        ts = data.draw(st.lists(st.sampled_from(base), min_size=1, max_size=12))
+        ops, u = _coefficient_ops(x_dependent)
+        assert {op.path for op in ops} >= {"separable", "coefficient"}
+        for op in ops:
+            op.prime(np.array(ts))
+        for t in ts:
+            for op, fresh in zip(ops, _coefficient_ops(x_dependent)[0]):
+                assert op(t, u).tobytes() == fresh(t, u).tobytes(), (op.path, t)
 
 
 class TestExcisionSolve:
