@@ -200,7 +200,8 @@ class RunConfig:
         self.family_params = _fields(f.get("params", {}), "family.params",
                                      _FAMILIES.get(self.family_id, (None, ()))[1])
         self.output_times = _fields({"output_times": raw.get("output_times")}, "config", (
-            ("output_times", None, lambda ts: ts if ts is None else [float(t) for t in ts]),
+            ("output_times", None,
+             lambda ts: ts if ts is None else list(map(_where(float, math.isfinite, "finite"), ts))),
         ))["output_times"]
 
     # ------------------------------------------------------------------

@@ -20,13 +20,13 @@ product in xi or the banded Kohn-Nirenberg product, and ``Op(b)`` from
 :func:`lower_operator`.  They act on the family's states: Fourier coefficients
 of a multiplier family (coefficients depend on t only, so every operator is
 diagonal in xi and RK4 transforms only at snapshots), grid values otherwise.
-Every time a run reads is known before it is read, so each operator whose parts
-are coefficients in t (separable, diagonal, ``Op(b)``, ``b0``) evaluates them over
-a column of times in one call, on both state spaces: ``integrate`` over the stage
-times of a block of substeps (and the CFL bound over a chunk of step midpoints),
-``system_residual`` over a chunk of snapshot times.  Only a banded or dense
-product, whose lattice columns move with t, forms its parts one ``t`` at a time
-and keeps the last ``t``'s.
+Each time loop forms its times once, and each operator its parts once per time.
+An operator whose parts are coefficients in t (separable, diagonal, ``Op(b)``, ``b0``)
+evaluates them over a column of times in one call, on both state spaces: ``integrate``
+over the stage times :func:`_substeps` yields for a block of substeps (and the CFL bound
+over a chunk of step midpoints), ``system_residual`` over a chunk of snapshot times.  A
+banded or dense product, whose lattice columns move with t, forms its parts one ``t`` at
+a time and keeps the last ``t``'s, which every read at that time shares.
 
 The first-order reduction
 
@@ -35,8 +35,8 @@ The first-order reduction
 turns ``Pu = f`` into ``dU/dt = (D - A0 - A1) U + F`` with
 ``D = diag(i Op(tau), -i Op(tau))`` and correction blocks built from the
 excision defect, the root's time derivative, the lower-order symbol and the
-auxiliary H.  ``system_residual`` checks that identity on stored snapshots
-with centered time differences; it is a consistency monitor, not a second
+auxiliary H.  ``system_residual`` checks that identity on stored snapshots, in one
+pass, with centered time differences; it is a consistency monitor, not a second
 integrator, and its blocks act on the integrator's states through the same
 operators.  Compositions are applied left to right as written, so the reported
 residual carries the quantization-commutator floor on top of the O(dt^2)
@@ -208,8 +208,8 @@ class _Operator:
     ``dense``), and a ``coefficient`` operator with no terms to tabulate, has ``parts(t)``,
     the part at one ``t`` and its number of lattice columns (summed in ``lattice_columns``;
     ``lattice_evals`` counts the lattices formed).  On a miss the table keeps that ``t``
-    alone (RK4 stages 2 and 3 share it), formed by ``column(np.array([t]))`` or
-    ``parts(t)``, unless the part is a dense N x N matrix."""
+    alone (for RK4 stages 2 and 3, or one snapshot's ``reduce`` and ``system_rhs``),
+    formed by ``column(np.array([t]))`` or ``parts(t)``, unless it is a dense N x N matrix."""
 
     def __init__(self, path: str, apply: Callable, column: Callable | None = None,
                  parts: Callable | None = None, width: int = 1):
@@ -219,8 +219,8 @@ class _Operator:
         self._table = {}
 
     def prime(self, times: np.ndarray) -> None:
-        """Replace the table by the parts at ``times`` (a no-op on a band path)."""
-        if self._column is not None:
+        """Replace the table by the parts at ``times``, if any (a no-op on a band path)."""
+        if self._column is not None and times.size:
             self._table = dict(zip(times.tolist(), self._column(times)))
 
     def __call__(self, t, u):
@@ -405,29 +405,23 @@ def assemble_rhs(t: float, u, v, problem: CauchyProblem, grid: GridSpec):
     return du, dv
 
 
-def _rk4_step(rhs, t0: float, dt: float, u, v, midpoint_only: bool):
-    tm = t0 + 0.5 * dt
-    t_stage = (tm, tm, tm, tm) if midpoint_only else (t0, tm, tm, t0 + dt)
-    k1u, k1v = rhs(t_stage[0], u, v)
-    k2u, k2v = rhs(t_stage[1], u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
-    k3u, k3v = rhs(t_stage[2], u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
-    k4u, k4v = rhs(t_stage[3], u + dt * k3u, v + dt * k3v)
+def _rk4_step(rhs, stages, dt: float, u, v):
+    """One RK4 step of length ``dt`` at ``stages = (t0, tm, t1)``; stages 2 and 3 share ``tm``."""
+    t0, tm, t1 = stages
+    k1u, k1v = rhs(t0, u, v)
+    k2u, k2v = rhs(tm, u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
+    k3u, k3v = rhs(tm, u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
+    k4u, k4v = rhs(t1, u + dt * k3u, v + dt * k3v)
     u_new = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
     v_new = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
     return u_new, v_new
 
 
-def _stage_times(substeps, midpoint_only: bool) -> np.ndarray:
-    """Every time :func:`_rk4_step` samples over ``substeps`` (``(j, t0, h, last)``
-    each), formed as it forms them: ``t0``, ``t0 + 0.5 h`` and ``t0 + h``, less the first
-    substep's ``t0`` when that substep samples its midpoint only."""
-    _, t0, h, _ = (np.array(c) for c in zip(*substeps))
-    return np.concatenate([t0[int(midpoint_only):], t0 + 0.5 * h, t0 + h])
-
-
-def _substeps(disc: Discretization, nodes: np.ndarray, log: dict):
-    """``(j, t0, h, last)`` per RK4 substep of the mesh: mesh step ``j`` split into
-    substeps of length ``h``, ``last`` on its final one.
+def _substeps(disc: Discretization, nodes: np.ndarray, singular: bool, log: dict):
+    """``(j, stages, h, last)`` per RK4 substep of the mesh: mesh step ``j`` split into
+    substeps of length ``h``, ``last`` on its final one.  ``stages`` are the times
+    :func:`_rk4_step` samples, ``(t0, t0 + 0.5 h, t0 + h)``, or ``(tm, tm, tm)`` at the
+    midpoint ``tm`` for the first substep of a ``singular`` start.
 
     A step violating the CFL bound ``dt <= 0.5 dx / speed_bound`` at its midpoint is
     halved up to ``MAX_HALVINGS`` levels; ``log`` records each halved step's level in
@@ -455,24 +449,27 @@ def _substeps(disc: Discretization, nodes: np.ndarray, log: dict):
                 log["halving_steps"][j] = level
             h = dt / n_sub
             for i in range(n_sub):
-                yield j, t0 + i * h, h, i == n_sub - 1
+                s0 = t0 + i * h
+                tm = s0 + 0.5 * h
+                yield j, (tm, tm, tm) if singular else (s0, tm, s0 + h), h, i == n_sub - 1
+                singular = False
 
 
 def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
               output_times: Sequence[float]) -> Trajectory:
-    """RK4 over the graded mesh; snapshots at the mesh nodes nearest the
-    requested output times (the stored snapshot time is the exact node time;
-    requests nearest the same node share one snapshot, and ``stats`` lists the
-    sorted requests as ``requested_times``).  Steps run on the state space of
-    :class:`Discretization`, named by ``stats["space"]`` (and ``operator``, ``lattice_columns``,
-    ``lattice_evals``).  ``stats["halving_steps"]`` maps each halved mesh step to its level,
-    and ``stats["substeps"]`` counts the RK4 substeps.
+    """RK4 over the graded mesh; snapshots at the mesh nodes nearest the requested output
+    times, which must be finite (the stored snapshot time is the exact node time; requests
+    nearest the same node share one snapshot, and ``stats`` lists the sorted requests as
+    ``requested_times``).  Steps run on the state space of :class:`Discretization`, named
+    by ``stats["space"]`` (and ``operator``, ``lattice_columns``, ``lattice_evals``).
+    ``stats["halving_steps"]`` maps each halved mesh step to its level, and
+    ``stats["substeps"]`` counts the RK4 substeps.
 
-    The vector field is never sampled at a singular ``t_start``: the first step
-    then uses midpoint-only stages.  Steps violating the CFL bound
-    ``dt <= 0.5 dx / speed_bound`` are halved up to 20 levels.  The coefficients are
-    evaluated over the stage times of a block of substeps at once
-    (:meth:`Discretization.prime`) before the block is stepped.
+    The vector field is never sampled at a singular ``t_start``: the first step then uses
+    midpoint-only stages.  Steps violating the CFL bound ``dt <= 0.5 dx / speed_bound`` are
+    halved up to 20 levels.  The coefficients are evaluated over the stage times
+    :func:`_substeps` yields for a block of substeps (:meth:`Discretization.prime`) before
+    the block is stepped.
     """
     disc = Discretization(problem, grid)
     nodes = mesh.nodes
@@ -482,6 +479,8 @@ def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
         raise ValueError("mesh must end at or before problem.T")
 
     out_req = np.sort(np.asarray(output_times, dtype=float))
+    if not np.all(np.isfinite(out_req)):
+        raise ValueError(f"output_times must be finite, got {out_req.tolist()}")
     idx = np.unique(np.abs(nodes[None, :] - out_req[:, None]).argmin(axis=1))
 
     # states are replaced by each step, never updated in place, so snapshots may hold them
@@ -493,13 +492,13 @@ def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
 
     singular = disc.singular_start()
     log = {"halving_steps": {}, "min_cfl_dt": math.inf}
-    substeps = _substeps(disc, nodes, log)
+    substeps = _substeps(disc, nodes, singular, log)
     # a block's stage times (three per substep) fill one table of parts
     n = 0
     while block := list(itertools.islice(substeps, disc.times_per_table // 3)):
-        disc.prime(_stage_times(block, singular and n == 0))
-        for j, t0, h, last in block:
-            u, v = _rk4_step(disc.rhs, t0, h, u, v, singular and n == 0)
+        disc.prime(np.array([stages for _, stages, _, _ in block]).ravel())
+        for j, stages, h, last in block:
+            u, v = _rk4_step(disc.rhs, stages, h, u, v)
             n += 1
             if not last:
                 continue
@@ -559,12 +558,13 @@ class SystemOperators(_Operators):
                          self.apply_dtH, self.apply_defect, self.apply_excised)
         self._om = np.asarray(fam.pair.omega(self.space.x), dtype=float)
         self._br = bracket(grid.xi, grid.k)
+        self._br_inv = 1.0 / self._br
 
     def apply_M(self, u):
         return self._om * self.space.multiply(self._br, u)
 
     def apply_Minv(self, u):
-        return self.space.multiply(1.0 / self._br, u / self._om)
+        return self.space.multiply(self._br_inv, u / self._om)
 
     # correction blocks -----------------------------------------------------
 
@@ -645,42 +645,40 @@ def system_residual(traj: Trajectory, problem: CauchyProblem, grid: GridSpec,
                     lam: float = 0.0) -> float:
     """Max over interior snapshots of ``||dU/dt - (D - A0 - A1)U - F|| / ||U||``.
 
-    ``dU/dt`` uses 3-point centered differences on the (possibly non-uniform)
-    snapshot times; expected size O(dt^2) plus the quantization-commutator
-    floor.  Each snapshot is converted once to the states the integrator's
-    operators act on (see :class:`SystemOperators`); on Fourier coefficients the
-    Parseval constant cancels in the ratio.  The coefficient operators are evaluated
-    over a chunk of snapshot times at once.  Zero trajectories return 0; a non-finite
-    residual raises :class:`SolverError` naming the snapshot time.
+    ``dU/dt`` uses 3-point centered differences on the (possibly non-uniform) snapshot
+    times; expected size O(dt^2) plus the quantization-commutator floor.  One pass reduces
+    each snapshot, converted once to the states the operators act on (see
+    :class:`SystemOperators`), and applies ``system_rhs`` at an interior one while its band
+    parts are formed, keeping three reduced snapshots; the coefficient operators are
+    evaluated over a chunk of snapshot times at once.  On Fourier coefficients the Parseval
+    constant cancels in the ratio.  Zero trajectories return 0; a non-finite residual raises
+    :class:`SolverError` naming the snapshot time.
     """
     if len(traj.snapshots) < 3:
         raise ValueError("system_residual needs at least 3 snapshots")
     ops = SystemOperators(problem, grid, lam=lam)
-    times = traj.times
-    per = ops.times_per_table
-    # reduce reads tau and H at every snapshot, system_rhs every operator at the interior
-    # ones: each loop tabulates what it reads over a chunk of times
-    reduced = []
+    times, per, last = traj.times, ops.times_per_table, len(traj.snapshots) - 1
+    reduced, worst = [], 0.0
     for i, (t, u, v) in enumerate(traj.snapshots):
         if i % per == 0:
-            for op in (ops.apply_tau, ops.apply_H):
-                op.prime(times[i:i + per])
-        reduced.append(ops.reduce(float(t), ops.state(u), ops.state(v)))
-    worst = 0.0
-    for i in range(1, len(reduced) - 1):
-        if (i - 1) % per == 0:
-            ops.prime(times[i:min(i + per, len(reduced) - 1)])
-        h1 = times[i] - times[i - 1]
-        h2 = times[i + 1] - times[i]
-        denom = h1 * h2 * (h1 + h2)
-        dU = [(h1 * h1 * up - h2 * h2 * um - (h1 * h1 - h2 * h2) * u0) / denom
-              for um, u0, up in zip(reduced[i - 1], reduced[i], reduced[i + 1])]
-        r1, r2 = ops.system_rhs(float(times[i]), reduced[i][0], reduced[i][1])
-        res = math.sqrt(l2_norm(grid, dU[0] - r1) ** 2 + l2_norm(grid, dU[1] - r2) ** 2)
-        scale = math.sqrt(l2_norm(grid, reduced[i][0]) ** 2 + l2_norm(grid, reduced[i][1]) ** 2)
-        if not (math.isfinite(res) and math.isfinite(scale)):
-            raise SolverError(f"non-finite system residual at t={times[i]}",
-                              report={"t": float(times[i]), "res": res, "scale": scale})
-        if scale > 0.0:
-            worst = max(worst, res / scale)
+            # reduce reads tau and H at every snapshot, system_rhs every operator at the
+            # interior ones only (a coefficient may be singular at the first)
+            interior = times[max(i, 1):min(i + per, last)]
+            for op in ops._ops:
+                op.prime(times[i:i + per] if op in (ops.apply_tau, ops.apply_H) else interior)
+        # the reduced snapshots i - 2, i - 1 and i give dU/dt at i - 1
+        reduced = [*reduced[-2:], ops.reduce(float(t), ops.state(u), ops.state(v))]
+        if i >= 2:
+            h1, h2 = times[i - 1] - times[i - 2], times[i] - times[i - 1]
+            dU = [(h1 * h1 * up - h2 * h2 * um - (h1 * h1 - h2 * h2) * u0) / (h1 * h2 * (h1 + h2))
+                  for um, u0, up in zip(*reduced)]
+            res = math.sqrt(sum(l2_norm(grid, d - r) ** 2 for d, r in zip(dU, rhs)))
+            scale = math.sqrt(sum(l2_norm(grid, w) ** 2 for w in reduced[1]))
+            if not (math.isfinite(res) and math.isfinite(scale)):
+                raise SolverError(f"non-finite system residual at t={times[i - 1]}",
+                                  report={"t": float(times[i - 1]), "res": res, "scale": scale})
+            if scale > 0.0:
+                worst = max(worst, res / scale)
+        if 0 < i < last:
+            rhs = ops.system_rhs(float(t), *reduced[-1])
     return worst

@@ -145,7 +145,9 @@ class TestRun:
         ("mesh", "t_start", 2.0, "mesh.t_start"), (None, "output_times", 5, "output_times"),
         ("mesh", "M", "abc", "mesh.M"), ("profile", "T", "x", "profile.T"),
         ("data", "width", -1, "data.width"), ("grid", "N", 64.9, "grid.N"),
-        ("mesh", "M", 32.5, "mesh.M"), ("data", "modes", 2.5, "data.modes")])
+        ("mesh", "M", 32.5, "mesh.M"), ("data", "modes", 2.5, "data.modes"),
+        (None, "output_times", [float("nan"), 0.5], "output_times"),
+        (None, "output_times", [float("inf")], "output_times")])
     def test_malformed_field_status_2(self, tmp_path, capsys, section, key, value, field):
         cfg = {"experiment": "solve", "grid": {"L": 8.0, "N": 64, "k": 2.0},
                "mesh": {"M": 32}, "profile": {"T": 1.0}, "family": {"id": "free-wave"},

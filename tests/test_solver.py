@@ -296,6 +296,16 @@ class TestIntegrate:
         assert traj.stats["requested_times"] == [0.5, 0.5 + 1e-9]
         assert traj.stats["space"] == "fourier"
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_output_time_rejected(self, bad):
+        # a NaN or infinite request must not read as a snapshot at t_start
+        grid = GridSpec(L=np.pi, N=16, k=1.0)
+        fam = free_wave(1.0, k=1.0)
+        f1 = _band_field(grid)
+        prob = CauchyProblem(family=fam, f1=f1, f2=np.zeros_like(f1), t_start=0.0, T=1.0)
+        with pytest.raises(ValueError, match="output_times must be finite"):
+            integrate(prob, grid, graded_mesh(fam, 0.0, 1.0, 8), [bad, 0.5])
+
 
 _PI64 = GridSpec(L=np.pi, N=64, k=1.0)
 FOURIER_CASES = {
@@ -350,8 +360,10 @@ class TestFourierState:
             n_sub = 2 ** traj.stats["halving_steps"].get(j, 0)
             h = (t1 - t0) / n_sub
             for i in range(n_sub):
-                midpoint_only = traj.stats["singular_start"] and j == 0 and i == 0
-                u, v = _rk4_step(rhs, t0 + i * h, h, u, v, midpoint_only)
+                s0 = t0 + i * h
+                tm = s0 + 0.5 * h
+                first = traj.stats["singular_start"] and j == 0 and i == 0
+                u, v = _rk4_step(rhs, (tm, tm, tm) if first else (s0, tm, s0 + h), h, u, v)
             states.append((u, v))
         for t, u, v in traj.snapshots:
             u_ref, v_ref = states[int(np.searchsorted(mesh.nodes, t))]
@@ -592,6 +604,42 @@ SYSTEM_CASES = {
 }
 
 
+def _two_pass_residual(traj, problem, grid, lam=0.0):
+    # the reference system_residual: every snapshot reduced first, then system_rhs applied
+    # at the interior ones, with the same tables of parts over chunks of snapshot times
+    ops = SystemOperators(problem, grid, lam=lam)
+    times = traj.times
+    per = ops.times_per_table
+    reduced = []
+    for i, (t, u, v) in enumerate(traj.snapshots):
+        if i % per == 0:
+            for op in (ops.apply_tau, ops.apply_H):
+                op.prime(times[i:i + per])
+        reduced.append(ops.reduce(float(t), ops.state(u), ops.state(v)))
+    worst = 0.0
+    for i in range(1, len(reduced) - 1):
+        if (i - 1) % per == 0:
+            ops.prime(times[i:min(i + per, len(reduced) - 1)])
+        h1 = times[i] - times[i - 1]
+        h2 = times[i + 1] - times[i]
+        denom = h1 * h2 * (h1 + h2)
+        dU = [(h1 * h1 * up - h2 * h2 * um - (h1 * h1 - h2 * h2) * u0) / denom
+              for um, u0, up in zip(reduced[i - 1], reduced[i], reduced[i + 1])]
+        r1, r2 = ops.system_rhs(float(times[i]), reduced[i][0], reduced[i][1])
+        res = np.sqrt(l2_norm(grid, dU[0] - r1) ** 2 + l2_norm(grid, dU[1] - r2) ** 2)
+        scale = np.sqrt(l2_norm(grid, reduced[i][0]) ** 2 + l2_norm(grid, reduced[i][1]) ** 2)
+        if scale > 0.0:
+            worst = max(worst, res / scale)
+    return worst
+
+
+def _theorem_poly_problem(grid):
+    # the x-dependent family whose tau and H are banded on grid values
+    fam = theorem_coefficient(0.0, 1.25, pair=poly_pair(0.5, 0.5), k=4.0)
+    f1 = GaussianBump(0.0, 0.45)(grid.x) * _band_field(grid)
+    return CauchyProblem(family=fam, f1=f1, f2=np.zeros_like(f1), t_start=0.0, T=1.0)
+
+
 class TestSystem:
     def test_zero_state_reduces_to_zero(self):
         grid = GridSpec(L=np.pi, N=64, k=2.0)
@@ -722,6 +770,60 @@ class TestSystem:
         system_residual(traj, prob, grid)
         assert counts["dft_forward"] + counts["dft_inverse"] <= 2 * len(traj.snapshots)
         assert counts["apply_multiplier"] == 0
+
+    @pytest.mark.parametrize("table_times", [768, 4])
+    @pytest.mark.parametrize("space", ["fourier", "physical"])
+    def test_one_pass_residual_matches_two_pass(self, monkeypatch, space, table_times):
+        # with 4-time tables the 9 snapshots fall in chunks of 4, 4 and 1: the last chunk
+        # starts at the last snapshot, which system_rhs does not read
+        monkeypatch.setattr(solver, "_TABLE_TIMES", table_times)
+        grid = GridSpec(L=np.pi if space == "fourier" else 8.0, N=64, k=4.0)
+        if space == "fourier":
+            prob = _problem(counterexample_family("7.3", k=4.0), grid, 0.0, 256)[0]
+        else:
+            prob = _theorem_poly_problem(grid)
+        traj = integrate(prob, grid, graded_mesh(prob.family, 0.0, 1.0, 256),
+                         np.linspace(0.0, 1.0, 9))
+        ops = SystemOperators(prob, grid)
+        assert ops.space.name == space and len(traj.snapshots) == 9
+        assert ops.times_per_table == 4 if table_times == 4 else ops.times_per_table >= 9
+        for lam in (0.0, 0.7):
+            want = _two_pass_residual(traj, prob, grid, lam=lam)
+            assert want > 0.0 and system_residual(traj, prob, grid, lam=lam) == want
+
+    def test_residual_forms_each_band_once_per_snapshot(self, monkeypatch):
+        # on grid values reduce and system_rhs at one snapshot share the banded tau and H
+        # lattices formed at its time
+        made, formed = [], {}  # the SystemOperators built; each operator's lattice times
+
+        def record(op):
+            parts = op._parts
+
+            def recorded(t):
+                part, n = parts(t)
+                formed[op] += [t] * (n > 0)
+                return part, n
+            formed[op], op._parts = [], recorded
+
+        class Recorded(SystemOperators):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+                for op in self._ops:
+                    record(op)
+
+        monkeypatch.setattr(solver, "SystemOperators", Recorded)
+        grid = GridSpec(L=8.0, N=64, k=4.0)
+        prob = _theorem_poly_problem(grid)
+        traj = integrate(prob, grid, graded_mesh(prob.family, 0.0, 1.0, 64),
+                         np.linspace(0.0, 1.0, 9))
+        system_residual(traj, prob, grid)
+        (ops,) = made
+        assert ops.apply_tau.path == ops.apply_H.path == "banded"
+        assert formed[ops.apply_tau] and formed[ops.apply_H]
+        for op in ops._ops:
+            assert len(set(formed[op])) == len(formed[op]) == op.lattice_evals
+            assert set(formed[op]) <= set(traj.times.tolist())
 
     def test_zero_trajectory_residual_zero(self):
         grid = GridSpec(L=np.pi, N=64, k=2.0)
