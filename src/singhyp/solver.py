@@ -14,19 +14,19 @@ stages at the step midpoint, so the vector field is never evaluated at the
 singular time.  CFL violations trigger automatic step halving (up to 20
 levels).
 
-Every ``Op(sigma)`` comes from :func:`symbol_operator`, which picks once per
-(symbol, grid) the separable product ``g(t) w(x) m(D)``, the diagonal
-product in xi or the banded Kohn-Nirenberg product, and ``Op(b)`` from
-:func:`lower_operator`.  They act on the family's states: Fourier coefficients
-of a multiplier family (coefficients depend on t only, so every operator is
-diagonal in xi and RK4 transforms only at snapshots), grid values otherwise.
-Each time loop forms its times once, and each operator its parts once per time.
-An operator whose parts are coefficients in t (separable, diagonal, ``Op(b)``, ``b0``)
-evaluates them over a column of times in one call, on both state spaces: ``integrate``
-over the stage times :func:`_substeps` yields for a block of substeps (and the CFL bound
-over a chunk of step midpoints), ``system_residual`` over a chunk of snapshot times.  A
-banded or dense product, whose lattice columns move with t, forms its parts one ``t`` at
-a time and keeps the last ``t``'s, which every read at that time shares.
+Every ``Op(sigma)`` comes from :func:`symbol_operator`, which picks once per (symbol, grid)
+the separable product ``g(t) w(x) m(D)``, the diagonal product in xi or the banded
+Kohn-Nirenberg product, and ``Op(b)`` from :func:`lower_operator`.  They act on the family's
+states: Fourier coefficients of a multiplier family (coefficients depend on t only, so every
+operator is diagonal in xi and RK4 transforms only at snapshots), grid values otherwise.
+On Fourier coefficients the right-hand side is ``dv = -mu(t) u - b0(t) v (+ F)``, with one
+row ``mu = a(t, 0, xi) + i b1(t, 0) xi + b2(t, 0)`` per stage time.  Each time loop forms
+its times once, and each operator its parts once per time.  An operator whose parts are
+coefficients in t (separable, diagonal, ``Op(b)``, ``b0``) evaluates them over a column of
+times in one call, on both state spaces: ``integrate`` over the stage times :func:`_substeps`
+yields for a block of substeps (and the CFL bound over a chunk of step midpoints),
+``system_residual`` over a chunk of snapshot times.  A banded or dense product, whose
+lattice columns move with t, forms its parts one ``t`` at a time and keeps the last ``t``'s.
 
 The first-order reduction
 
@@ -107,10 +107,12 @@ def graded_mesh(family, t_start: float, t_end: float, m: int,
 
     For ``t_start = 0`` the default grading is ``max(2, 2/(1-p), 2/(1-r))``;
     for positive starts the singularity is excluded and ``kappa = 2`` is used.
-    That default needs ``p, r < 1`` (a ``ValueError`` otherwise).
+    That default needs ``p, r < 1``, and ``m`` is an integer >= 1 (else a ``ValueError``).
     """
     if not 0.0 <= t_start < t_end:
         raise ValueError(f"need 0 <= t_start < t_end, got [{t_start}, {t_end}]")
+    if not isinstance(m, (int, np.integer)) or m < 1:
+        raise ValueError(f"m must be an integer >= 1, got m = {m!r}")
     if kappa is None and t_start == 0.0:
         for name in ("p", "r"):
             if getattr(family, name) >= 1.0:
@@ -184,19 +186,33 @@ class Trajectory:
             raise ValueError("snapshot times must be strictly increasing")
 
 
-_StateSpace = namedtuple("_StateSpace", "name x multiply state field")
+_StateSpace = namedtuple("_StateSpace", "name x multiply term state field negated_sum")
 
 
 def _state_space(grid: GridSpec, family: CoefficientFamily) -> _StateSpace:
     """Where the operators of ``family`` act: on Fourier coefficients, with the
-    coefficients read at ``x = 0``, for a multiplier family; on grid values
-    otherwise.  ``multiply(m, u)`` applies ``m(D)`` given on ``grid.xi``, and
-    ``state``/``field`` convert grid fields to states and back."""
+    coefficients read at ``x = 0``, for a multiplier family; on grid values otherwise.
+    ``multiply(m, u)`` applies ``m(D)`` given on ``grid.xi``, ``term(b, m, u)`` is
+    ``b(x) m(D) u`` (``m (b u)`` on Fourier coefficients), ``state``/``field`` convert grid
+    fields to states and back, and ``negated_sum(*ops)`` applies ``-(op1 + op2 + ...)``."""
     if family.is_multiplier:
-        return _StateSpace("fourier", 0.0, operator.mul, lambda f: dft_forward(grid, f),
-                           lambda c: dft_inverse(grid, c))
+        return _StateSpace("fourier", 0.0, operator.mul, lambda b, m, u: m * (b * u),
+                           lambda f: dft_forward(grid, f), lambda c: dft_inverse(grid, c),
+                           _negated_row)
     return _StateSpace("physical", grid.x, lambda m, u: apply_multiplier(grid, m, u),
-                       lambda f: f, lambda c: c)
+                       lambda b, m, u: b * apply_multiplier(grid, m, u),
+                       lambda f: f, lambda c: c, _negated_sum)
+
+
+def _negated_sum(first, *rest) -> Callable:
+    """``(t, u) -> -(first + rest[0] + ...)(t, u)``, summed as ``first(t, -u) + ...``."""
+    return lambda t, u: sum((op(t, -u) for op in rest), first(t, -u))
+
+
+def _negated_row(*ops) -> _Operator:
+    """:func:`_negated_sum` of diagonal operators (on Fourier coefficients): one product with
+    its row at ``t``, its value at ``u = 1``, formed the first time a ``t`` is read."""
+    return _Operator("row", operator.mul, parts=lambda t, neg=_negated_sum(*ops): (neg(t, 1.0), 0))
 
 
 class _Operator:
@@ -205,17 +221,17 @@ class _Operator:
     A coefficient path (``separable``, ``diagonal``, ``coefficient``) has ``column(times)``,
     its parts at every time of a 1-D array in one vectorised call, which :meth:`prime`
     tabulates; ``width`` is the number of values a part holds.  A band path (``banded``,
-    ``dense``), and a ``coefficient`` operator with no terms to tabulate, has ``parts(t)``,
-    the part at one ``t`` and its number of lattice columns (summed in ``lattice_columns``;
-    ``lattice_evals`` counts the lattices formed).  On a miss the table keeps that ``t``
-    alone (for RK4 stages 2 and 3, or one snapshot's ``reduce`` and ``system_rhs``),
-    formed by ``column(np.array([t]))`` or ``parts(t)``, unless it is a dense N x N matrix."""
+    ``dense``), the ``row`` of :func:`_negated_row` and a ``coefficient`` operator with no
+    terms have ``parts(t)``, the part at one ``t`` and its number of lattice columns (summed in
+    ``lattice_columns``; ``lattice_evals`` counts the lattices formed).  On a miss (counted in
+    ``formed``) the table keeps that ``t`` alone, formed by ``column(np.array([t]))`` or
+    ``parts(t)``, unless it is a dense N x N matrix."""
 
     def __init__(self, path: str, apply: Callable, column: Callable | None = None,
                  parts: Callable | None = None, width: int = 1):
         self.path, self._apply, self._column, self.width = path, apply, column, width
         self._parts = parts or (lambda t: (column(np.array([t]))[0], 0))
-        self.lattice_columns = self.lattice_evals = 0
+        self.lattice_columns = self.lattice_evals = self.formed = 0
         self._table = {}
 
     def prime(self, times: np.ndarray) -> None:
@@ -228,6 +244,7 @@ class _Operator:
         if part is None:
             self._table = {}  # one band product alive at a time, not two
             part, n = self._parts(t)
+            self.formed += 1
             self.lattice_columns += n
             self.lattice_evals += n > 0
             if self.path != "dense":
@@ -263,7 +280,7 @@ def symbol_operator(grid: GridSpec, family: CoefficientFamily,
         g, w, m = family.separable
         w = np.asarray(w(space.x), dtype=float)
         m = np.asarray(m(grid.xi), dtype=complex)
-        return _Operator("separable", lambda gw, u: gw * space.multiply(m, u),
+        return _Operator("separable", lambda gw, u: space.term(gw, m, u),
                          lambda ts: _rows(lambda t, x: g(t) * w, ts, space.x), width=w.size)
     symbol = family.a if symbol is None else symbol
     if space.name == "fourier":
@@ -302,13 +319,10 @@ def _coefficient_operator(grid: GridSpec, family: CoefficientFamily, terms) -> _
     terms = [(b, m) for b, m in terms if b is not None]
     if not terms:
         return _Operator("coefficient", lambda bs, u: 0.0, parts=lambda t: ((), 0))
-    (_, m0), *rest = terms
 
     def apply(bs, u):
-        out = bs[0] * (u if m0 is None else space.multiply(m0, u))
-        for b, (_, m) in zip(bs[1:], rest):
-            out = out + b * (u if m is None else space.multiply(m, u))
-        return out
+        first, *more = (b * u if m is None else space.term(b, m, u) for b, (_, m) in zip(bs, terms))
+        return sum(more, first)
 
     return _Operator("coefficient", apply,
                      lambda ts: list(zip(*(_rows(b, ts, space.x) for b, _ in terms))),
@@ -348,10 +362,10 @@ class _Operators:
 class Discretization(_Operators):
     """Spatial operator application for one (problem, grid) pairing.
 
-    The principal symbol is the excised ``atilde`` with ``use_excision`` and
-    the family's ``a`` otherwise.  :meth:`rhs` acts on the family's states
-    through :func:`symbol_operator`, :func:`lower_operator` and the ``b0``
-    multiplication.
+    The principal symbol is the excised ``atilde`` with ``use_excision`` and the family's
+    ``a`` otherwise.  :meth:`rhs` acts on the family's states through ``apply_negated``, the
+    state space's ``-(Op(a) + Op(b))`` of :func:`symbol_operator` and :func:`lower_operator`
+    (one row ``-mu(t)`` per time on Fourier coefficients), and the ``b0`` multiplication.
     """
 
     def __init__(self, problem: CauchyProblem, grid: GridSpec):
@@ -361,13 +375,13 @@ class Discretization(_Operators):
         self.symbol = fam.a if atilde is None else atilde
         self.apply_principal = symbol_operator(grid, fam, atilde)
         super().__init__(problem, grid, self.apply_principal)
+        lower = (self.apply_lower,) if fam.b1 is not None or fam.b2 is not None else ()
+        self.apply_negated = self.space.negated_sum(self.apply_principal, *lower)
 
     def rhs(self, t: float, u: np.ndarray, v: np.ndarray):
-        """Time derivatives of the state ``(u, v)``, in the state's space."""
+        """Time derivatives of ``(u, v)`` in the state's space: ``(v, -mu(t) u - b0 v + F)``."""
         fam, forcing = self.problem.family, self.problem.forcing
-        dv = -self.apply_principal(t, u)
-        if fam.b1 is not None or fam.b2 is not None:
-            dv = dv - self.apply_lower(t, u)
+        dv = self.apply_negated(t, u)
         if fam.b0 is not None:
             dv = dv - self.apply_b0(t, v)
         if forcing is not None:
@@ -420,8 +434,8 @@ def _rk4_step(rhs, stages, dt: float, u, v):
 def _substeps(disc: Discretization, nodes: np.ndarray, singular: bool, log: dict):
     """``(j, stages, h, last)`` per RK4 substep of the mesh: mesh step ``j`` split into
     substeps of length ``h``, ``last`` on its final one.  ``stages`` are the times
-    :func:`_rk4_step` samples, ``(t0, t0 + 0.5 h, t0 + h)``, or ``(tm, tm, tm)`` at the
-    midpoint ``tm`` for the first substep of a ``singular`` start.
+    :func:`_rk4_step` samples, ``(t0, t0 + 0.5 h, t1)`` with ``t1`` bitwise the next ``t0``,
+    or ``(tm, tm, tm)`` at the midpoint ``tm`` for the first substep of a ``singular`` start.
 
     A step violating the CFL bound ``dt <= 0.5 dx / speed_bound`` at its midpoint is
     halved up to ``MAX_HALVINGS`` levels; ``log`` records each halved step's level in
@@ -449,9 +463,9 @@ def _substeps(disc: Discretization, nodes: np.ndarray, singular: bool, log: dict
                 log["halving_steps"][j] = level
             h = dt / n_sub
             for i in range(n_sub):
-                s0 = t0 + i * h
+                s0, s1 = t0 + i * h, t1 if i == n_sub - 1 else t0 + (i + 1) * h
                 tm = s0 + 0.5 * h
-                yield j, (tm, tm, tm) if singular else (s0, tm, s0 + h), h, i == n_sub - 1
+                yield j, (tm, tm, tm) if singular else (s0, tm, s1), h, i == n_sub - 1
                 singular = False
 
 
@@ -523,6 +537,7 @@ def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
         "operator": disc.apply_principal.path,
         "lattice_columns": disc.apply_principal.lattice_columns,
         "lattice_evals": disc.apply_principal.lattice_evals,
+        "rows": getattr(disc.apply_negated, "formed", 0),
         "requested_times": out_req.tolist(),
     }
     return Trajectory(snapshots=tuple(snapshots), grid=grid, mesh=mesh, stats=stats)

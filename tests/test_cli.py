@@ -86,7 +86,7 @@ class TestRun:
         assert stats["space"] == "fourier" and stats["requested_times"] == [0.0, 0.5, 1.0]
         assert (stats["operator"], stats["lattice_columns"]) == ("separable", 0)
         assert (stats["lattice_evals"], stats["halving_steps"]) == (0, {})
-        assert stats["substeps"] == 128
+        assert stats["substeps"] == 128 and stats["rows"] == 2 * 128 + 1
 
     def test_determinism_bit_identical(self, tmp_path):
         cfg = {"experiment": "solve", "grid": {"L": 8.0, "N": 64, "k": 2.0},

@@ -91,6 +91,12 @@ class TestMesh:
         with pytest.raises(ValueError):
             graded_mesh(free_wave(), 1.0, 1.0, 16)
 
+    @pytest.mark.parametrize("m", [0, -2, 2.5])
+    def test_rejects_bad_step_count(self, m):
+        # 0 divided by zero, -2 indexed past the nodes and 2.5 built a 3-step mesh
+        with pytest.raises(ValueError, match=rf"m must be an integer >= 1, got m = {m}"):
+            graded_mesh(free_wave(), 0.0, 1.0, m)
+
 
 class TestAssembleRhs:
     def test_fourier_eigenmode(self):
@@ -369,6 +375,65 @@ class TestFourierState:
             u_ref, v_ref = states[int(np.searchsorted(mesh.nodes, t))]
             assert l2_norm(grid, u - u_ref) <= 1e-12 * l2_norm(grid, u_ref), t
             assert l2_norm(grid, v - v_ref) <= 1e-12 * l2_norm(grid, v_ref), t
+
+    @settings(max_examples=60, deadline=1000)
+    @given(name=st.sampled_from([*(f"7.1-m{m}" for m in range(5)), "7.2", "7.3", "7.4",
+                                 "reference", "excised-theorem"]),
+           b0=st.booleans(), b2=st.booleans(), forced=st.booleans(),
+           t=st.floats(1e-100, 1.0), N=st.sampled_from([32, 64, 128]))
+    def test_rhs_matches_physical(self, name, b0, b2, forced, t, N):
+        # the Fourier-space rhs, one row -(Op(a) + Op(b)) per time, against the grid-value
+        # rhs of the family rebuilt as x-dependent, on the same state (t from 1e-100: near
+        # 1e-150 the squares that l2_norm sums of the 1/t terms of 7.1, 7.2 and 7.4 overflow)
+        if name.startswith("7.1"):
+            fam, k = counterexample_family("7.1", int(name[-1])), 1.0
+        elif name.startswith("7."):
+            fam, k = counterexample_family(name), 1.0
+        else:
+            k = 4.0
+            fam = reference_wave(k=k) if name == "reference" else theorem_coefficient(0.0, 1.25, k=k)
+        grid = GridSpec(L=np.pi, N=N, k=k)
+        fam = dataclasses.replace(fam, b0=(fam.b0 or (lambda tt, x: np.sqrt(tt) + 0.0 * x))
+                                  if b0 else None,
+                                  b2=(lambda tt, x: np.cos(tt) + 0.0 * x) if b2 else None)
+        forcing = (lambda tt, x, f=_band_field(grid): np.sin(3.0 * tt) * f) if forced else None
+        # every mode in the data, inside |x| <= L/2 as the x-dependent rebuild requires
+        noise = 1e-3 * np.random.default_rng(N).standard_normal((2, N))
+        u, v = (GaussianBump(0.0, 0.2)(grid.x) * (_band_field(grid, i) + noise[i])
+                for i in (0, 1))
+        prob = CauchyProblem(family=fam, f1=u, f2=v, t_start=0.0, T=1.0, forcing=forcing,
+                             use_excision=name == "excised-theorem")
+        pfam = _physical(fam)
+        disc, phys = Discretization(prob, grid), Discretization(
+            dataclasses.replace(prob, family=pfam), grid)
+        assert (disc.space.name, phys.space.name) == ("fourier", "physical")
+        got = [disc.field(w) for w in disc.rhs(t, disc.state(u), disc.state(v))]
+        # and against its terms written out on grid values
+        principal = symbol_operator(grid, pfam, excise(pfam).a if prob.use_excision else None)
+        terms = ((fam.b1, apply_multiplier(grid, 1j * grid.xi_odd, u)), (fam.b2, u), (fam.b0, v))
+        dv = -principal(t, u) - sum(b(t, grid.x) * w for b, w in terms if b is not None)
+        dv = dv + (forcing(t, grid.x) if forced else 0.0)
+        for want in (phys.rhs(t, u, v), (v, dv)):
+            for g, w in zip(got, want):
+                assert l2_norm(grid, g - w) <= 1e-12 * l2_norm(grid, w)
+
+    def test_one_row_per_stage_time(self):
+        # -(Op(a) + Op(b)) is one row per stage time: RK4 stages 2 and 3 share theirs, and
+        # each substep's first stage reuses the last stage of the substep before it
+        grid = GridSpec(L=np.pi, N=256, k=1.0)
+        for fam, t_start, M in ((counterexample_family("7.3"), 0.0, 640),
+                                (counterexample_family("7.1", 3), 1e-3, 512)):
+            prob = _problem(fam, grid, t_start, M)[0]
+            traj = integrate(prob, grid, graded_mesh(fam, t_start, 1.0, M), [1.0])
+            n = traj.stats["substeps"]
+            assert traj.stats["singular_start"] == (t_start == 0.0)
+            assert traj.stats["halvings"] > 0 or t_start > 0.0
+            assert 2 * n <= traj.stats["rows"] <= 2 * n + 1
+        # on grid values the operators are applied, and no row is formed
+        bump = GaussianBump(0.0, 0.2)(grid.x)
+        phys = dataclasses.replace(prob, family=_physical(fam), f1=bump, f2=0.0 * bump)
+        traj = integrate(phys, grid, graded_mesh(fam, t_start, 1.0, 16), [1.0])
+        assert traj.stats["space"] == "physical" and traj.stats["rows"] == 0
 
     @pytest.mark.parametrize("table_times", [768, 30])
     @pytest.mark.parametrize("case", ["free-wave-40", "7.3-coarse"])
