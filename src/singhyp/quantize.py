@@ -147,24 +147,32 @@ def l2_norm(grid: GridSpec, values) -> float:
 
 
 def _multiplier_values(grid: GridSpec, m) -> np.ndarray:
-    vals = m(grid.xi) if callable(m) else np.asarray(m)
-    vals = np.asarray(vals, dtype=complex)
-    if vals.shape != (grid.N,):
-        vals = np.broadcast_to(vals, (grid.N,)).astype(complex)
-    if not np.all(np.isfinite(vals)):
-        bad = np.abs(vals)[~np.isfinite(vals)]
-        raise OverflowGuardError(
-            f"multiplier not finite on the grid (max finite magnitude "
-            f"{np.max(np.abs(vals[np.isfinite(vals)]), initial=0.0):.3e}, "
-            f"{bad.size} bad entries)")
+    """``m`` (a callable on ``grid.xi``, or values) as a new read-only complex N-array."""
+    vals = np.full(grid.N, m(grid.xi) if callable(m) else m, dtype=complex)
+    ok = np.isfinite(vals)
+    if not ok.all():
+        raise OverflowGuardError(f"multiplier not finite on the grid (max finite magnitude "
+                                 f"{np.max(np.abs(vals[ok]), initial=0.0):.3e}, "
+                                 f"{np.count_nonzero(~ok)} bad entries)")
+    vals.setflags(write=False)
     return vals
 
 
+def _fft_multiply(m: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``m(D) u`` for grid values ``u`` and the values ``m`` of a multiplier on ``grid.xi``,
+    unchecked: ``ifft(fft(u) * m)`` is ``dft_inverse(dft_forward(u) * m)``, as the phases
+    ``(-1)^j`` square to 1 and ``dx`` cancels, bitwise when ``dx`` is a power of two."""
+    return np.fft.ifft(np.fft.fft(u) * m)
+
+
 def apply_multiplier(grid: GridSpec, m, values) -> np.ndarray:
-    """Apply a Fourier multiplier ``m(xi)``; an odd (derivative type) one is
-    built on :attr:`GridSpec.xi_odd`."""
-    vals = _multiplier_values(grid, m)
-    return dft_inverse(grid, dft_forward(grid, values) * vals)
+    """Apply a Fourier multiplier ``m(xi)``, checked by :func:`_multiplier_values`; an odd
+    (derivative type) one is built on :attr:`GridSpec.xi_odd`.  :func:`_fft_multiply` applies
+    it, equal to ``dft_inverse(dft_forward(u) * m)``, bitwise so when ``dx`` is a power of two."""
+    vals, u = _multiplier_values(grid, m), np.asarray(values)
+    if u.shape != (grid.N,):
+        raise ValueError(f"field size {u.shape} does not match grid N={grid.N}")
+    return _fft_multiply(vals, u)
 
 
 def kn_band(grid: GridSpec, lattice, cols) -> np.ndarray:

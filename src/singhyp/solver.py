@@ -18,15 +18,17 @@ Every ``Op(sigma)`` comes from :func:`symbol_operator`, which picks once per (sy
 the separable product ``g(t) w(x) m(D)``, the diagonal product in xi or the banded
 Kohn-Nirenberg product, and ``Op(b)`` from :func:`lower_operator`.  They act on the family's
 states: Fourier coefficients of a multiplier family (coefficients depend on t only, so every
-operator is diagonal in xi and RK4 transforms only at snapshots), grid values otherwise.
-On Fourier coefficients the right-hand side is ``dv = -mu(t) u - b0(t) v (+ F)``, with one
-row ``mu = a(t, 0, xi) + i b1(t, 0) xi + b2(t, 0)`` per stage time.  Each time loop forms
-its times once, and each operator its parts once per time.  An operator whose parts are
-coefficients in t (separable, diagonal, ``Op(b)``, ``b0``) evaluates them over a column of
-times in one call, on both state spaces: ``integrate`` over the stage times :func:`_substeps`
-yields for a block of substeps (and the CFL bound over a chunk of step midpoints),
-``system_residual`` over a chunk of snapshot times.  A banded or dense product, whose
-lattice columns move with t, forms its parts one ``t`` at a time and keeps the last ``t``'s.
+operator is diagonal in xi and RK4 transforms only at snapshots), grid values otherwise,
+where ``m(D)`` is one raw FFT pair.  Each multiplier is checked once, where it is formed,
+and kept read-only.  On Fourier coefficients the right-hand side is
+``dv = -mu(t) u - b0(t) v (+ F)``, with one row ``mu = a(t, 0, xi) + i b1(t, 0) xi + b2(t, 0)``
+per stage time.  Each time loop forms its times once, and each operator its parts once per
+time.  An operator whose parts are coefficients in t (separable, diagonal, ``Op(b)``, ``b0``)
+evaluates them over a column of times in one call, on both state spaces: ``integrate`` over
+the stage times :func:`_substeps` yields for a block of substeps (and the CFL bound over a
+chunk of step midpoints), ``system_residual`` over a chunk of snapshot times.  A banded or
+dense product, whose lattice columns move with t, forms its parts one ``t`` at a time and
+keeps the last ``t``'s.
 
 The first-order reduction
 
@@ -55,9 +57,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# apply_kn is not called here, but perfbench's self-test patches solver.apply_kn
-from .quantize import (GridSpec, _multiplier_values, apply_kn, apply_multiplier,  # noqa: F401
-                       dft_forward, dft_inverse, kn_band, l2_norm)
+# apply_kn and apply_multiplier are not called here, but perfbench's self-test patches both
+from .quantize import (GridSpec, _fft_multiply, _multiplier_values, apply_kn,  # noqa: F401
+                       apply_multiplier, dft_forward, dft_inverse, kn_band, l2_norm)
 from .structure import bracket
 from .symbols import CoefficientFamily, char_root, excise, h_symbol, uniform_columns
 
@@ -199,8 +201,7 @@ def _state_space(grid: GridSpec, family: CoefficientFamily) -> _StateSpace:
         return _StateSpace("fourier", 0.0, operator.mul, lambda b, m, u: m * (b * u),
                            lambda f: dft_forward(grid, f), lambda c: dft_inverse(grid, c),
                            _negated_row)
-    return _StateSpace("physical", grid.x, lambda m, u: apply_multiplier(grid, m, u),
-                       lambda b, m, u: b * apply_multiplier(grid, m, u),
+    return _StateSpace("physical", grid.x, _fft_multiply, lambda b, m, u: b * _fft_multiply(m, u),
                        lambda f: f, lambda c: c, _negated_sum)
 
 
@@ -279,7 +280,7 @@ def symbol_operator(grid: GridSpec, family: CoefficientFamily,
     if symbol is None and family.separable is not None:
         g, w, m = family.separable
         w = np.asarray(w(space.x), dtype=float)
-        m = np.asarray(m(grid.xi), dtype=complex)
+        m = _multiplier_values(grid, m)
         return _Operator("separable", lambda gw, u: space.term(gw, m, u),
                          lambda ts: _rows(lambda t, x: g(t) * w, ts, space.x), width=w.size)
     symbol = family.a if symbol is None else symbol
@@ -332,8 +333,8 @@ def _coefficient_operator(grid: GridSpec, family: CoefficientFamily, terms) -> _
 def lower_operator(grid: GridSpec, family: CoefficientFamily) -> _Operator:
     """``(t, u) -> Op(b) u = b1(t, x) du/dx + b2(t, x) u`` on the family's states;
     an absent coefficient's term is left out (the operator is 0 when both are)."""
-    return _coefficient_operator(grid, family,
-                                 ((family.b1, 1j * grid.xi_odd), (family.b2, None)))
+    i_xi = _multiplier_values(grid, 1j * grid.xi_odd)
+    return _coefficient_operator(grid, family, ((family.b1, i_xi), (family.b2, None)))
 
 
 class _Operators:
@@ -572,8 +573,8 @@ class SystemOperators(_Operators):
         super().__init__(problem, grid, self.apply_tau, self.apply_dt_tau, self.apply_H,
                          self.apply_dtH, self.apply_defect, self.apply_excised)
         self._om = np.asarray(fam.pair.omega(self.space.x), dtype=float)
-        self._br = bracket(grid.xi, grid.k)
-        self._br_inv = 1.0 / self._br
+        self._br = _multiplier_values(grid, bracket(grid.xi, grid.k))
+        self._br_inv = _multiplier_values(grid, 1.0 / self._br)
 
     def apply_M(self, u):
         return self._om * self.space.multiply(self._br, u)

@@ -4,9 +4,10 @@ and weighted Sobolev norms."""
 import numpy as np
 import pytest
 
-from singhyp.quantize import (GridSpec, OverflowGuardError, SobolevIndex,
-                              apply_kn, apply_multiplier, dft_forward, dft_inverse, kn_band,
-                              l2_norm, loss_operator, loss_symbol, sobolev_norm)
+from singhyp.quantize import (GridSpec, OverflowGuardError, SobolevIndex, _fft_multiply,
+                              _multiplier_values, apply_kn, apply_multiplier, dft_forward,
+                              dft_inverse, kn_band, l2_norm, loss_operator, loss_symbol,
+                              sobolev_norm)
 from singhyp.structure import bracket, constant_pair, poly_pair
 from singhyp.analysis import random_trig_poly
 
@@ -99,6 +100,25 @@ class TestMultiplier:
     def test_overflow_guard(self, grid, rand_field):
         with np.errstate(over="ignore"), pytest.raises(OverflowGuardError):
             apply_multiplier(grid, lambda xi: np.exp(20.0 * bracket(xi, 1.0)), rand_field)
+
+    def test_values_are_a_read_only_copy(self, grid):
+        m = np.ones(grid.N, dtype=complex)
+        vals = _multiplier_values(grid, m)
+        assert not vals.flags.writeable and vals is not m and m.flags.writeable
+        assert not _multiplier_values(grid, 2.0).flags.writeable
+
+    @pytest.mark.parametrize("L", [8.0, np.pi], ids=["L8", "Lpi"])
+    def test_fft_pair_is_the_dft_pair(self, rand_field, L):
+        # the (-1)^j phases square to 1 and dx cancels: bitwise when dx = 1/8 is a power of
+        # two, to rounding when dx = pi/64 is not
+        grid = GridSpec(L=L, N=128, k=1.0)
+        m = bracket(grid.xi, 1.0) ** 1.5 + 1j * grid.xi_odd
+        got = _fft_multiply(m, rand_field)
+        want = dft_inverse(grid, dft_forward(grid, rand_field) * m)
+        assert np.array_equal(apply_multiplier(grid, m, rand_field), got)
+        if L == 8.0:
+            assert got.tobytes() == want.tobytes()
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestKohnNirenberg:

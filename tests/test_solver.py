@@ -13,9 +13,9 @@ from singhyp.solver import (CauchyProblem, Discretization, SolverError, SupportE
                             SystemOperators, _rk4_step, assemble_rhs, graded_mesh,
                             integrate, lower_operator, reduce_to_system, symbol_operator,
                             system_residual)
-from singhyp.structure import bracket, poly_pair
+from singhyp.structure import bracket, constant_pair, one, poly_pair, zero
 from singhyp.symbols import (char_root, example_coefficient, excise, free_wave, h_symbol,
-                             reference_wave, theorem_coefficient)
+                             reference_wave, separable_family, theorem_coefficient)
 from singhyp.analysis import GaussianBump, closed_form, counterexample_family, \
     random_trig_poly
 
@@ -505,15 +505,15 @@ class TestFourierState:
             assert counts["b1"] == (blocks + 1 if b1 else 0)
 
     def test_transforms_only_at_data_and_snapshots(self, monkeypatch):
-        counts = {"dft_forward": 0, "dft_inverse": 0, "apply_multiplier": 0, "rhs": 0}
-        for name in ("dft_forward", "dft_inverse", "apply_multiplier"):
+        counts = {"dft_forward": 0, "dft_inverse": 0, "_fft_multiply": 0, "rhs": 0}
+        for name in ("dft_forward", "dft_inverse", "_fft_multiply"):
             _counting(monkeypatch, counts, solver, name)
         _counting(monkeypatch, counts, Discretization, "rhs")
         prob, grid, M, _ = _problem(counterexample_family("7.3"), _PI64, 0.0, 256)
         traj = integrate(prob, grid, graded_mesh(prob.family, 0.0, 1.0, M), [0.0, 0.5, 1.0])
         S = len(traj.snapshots)
         assert S == 3 and counts["rhs"] > 0
-        assert (counts["dft_forward"], counts["dft_inverse"], counts["apply_multiplier"]) \
+        assert (counts["dft_forward"], counts["dft_inverse"], counts["_fft_multiply"]) \
             == (2, 2 * S, 0)
         assert (traj.stats["operator"], traj.stats["lattice_columns"],
                 traj.stats["lattice_evals"]) == ("separable", 0, 0)
@@ -526,7 +526,7 @@ class TestFourierState:
         prob = CauchyProblem(family=fam, f1=f1, f2=np.zeros_like(f1), t_start=0.0, T=1.0)
         traj = integrate(prob, grid, graded_mesh(fam, 0.0, 1.0, 64), [0.5, 1.0])
         assert traj.stats["space"] == "physical" and traj.stats["lattice_evals"] == 0
-        assert counts["rhs"] > 0 and counts["apply_multiplier"] == counts["rhs"]
+        assert counts["rhs"] > 0 and counts["_fft_multiply"] == counts["rhs"]
         assert counts["dft_forward"] == counts["dft_inverse"] == 0
 
 
@@ -563,6 +563,111 @@ class TestCoefficientTables:
         for t in ts:
             for op, fresh in zip(ops, _coefficient_ops(x_dependent)[0]):
                 assert op(t, u).tobytes() == fresh(t, u).tobytes(), (op.path, t)
+
+
+def _unbounded_multiplier_family():
+    # a = m(xi) with m finite at the family's own probes (|xi| <= 7) but not at |xi| > 20
+    def m(xi):
+        xi = np.asarray(xi, dtype=float)
+        return np.where(np.abs(xi) > 20.0, np.inf, xi * xi)
+
+    return separable_family(one, zero, one, zero, m, lambda xi: 2.0 * np.asarray(xi),
+                            pair=constant_pair(), k=1.0, p=0.0, q=1.25, r=0.0, T=1.0, c0=1.0,
+                            spectral_shift=False, x_dependent=False), m
+
+
+class TestMultiplierChecks:
+    @pytest.mark.parametrize("space", ["fourier", "physical"])
+    def test_non_finite_multiplier_raises_at_construction(self, space):
+        # the separable m(xi) is checked where it is formed, with the message
+        # apply_multiplier gives for the same multiplier
+        fam, m = _unbounded_multiplier_family()
+        fam = _physical(fam) if space == "physical" else fam
+        grid = GridSpec(L=np.pi, N=64, k=1.0)
+        z = np.zeros(grid.N, dtype=complex)
+        with pytest.raises(OverflowGuardError) as want:
+            apply_multiplier(grid, m, z)
+        assert str(want.value).startswith("multiplier not finite on the grid")
+        prob = CauchyProblem(family=fam, f1=z, f2=z, t_start=0.0, T=1.0)
+        with pytest.raises(OverflowGuardError) as got:
+            Discretization(prob, grid)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("space", ["fourier", "physical"])
+    def test_multipliers_read_only_and_checked_once(self, monkeypatch, space):
+        # every multiplier is checked when its operator is built, and the grid-value path
+        # applies exactly those read-only arrays, with no check per application
+        formed, applied = [], []
+        check, fft_multiply = solver._multiplier_values, solver._fft_multiply
+        monkeypatch.setattr(solver, "_multiplier_values",
+                            lambda grid, m: formed.append(check(grid, m)) or formed[-1])
+        monkeypatch.setattr(solver, "_fft_multiply",
+                            lambda m, u: applied.append(m) or fft_multiply(m, u))
+        grid = GridSpec(L=8.0, N=64, k=4.0)
+        fam = counterexample_family("7.3", k=4.0)  # b1 present
+        fam = _physical(fam) if space == "physical" else fam
+        f1 = GaussianBump(0.0, 0.45)(grid.x) * _band_field(grid)
+        prob = CauchyProblem(family=fam, f1=f1, f2=f1, t_start=0.0, T=1.0)
+        disc, ops = Discretization(prob, grid), SystemOperators(prob, grid, lam=0.7)
+        # the separable m, i xi of each Op(b), <xi>_k and its inverse
+        assert len(formed) == 5
+        assert all(not m.flags.writeable and m.shape == (grid.N,) for m in formed)
+        u, v = ops.state(prob.f1), ops.state(prob.f2)
+        for t in (0.3, 0.5):
+            disc.rhs(t, u, v)
+            ops.apply_M(ops.apply_Minv(u))
+        assert len(formed) == 5
+        # on grid values: the principal part and Op(b) per rhs, M and M^-1, at two times
+        assert len(applied) == (0 if space == "fourier" else 8)
+        assert all(any(m is f for f in formed) for m in applied)
+
+
+def _dft_matrix_product(grid, lattice, u):
+    # Op(a) u with explicit DFT matrices, no FFT and no kn_band:
+    # (1/2L) sum_j a(x_i, xi_j) exp(i x_i xi_j) dx sum_l u_l exp(-i xi_j x_l)
+    E = np.exp(1j * np.outer(grid.x, grid.xi))
+    return (lattice * E) @ (grid.dx * (E.conj().T @ u)) / (2.0 * grid.L)
+
+
+class TestGridValuePaths:
+    @settings(max_examples=40, deadline=1000)
+    @given(N=st.sampled_from([32, 64, 128]), L=st.sampled_from([np.pi, 8.0]),
+           k=st.sampled_from([1.0, 4.0]), kappa=st.lists(st.floats(0.05, 1.0), min_size=2,
+                                                        max_size=2),
+           p=st.floats(0.0, 0.25), amplitude=st.floats(0.0, 1.0), t=st.floats(1e-3, 1.0),
+           symbol=st.sampled_from(["a", "defect", "value", "dt", "h.value", "h.dt"]),
+           s=st.floats(-2.0, 2.0), c=st.floats(-1.0, 1.0), seed=st.integers(0, 2 ** 16))
+    def test_paths_match_dft_matrix_product(self, N, L, k, kappa, p, amplitude, t, symbol, s,
+                                            c, seed):
+        # the grid-value separable, banded and dense paths of symbol_operator, lower_operator
+        # and apply_multiplier against the DFT-matrix product, with dx = 2L/N a power of
+        # two (L = 8) and not (L = pi)
+        grid = GridSpec(L=L, N=N, k=k)
+        fam = theorem_coefficient(p, 1.25, amplitude=amplitude, pair=poly_pair(*sorted(kappa)),
+                                  k=k)
+        fam = dataclasses.replace(fam, b1=lambda tt, x: np.cos(tt * x) / (1.0 + tt),
+                                  b2=lambda tt, x: c * tt * np.hypot(1.0, x))
+        excised = excise(fam)
+        root = char_root(excised)
+        h = h_symbol(root)
+        banded = {"a": excised.a, "defect": excised.defect, "value": root.value, "dt": root.dt,
+                  "h.value": h.value, "h.dt": h.dt}[symbol]
+        X, XI = grid.x[:, None], grid.xi[None, :]
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        m = bracket(grid.xi, k) ** s + 1j * c * grid.xi_odd
+        cases = [
+            (symbol_operator(grid, fam), "separable", fam.a(t, X, XI)),
+            (symbol_operator(grid, fam, banded), "banded", banded(t, X, XI)),
+            (symbol_operator(grid, fam, fam.a), "dense", fam.a(t, X, XI)),
+            (lower_operator(grid, fam), "coefficient",
+             fam.b1(t, X) * 1j * grid.xi_odd[None, :] + fam.b2(t, X)),
+            (lambda tt, w: apply_multiplier(grid, m, w), None, np.broadcast_to(m, (N, N)))]
+        for op, path, lattice in cases:
+            assert getattr(op, "path", None) == path
+            want = _dft_matrix_product(grid, lattice, u)
+            got = op(t, u)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), path
 
 
 class TestExcisionSolve:
@@ -829,12 +934,12 @@ class TestSystem:
         prob, _, M, _ = _problem(counterexample_family("7.3", k=4.0), grid, 0.0, 256)
         traj = integrate(prob, grid, graded_mesh(prob.family, 0.0, 1.0, M),
                          np.linspace(0.25, 1.0, 9))
-        counts = dict.fromkeys(("dft_forward", "dft_inverse", "apply_multiplier"), 0)
+        counts = dict.fromkeys(("dft_forward", "dft_inverse", "_fft_multiply"), 0)
         for name in list(counts):
             _counting(monkeypatch, counts, solver, name)
         system_residual(traj, prob, grid)
         assert counts["dft_forward"] + counts["dft_inverse"] <= 2 * len(traj.snapshots)
-        assert counts["apply_multiplier"] == 0
+        assert counts["_fft_multiply"] == 0
 
     @pytest.mark.parametrize("table_times", [768, 4])
     @pytest.mark.parametrize("space", ["fourier", "physical"])
