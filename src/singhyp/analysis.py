@@ -313,12 +313,10 @@ def loss_slope(grid: GridSpec, u_t, u0, band: tuple[int, int] | None = None) -> 
     sel = (np.abs(j) >= lo) & (np.abs(j) <= hi)
     if not np.any(sel):
         raise BandError(f"empty band [{lo}, {hi}] on N={grid.N}")
-    ct = dft_forward(grid, np.asarray(u_t, dtype=complex))[sel]
-    c0 = dft_forward(grid, np.asarray(u0, dtype=complex))[sel]
-    floor = 1e-12 * float(np.max(np.abs(dft_forward(grid, np.asarray(u0, dtype=complex)))))
-    if np.any(np.abs(c0) <= floor):
+    ct, c0 = dft_forward(grid, np.array([u_t, u0], dtype=complex))
+    if np.any(np.abs(c0[sel]) <= 1e-12 * np.max(np.abs(c0))):
         raise BandError("reference spectrum below 1e-12 of its peak inside the band")
-    ratio = np.abs(ct) / np.abs(c0)
+    ratio = np.abs(ct[sel]) / np.abs(c0[sel])
     w = np.log(bracket(grid.xi[sel], 1.0))
     A = np.vstack([w, np.ones_like(w)]).T
     coef, *_ = np.linalg.lstsq(A, np.log(np.maximum(ratio, 1e-300)), rcond=None)

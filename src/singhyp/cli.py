@@ -30,9 +30,9 @@ Config schema (unknown keys are rejected)::
 
 Ranges: ``mesh.M >= 8``, ``mesh.kappa > 0`` with strictly increasing graded nodes
 (a large kappa underflows ``(j/M)**kappa``; a null kappa from ``t_start = 0`` needs
-the family's ``p, r < 1``), ``profile.lambda`` ``"fit"`` or finite
-``>= 0`` (0: the unweighted monitor), ``data.width > 0``, ``zones.nt >= 2``,
-``zones.nx, zones.nxi >= 1``, ``zones.N > 0``.
+the family's ``p, r < 1``), ``profile.T`` finite and ``> 0``, ``profile.lambda``
+``"fit"`` or finite ``>= 0`` (0: the unweighted monitor), ``data.width > 0``,
+``zones.nt >= 2``, ``zones.nx, zones.nxi >= 1``, ``zones.N > 0``.
 
 Family ids and the ``params`` each accepts, with defaults (other keys are
 rejected): ``theorem`` (``pair`` ``[kappa1, kappa2]``, else the constant pair;
@@ -98,7 +98,8 @@ _SECTIONS = {
              ("kappa", None, lambda v: v if v is None else _positive(v)),
              ("t_start", 0.0, float)),
     "profile": (("p", 0.0, float), ("q", 1.25, float), ("r", 0.0, float), ("sigma", 3.0, float),
-                ("T", 1.0, float), ("lambda", "fit", lambda v: v if v == "fit" else _lambda(v))),
+                ("T", 1.0, _where(float, lambda v: 0.0 < v < math.inf, "finite and > 0")),
+                ("lambda", "fit", lambda v: v if v == "fit" else _lambda(v))),
     "data": (("kind", "bump", _where(str, lambda v: v in ("trig", "bump"), "'trig' or 'bump'")),
              ("modes", 8, _int), ("seed", 42, _int), ("width", 0.7, _positive),
              ("center", 0.0, float),

@@ -125,16 +125,18 @@ def _kn_phase(grid: GridSpec) -> np.ndarray:
 
 
 def dft_forward(grid: GridSpec, values) -> np.ndarray:
+    """Fourier coefficients of grid fields along the last axis, leading axes a batch."""
     u = np.asarray(values)
-    if u.shape != (grid.N,):
+    if u.shape[-1:] != (grid.N,):
         raise ValueError(f"field size {u.shape} does not match grid N={grid.N}")
     phase = _grid_arrays(grid)[2]
     return grid.dx * phase * np.fft.fft(u)
 
 
 def dft_inverse(grid: GridSpec, coeffs) -> np.ndarray:
+    """Grid fields of Fourier coefficients along the last axis, leading axes a batch."""
     c = np.asarray(coeffs)
-    if c.shape != (grid.N,):
+    if c.shape[-1:] != (grid.N,):
         raise ValueError(f"coefficient size {c.shape} does not match grid N={grid.N}")
     phase = _grid_arrays(grid)[2]
     return np.fft.ifft(c * phase) / grid.dx

@@ -5,14 +5,13 @@ The second-order problem
 
     ``d2u/dt2 + b0(t,x) du/dt + Op(a or atilde) u + Op(b) u = f``
 
-is integrated as a first-order system in ``(u, v = du/dt)`` with classical RK4
-over a graded mesh ``t_j = t_start + (T - t_start) * (j/M)**kappa``.  Grading
-``kappa = max(2, 2/(1-p), 2/(1-r))`` (for ``t_start = 0``) resolves the
-integrable ``t**-p`` and ``t**-r`` coefficient singularities; when the
-coefficients are singular at ``t_start`` the first step samples all four
-stages at the step midpoint, so the vector field is never evaluated at the
-singular time.  CFL violations trigger automatic step halving (up to 20
-levels).
+is integrated as a first-order system for one ``(2, n)`` state ``y = (u, v = du/dt)``,
+checked finite once per mesh step, with classical RK4 over a graded mesh
+``t_j = t_start + (T - t_start) * (j/M)**kappa``.  Grading ``kappa = max(2, 2/(1-p), 2/(1-r))``
+(for ``t_start = 0``) resolves the integrable ``t**-p`` and ``t**-r`` coefficient
+singularities; when the coefficients are singular at ``t_start`` the first step samples all
+four stages at the step midpoint, so the vector field is never evaluated at the singular
+time.  CFL violations trigger automatic step halving (up to 20 levels).
 
 Every ``Op(sigma)`` comes from :func:`symbol_operator`, which picks once per (symbol, grid)
 the separable product ``g(t) w(x) m(D)``, the diagonal product in xi or the banded
@@ -58,8 +57,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 # apply_kn and apply_multiplier are not called here, but perfbench's self-test patches both
-from .quantize import (GridSpec, _fft_multiply, _multiplier_values, apply_kn,  # noqa: F401
-                       apply_multiplier, dft_forward, dft_inverse, kn_band, l2_norm)
+from .quantize import (GridSpec, _fft_multiply, _grid_arrays, _multiplier_values,  # noqa: F401
+                       apply_kn, apply_multiplier, dft_forward, dft_inverse, kn_band, l2_norm)
 from .structure import bracket
 from .symbols import CoefficientFamily, char_root, excise, h_symbol, uniform_columns
 
@@ -89,14 +88,14 @@ class SupportError(ValueError):
 
 @dataclass(frozen=True)
 class TimeMesh:
-    """Strictly increasing nodes ``t_0 < ... < t_M`` with grading exponent kappa."""
+    """Finite, strictly increasing nodes ``t_0 < ... < t_M`` with grading exponent kappa."""
 
     nodes: np.ndarray
     kappa: float
 
     def __post_init__(self):
-        if np.any(np.diff(self.nodes) <= 0):
-            raise ValueError("mesh nodes must be strictly increasing")
+        if not (np.isfinite(self.nodes).all() and np.all(np.diff(self.nodes) > 0)):
+            raise ValueError("mesh nodes must be finite and strictly increasing")
 
     @property
     def M(self) -> int:
@@ -111,8 +110,8 @@ def graded_mesh(family, t_start: float, t_end: float, m: int,
     for positive starts the singularity is excluded and ``kappa = 2`` is used.
     That default needs ``p, r < 1``, and ``m`` is an integer >= 1 (else a ``ValueError``).
     """
-    if not 0.0 <= t_start < t_end:
-        raise ValueError(f"need 0 <= t_start < t_end, got [{t_start}, {t_end}]")
+    if not 0.0 <= t_start < t_end < np.inf:
+        raise ValueError(f"need 0 <= t_start < t_end < inf, got [{t_start}, {t_end}]")
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise ValueError(f"m must be an integer >= 1, got m = {m!r}")
     if kappa is None and t_start == 0.0:
@@ -196,7 +195,8 @@ def _state_space(grid: GridSpec, family: CoefficientFamily) -> _StateSpace:
     coefficients read at ``x = 0``, for a multiplier family; on grid values otherwise.
     ``multiply(m, u)`` applies ``m(D)`` given on ``grid.xi``, ``term(b, m, u)`` is
     ``b(x) m(D) u`` (``m (b u)`` on Fourier coefficients), ``state``/``field`` convert grid
-    fields to states and back, and ``negated_sum(*ops)`` applies ``-(op1 + op2 + ...)``."""
+    fields to states and back (along the last axis: a stacked ``(u, v)`` in one call), and
+    ``negated_sum(*ops)`` applies ``-(op1 + op2 + ...)``."""
     if family.is_multiplier:
         return _StateSpace("fourier", 0.0, operator.mul, lambda b, m, u: m * (b * u),
                            lambda f: dft_forward(grid, f), lambda c: dft_inverse(grid, c),
@@ -304,10 +304,12 @@ def symbol_operator(grid: GridSpec, family: CoefficientFamily,
         lattice = symbol(t, grid.x[:, None], xi[None, :]) if xi.size else 0.0
         return (terms, cols, kn_band(grid, lattice, cols)), xi.size
 
-    def apply(parts, u):
+    def apply(parts, u, dx_phase=grid.dx * _grid_arrays(grid)[2]):
+        # one raw FFT f: dft_forward's coefficients dx_phase f, and m(D) u = ifft(m f)
         terms, cols, band = parts
-        c = dft_forward(grid, u)
-        return c[cols] @ band / (2.0 * grid.L) + sum(w * dft_inverse(grid, m * c) for w, m in terms)
+        f = np.fft.fft(u)
+        return ((dx_phase * f)[cols] @ band / (2.0 * grid.L)
+                + sum(w * np.fft.ifft(m * f) for w, m in terms))
 
     return _Operator("dense" if forms is None else "banded", apply, parts=parts)
 
@@ -363,8 +365,8 @@ class _Operators:
 class Discretization(_Operators):
     """Spatial operator application for one (problem, grid) pairing.
 
-    The principal symbol is the excised ``atilde`` with ``use_excision`` and the family's
-    ``a`` otherwise.  :meth:`rhs` acts on the family's states through ``apply_negated``, the
+    The principal symbol is the excised ``atilde`` with ``use_excision`` and the family's ``a``
+    otherwise.  :meth:`rhs` acts on the stacked state ``(u, v)`` through ``apply_negated``, the
     state space's ``-(Op(a) + Op(b))`` of :func:`symbol_operator` and :func:`lower_operator`
     (one row ``-mu(t)`` per time on Fourier coefficients), and the ``b0`` multiplication.
     """
@@ -379,15 +381,15 @@ class Discretization(_Operators):
         lower = (self.apply_lower,) if fam.b1 is not None or fam.b2 is not None else ()
         self.apply_negated = self.space.negated_sum(self.apply_principal, *lower)
 
-    def rhs(self, t: float, u: np.ndarray, v: np.ndarray):
-        """Time derivatives of ``(u, v)`` in the state's space: ``(v, -mu(t) u - b0 v + F)``."""
+    def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
+        """Time derivative ``(v, -mu(t) u - b0 v + F)`` of the stacked state ``y = (u, v)``."""
         fam, forcing = self.problem.family, self.problem.forcing
-        dv = self.apply_negated(t, u)
+        dv = self.apply_negated(t, y[0])
         if fam.b0 is not None:
-            dv = dv - self.apply_b0(t, v)
+            dv = dv - self.apply_b0(t, y[1])
         if forcing is not None:
             dv = dv + self.state(forcing(t, self.grid.x))
-        return v, dv
+        return np.array([y[1], dv])
 
     def speed_bound(self, ts: np.ndarray) -> np.ndarray:
         """sqrt(|a(t, x, xi_max)|) / xi_max (excised a if active) at each time of ``ts``,
@@ -409,27 +411,24 @@ class Discretization(_Operators):
 
 
 def assemble_rhs(t: float, u, v, problem: CauchyProblem, grid: GridSpec):
-    """Time derivatives ``(du, dv) = (v, f - b0 v - Op(a or atilde)u - Op(b)u)``."""
+    """``(du, dv) = (v, f - b0 v - Op(a or atilde)u - Op(b)u)`` of grid fields, checked finite."""
     disc = Discretization(problem, grid)
-    du, dv = disc.rhs(t, disc.state(np.asarray(u, dtype=complex)),
-                      disc.state(np.asarray(v, dtype=complex)))
-    du, dv = disc.field(du), disc.field(dv)
-    if not (np.all(np.isfinite(du)) and np.all(np.isfinite(dv))):
+    dy = disc.field(disc.rhs(t, disc.state(np.array([u, v], dtype=complex))))
+    if not np.isfinite(dy).all():
         raise SolverError(f"non-finite right-hand side at t={t}",
                           report={"t": t, "max_u": float(np.max(np.abs(u)))})
-    return du, dv
+    return dy[0], dy[1]
 
 
-def _rk4_step(rhs, stages, dt: float, u, v):
-    """One RK4 step of length ``dt`` at ``stages = (t0, tm, t1)``; stages 2 and 3 share ``tm``."""
+def _rk4_step(rhs, stages, dt: float, y):
+    """One RK4 step of length ``dt`` of the stacked state ``y`` at ``stages = (t0, tm, t1)``;
+    stages 2 and 3 share ``tm``.  Returns a new array; ``y`` is not updated in place."""
     t0, tm, t1 = stages
-    k1u, k1v = rhs(t0, u, v)
-    k2u, k2v = rhs(tm, u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
-    k3u, k3v = rhs(tm, u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
-    k4u, k4v = rhs(t1, u + dt * k3u, v + dt * k3v)
-    u_new = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-    v_new = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return u_new, v_new
+    k1 = rhs(t0, y)
+    k2 = rhs(tm, y + 0.5 * dt * k1)
+    k3 = rhs(tm, y + 0.5 * dt * k2)
+    k4 = rhs(t1, y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _substeps(disc: Discretization, nodes: np.ndarray, singular: bool, log: dict):
@@ -472,13 +471,14 @@ def _substeps(disc: Discretization, nodes: np.ndarray, singular: bool, log: dict
 
 def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
               output_times: Sequence[float]) -> Trajectory:
-    """RK4 over the graded mesh; snapshots at the mesh nodes nearest the requested output
-    times, which must be finite (the stored snapshot time is the exact node time; requests
-    nearest the same node share one snapshot, and ``stats`` lists the sorted requests as
-    ``requested_times``).  Steps run on the state space of :class:`Discretization`, named
-    by ``stats["space"]`` (and ``operator``, ``lattice_columns``, ``lattice_evals``).
-    ``stats["halving_steps"]`` maps each halved mesh step to its level, and
-    ``stats["substeps"]`` counts the RK4 substeps.
+    """RK4 of one stacked state ``(u, v)`` over the graded mesh, replaced (never updated in
+    place) by each step and checked finite once per mesh step; snapshots ``(t, u, v)`` at the
+    mesh nodes nearest the requested output times, which must be finite (the stored snapshot
+    time is the exact node time; requests nearest the same node share one snapshot, and
+    ``stats`` lists the sorted requests as ``requested_times``).  Steps run on the state space
+    of :class:`Discretization`, named by ``stats["space"]`` (and ``operator``,
+    ``lattice_columns``, ``lattice_evals``).  ``stats["halving_steps"]`` maps each halved mesh
+    step to its level, and ``stats["substeps"]`` counts the RK4 substeps.
 
     The vector field is never sampled at a singular ``t_start``: the first step then uses
     midpoint-only stages.  Steps violating the CFL bound ``dt <= 0.5 dx / speed_bound`` are
@@ -498,12 +498,10 @@ def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
         raise ValueError(f"output_times must be finite, got {out_req.tolist()}")
     idx = np.unique(np.abs(nodes[None, :] - out_req[:, None]).argmin(axis=1))
 
-    # states are replaced by each step, never updated in place, so snapshots may hold them
-    u = disc.state(np.array(problem.f1, dtype=complex))
-    v = disc.state(np.array(problem.f2, dtype=complex))
+    y = disc.state(np.array([problem.f1, problem.f2], dtype=complex))
     snapshots = []
     if 0 in idx:
-        snapshots.append((float(nodes[0]), disc.field(u), disc.field(v)))
+        snapshots.append((float(nodes[0]), *disc.field(y)))
 
     singular = disc.singular_start()
     log = {"halving_steps": {}, "min_cfl_dt": math.inf}
@@ -513,16 +511,16 @@ def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
     while block := list(itertools.islice(substeps, disc.times_per_table // 3)):
         disc.prime(np.array([stages for _, stages, _, _ in block]).ravel())
         for j, stages, h, last in block:
-            u, v = _rk4_step(disc.rhs, stages, h, u, v)
+            y = _rk4_step(disc.rhs, stages, h, y)
             n += 1
             if not last:
                 continue
             t1 = float(nodes[j + 1])
-            if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+            if not np.isfinite(y).all():
                 raise SolverError(f"state became non-finite at t={t1}",
                                   report={"t": t1, "step": j})
             if j + 1 in idx:
-                snapshots.append((t1, disc.field(u), disc.field(v)))
+                snapshots.append((t1, *disc.field(y)))
 
     halving_steps = log["halving_steps"]
     stats = {
@@ -653,7 +651,7 @@ class SystemOperators(_Operators):
 def reduce_to_system(t: float, u, v, problem: CauchyProblem, grid: GridSpec):
     """Change of variables ``(u, v) -> (u1, u2)`` of grid fields at time ``t``."""
     ops = SystemOperators(problem, grid)
-    u1, u2 = ops.reduce(t, ops.state(u), ops.state(v))
+    u1, u2 = ops.reduce(t, *ops.state(np.array([u, v])))
     return ops.field(u1), ops.field(u2)
 
 
@@ -683,7 +681,7 @@ def system_residual(traj: Trajectory, problem: CauchyProblem, grid: GridSpec,
             for op in ops._ops:
                 op.prime(times[i:i + per] if op in (ops.apply_tau, ops.apply_H) else interior)
         # the reduced snapshots i - 2, i - 1 and i give dU/dt at i - 1
-        reduced = [*reduced[-2:], ops.reduce(float(t), ops.state(u), ops.state(v))]
+        reduced = [*reduced[-2:], ops.reduce(float(t), *ops.state(np.array([u, v])))]
         if i >= 2:
             h1, h2 = times[i - 1] - times[i - 2], times[i] - times[i - 1]
             dU = [(h1 * h1 * up - h2 * h2 * um - (h1 * h1 - h2 * h2) * u0) / (h1 * h2 * (h1 + h2))

@@ -82,7 +82,7 @@ def make_profile(p: float, q: float, r: float, sigma: float, T: float) -> Singul
     ProfileError
         Naming the violated inequality:
         ``0 <= p < 1/2``, ``1 < q < 3/2``, ``p <= q - 1``, ``0 <= r < 1``,
-        ``3 <= sigma < (q - p)/(q - 1)`` and ``T > 0``.
+        ``3 <= sigma < (q - p)/(q - 1)`` and ``0 < T < inf``.
     """
     if not (0.0 <= p < 0.5):
         raise ProfileError(f"p must lie in [0, 1/2), got p={p}")
@@ -99,8 +99,8 @@ def make_profile(p: float, q: float, r: float, sigma: float, T: float) -> Singul
         raise ProfileError(
             f"sigma < (q-p)/(q-1) = {sigma_cap} violated (half-open interval), got sigma={sigma}"
         )
-    if not T > 0.0:
-        raise ProfileError(f"time horizon T must be positive, got T={T}")
+    if not 0.0 < T < np.inf:
+        raise ProfileError(f"time horizon T must be positive and finite, got T={T}")
 
     delta = (q - p) / sigma - (q - 1.0)
     gamma = 1.0 - 1.0 / sigma

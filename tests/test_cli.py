@@ -209,7 +209,8 @@ class TestRun:
         ("zones-dump", "zones", "nt", 0), ("zones-dump", "zones", "nt", 1),
         ("zones-dump", "zones", "nx", 0), ("zones-dump", "zones", "nxi", 0),
         ("check-energy", "profile", "lambda", -1.0),
-        ("check-energy", "profile", "lambda", float("nan"))])
+        ("check-energy", "profile", "lambda", float("nan")),
+        ("solve", "profile", "T", float("inf"))])
     def test_out_of_range_field_status_2(self, tmp_path, capsys, experiment, section, key,
                                          value):
         # each ran before: a traceback (N < 0), a vacuous or failed verdict (nt, nx, nxi)

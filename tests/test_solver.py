@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from singhyp.quantize import GridSpec, OverflowGuardError, apply_kn, apply_multiplier, l2_norm
 import singhyp.solver as solver
 from singhyp.solver import (CauchyProblem, Discretization, SolverError, SupportError,
-                            SystemOperators, _rk4_step, assemble_rhs, graded_mesh,
+                            SystemOperators, TimeMesh, assemble_rhs, graded_mesh,
                             integrate, lower_operator, reduce_to_system, symbol_operator,
                             system_residual)
 from singhyp.structure import bracket, constant_pair, one, poly_pair, zero
@@ -91,6 +91,17 @@ class TestMesh:
         with pytest.raises(ValueError):
             graded_mesh(free_wave(), 1.0, 1.0, 16)
 
+    @pytest.mark.parametrize("nodes", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf]])
+    def test_rejects_non_finite_nodes(self, nodes):
+        # np.diff(nodes) <= 0 is False next to a NaN, so only a finiteness check catches these
+        with pytest.raises(ValueError, match="mesh nodes must be finite and strictly increasing"):
+            TimeMesh(nodes=np.array(nodes), kappa=2.0)
+
+    def test_infinite_horizon_rejected(self):
+        # the nodes of [0, inf] would be [nan, inf, ...]: 0 * inf at j = 0
+        with pytest.raises(ValueError, match=r"need 0 <= t_start < t_end < inf"):
+            graded_mesh(None, 0.0, np.inf, 4, 2.0)
+
     @pytest.mark.parametrize("m", [0, -2, 2.5])
     def test_rejects_bad_step_count(self, m):
         # 0 divided by zero, -2 indexed past the nodes and 2.5 built a 3-step mesh
@@ -167,7 +178,7 @@ class TestIntegrate:
         times = []
         rhs = Discretization.rhs
         monkeypatch.setattr(Discretization, "rhs",
-                            lambda self, t, u, v: times.append(t) or rhs(self, t, u, v))
+                            lambda self, t, y: times.append(t) or rhs(self, t, y))
         traj = integrate(prob, grid, graded_mesh(fam, 0.0, 1.0, 64), [1.0])
         assert traj.stats["singular_start"] and min(times) > 0.0
         assert np.all(np.isfinite(traj.snapshots[-1][1]))
@@ -312,6 +323,41 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="output_times must be finite"):
             integrate(prob, grid, graded_mesh(fam, 0.0, 1.0, 8), [bad, 0.5])
 
+    @pytest.mark.parametrize("space", ["fourier", "physical"])
+    def test_snapshots_share_no_memory(self, space):
+        # each step replaces the stacked state: a step updating it in place would make
+        # the snapshots (rows of the states on grid values) alias one another
+        prob, grid, _, _ = _problem(free_wave(1.0), GridSpec(L=8.0, N=32, k=1.0), 0.0, 16)
+        bump = GaussianBump(0.0, 0.45)(grid.x)
+        fam = _physical(prob.family) if space == "physical" else prob.family
+        prob = dataclasses.replace(prob, family=fam, f1=bump * prob.f1, f2=bump * prob.f2)
+        traj = integrate(prob, grid, graded_mesh(fam, 0.0, 1.0, 16), np.linspace(0.0, 1.0, 5))
+        assert traj.stats["space"] == space and len(traj.snapshots) == 5
+        arrays = [prob.f1, prob.f2, *(a for _, u, v in traj.snapshots for a in (u, v))]
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:]), i
+
+    @pytest.mark.parametrize("space", ["fourier", "physical"])
+    def test_non_finite_state_names_its_step(self, space):
+        # b2 is NaN for 0.4 < t < 0.6: the first step that samples it is the first whose
+        # end lies past 0.4, and the state is checked once at the end of each mesh step
+        fam = dataclasses.replace(
+            free_wave(1.0),
+            b2=lambda t, x: np.where((t > 0.4) & (t < 0.6), np.nan, 0.0) + 0.0 * np.asarray(x))
+        fam = _physical(fam) if space == "physical" else fam
+        grid = GridSpec(L=8.0, N=32, k=1.0)
+        f1 = GaussianBump(0.0, 0.45)(grid.x) * _band_field(grid)
+        prob = CauchyProblem(family=fam, f1=f1, f2=np.zeros_like(f1), t_start=0.0, T=1.0)
+        mesh = graded_mesh(fam, 0.0, 1.0, 32)
+        j = int(np.searchsorted(mesh.nodes, 0.4, side="right")) - 1
+        with pytest.raises(SolverError, match="state became non-finite") as err:
+            integrate(prob, grid, mesh, [1.0])
+        assert err.value.report == {"t": float(mesh.nodes[j + 1]), "step": j}
+        assert 0.4 < mesh.nodes[j + 1] < 0.6
+        assert np.all(np.isfinite(assemble_rhs(0.3, f1, f1, prob, grid)))
+        with pytest.raises(SolverError, match="non-finite right-hand side at t=0.5"):
+            assemble_rhs(0.5, f1, f1, prob, grid)
+
 
 _PI64 = GridSpec(L=np.pi, N=64, k=1.0)
 FOURIER_CASES = {
@@ -359,6 +405,16 @@ class TestFourierState:
                 dv = dv + prob.forcing(t, grid.x)
             return v, dv
 
+        def rk4(stages, h, u, v):
+            # classical RK4 written out on (u, v), not the library's step
+            t0, tm, t1 = stages
+            k1u, k1v = rhs(t0, u, v)
+            k2u, k2v = rhs(tm, u + 0.5 * h * k1u, v + 0.5 * h * k1v)
+            k3u, k3v = rhs(tm, u + 0.5 * h * k2u, v + 0.5 * h * k2v)
+            k4u, k4v = rhs(t1, u + h * k3u, v + h * k3v)
+            return (u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
+                    v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v))
+
         u, v = prob.f1, prob.f2
         states = [(u, v)]
         for j in range(mesh.M):
@@ -369,7 +425,7 @@ class TestFourierState:
                 s0 = t0 + i * h
                 tm = s0 + 0.5 * h
                 first = traj.stats["singular_start"] and j == 0 and i == 0
-                u, v = _rk4_step(rhs, (tm, tm, tm) if first else (s0, tm, s0 + h), h, u, v)
+                u, v = rk4((tm, tm, tm) if first else (s0, tm, s0 + h), h, u, v)
             states.append((u, v))
         for t, u, v in traj.snapshots:
             u_ref, v_ref = states[int(np.searchsorted(mesh.nodes, t))]
@@ -407,13 +463,13 @@ class TestFourierState:
         disc, phys = Discretization(prob, grid), Discretization(
             dataclasses.replace(prob, family=pfam), grid)
         assert (disc.space.name, phys.space.name) == ("fourier", "physical")
-        got = [disc.field(w) for w in disc.rhs(t, disc.state(u), disc.state(v))]
+        got = disc.field(disc.rhs(t, disc.state(np.array([u, v]))))
         # and against its terms written out on grid values
         principal = symbol_operator(grid, pfam, excise(pfam).a if prob.use_excision else None)
         terms = ((fam.b1, apply_multiplier(grid, 1j * grid.xi_odd, u)), (fam.b2, u), (fam.b0, v))
         dv = -principal(t, u) - sum(b(t, grid.x) * w for b, w in terms if b is not None)
         dv = dv + (forcing(t, grid.x) if forced else 0.0)
-        for want in (phys.rhs(t, u, v), (v, dv)):
+        for want in (phys.rhs(t, np.array([u, v])), (v, dv)):
             for g, w in zip(got, want):
                 assert l2_norm(grid, g - w) <= 1e-12 * l2_norm(grid, w)
 
@@ -513,8 +569,9 @@ class TestFourierState:
         traj = integrate(prob, grid, graded_mesh(prob.family, 0.0, 1.0, M), [0.0, 0.5, 1.0])
         S = len(traj.snapshots)
         assert S == 3 and counts["rhs"] > 0
+        # the stacked (u, v) converts in one call: once at the data, once per snapshot
         assert (counts["dft_forward"], counts["dft_inverse"], counts["_fft_multiply"]) \
-            == (2, 2 * S, 0)
+            == (1, S, 0)
         assert (traj.stats["operator"], traj.stats["lattice_columns"],
                 traj.stats["lattice_evals"]) == ("separable", 0, 0)
 
@@ -528,6 +585,52 @@ class TestFourierState:
         assert traj.stats["space"] == "physical" and traj.stats["lattice_evals"] == 0
         assert counts["rhs"] > 0 and counts["_fft_multiply"] == counts["rhs"]
         assert counts["dft_forward"] == counts["dft_inverse"] == 0
+
+
+    @pytest.mark.parametrize("N", [32, 1024])
+    def test_stacked_state_is_row_by_row(self, N):
+        # state and field convert a stacked (u, v) in one batched FFT, bitwise the
+        # transforms of its rows one at a time
+        grid = GridSpec(L=np.pi, N=N, k=1.0)
+        rng = np.random.default_rng(N)
+        y = rng.standard_normal((2, N)) + 1j * rng.standard_normal((2, N))
+        prob = CauchyProblem(family=free_wave(1.0), f1=y[0], f2=y[1], t_start=0.0, T=1.0)
+        disc = Discretization(prob, grid)
+        assert disc.space.name == "fourier"
+        for convert, row_by_row in ((disc.state, solver.dft_forward),
+                                    (disc.field, solver.dft_inverse)):
+            got = convert(y)
+            assert got.shape == (2, N)
+            assert all(got[i].tobytes() == row_by_row(grid, y[i]).tobytes() for i in (0, 1))
+
+    @settings(max_examples=60, deadline=1000)
+    @given(family=st.sampled_from(["theorem", "7.1-m0", "7.1-m3", "7.2", "7.3", "7.4"]),
+           symbol=st.sampled_from(["a", "excised.a", "defect", "value", "dt", "h.value",
+                                   "h.dt"]),
+           N=st.sampled_from([32, 64, 128]), L=st.sampled_from([np.pi, 8.0]),
+           t=st.floats(1e-3, 1.0), seed=st.integers(0, 2 ** 16))
+    def test_diagonal_matches_dft_matrix_product(self, family, symbol, N, L, t, seed):
+        # the diagonal path on Fourier coefficients of every multiplier family, for its a
+        # and the excision-derived symbols, against the DFT-matrix product on grid values
+        if family == "theorem":
+            fam = theorem_coefficient(0.0, 1.25, k=4.0)
+        else:
+            fam = counterexample_family(family[:3], int(family[-1]) if "-m" in family else 0)
+        grid = GridSpec(L=L, N=N, k=fam.k)
+        excised = excise(fam)
+        root = char_root(excised)
+        h = h_symbol(root)
+        sym = {"a": fam.a, "excised.a": excised.a, "defect": excised.defect,
+               "value": root.value, "dt": root.dt, "h.value": h.value, "h.dt": h.dt}[symbol]
+        space = solver._state_space(grid, fam)
+        op = symbol_operator(grid, fam, sym)
+        assert (space.name, op.path) == ("fourier", "diagonal")
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        lattice = np.broadcast_to(sym(t, grid.x[:, None], grid.xi[None, :]), (N, N))
+        want = _dft_matrix_product(grid, lattice, u)
+        got = space.field(op(t, space.state(u)))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def _coefficient_ops(x_dependent):
@@ -612,10 +715,10 @@ class TestMultiplierChecks:
         # the separable m, i xi of each Op(b), <xi>_k and its inverse
         assert len(formed) == 5
         assert all(not m.flags.writeable and m.shape == (grid.N,) for m in formed)
-        u, v = ops.state(prob.f1), ops.state(prob.f2)
+        y = ops.state(np.array([prob.f1, prob.f2]))
         for t in (0.3, 0.5):
-            disc.rhs(t, u, v)
-            ops.apply_M(ops.apply_Minv(u))
+            disc.rhs(t, y)
+            ops.apply_M(ops.apply_Minv(y[0]))
         assert len(formed) == 5
         # on grid values: the principal part and Op(b) per rhs, M and M^-1, at two times
         assert len(applied) == (0 if space == "fourier" else 8)
@@ -675,7 +778,7 @@ class TestExcisionSolve:
         # the excised x-dependent principal part forms its band product at most once
         # per stage time (RK4 stages 2 and 3 share one), and over far fewer than N
         # lattice columns per time
-        counts = {"kn_band": 0, "_rk4_step": 0}
+        counts = {"kn_band": 0, "_rk4_step": 0, "dft_forward": 0, "dft_inverse": 0}
         for name in counts:
             _counting(monkeypatch, counts, solver, name)
         grid = GridSpec(L=8.0, N=64, k=4.0)
@@ -687,6 +790,8 @@ class TestExcisionSolve:
         traj = integrate(prob, grid, mesh, [0.5, 1.0])
         assert traj.stats["halvings"] == 0 and traj.stats["operator"] == "banded"
         assert 0 < counts["kn_band"] <= 3 * counts["_rk4_step"]
+        # the band and each multiplier term share one raw FFT, with no DFT call
+        assert counts["dft_forward"] == counts["dft_inverse"] == 0
         assert 0 < traj.stats["lattice_evals"] <= min(counts["kn_band"],
                                                       2 * counts["_rk4_step"] + 1)
         t0, dt = mesh.nodes[:-1], np.diff(mesh.nodes)

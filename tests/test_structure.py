@@ -34,6 +34,7 @@ class TestMakeProfile:
         (dict(p=0.3, q=1.2, r=0.0, sigma=3.0, T=1.0), "p <= q - 1"),
         (dict(p=0.0, q=1.25, r=1.0, sigma=3.0, T=1.0), "r must"),
         (dict(p=0.0, q=1.25, r=0.0, sigma=3.0, T=0.0), "T must"),
+        (dict(p=0.0, q=1.25, r=0.0, sigma=3.0, T=float("inf")), "T must be positive and finite"),
     ])
     def test_named_rejections(self, kwargs, match):
         with pytest.raises(ProfileError, match=match):
