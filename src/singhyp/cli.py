@@ -88,17 +88,19 @@ def _at_least(n: int):
 
 
 _positive = _where(float, lambda v: v > 0.0, "> 0")
+_finite_positive = _where(float, lambda v: 0.0 < v < math.inf, "finite and > 0")
 _lambda = _where(float, lambda v: math.isfinite(v) and v >= 0.0, "'fit' or a finite number >= 0")
 
 # each config section's fields as ``(key, default, conv)``; ``conv`` converts the
 # value and checks its range, and the keys are all the section accepts
 _SECTIONS = {
-    "grid": (("L", 8.0, float), ("N", 256, _int), ("k", 1.0, float)),
+    "grid": (("L", 8.0, _finite_positive), ("N", 256, _int),
+             ("k", 1.0, _where(float, lambda v: 1.0 <= v < math.inf, "finite and >= 1"))),
     "mesh": (("M", 2048, _at_least(8)),
              ("kappa", None, lambda v: v if v is None else _positive(v)),
              ("t_start", 0.0, float)),
     "profile": (("p", 0.0, float), ("q", 1.25, float), ("r", 0.0, float), ("sigma", 3.0, float),
-                ("T", 1.0, _where(float, lambda v: 0.0 < v < math.inf, "finite and > 0")),
+                ("T", 1.0, _finite_positive),
                 ("lambda", "fit", lambda v: v if v == "fit" else _lambda(v))),
     "data": (("kind", "bump", _where(str, lambda v: v in ("trig", "bump"), "'trig' or 'bump'")),
              ("modes", 8, _int), ("seed", 42, _int), ("width", 0.7, _positive),

@@ -72,12 +72,12 @@ class GridSpec:
     k: float = 1.0
 
     def __post_init__(self):
-        if not self.L > 0:
-            raise ValueError(f"grid half-length must be positive, got {self.L}")
+        if not 0 < self.L < np.inf:
+            raise ValueError(f"grid half-length L must be finite and positive, got {self.L}")
         if self.N < 8 or (self.N & (self.N - 1)) != 0:
             raise ValueError(f"N must be a power of two >= 8, got {self.N}")
-        if not self.k >= 1.0:
-            raise ValueError(f"spectral shift k must satisfy k >= 1, got {self.k}")
+        if not 1.0 <= self.k < np.inf:
+            raise ValueError(f"spectral shift k must be finite and >= 1, got {self.k}")
 
     @property
     def dx(self) -> float:

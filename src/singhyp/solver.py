@@ -6,7 +6,7 @@ The second-order problem
     ``d2u/dt2 + b0(t,x) du/dt + Op(a or atilde) u + Op(b) u = f``
 
 is integrated as a first-order system for one ``(2, n)`` state ``y = (u, v = du/dt)``,
-checked finite once per mesh step, with classical RK4 over a graded mesh
+checked finite once per block, replayed to name the step, with classical RK4 over a graded mesh
 ``t_j = t_start + (T - t_start) * (j/M)**kappa``.  Grading ``kappa = max(2, 2/(1-p), 2/(1-r))``
 (for ``t_start = 0``) resolves the integrable ``t**-p`` and ``t**-r`` coefficient
 singularities; when the coefficients are singular at ``t_start`` the first step samples all
@@ -240,7 +240,8 @@ class _Operator:
         if self._column is not None and times.size:
             self._table = dict(zip(times.tolist(), self._column(times)))
 
-    def __call__(self, t, u):
+    def part(self, t):
+        """The part at ``t``: looked up in the table, or formed on a miss."""
         part = self._table.get(t)
         if part is None:
             self._table = {}  # one band product alive at a time, not two
@@ -250,7 +251,10 @@ class _Operator:
             self.lattice_evals += n > 0
             if self.path != "dense":
                 self._table = {t: part}
-        return self._apply(part, u)
+        return part
+
+    def __call__(self, t, u):
+        return self._apply(self.part(t), u)
 
 
 def _rows(f: Callable, ts: np.ndarray, x) -> list:
@@ -381,15 +385,22 @@ class Discretization(_Operators):
         lower = (self.apply_lower,) if fam.b1 is not None or fam.b2 is not None else ()
         self.apply_negated = self.space.negated_sum(self.apply_principal, *lower)
 
-    def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        """Time derivative ``(v, -mu(t) u - b0 v + F)`` of the stacked state ``y = (u, v)``."""
+    def rhs(self, t: float, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Time derivative ``(v, -mu(t) u - b0 v + F)`` of the stacked state ``y = (u, v)``,
+        written into ``out`` (a new array when None), which must not overlap ``y``."""
         fam, forcing = self.problem.family, self.problem.forcing
-        dv = self.apply_negated(t, y[0])
+        out = np.empty_like(y, dtype=complex) if out is None else out
+        out[0] = y[1]
+        dv = out[1]
+        if self.space.name == "fourier":
+            np.multiply(self.apply_negated.part(t), y[0], out=dv)
+        else:
+            dv[...] = self.apply_negated(t, y[0])
         if fam.b0 is not None:
-            dv = dv - self.apply_b0(t, y[1])
+            np.subtract(dv, self.apply_b0(t, y[1]), out=dv)
         if forcing is not None:
-            dv = dv + self.state(forcing(t, self.grid.x))
-        return np.array([y[1], dv])
+            np.add(dv, self.state(forcing(t, self.grid.x)), out=dv)
+        return out
 
     def speed_bound(self, ts: np.ndarray) -> np.ndarray:
         """sqrt(|a(t, x, xi_max)|) / xi_max (excised a if active) at each time of ``ts``,
@@ -420,15 +431,22 @@ def assemble_rhs(t: float, u, v, problem: CauchyProblem, grid: GridSpec):
     return dy[0], dy[1]
 
 
-def _rk4_step(rhs, stages, dt: float, y):
+def _rk4_step(rhs, stages, dt: float, y, work):
     """One RK4 step of length ``dt`` of the stacked state ``y`` at ``stages = (t0, tm, t1)``;
-    stages 2 and 3 share ``tm``.  Returns a new array; ``y`` is not updated in place."""
+    stages 2 and 3 share ``tm``.  ``work`` holds the four derivatives and one stage input
+    (shape ``(5, *y.shape)``, reused from step to step), and each sum is formed in it in the
+    order of ``y + (dt/6) (k1 + 2 k2 + 2 k3 + k4)`` written out.  Returns a new array; ``y``
+    is not updated in place."""
     t0, tm, t1 = stages
-    k1 = rhs(t0, y)
-    k2 = rhs(tm, y + 0.5 * dt * k1)
-    k3 = rhs(tm, y + 0.5 * dt * k2)
-    k4 = rhs(t1, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k1, k2, k3, k4, z = work
+    rhs(t0, y, k1)
+    rhs(tm, np.add(y, np.multiply(0.5 * dt, k1, out=z), out=z), k2)
+    rhs(tm, np.add(y, np.multiply(0.5 * dt, k2, out=z), out=z), k3)
+    rhs(t1, np.add(y, np.multiply(dt, k3, out=z), out=z), k4)
+    k1 += np.multiply(2.0, k2, out=k2)
+    k1 += np.multiply(2.0, k3, out=k3)
+    k1 += k4
+    return y + np.multiply(dt / 6.0, k1, out=k1)
 
 
 def _substeps(disc: Discretization, nodes: np.ndarray, singular: bool, log: dict):
@@ -472,7 +490,10 @@ def _substeps(disc: Discretization, nodes: np.ndarray, singular: bool, log: dict
 def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
               output_times: Sequence[float]) -> Trajectory:
     """RK4 of one stacked state ``(u, v)`` over the graded mesh, replaced (never updated in
-    place) by each step and checked finite once per mesh step; snapshots ``(t, u, v)`` at the
+    place) by each step, its stages in work buffers allocated once per solve, and checked finite
+    once per block, replayed to name the step: a block that ends non-finite is stepped again from
+    its start, checking the end of each mesh step, so :class:`SolverError`'s ``report`` names
+    the first mesh step that ends non-finite (``t``, ``step``).  Snapshots ``(t, u, v)`` at the
     mesh nodes nearest the requested output times, which must be finite (the stored snapshot
     time is the exact node time; requests nearest the same node share one snapshot, and
     ``stats`` lists the sorted requests as ``requested_times``).  Steps run on the state space
@@ -506,21 +527,38 @@ def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
     singular = disc.singular_start()
     log = {"halving_steps": {}, "min_cfl_dt": math.inf}
     substeps = _substeps(disc, nodes, singular, log)
-    # a block's stage times (three per substep) fill one table of parts
-    n = 0
-    while block := list(itertools.islice(substeps, disc.times_per_table // 3)):
-        disc.prime(np.array([stages for _, stages, _, _ in block]).ravel())
+    work = np.empty((5, *y.shape), dtype=complex)
+
+    def step(block, y, check):
+        # RK4 over a block, checking the state finite at every mesh step's end if ``check``
         for j, stages, h, last in block:
-            y = _rk4_step(disc.rhs, stages, h, y)
-            n += 1
+            y = _rk4_step(disc.rhs, stages, h, y, work)
             if not last:
                 continue
             t1 = float(nodes[j + 1])
-            if not np.isfinite(y).all():
+            if check and not np.isfinite(y).all():
                 raise SolverError(f"state became non-finite at t={t1}",
                                   report={"t": t1, "step": j})
             if j + 1 in idx:
                 snapshots.append((t1, *disc.field(y)))
+        return y
+
+    # a block's stage times (three per substep) fill one table of parts
+    n = 0
+    while block := list(itertools.islice(substeps, disc.times_per_table // 3)):
+        disc.prime(np.array([stages for _, stages, _, _ in block]).ravel())
+        start, kept = y, len(snapshots)
+        y = step(block, start, False)
+        if not np.isfinite(y).all():
+            # every step ends in y + (...), so a non-finite entry stays non-finite: step the
+            # block again from its start, checking each mesh step, to name the first such
+            # step (the next block names it if this block ends inside it)
+            del snapshots[kept:]
+            y = step(block, start, True)
+            if np.isfinite(y).all():
+                raise SolverError(f"state became non-finite by t={block[-1][1][2]} but not "
+                                  "when its block was stepped again")
+        n += len(block)
 
     halving_steps = log["halving_steps"]
     stats = {

@@ -168,6 +168,20 @@ class TestRun:
         assert "mesh.kappa" in err and "Traceback" not in err
         assert not (tmp_path / "out" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("field", ["L", "k"])
+    def test_infinite_grid_status_2(self, tmp_path, capsys, field):
+        # 1e999 reads as inf: a config error naming the field, not a non-finite state
+        grid = {"L": 8.0, "N": 64, "k": 2.0, field: "1e999"}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"experiment": "solve", "grid": {'
+                            + ", ".join(f'"{key}": {value}' for key, value in grid.items())
+                            + '}, "mesh": {"M": 32}, "family": {"id": "free-wave"}, '
+                            '"data": {"width": 0.5}}')
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"grid.{field}" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
     @pytest.mark.parametrize("example", ["7.1", "7.2", "7.4"])
     def test_undefined_default_grading_status_2(self, tmp_path, capsys, example):
         # r = 1: the default grading 2/(1-r) from t_start = 0 is undefined

@@ -32,6 +32,13 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(L=1.0, N=16, k=0.5)
 
+    @pytest.mark.parametrize("field, L, k", [("L", np.inf, 1.0), ("L", np.nan, 1.0),
+                                             ("k", 1.0, np.inf), ("k", 1.0, np.nan)])
+    def test_rejects_non_finite_length_and_shift(self, field, L, k):
+        # inf passes "> 0" and ">= 1", and would give an infinite dx and NaN frequencies
+        with pytest.raises(ValueError, match=f" {field} must be finite"):
+            GridSpec(L=L, N=16, k=k)
+
     def test_frequency_layout(self, grid):
         assert grid.xi[0] == 0.0
         assert grid.xi[1] == pytest.approx(np.pi / grid.L)

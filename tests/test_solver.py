@@ -15,7 +15,8 @@ from singhyp.solver import (CauchyProblem, Discretization, SolverError, SupportE
                             system_residual)
 from singhyp.structure import bracket, constant_pair, one, poly_pair, zero
 from singhyp.symbols import (char_root, example_coefficient, excise, free_wave, h_symbol,
-                             reference_wave, separable_family, theorem_coefficient)
+                             reference_wave, separable_family, theorem_coefficient,
+                             uniform_columns)
 from singhyp.analysis import GaussianBump, closed_form, counterexample_family, \
     random_trig_poly
 
@@ -178,7 +179,7 @@ class TestIntegrate:
         times = []
         rhs = Discretization.rhs
         monkeypatch.setattr(Discretization, "rhs",
-                            lambda self, t, y: times.append(t) or rhs(self, t, y))
+                            lambda self, t, y, out=None: times.append(t) or rhs(self, t, y, out))
         traj = integrate(prob, grid, graded_mesh(fam, 0.0, 1.0, 64), [1.0])
         assert traj.stats["singular_start"] and min(times) > 0.0
         assert np.all(np.isfinite(traj.snapshots[-1][1]))
@@ -357,6 +358,115 @@ class TestIntegrate:
         assert np.all(np.isfinite(assemble_rhs(0.3, f1, f1, prob, grid)))
         with pytest.raises(SolverError, match="non-finite right-hand side at t=0.5"):
             assemble_rhs(0.5, f1, f1, prob, grid)
+
+    @pytest.mark.parametrize("space", ["fourier", "physical"])
+    @pytest.mark.parametrize("where", ["third-block", "halved-step"])
+    def test_non_finite_state_named_across_blocks(self, monkeypatch, space, where):
+        # the state is checked once per block, and a non-finite block is stepped again
+        # checking each mesh step: b2 turns NaN for t > a in the third block or later, and
+        # in "halved-step" on a halved mesh step that the block ends inside, so that the next
+        # block names the step; the report is the per-step check's
+        counts = dict.fromkeys(("rhs", "_rk4_step"), 0)
+        _counting(monkeypatch, counts, Discretization, "rhs")
+        _counting(monkeypatch, counts, solver, "_rk4_step")
+        speed, M = {"third-block": (1.0, 1024), "halved-step": (40.0, 16)}[where]
+        if where == "halved-step":
+            monkeypatch.setattr(solver, "_TABLE_TIMES", 30)  # blocks of 10 substeps
+        grid = GridSpec(L=8.0, N=32, k=1.0)
+        f1 = GaussianBump(0.0, 0.45)(grid.x) * _band_field(grid)
+
+        def problem(a):
+            fam = dataclasses.replace(
+                free_wave(speed),
+                b2=lambda t, x: np.where((t > a) & (t < a + 0.2), np.nan, 0.0)
+                + 0.0 * np.asarray(x))
+            fam = _physical(fam) if space == "physical" else fam
+            return CauchyProblem(family=fam, f1=f1, f2=np.zeros_like(f1), t_start=1e-3, T=1.0)
+
+        mesh = graded_mesh(free_wave(speed), 1e-3, 1.0, M)
+        clean = problem(2.0)
+        traj = integrate(clean, grid, mesh, [0.5, 1.0])
+        n, per_block = traj.stats["substeps"], Discretization(clean, grid).times_per_table // 3
+        assert counts == {"rhs": 4 * n, "_rk4_step": n} and n > 3 * per_block
+        # every substep (j, s0, h) in stepping order, as _substeps forms them
+        subs = []
+        for j, (t0, t1) in enumerate(zip(mesh.nodes[:-1].tolist(), mesh.nodes[1:].tolist())):
+            n_sub = 2 ** traj.stats["halving_steps"].get(j, 0)
+            subs += [(j, t0 + i * ((t1 - t0) / n_sub), (t1 - t0) / n_sub) for i in range(n_sub)]
+        if where == "third-block":
+            a = 0.6
+        else:
+            # a block's last substep, inside its halved mesh step
+            a = next(s0 + 0.25 * h for g, (j, s0, h) in enumerate(subs)
+                     if g // per_block >= 2 and g % per_block == per_block - 1
+                     and g + 1 < len(subs) and subs[g + 1][0] == j)
+        # the first substep sampling t > a is the first whose end lies past a
+        g = next(g for g, (j, s0, h) in enumerate(subs) if s0 + h > a)
+        j = subs[g][0]
+        assert g // per_block >= 2 and mesh.nodes[j + 1] < a + 0.2
+        assert (where == "halved-step") == (j in traj.stats["halving_steps"])
+        with pytest.raises(SolverError, match="state became non-finite") as err:
+            integrate(problem(a), grid, mesh, [0.5, 1.0])
+        assert err.value.report == {"t": float(mesh.nodes[j + 1]), "step": j}
+
+
+class TestStepBuffers:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rk4_step_is_the_written_out_sum(self, seed):
+        # the stage sums formed in the reused work buffers are byte for byte the written-out
+        # RK4 step, for a linear rhs on seeded random complex states, and y is left as it was
+        rng = np.random.default_rng(seed)
+        c0, c1 = (rng.standard_normal((2, 2, 64)) + 1j * rng.standard_normal((2, 2, 64))
+                  for _ in range(2))
+
+        def rhs(t, y, out=None):
+            dy = np.einsum("ijn,jn->in", c0 + t * c1, y)
+            if out is None:
+                return dy
+            out[...] = dy
+            return out
+
+        work = np.full((5, 2, 64), np.nan, dtype=complex)
+        y = rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64))
+        for t0, dt in ((0.25, 0.125), (0.375, 0.0625 / 3.0)):
+            stages, before = (t0, t0 + 0.5 * dt, t0 + dt), y.tobytes()
+            got = solver._rk4_step(rhs, stages, dt, y, work)
+            assert y.tobytes() == before and not np.shares_memory(got, work)
+            k1 = rhs(stages[0], y)
+            k2 = rhs(stages[1], y + 0.5 * dt * k1)
+            k3 = rhs(stages[1], y + 0.5 * dt * k2)
+            k4 = rhs(stages[2], y + dt * k3)
+            want = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            assert got.tobytes() == want.tobytes()
+            y = got
+
+    @pytest.mark.parametrize("name", ["7.3-fourier", "7.3-physical", "excised-physical"])
+    def test_rhs_into_out_is_rhs(self, name):
+        # rhs(t, y, out) writes into out byte for byte what rhs(t, y) returns, with b0
+        # and forcing, on Fourier coefficients and on grid values (banded principal part)
+        grid = GridSpec(L=8.0, N=64, k=4.0)
+        if name.startswith("7.3"):
+            fam = counterexample_family("7.3", k=4.0)
+        else:
+            fam = theorem_coefficient(0.0, 1.25, pair=poly_pair(0.5, 0.5), k=4.0)
+        b0 = ((lambda t, x: np.sqrt(t) + 0.1 * np.cos(x) ** 2) if fam.x_dependent
+              else (lambda t, x: np.sqrt(t) + 0.0 * x))
+        fam = dataclasses.replace(fam, b0=b0)
+        fam = _physical(fam) if name.endswith("physical") else fam
+        f1 = GaussianBump(0.0, 0.45)(grid.x) * _band_field(grid)
+        prob = CauchyProblem(family=fam, f1=f1, f2=0.5 * f1, t_start=0.0, T=1.0,
+                             forcing=lambda t, x: np.sin(3.0 * t) * f1,
+                             use_excision=name.startswith("excised"))
+        disc = Discretization(prob, grid)
+        assert disc.space.name == name.split("-")[1]
+        assert disc.apply_principal.path == {"7.3-fourier": "separable",
+                                             "7.3-physical": "separable",
+                                             "excised-physical": "banded"}[name]
+        y = disc.state(np.array([prob.f1, prob.f2]))
+        for t in (0.05, 0.3):
+            out = np.full_like(y, np.nan)
+            got = disc.rhs(t, y, out)
+            assert got is out and got.tobytes() == disc.rhs(t, y).tobytes()
 
 
 _PI64 = GridSpec(L=np.pi, N=64, k=1.0)
@@ -815,6 +925,37 @@ class TestExcisionSolve:
         assert traj.stats["substeps"] == counts["_rk4_step"]
         assert all(isinstance(j, int) and 0 <= j < 32 and lv >= 1 for j, lv in levels.items())
         assert 0 < traj.stats["lattice_evals"] <= 2 * counts["_rk4_step"] + 1
+
+    @pytest.mark.parametrize("symbol", ["excised.a", "h.value"])
+    @pytest.mark.parametrize("edge", [1.0, 2.0])
+    def test_banded_at_window_edge(self, symbol, edge):
+        # t with t * Phi_max * <xi>_j / scale == 1.0 exactly (the column is on the low side)
+        # or t * Phi_min * <xi>_j / scale == 2.0 exactly (on the high side), for some column
+        # j: the banded product still matches the dense KN product
+        grid = GridSpec(L=8.0, N=64, k=4.0)
+        fam = theorem_coefficient(0.0, 1.25, pair=poly_pair(0.5, 0.5), k=4.0)
+        excised = excise(fam)
+        sym = {"excised.a": excised.a, "h.value": h_symbol(char_root(excised)).value}[symbol]
+        scale, phi, br, _, _ = uniform_columns(sym, grid.x, grid.xi)
+        ext = np.max(phi) if edge == 1.0 else np.min(phi)
+
+        def at_edge(j):
+            t = edge * scale / (ext * br[j])
+            for _ in range(64):
+                s = t * ext * br[j] / scale
+                if s == edge:
+                    return t
+                t = np.nextafter(t, -np.inf if s > edge else np.inf)
+            return None
+
+        j, t = next((j, t) for j in np.argsort(-br) if (t := at_edge(j)) is not None)
+        lo, hi = t * np.max(phi) * br / scale <= 1.0, t * np.min(phi) * br / scale >= 2.0
+        assert (lo if edge == 1.0 else hi)[j] and 0.0 < t < 1.0
+        op = symbol_operator(grid, fam, sym)
+        assert op.path == "banded"
+        u = GaussianBump(0.0, 0.45)(grid.x) * _band_field(grid)
+        want = apply_kn(grid, lambda x, xi: sym(t, x, xi), u)
+        assert np.max(np.abs(op(t, u) - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_on_off_identical_when_window_empty(self):
         # t_start * Phi_min * k >= 2: the excised symbol equals a on the whole run
