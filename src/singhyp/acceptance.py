@@ -267,7 +267,7 @@ def criterion_6_quantizer_identities():
     checks.append(details["loss_identity_dev"] <= 1e-13)
 
     mode = np.exp(1j * 5 * grid.x)
-    idx = SobolevIndex(s1=1.5, s2=0.0, eps=0.2, sigma=3.0, k=grid.k)
+    idx = SobolevIndex(s1=1.5, s2=0.0, eps=0.2, sigma=3.0)
     n = sobolev_norm(grid, mode, idx, constant_pair())
     expect = np.sqrt(2 * grid.L) * bracket(5.0, grid.k) ** 1.5 \
         * np.exp(0.2 * bracket(5.0, grid.k) ** (1.0 / 3.0))

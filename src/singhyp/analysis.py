@@ -473,9 +473,8 @@ def energy_monitor(traj: Trajectory, s: tuple[float, float], profile: Singularit
         eps = float(max(eps, 0.0))
         uu = _denoise(grid, u)
         vv = _denoise(grid, v)
-        nu = sobolev_norm(grid, uu, SobolevIndex(s1 + 1.0, s2 + 1.0, eps, profile.sigma,
-                                                 grid.k), pair)
-        nv = sobolev_norm(grid, vv, SobolevIndex(s1, s2, eps, profile.sigma, grid.k), pair)
+        nu = sobolev_norm(grid, uu, SobolevIndex(s1 + 1.0, s2 + 1.0, eps, profile.sigma), pair)
+        nv = sobolev_norm(grid, vv, SobolevIndex(s1, s2, eps, profile.sigma), pair)
         if not (np.isfinite(nu) and np.isfinite(nv)):
             raise ArithmeticError(f"non-finite weighted norm at t={t}")
         norms_u.append(nu)
@@ -485,8 +484,8 @@ def energy_monitor(traj: Trajectory, s: tuple[float, float], profile: Singularit
     data_bound = np.full(times.shape, norms_u[0] + norms_v[0])
     if forcing is not None:
         fnorm = np.array([
-            sobolev_norm(grid, forcing(float(t), grid.x),
-                         SobolevIndex(s1, s2, float(max(e, 0.0)), profile.sigma, grid.k), pair)
+            sobolev_norm(grid, np.broadcast_to(forcing(float(t), grid.x), grid.x.shape),
+                         SobolevIndex(s1, s2, float(max(e, 0.0)), profile.sigma), pair)
             for t, e in zip(times, lam_vals)])
         running = np.concatenate([[0.0], np.cumsum(
             0.5 * (fnorm[1:] + fnorm[:-1]) * np.diff(times))])

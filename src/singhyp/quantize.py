@@ -74,7 +74,8 @@ class GridSpec:
     def __post_init__(self):
         if not 0 < self.L < np.inf:
             raise ValueError(f"grid half-length L must be finite and positive, got {self.L}")
-        if self.N < 8 or (self.N & (self.N - 1)) != 0:
+        if (not isinstance(self.N, (int, np.integer)) or self.N < 8
+                or (self.N & (self.N - 1)) != 0):
             raise ValueError(f"N must be a power of two >= 8, got {self.N}")
         if not 1.0 <= self.k < np.inf:
             raise ValueError(f"spectral shift k must be finite and >= 1, got {self.k}")
@@ -208,7 +209,6 @@ class SobolevIndex:
     s2: float
     eps: float = 0.0
     sigma: float = 3.0
-    k: float = 1.0
 
     def __post_init__(self):
         if self.eps < 0:
@@ -255,10 +255,8 @@ def sobolev_norm(grid: GridSpec, values, index: SobolevIndex, pair: StructurePai
     """Weighted Sobolev norm ``|| Phi^s2 <D>_k^s1 exp(eps (Phi <D>_k)^(1/sigma)) u ||_L2``.
 
     Operators apply in exactly that order: exponential first, then the
-    ``<xi>_k**s1`` multiplier, then multiplication by ``Phi(x)**s2``.
+    ``<xi>_k**s1`` multiplier, then multiplication by ``Phi(x)**s2``, with the grid's ``k``.
     """
-    if index.k != grid.k:
-        raise ValueError(f"index.k={index.k} does not match grid.k={grid.k}")
     w = loss_operator(grid, pair, index.eps, index.sigma, values)
     if index.s1 != 0.0:
         w = apply_multiplier(grid, bracket(grid.xi, grid.k) ** index.s1, w)

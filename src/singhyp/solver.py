@@ -42,7 +42,9 @@ integrator, and its blocks act on the integrator's states through the same
 operators.  Compositions are applied left to right as written, so the reported
 residual carries the quantization-commutator floor on top of the O(dt^2)
 differencing error (zero floor for multiplier families).  Each operator product
-of the system right-hand side is formed once and shared between the blocks.
+of the system right-hand side is formed once and shared between the blocks; those
+ending in ``M^-1 = <D>_k^-1 omega^-1`` act on ``M^-1 H u1`` and ``M^-1 u2``.  An absent
+coefficient (``b0``, or both ``b1`` and ``b2``) has no operator and no terms.
 """
 
 from __future__ import annotations
@@ -151,13 +153,17 @@ class CauchyProblem:
             raise ValueError(f"need 0 <= t_start < T, got [{self.t_start}, {self.T}]")
 
     def validate(self, grid: GridSpec):
+        """``ValueError`` unless the data have ``grid.N`` points and the family ``grid.k``."""
         for name, f in (("f1", self.f1), ("f2", self.f2)):
             if np.asarray(f).shape != (grid.N,):
                 raise ValueError(f"{name} does not match grid size {grid.N}")
         if self.family.k != grid.k:
             raise ValueError(f"family.k={self.family.k} does not match grid.k={grid.k}")
+
+    def check_support(self, grid: GridSpec):
+        """Torus legitimacy: :class:`SupportError` unless the data of x-dependent
+        coefficients are localized in ``|x| <= L/2``."""
         if self.family.x_dependent:
-            # torus legitimacy: x-dependent coefficients need localized data
             for name, f in (("f1", self.f1), ("f2", self.f2)):
                 f = np.asarray(f)
                 peak = float(np.max(np.abs(f)))
@@ -318,14 +324,14 @@ def symbol_operator(grid: GridSpec, family: CoefficientFamily,
     return _Operator("dense" if forms is None else "banded", apply, parts=parts)
 
 
-def _coefficient_operator(grid: GridSpec, family: CoefficientFamily, terms) -> _Operator:
+def _coefficient_operator(grid: GridSpec, family: CoefficientFamily, terms) -> _Operator | None:
     """``(t, u) -> sum of b(t, x) m(D) u`` over the ``(b, m)`` of ``terms`` whose ``b`` is
-    not None (``m`` None: the identity) on the family's states, 0 when none is left.  The
+    not None (``m`` None: the identity) on the family's states, None when none is left.  The
     ``b`` are evaluated over a column of times (on Fourier coefficients at ``x = 0``)."""
     space = _state_space(grid, family)
     terms = [(b, m) for b, m in terms if b is not None]
     if not terms:
-        return _Operator("coefficient", lambda bs, u: 0.0, parts=lambda t: ((), 0))
+        return None
 
     def apply(bs, u):
         first, *more = (b * u if m is None else space.term(b, m, u) for b, (_, m) in zip(bs, terms))
@@ -336,27 +342,30 @@ def _coefficient_operator(grid: GridSpec, family: CoefficientFamily, terms) -> _
                      width=len(terms) * np.size(space.x))
 
 
-def lower_operator(grid: GridSpec, family: CoefficientFamily) -> _Operator:
+def lower_operator(grid: GridSpec, family: CoefficientFamily) -> _Operator | None:
     """``(t, u) -> Op(b) u = b1(t, x) du/dx + b2(t, x) u`` on the family's states;
-    an absent coefficient's term is left out (the operator is 0 when both are)."""
+    an absent coefficient's term is left out (None when both are)."""
     i_xi = _multiplier_values(grid, 1j * grid.xi_odd)
     return _coefficient_operator(grid, family, ((family.b1, i_xi), (family.b2, None)))
 
 
 class _Operators:
     """The operators of one (problem, grid) pairing on the family's states: ``ops``,
-    ``Op(b)`` (``apply_lower``) and the ``b0`` multiplication (``apply_b0``).  ``state`` and
-    ``field`` convert grid fields to states and back, and :meth:`prime` tabulates every
-    operator's coefficients over a column of at most ``times_per_table`` times."""
+    ``Op(b)`` (``apply_lower``) and the ``b0`` multiplication (``apply_b0``), each None when
+    its coefficients are absent; the grid must match the data's size and the family's ``k``.
+    ``state`` and ``field`` convert grid fields to states and back, and :meth:`prime`
+    tabulates every operator's coefficients over a column of at most ``times_per_table``
+    times."""
 
     def __init__(self, problem: CauchyProblem, grid: GridSpec, *ops: _Operator):
+        problem.validate(grid)
         fam = problem.family
         self.problem, self.grid = problem, grid
         self.space = _state_space(grid, fam)
         self.state, self.field = self.space.state, self.space.field
         self.apply_lower = lower_operator(grid, fam)
         self.apply_b0 = _coefficient_operator(grid, fam, ((fam.b0, None),))
-        self._ops = (*ops, self.apply_lower, self.apply_b0)
+        self._ops = tuple(op for op in (*ops, self.apply_lower, self.apply_b0) if op is not None)
         widest = max(op.width for op in self._ops)
         self.times_per_table = max(3, min(_TABLE_TIMES, _TABLE_VALUES // widest))
 
@@ -364,6 +373,12 @@ class _Operators:
         """Evaluate every coefficient of the operators at ``times`` in one call each."""
         for op in self._ops:
             op.prime(times)
+
+    def forcing_state(self, t):
+        """The forcing's state at ``t``: ``f(t, x)`` broadcast to the grid, so a forcing
+        that does not depend on x may return one value."""
+        x = self.grid.x
+        return self.state(np.broadcast_to(self.problem.forcing(t, x), x.shape))
 
 
 class Discretization(_Operators):
@@ -376,19 +391,18 @@ class Discretization(_Operators):
     """
 
     def __init__(self, problem: CauchyProblem, grid: GridSpec):
-        problem.validate(grid)
         fam = problem.family
         atilde = excise(fam).a if problem.use_excision else None
         self.symbol = fam.a if atilde is None else atilde
         self.apply_principal = symbol_operator(grid, fam, atilde)
         super().__init__(problem, grid, self.apply_principal)
-        lower = (self.apply_lower,) if fam.b1 is not None or fam.b2 is not None else ()
+        problem.check_support(grid)
+        lower = () if self.apply_lower is None else (self.apply_lower,)
         self.apply_negated = self.space.negated_sum(self.apply_principal, *lower)
 
     def rhs(self, t: float, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Time derivative ``(v, -mu(t) u - b0 v + F)`` of the stacked state ``y = (u, v)``,
         written into ``out`` (a new array when None), which must not overlap ``y``."""
-        fam, forcing = self.problem.family, self.problem.forcing
         out = np.empty_like(y, dtype=complex) if out is None else out
         out[0] = y[1]
         dv = out[1]
@@ -396,10 +410,10 @@ class Discretization(_Operators):
             np.multiply(self.apply_negated.part(t), y[0], out=dv)
         else:
             dv[...] = self.apply_negated(t, y[0])
-        if fam.b0 is not None:
+        if self.apply_b0 is not None:
             np.subtract(dv, self.apply_b0(t, y[1]), out=dv)
-        if forcing is not None:
-            np.add(dv, self.state(forcing(t, self.grid.x)), out=dv)
+        if self.problem.forcing is not None:
+            np.add(dv, self.forcing_state(t), out=dv)
         return out
 
     def speed_bound(self, ts: np.ndarray) -> np.ndarray:
@@ -591,7 +605,10 @@ class SystemOperators(_Operators):
     Each symbol's operator comes from :func:`symbol_operator` and ``Op(b)`` from
     :func:`lower_operator`, so every block acts on the integrator's states
     (Fourier coefficients for a multiplier family, grid values otherwise).
-    Compositions follow the written operator order: ``B0 H u = B0(H(u))``.
+    Compositions follow the written operator order: ``B0 H u = B0(H(u))``.  The blocks
+    ``B0 = Op(defect) M^-1``, ``B1 = (-i Op(dt tau) + Op(atilde) - Op(tau)^2 + Op(b)) M^-1``,
+    ``B4 = i lam b0 M^-1`` and ``i[M, tau]M^-1`` all end in ``M^-1``, so each acts on ``M^-1 u``,
+    formed once per vector ``u``; ``B3 = b0 (1 - i lam M^-1 H)``, and ``B3 = B4 = 0`` without b0.
     """
 
     def __init__(self, problem: CauchyProblem, grid: GridSpec, lam: float = 0.0):
@@ -618,31 +635,16 @@ class SystemOperators(_Operators):
     def apply_Minv(self, u):
         return self.space.multiply(self._br_inv, u / self._om)
 
-    # correction blocks -----------------------------------------------------
-
-    def B0(self, t, u):
-        return self.apply_defect(t, self.apply_Minv(u))
-
-    def B1(self, t, u):
-        w = self.apply_Minv(u)
-        out = -1j * self.apply_dt_tau(t, w)
-        out = out + self.apply_excised(t, w) - self.apply_tau(t, self.apply_tau(t, w))
-        return out + self.apply_lower(t, w)
-
-    def B3(self, t, u):
-        if self.problem.family.b0 is None:
-            return np.zeros_like(u)
-        return self.apply_b0(t, u - 1j * self.lam * self.apply_Minv(self.apply_H(t, u)))
-
-    def B4(self, t, u):
-        if self.problem.family.b0 is None:
-            return np.zeros_like(u)
-        return 1j * self.lam * self.apply_b0(t, self.apply_Minv(u))
-
-    def commutator(self, t, u):
-        """``i [M, tau] M^-1 u``."""
-        w = self.apply_Minv(u)
-        return 1j * (self.apply_M(self.apply_tau(t, w)) - self.apply_tau(t, self.apply_M(w)))
+    def _blocks(self, t, w):
+        """``B0 u``, ``B1 u`` and ``i[M, tau]M^-1 u`` from ``w = M^-1 u``: ``Op(defect) w``,
+        ``(-i Op(dt tau) + Op(atilde) - Op(tau)^2 + Op(b)) w`` and ``i (M tau - tau M) w``,
+        with ``tau w`` formed once."""
+        tw = self.apply_tau(t, w)
+        b1 = -1j * self.apply_dt_tau(t, w) + self.apply_excised(t, w) - self.apply_tau(t, tw)
+        if self.apply_lower is not None:
+            b1 = b1 + self.apply_lower(t, w)
+        comm = 1j * (self.apply_M(tw) - self.apply_tau(t, self.apply_M(w)))
+        return self.apply_defect(t, w), b1, comm
 
     # system assembly --------------------------------------------------------
 
@@ -651,38 +653,35 @@ class SystemOperators(_Operators):
         return u1, self.apply_M(u) - self.apply_H(t, u1)
 
     def system_rhs(self, t, u1, u2):
-        """``(D - A0 - A1) U + F`` for ``U = (u1, u2)``; each operator product
-        (``H u1``, ``B1 H u1``, ``B3 u1``, ``H tau u1``) is formed once and shared
-        between the blocks that use it."""
-        d1 = 1j * self.apply_tau(t, u1)
-        d2 = -1j * self.apply_tau(t, u2)
+        """``(D - A0 - A1) U + F`` for ``U = (u1, u2)``, each operator product formed once:
+        ``tau u1`` serves ``D`` and ``H tau u1``, the blocks ending in ``M^-1`` act on
+        ``M^-1 H u1`` and ``M^-1 u2`` (:meth:`_blocks`), and ``B3`` reuses ``H u1`` and
+        ``M^-1 H u1``."""
+        tu1 = self.apply_tau(t, u1)
         hu1 = self.apply_H(t, u1)
+        w_hu1, w_u2 = self.apply_Minv(hu1), self.apply_Minv(u2)
+        b0h, b1h, comm_h = self._blocks(t, w_hu1)
+        b0u2, b1u2, comm_u2 = self._blocks(t, w_u2)
         # A0 = [[B0 H, B0], [-H B0 H, H B0]]
-        b0h = self.B0(t, hu1)
-        b0u2 = self.B0(t, u2)
         a0_1 = b0h + b0u2
         a0_2 = -self.apply_H(t, b0h) + self.apply_H(t, b0u2)
         # A1 = [[B1 H + B3, B1 + B4], [B2 - H B3, i[M,tau]M^-1 - H(B1 + B4)]]
-        b1h = self.B1(t, hu1)
-        b1u2 = self.B1(t, u2)
-        b4u2 = self.B4(t, u2)
-        b3u1 = self.B3(t, u1)
+        if self.apply_b0 is None:
+            b3u1, b4u2 = np.zeros_like(u1), np.zeros_like(u2)
+        else:
+            b3u1 = self.apply_b0(t, u1 - 1j * self.lam * w_hu1)
+            b4u2 = 1j * self.lam * self.apply_b0(t, w_u2)
         a1_1 = b1h + b3u1 + b1u2 + b4u2
         # B2 = 2i H tau - M + i[M,tau]M^-1 H + i[tau, H] - H B1 H + dt H
-        htu1 = self.apply_H(t, self.apply_tau(t, u1))
-        b2 = 2j * htu1 - self.apply_M(u1)
-        b2 = b2 + self.commutator(t, hu1)
-        b2 = b2 + 1j * (self.apply_tau(t, hu1) - htu1)
-        b2 = b2 - self.apply_H(t, b1h)
-        b2 = b2 + self.apply_dtH(t, u1)
-        a1_2 = (b2 - self.apply_H(t, b3u1)
-                + self.commutator(t, u2) - self.apply_H(t, b1u2 + b4u2))
-        r1 = d1 - a0_1 - a1_1
-        r2 = d2 - a0_2 - a1_2
+        htu1 = self.apply_H(t, tu1)
+        b2 = 2j * htu1 - self.apply_M(u1) + comm_h + 1j * (self.apply_tau(t, hu1) - htu1)
+        b2 = b2 - self.apply_H(t, b1h) + self.apply_dtH(t, u1)
+        a1_2 = b2 - self.apply_H(t, b3u1) + comm_u2 - self.apply_H(t, b1u2 + b4u2)
+        r1 = 1j * tu1 - a0_1 - a1_1
+        r2 = -1j * self.apply_tau(t, u2) - a0_2 - a1_2
         if self.problem.forcing is not None:
-            f = self.state(self.problem.forcing(t, self.grid.x))
-            r1 = r1 + f
-            r2 = r2 - self.apply_H(t, f)
+            f = self.forcing_state(t)
+            r1, r2 = r1 + f, r2 - self.apply_H(t, f)
         return r1, r2
 
 
@@ -708,6 +707,8 @@ def system_residual(traj: Trajectory, problem: CauchyProblem, grid: GridSpec,
     """
     if len(traj.snapshots) < 3:
         raise ValueError("system_residual needs at least 3 snapshots")
+    if grid != traj.grid:
+        raise ValueError(f"grid {grid} is not the trajectory's grid {traj.grid}")
     ops = SystemOperators(problem, grid, lam=lam)
     times, per, last = traj.times, ops.times_per_table, len(traj.snapshots) - 1
     reduced, worst = [], 0.0

@@ -434,13 +434,6 @@ class EllipticityError(ValueError):
         self.witness = witness
 
 
-def _default_root_lattice(T):
-    t = np.concatenate([[0.0], np.geomspace(1e-6 * T, T, 31)])
-    x = np.concatenate([[0.0], np.geomspace(0.5, 64.0, 8), -np.geomspace(0.5, 64.0, 8)])
-    xi = np.concatenate([np.geomspace(0.5, 128.0, 9), -np.geomspace(0.5, 128.0, 9)])
-    return t, x, xi
-
-
 def _guarded_div(num, den, where):
     """``num / den`` where ``where`` holds and 0 elsewhere, on the broadcast shape."""
     out = np.zeros(np.broadcast(num, den).shape)
@@ -473,7 +466,7 @@ class CharacteristicRoot:
         return _d_root(self.excised.dxi_a(t, x, xi), self.value(t, x, xi))
 
 
-def char_root(excised: ExcisedCoefficient, lattice=None) -> CharacteristicRoot:
+def char_root(excised: ExcisedCoefficient) -> CharacteristicRoot:
     """Validate ellipticity of ``atilde`` on a sample lattice and return the root.
 
     The reference is ``omega^2 <xi>_k^2`` for shifted families and
@@ -481,7 +474,9 @@ def char_root(excised: ExcisedCoefficient, lattice=None) -> CharacteristicRoot:
     ``xi = 0``; those samples are excluded).  A non-positive or non-finite
     fitted floor raises :class:`EllipticityError` with the witnessing sample.
     """
-    t, x, xi = lattice if lattice is not None else _default_root_lattice(excised.T)
+    t = np.concatenate([[0.0], np.geomspace(1e-6 * excised.T, excised.T, 31)])
+    x = np.concatenate([[0.0], np.geomspace(0.5, 64.0, 8), -np.geomspace(0.5, 64.0, 8)])
+    xi = np.concatenate([np.geomspace(0.5, 128.0, 9), -np.geomspace(0.5, 128.0, 9)])
     tt, xx, ww = np.meshgrid(t, x, xi, indexing="ij")
     vals = excised.a(tt, xx, ww)
     om2 = np.asarray(excised.pair.omega(xx), dtype=float) ** 2
@@ -872,10 +867,9 @@ class RootReport:
     dt_tau_flat_max: float
 
 
-def root_estimate_report(root: CharacteristicRoot, profile, *, lattice=None) -> RootReport:
+def root_estimate_report(root: CharacteristicRoot, profile) -> RootReport:
     pair, k = root.excised.pair, root.excised.k
-    T = root.excised.T
-    lattice = lattice if lattice is not None else graded_lattice(T)
+    lattice = graded_lattice(root.excised.T)
 
     def derivs(alpha, beta):
         table = {(0, 0): root.value, (1, 0): root.dxi, (0, 1): root.dx}

@@ -264,9 +264,9 @@ class TestEnergyMonitor:
         trace = energy_monitor(traj, (0.0, 0.0), fam.profile, fam.pair, 1.0)
         eps0 = float(trace.lam_values[0])
         for (t, u, v), e_t in zip(traj.snapshots, trace.energy):
-            frozen = (sobolev_norm(grid, u, SobolevIndex(1.0, 1.0, eps0, 3.0, grid.k),
+            frozen = (sobolev_norm(grid, u, SobolevIndex(1.0, 1.0, eps0, 3.0),
                                    fam.pair)
-                      + sobolev_norm(grid, v, SobolevIndex(0.0, 0.0, eps0, 3.0, grid.k),
+                      + sobolev_norm(grid, v, SobolevIndex(0.0, 0.0, eps0, 3.0),
                                      fam.pair))
             assert frozen >= e_t * (1.0 - 1e-12)
 
@@ -301,6 +301,21 @@ class TestEnergyMonitor:
         assert trace.data_bound[0] == trace.energy[0]
         assert trace.data_bound[-1] > trace.data_bound[0]
         assert np.isfinite(trace.verdict)
+
+    def test_x_independent_forcing_is_broadcast(self):
+        # a forcing that returns one value per t is that value at every grid point
+        from singhyp.symbols import reference_wave
+
+        grid = GridSpec(L=np.pi, N=64, k=2.0)
+        fam = reference_wave(T=1.0, k=2.0)
+        mode = np.exp(1j * 3 * grid.x)
+        prob = CauchyProblem(family=fam, f1=mode, f2=np.zeros_like(mode), t_start=0.0, T=1.0)
+        traj = integrate(prob, grid, graded_mesh(fam, 0.0, 1.0, 64), np.linspace(0, 1, 5))
+        scalar, field = (energy_monitor(traj, (0.0, 0.0), fam.profile, fam.pair, 0.5,
+                                        forcing=f).data_bound
+                         for f in (lambda t, x: np.sin(t),
+                                   lambda t, x: np.full(np.shape(x), np.sin(t))))
+        assert np.array_equal(scalar, field) and scalar[-1] > scalar[0]
 
 
 class TestFitLambda:

@@ -28,6 +28,14 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(L=1.0, N=100)
 
+    @pytest.mark.parametrize("N", [256.0, "256", None])
+    def test_rejects_non_integer_size_naming_n(self, N):
+        with pytest.raises(ValueError, match="N must be"):
+            GridSpec(L=1.0, N=N)
+
+    def test_accepts_numpy_integer_size(self):
+        assert GridSpec(L=1.0, N=np.int64(256)).x.size == 256
+
     def test_rejects_small_k(self):
         with pytest.raises(ValueError):
             GridSpec(L=1.0, N=16, k=0.5)
@@ -236,20 +244,20 @@ class TestLossOperator:
 
 class TestSobolevNorm:
     def test_reduces_to_l2(self, grid, rand_field):
-        idx = SobolevIndex(0.0, 0.0, 0.0, 3.0, grid.k)
+        idx = SobolevIndex(0.0, 0.0, 0.0, 3.0)
         assert sobolev_norm(grid, rand_field, idx, poly_pair(0.5, 1.0)) \
             == pytest.approx(l2_norm(grid, rand_field), rel=1e-13)
 
     def test_single_mode_closed_form(self, grid):
         u = np.exp(1j * 6 * grid.x)
-        idx = SobolevIndex(2.0, 0.0, 0.25, 3.0, grid.k)
+        idx = SobolevIndex(2.0, 0.0, 0.25, 3.0)
         expect = np.sqrt(2 * grid.L) * bracket(6.0, grid.k) ** 2 \
             * np.exp(0.25 * bracket(6.0, grid.k) ** (1.0 / 3.0))
         assert sobolev_norm(grid, u, idx, constant_pair()) == pytest.approx(expect, rel=1e-10)
 
     def test_zero_decay_index_ignores_pair(self, grid, rand_field):
         # s2 = 0, eps = 0: Phi never enters
-        idx = SobolevIndex(1.5, 0.0, 0.0, 3.0, grid.k)
+        idx = SobolevIndex(1.5, 0.0, 0.0, 3.0)
         a = sobolev_norm(grid, rand_field, idx, poly_pair(0.5, 1.0))
         b = l2_norm(grid, apply_multiplier(grid, bracket(grid.xi, grid.k) ** 1.5, rand_field))
         assert a == pytest.approx(b, rel=1e-13)
@@ -259,13 +267,17 @@ class TestSobolevNorm:
         pair = poly_pair(0.5, 1.0)
         for _ in range(5):
             u = rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N)
-            base = sobolev_norm(grid, u, SobolevIndex(1.0, 0.0, 0.05, 3.0, grid.k), pair)
-            up_s = sobolev_norm(grid, u, SobolevIndex(1.5, 0.0, 0.05, 3.0, grid.k), pair)
-            up_e = sobolev_norm(grid, u, SobolevIndex(1.0, 0.0, 0.1, 3.0, grid.k), pair)
+            base = sobolev_norm(grid, u, SobolevIndex(1.0, 0.0, 0.05, 3.0), pair)
+            up_s = sobolev_norm(grid, u, SobolevIndex(1.5, 0.0, 0.05, 3.0), pair)
+            up_e = sobolev_norm(grid, u, SobolevIndex(1.0, 0.0, 0.1, 3.0), pair)
             assert up_s >= base * (1.0 - 1e-12)
             assert up_e >= base * (1.0 - 1e-12)
 
-    def test_k_mismatch_rejected(self, grid, rand_field):
-        with pytest.raises(ValueError):
-            sobolev_norm(grid, rand_field, SobolevIndex(0.0, 0.0, 0.0, 3.0, 2.0),
-                         constant_pair())
+    def test_uses_grid_k(self, grid, rand_field):
+        # the index carries no k: <D>_k and the loss weight read the grid's own
+        idx = SobolevIndex(1.0, 0.0, 0.2, 3.0)
+        for k in (1.0, 4.0):
+            gk = GridSpec(L=grid.L, N=grid.N, k=k)
+            want = l2_norm(gk, apply_multiplier(gk, bracket(gk.xi, k), loss_operator(
+                gk, constant_pair(), 0.2, 3.0, rand_field)))
+            assert sobolev_norm(gk, rand_field, idx, constant_pair()) == want

@@ -139,6 +139,24 @@ class TestAssembleRhs:
         assert np.max(np.abs(dv - expect)) <= 1e-11 * np.max(np.abs(expect))
 
 
+    @pytest.mark.parametrize("space", ["fourier", "physical"])
+    def test_x_independent_forcing_on_both_state_spaces(self, space):
+        # a forcing that returns one value per t acts as that value at every grid point,
+        # in the solver's right-hand side and in the first-order system's
+        grid = GridSpec(L=8.0, N=64, k=1.0)
+        fam = free_wave(1.0, k=1.0)
+        fam = _physical(fam) if space == "physical" else fam
+        u = GaussianBump(0.0, 0.45)(grid.x) * _band_field(grid)
+        results = []
+        for forcing in (lambda t, x: np.sin(t), lambda t, x: np.full(np.shape(x), np.sin(t))):
+            prob = CauchyProblem(family=fam, f1=u, f2=u, t_start=0.0, T=1.0, forcing=forcing)
+            ops = SystemOperators(prob, grid)
+            assert ops.space.name == space
+            results.append([*assemble_rhs(0.5, u, u, prob, grid),
+                             *ops.system_rhs(0.5, *ops.state(np.array([u, u])))])
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
+
     def test_rebuilt_family_uses_its_new_symbol(self):
         # the solver applies a separable family through its factors, so a family
         # rebuilt with a new ``a`` has to drop them
@@ -1106,6 +1124,26 @@ class TestSystem:
         with pytest.raises(ValueError):
             system_residual(traj, prob, grid)
 
+    def test_grid_must_match_problem_and_trajectory(self):
+        # the first-order system checks N and k as the integrator does, with its message,
+        # and system_residual takes the trajectory's own grid only
+        fam = reference_wave(k=4.0)
+        p = random_trig_poly(8, seed=1)
+        grid = GridSpec(L=np.pi, N=64, k=4.0)
+        u, v = np.asarray(p(grid.x), dtype=complex), np.asarray(p(grid.x, 1), dtype=complex)
+        prob = CauchyProblem(family=fam, f1=u, f2=v, t_start=0.0, T=1.0)
+        traj = integrate(prob, grid, graded_mesh(fam, 0.0, 1.0, 256), np.linspace(0.25, 1.0, 9))
+        assert np.isfinite(system_residual(traj, prob, grid))
+        for bad, match in ((GridSpec(L=np.pi, N=64, k=1.0), "family.k=4.0 does not match"),
+                           (GridSpec(L=np.pi, N=32, k=4.0), "f1 does not match grid size 32")):
+            for build in (Discretization, SystemOperators,
+                          lambda prob, grid: reduce_to_system(0.5, u, v, prob, grid)):
+                with pytest.raises(ValueError, match=match):
+                    build(prob, bad)
+        for other in (GridSpec(L=np.pi, N=64, k=1.0), GridSpec(L=8.0, N=64, k=4.0)):
+            with pytest.raises(ValueError, match="the trajectory's grid"):
+                system_residual(traj, prob, other)
+
     @pytest.mark.parametrize("nan_at", ["every-snapshot", "one-snapshot"])
     def test_non_finite_residual_raises(self, nan_at):
         # a NaN forcing must fail loudly, not give its snapshots up or read as 0
@@ -1304,9 +1342,24 @@ class TestSystem:
 
     @staticmethod
     def _composed_system_rhs(ops, t, u1, u2):
-        # the system right-hand side composed block by block, with B2 applied as
-        # its own operator: every product it shares with other blocks is recomputed
-        tau, H, M, Minv = ops.apply_tau, ops.apply_H, ops.apply_M, ops.apply_Minv
+        # the system right-hand side composed block by block from the operators, with
+        # each block (B2 too) applied as its own operator: every product it shares with
+        # other blocks is recomputed
+        tau, H, M, Minv, b0 = ops.apply_tau, ops.apply_H, ops.apply_M, ops.apply_Minv, ops.apply_b0
+
+        def B0(u):
+            return ops.apply_defect(t, Minv(u))
+
+        def B1(u):
+            w = Minv(u)
+            out = -1j * ops.apply_dt_tau(t, w) + ops.apply_excised(t, w) - tau(t, tau(t, w))
+            return out if ops.apply_lower is None else out + ops.apply_lower(t, w)
+
+        def B3(u):
+            return np.zeros_like(u) if b0 is None else b0(t, u - 1j * ops.lam * Minv(H(t, u)))
+
+        def B4(u):
+            return np.zeros_like(u) if b0 is None else 1j * ops.lam * b0(t, Minv(u))
 
         def comm(u):
             w = Minv(u)
@@ -1317,16 +1370,16 @@ class TestSystem:
             out = 2j * H(t, tau(t, u)) - M(u)
             out = out + comm(hu)
             out = out + 1j * (tau(t, hu) - H(t, tau(t, u)))
-            out = out - H(t, ops.B1(t, hu))
+            out = out - H(t, B1(hu))
             return out + ops.apply_dtH(t, u)
 
         hu1 = H(t, u1)
-        b0h, b0u2 = ops.B0(t, hu1), ops.B0(t, u2)
+        b0h, b0u2 = B0(hu1), B0(u2)
         a0_1 = b0h + b0u2
         a0_2 = -H(t, b0h) + H(t, b0u2)
-        b1h, b1u2, b4u2 = ops.B1(t, hu1), ops.B1(t, u2), ops.B4(t, u2)
-        a1_1 = b1h + ops.B3(t, u1) + b1u2 + b4u2
-        a1_2 = B2(u1) - H(t, ops.B3(t, u1)) + comm(u2) - H(t, b1u2 + b4u2)
+        b1h, b1u2, b4u2 = B1(hu1), B1(u2), B4(u2)
+        a1_1 = b1h + B3(u1) + b1u2 + b4u2
+        a1_2 = B2(u1) - H(t, B3(u1)) + comm(u2) - H(t, b1u2 + b4u2)
         r1 = 1j * tau(t, u1) - a0_1 - a1_1
         r2 = -1j * tau(t, u2) - a0_2 - a1_2
         if ops.problem.forcing is not None:
@@ -1353,11 +1406,15 @@ class TestSystem:
         u1, u2 = ops.state(f1), ops.state(f2)
         want = self._composed_system_rhs(ops, t, u1, u2)
 
-        calls = []
+        calls, inverses = [], []
         for name in _SYMBOL_OPERATORS:
             monkeypatch.setattr(ops, name, lambda t, u, op=getattr(ops, name):
                                 calls.append(1) or op(t, u))
+        monkeypatch.setattr(ops, "apply_Minv", lambda u, op=ops.apply_Minv:
+                            inverses.append(1) or op(u))
         got = ops.system_rhs(t, u1, u2)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        # the composition above makes 33 operator applications, 36 with b0 and forcing
-        assert len(calls) == 26 + b0 + forced
+        # the composition above makes 33 operator applications and 6 of M^-1, 36 and 8
+        # with b0 and forcing
+        assert len(calls) == 23 + forced
+        assert len(inverses) == 2
