@@ -30,8 +30,8 @@ from .symbols import (CharacteristicRoot, CoefficientFamily, EllipticityError, Q
                       symbol_class_report, theorem_coefficient)
 from .solver import (CauchyProblem, SolverError, SupportError, TimeMesh, Trajectory,
                      assemble_rhs, graded_mesh, integrate, reduce_to_system, system_residual)
-from .analysis import (BandError, ConeSpec, EnergyTrace, GaussianBump, TrigPoly, closed_form,
-                       cone_check, counterexample_coefficients, counterexample_family,
-                       drift_argument, energy_monitor, falling_factorial, fit_lambda,
-                       loss_slope, propagation_speed, random_trig_poly, residual_check,
-                       support_radius)
+from .analysis import (BandError, ConeSpec, EnergyTrace, GaussianBump, LambdaFitError, TrigPoly,
+                       closed_form, cone_check, counterexample_coefficients,
+                       counterexample_family, drift_argument, energy_monitor, falling_factorial,
+                       fit_lambda, loss_slope, propagation_speed, random_trig_poly,
+                       residual_check, support_radius)

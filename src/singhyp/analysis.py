@@ -39,7 +39,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quantize import GridSpec, SobolevIndex, dft_forward, dft_inverse, sobolev_norm
+from .quantize import (GridSpec, SobolevIndex, _loss_base, _loss_map, _weighted_l2, dft_forward,
+                       dft_inverse)
 from .solver import CauchyProblem, Trajectory, assemble_rhs
 from .structure import (SingularityProfile, StructurePair, bracket, constant_pair, lambda_loss,
                         one, zero)
@@ -67,6 +68,7 @@ __all__ = [
     "EnergyTrace",
     "energy_monitor",
     "LambdaFit",
+    "LambdaFitError",
     "fit_lambda",
 ]
 
@@ -461,32 +463,40 @@ def energy_monitor(traj: Trajectory, s: tuple[float, float], profile: Singularit
     Modes below ``SPECTRAL_FLOOR`` times the spectral peak are masked before
     weighting: the sub-exponential weights would otherwise amplify the FFT
     roundoff floor past the true (sub-double-precision) spectral tail.
-    ``lam = 0`` monitors unweighted norms (Lambda == 0).
+    ``lam = 0`` monitors unweighted norms (Lambda == 0); a negative or non-finite
+    ``lam`` raises ``ValueError``.  Each norm is :func:`~singhyp.quantize.sobolev_norm`'s:
+    the loss base ``(Phi <xi>_k)**(1/sigma)`` is formed once per call, and one
+    ``exp(Lambda(t) ...)`` per snapshot serves ``u``, ``u_t`` and the forcing.
     """
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
     grid = traj.grid
     s1, s2 = s
     times = traj.times
     lam_vals = (lambda_loss(times, lam, profile) if lam > 0.0
                 else np.zeros_like(times))
-    norms_u, norms_v, supports = [], [], []
+    base = _loss_base(grid, pair, profile.sigma) if lam > 0.0 else None
+    norms_u, norms_v, fnorm, supports = [], [], [], []
     for (t, u, v), eps in zip(traj.snapshots, lam_vals):
         eps = float(max(eps, 0.0))
-        uu = _denoise(grid, u)
-        vv = _denoise(grid, v)
-        nu = sobolev_norm(grid, uu, SobolevIndex(s1 + 1.0, s2 + 1.0, eps, profile.sigma), pair)
-        nv = sobolev_norm(grid, vv, SobolevIndex(s1, s2, eps, profile.sigma), pair)
+        loss = _loss_map(grid, base, eps)
+        nu = _weighted_l2(grid, loss(_denoise(grid, u)),
+                          SobolevIndex(s1 + 1.0, s2 + 1.0, eps, profile.sigma), pair)
+        nv = _weighted_l2(grid, loss(_denoise(grid, v)),
+                          SobolevIndex(s1, s2, eps, profile.sigma), pair)
         if not (np.isfinite(nu) and np.isfinite(nv)):
             raise ArithmeticError(f"non-finite weighted norm at t={t}")
         norms_u.append(nu)
         norms_v.append(nv)
         supports.append(support_radius(grid, u))
+        if forcing is not None:
+            f = np.broadcast_to(forcing(float(t), grid.x), grid.x.shape)
+            fnorm.append(_weighted_l2(grid, loss(f), SobolevIndex(s1, s2, eps, profile.sigma),
+                                      pair))
 
     data_bound = np.full(times.shape, norms_u[0] + norms_v[0])
     if forcing is not None:
-        fnorm = np.array([
-            sobolev_norm(grid, np.broadcast_to(forcing(float(t), grid.x), grid.x.shape),
-                         SobolevIndex(s1, s2, float(max(e, 0.0)), profile.sigma), pair)
-            for t, e in zip(times, lam_vals)])
+        fnorm = np.array(fnorm)
         running = np.concatenate([[0.0], np.cumsum(
             0.5 * (fnorm[1:] + fnorm[:-1]) * np.diff(times))])
         data_bound = data_bound + running
@@ -511,6 +521,15 @@ class LambdaFit:
     witness: tuple  # (t, x, xi) achieving the bound
 
 
+class LambdaFitError(ArithmeticError):
+    """Raised when the lambda demand is not finite on the lattice; ``witness`` is the
+    first such ``(t, x, xi)``."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
 def fit_lambda(family: CoefficientFamily, profile: SingularityProfile, *,
                lattice: SampleLattice | None = None) -> LambdaFit:
     """Smallest ``lam`` with ``|sigma(A0)| + |sigma(A1)| <= lam t^(ds-1) (Phi<xi>_k)^(1/sigma)``
@@ -520,7 +539,8 @@ def fit_lambda(family: CoefficientFamily, profile: SingularityProfile, *,
     blocks; composition entries as products of symbols, so the commutator
     entries vanish and the disjoint-support products drop out exactly).  With
     ``b0 != 0`` the block B3 references lam itself; the fixed point is iterated
-    at most three times.
+    at most three times.  A demand that is not finite somewhere on the lattice
+    raises :class:`LambdaFitError` with the witnessing ``(t, x, xi)``.
     """
     pair, k = family.pair, family.k
     lattice = lattice if lattice is not None else graded_lattice(family.T)
@@ -528,8 +548,9 @@ def fit_lambda(family: CoefficientFamily, profile: SingularityProfile, *,
     root = char_root(exc)
     hsym = h_symbol(root)
 
-    tt, xx, ww = lattice.mesh()
+    tt, xx, ww = lattice.mesh()  # open grids: factors of one variable stay 1-D
     om = np.asarray(pair.omega(xx), dtype=float)
+    phi = np.asarray(pair.phi(xx), dtype=float)
     br = bracket(ww, k)
     m_sym = om * br
     tau = root.value(tt, xx, ww)
@@ -543,13 +564,13 @@ def fit_lambda(family: CoefficientFamily, profile: SingularityProfile, *,
     sig_B0 = defect / m_sym
     # atilde - tau^2 vanishes pointwise; B1 keeps the root's drift and the lower order
     sig_B1 = (-1j * dt_tau + b_low) / m_sym
-    s_arg = tt * np.asarray(pair.phi(xx), dtype=float) * br
+    s_arg = tt * phi * br
     phi3 = cut(s_arg / 3.0)
     sig_2iHtau_minus_M = -m_sym * phi3
     sig_B2_core = sig_2iHtau_minus_M - h_val * sig_B1 * h_val + h_dt
 
     ds = profile.delta_star
-    weight = tt ** (1.0 - ds) / (np.asarray(pair.phi(xx), dtype=float) * br) ** (1.0 / profile.sigma)
+    weight = tt ** (1.0 - ds) / (phi * br) ** (1.0 / profile.sigma)
 
     lam = 0.0
     for _ in range(3):
@@ -567,9 +588,12 @@ def fit_lambda(family: CoefficientFamily, profile: SingularityProfile, *,
         a1_22 = -h_val * (sig_B1 + sig_B4)  # i[M,tau]M^-1 symbol vanishes pointwise
         a1_total = np.abs(a1_11) + np.abs(a1_12) + np.abs(a1_21) + np.abs(a1_22)
         demand = (a0_total + a1_total) * weight
-        i = int(np.argmax(demand))
+        i = int(np.argmax(demand))  # the first NaN, else the first inf, else the max
         lam_new = float(demand.ravel()[i])
-        witness = (float(tt.ravel()[i]), float(xx.ravel()[i]), float(ww.ravel()[i]))
+        witness = lattice.point(i)
+        if not np.isfinite(lam_new):
+            raise LambdaFitError(f"lambda demand is {lam_new} at (t, x, xi) = {witness}",
+                                 witness=witness)
         if b0 is None or abs(lam_new - lam) <= 1e-10 * max(lam_new, 1.0):
             return LambdaFit(value=lam_new, witness=witness)
         lam = lam_new

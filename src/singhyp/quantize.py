@@ -229,26 +229,53 @@ def _guard_exponent(w_max: float):
             "reduce eps, the grid bandwidth, or Phi")
 
 
+def _loss_base(grid: GridSpec, pair: StructurePair, sigma: float) -> np.ndarray:
+    """``S = (Phi(x) <xi>_k)**(1/sigma)``, the loss exponent at ``eps = 1``: the (N, N)
+    lattice with rows x, or the N-vector over xi at ``Phi(0)`` when the pair is constant.
+    It does not depend on ``eps``, so a caller at many ``eps`` forms it once."""
+    br = bracket(grid.xi, grid.k)
+    if pair.is_constant:
+        return (float(np.asarray(pair.phi(0.0))) * br) ** (1.0 / sigma)
+    return (pair.phi(grid.x)[:, None] * br[None, :]) ** (1.0 / sigma)
+
+
+def _loss_map(grid: GridSpec, base: np.ndarray | None, eps: float):
+    """``u -> exp(eps * S) u`` in left quantization, for ``S = _loss_base(...)``: the
+    exponent is checked against ``EXP_GUARD`` and exponentiated once, so every field the
+    map is applied to shares one multiplier or one dense band.  ``eps = 0`` is the DFT
+    round trip, and needs no ``base``."""
+    if eps == 0.0:
+        return lambda u: dft_inverse(grid, dft_forward(grid, u))
+    w = eps * base
+    _guard_exponent(float(np.max(w)))
+    if base.ndim == 1:
+        m = np.exp(w)
+        return lambda u: apply_multiplier(grid, m, u)
+    band = kn_band(grid, np.exp(w), slice(None))
+    return lambda u: dft_forward(grid, u) @ band / (2.0 * grid.L)
+
+
 def loss_operator(grid: GridSpec, pair: StructurePair, eps: float, sigma: float,
                   values) -> np.ndarray:
     """Apply ``exp(eps * (Phi(x) <D>_k)**(1/sigma))`` in left quantization.
 
     ``eps = 0`` is the identity.  Collapses to a Fourier multiplier when the
-    pair is constant.  Raises :class:`OverflowGuardError` when the exponent
-    exceeds 700 anywhere on the lattice.
+    pair is constant, and is the dense Kohn-Nirenberg product of
+    ``exp(loss_symbol)`` otherwise.  Raises :class:`OverflowGuardError` when the
+    exponent exceeds 700 anywhere on the lattice.
     """
     if eps < 0:
         raise ValueError("eps must be >= 0")
-    if eps == 0.0:
-        return dft_inverse(grid, dft_forward(grid, values))
-    if pair.is_constant:
-        phi0 = float(np.asarray(pair.phi(0.0)))
-        w = eps * (phi0 * bracket(grid.xi, grid.k)) ** (1.0 / sigma)
-        _guard_exponent(float(np.max(w)))
-        return apply_multiplier(grid, np.exp(w), values)
-    w = loss_symbol(grid, pair, eps, sigma)
-    _guard_exponent(float(np.max(w)))
-    return apply_kn(grid, np.exp(w), values)
+    return _loss_map(grid, _loss_base(grid, pair, sigma) if eps else None, eps)(values)
+
+
+def _weighted_l2(grid: GridSpec, w, index: SobolevIndex, pair: StructurePair) -> float:
+    """``|| Phi^s2 <D>_k^s1 w ||_L2``: the multiplier first, then ``Phi(x)**s2``."""
+    if index.s1 != 0.0:
+        w = apply_multiplier(grid, bracket(grid.xi, grid.k) ** index.s1, w)
+    if index.s2 != 0.0:
+        w = pair.phi(grid.x) ** index.s2 * w
+    return l2_norm(grid, w)
 
 
 def sobolev_norm(grid: GridSpec, values, index: SobolevIndex, pair: StructurePair) -> float:
@@ -257,9 +284,5 @@ def sobolev_norm(grid: GridSpec, values, index: SobolevIndex, pair: StructurePai
     Operators apply in exactly that order: exponential first, then the
     ``<xi>_k**s1`` multiplier, then multiplication by ``Phi(x)**s2``, with the grid's ``k``.
     """
-    w = loss_operator(grid, pair, index.eps, index.sigma, values)
-    if index.s1 != 0.0:
-        w = apply_multiplier(grid, bracket(grid.xi, grid.k) ** index.s1, w)
-    if index.s2 != 0.0:
-        w = pair.phi(grid.x) ** index.s2 * w
-    return l2_norm(grid, w)
+    return _weighted_l2(grid, loss_operator(grid, pair, index.eps, index.sigma, values),
+                        index, pair)

@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -474,20 +475,20 @@ def char_root(excised: ExcisedCoefficient) -> CharacteristicRoot:
     ``xi = 0``; those samples are excluded).  A non-positive or non-finite
     fitted floor raises :class:`EllipticityError` with the witnessing sample.
     """
-    t = np.concatenate([[0.0], np.geomspace(1e-6 * excised.T, excised.T, 31)])
-    x = np.concatenate([[0.0], np.geomspace(0.5, 64.0, 8), -np.geomspace(0.5, 64.0, 8)])
-    xi = np.concatenate([np.geomspace(0.5, 128.0, 9), -np.geomspace(0.5, 128.0, 9)])
-    tt, xx, ww = np.meshgrid(t, x, xi, indexing="ij")
+    lattice = SampleLattice(
+        t=np.concatenate([[0.0], np.geomspace(1e-6 * excised.T, excised.T, 31)]),
+        x=np.concatenate([[0.0], np.geomspace(0.5, 64.0, 8), -np.geomspace(0.5, 64.0, 8)]),
+        xi=np.concatenate([np.geomspace(0.5, 128.0, 9), -np.geomspace(0.5, 128.0, 9)]))
+    tt, xx, ww = lattice.mesh()
     vals = excised.a(tt, xx, ww)
     om2 = np.asarray(excised.pair.omega(xx), dtype=float) ** 2
     ref = om2 * (bracket(ww, excised.k) ** 2 if excised.spectral_shift else ww ** 2)
-    mask = ref > 0
-    ratio = np.full(vals.shape, np.inf)
-    ratio[mask] = vals[mask] / ref[mask]
+    mask = np.broadcast_to(ref > 0, vals.shape)
+    ratio = np.divide(vals, ref, out=np.full(vals.shape, np.inf), where=mask)
     i = int(np.argmin(ratio))
     floor = float(ratio.ravel()[i])
     if not np.isfinite(vals[mask]).all() or floor <= 0.0:
-        witness = (float(tt.ravel()[i]), float(xx.ravel()[i]), float(ww.ravel()[i]), floor)
+        witness = (*lattice.point(i), floor)
         raise EllipticityError(
             f"excised symbol violates ellipticity: atilde/ref = {floor:.3e} at "
             f"(t, x, xi) = {witness[:3]}", witness=witness)
@@ -584,6 +585,17 @@ QUAD_EPS_RATIO = 1e-14  # bottom panel edge of TimeQuadrature, relative to t_hi
 QUAD_NODES = 5  # Gauss-Legendre nodes per TimeQuadrature panel
 
 
+@cache
+def _gauss_rule():
+    """The ``QUAD_NODES``-point Gauss-Legendre nodes and weights on ``[-1, 1]``, read-only.
+    Built once, on first use rather than at import: importing ``numpy.polynomial`` adds
+    about 1.7 MiB to every process, including those that never run a quadrature."""
+    rule = np.polynomial.legendre.leggauss(QUAD_NODES)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
 @dataclass(frozen=True)
 class TimeQuadrature:
     """Composite ``QUAD_NODES``-point Gauss-Legendre rule on geometric panels of
@@ -592,10 +604,17 @@ class TimeQuadrature:
     Geometric grading resolves both the integrable ``t**-p`` singularity and the
     bounded oscillations ``sin(pi t**(1-q))`` whose phase diverges at 0; the
     mass below the bottom panel is O(QUAD_EPS_RATIO**(1-p)) relative.
+    ``panels`` must be an integer >= 1 and ``rtol`` finite and > 0.
     """
 
     panels: int = 1024
     rtol: float = 1e-6
+
+    def __post_init__(self):
+        if not isinstance(self.panels, (int, np.integer)) or self.panels < 1:
+            raise ValueError(f"panels must be an integer >= 1, got {self.panels!r}")
+        if not 0.0 < self.rtol < np.inf:
+            raise ValueError(f"rtol must be finite and > 0, got {self.rtol!r}")
 
     def integrate(self, f: Callable, t_hi: float) -> float:
         v1 = self._run(f, t_hi, self.panels)
@@ -607,7 +626,7 @@ class TimeQuadrature:
         return v2
 
     def _run(self, f, t_hi, panels):
-        nodes, weights = np.polynomial.legendre.leggauss(QUAD_NODES)
+        nodes, weights = _gauss_rule()
         edges = QUAD_EPS_RATIO * t_hi * (1.0 / QUAD_EPS_RATIO) ** np.linspace(0.0, 1.0, panels + 1)
         lo, hi = edges[:-1], edges[1:]
         half = 0.5 * (hi - lo)
@@ -722,12 +741,23 @@ def fit_blowup_exponents(family: CoefficientFamily):
 
 @dataclass(frozen=True)
 class SampleLattice:
+    """Samples ``t``, ``x`` and ``xi`` of the lattice ``t x x x xi``."""
+
     t: np.ndarray
     x: np.ndarray
     xi: np.ndarray
 
     def mesh(self):
-        return np.meshgrid(self.t, self.x, self.xi, indexing="ij")
+        """Open grids ``(tt, xx, ww)`` of shapes ``(nt, 1, 1)``, ``(1, nx, 1)`` and
+        ``(1, 1, nxi)``: a factor of one variable is evaluated on that variable's
+        samples only, and products broadcast to the full ``(nt, nx, nxi)`` lattice.
+        Index a full-shape result with a mask only after ``np.broadcast_to``."""
+        return np.meshgrid(self.t, self.x, self.xi, indexing="ij", sparse=True)
+
+    def point(self, flat: int) -> tuple:
+        """``(t, x, xi)`` at the flat index ``flat`` of a full ``(nt, nx, nxi)`` array."""
+        it, ix, iw = np.unravel_index(flat, (self.t.size, self.x.size, self.xi.size))
+        return float(self.t[it]), float(self.x[ix]), float(self.xi[iw])
 
 
 def graded_lattice(T: float, *, nt: int = 32, nx: int = 33, nxi: int = 33) -> SampleLattice:
@@ -816,6 +846,7 @@ def symbol_class_report(derivatives: Callable, descriptor: ClassDescriptor, prof
     """
     tt, xx, ww = lattice.mesh()
     masks = _zone_masks(lattice, profile, pair, k)
+    full = masks["all"].shape
     entries = []
     for alpha in range(max_order + 1):
         for beta in range(max_order + 1 - alpha):
@@ -824,19 +855,18 @@ def symbol_class_report(derivatives: Callable, descriptor: ClassDescriptor, prof
                 continue
             vals = np.abs(np.asarray(fn(tt, xx, ww), dtype=complex))
             env = descriptor.envelope(alpha, beta, xx, ww, pair, k)
-            ratio = vals / env
+            ratio = np.broadcast_to(vals / env, full)
             for zone, mask in masks.items():
                 n = int(np.count_nonzero(mask))
                 if n < 2:
                     entries.append(FitEntry(zone, alpha, beta, 0.0, 0.0, 0.0, n))
                     continue
                 rz = ratio[mask]
-                tz = tt[mask]
+                tz = np.broadcast_to(tt, full)[mask]
                 if not np.all(np.isfinite(rz)):
                     i = int(np.argmax(~np.isfinite(rz)))
                     entries.append(FitEntry(zone, alpha, beta, float("inf"), 0.0, 0.0, n,
-                                            (float(tz[i]), float(xx[mask][i]),
-                                             float(ww[mask][i]))))
+                                            lattice.point(int(np.flatnonzero(mask)[i]))))
                     continue
                 pos = rz > 0
                 if np.count_nonzero(pos) < max(2, n // 8):
@@ -878,11 +908,10 @@ def root_estimate_report(root: CharacteristicRoot, profile) -> RootReport:
     fit = symbol_class_report(derivs, ClassDescriptor(m1=1.0, m2=1.0), profile, pair, k,
                               lattice, max_order=1)
     tt, xx, ww = lattice.mesh()
-    masks = _zone_masks(lattice, profile, pair, k)
-    flat = masks["excision_flat"]
+    flat = _zone_masks(lattice, profile, pair, k)["excision_flat"]
     scale = np.asarray(pair.omega(xx), dtype=float) * bracket(ww, k)
     dt_vals = np.abs(root.dt(tt, xx, ww)) / scale
-    dt_flat = float(np.max(dt_vals[flat], initial=0.0))
+    dt_flat = float(np.max(np.broadcast_to(dt_vals, flat.shape)[flat], initial=0.0))
     return RootReport(
         fit=fit,
         interior_exponent=fit.entry("interior", 0, 0).t_exponent,

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from singhyp.quantize import GridSpec
 from singhyp.solver import CauchyProblem, graded_mesh, integrate
 from singhyp.structure import constant_pair, make_profile, poly_pair
-from singhyp.symbols import free_wave, graded_lattice, theorem_coefficient
-from singhyp.analysis import (BandError, ConeSpec, GaussianBump, TrigPoly, closed_form,
-                              cone_check, counterexample_coefficients, counterexample_family,
-                              drift_argument, energy_monitor, falling_factorial, fit_lambda,
-                              loss_slope, propagation_speed, random_trig_poly,
-                              residual_check, support_radius)
+from singhyp.symbols import SampleLattice, free_wave, graded_lattice, theorem_coefficient
+from singhyp.analysis import (BandError, ConeSpec, GaussianBump, LambdaFitError, TrigPoly,
+                              _denoise, closed_form, cone_check, counterexample_coefficients,
+                              counterexample_family, drift_argument, energy_monitor,
+                              falling_factorial, fit_lambda, loss_slope, propagation_speed,
+                              random_trig_poly, residual_check, support_radius)
 
 
 class TestFallingFactorial:
@@ -317,6 +317,44 @@ class TestEnergyMonitor:
                                    lambda t, x: np.full(np.shape(x), np.sin(t))))
         assert np.array_equal(scalar, field) and scalar[-1] > scalar[0]
 
+    @pytest.mark.parametrize("pair", [poly_pair(0.5, 0.5), constant_pair()],
+                             ids=lambda p: p.label)
+    def test_norms_match_sobolev_norm(self, pair):
+        # one exp(Lambda(t) S) per snapshot serves u, u_t and the forcing, bit for bit
+        from singhyp.quantize import SobolevIndex, sobolev_norm
+
+        fam = theorem_coefficient(0.0, 1.25, pair=pair, k=4.0)
+        grid = GridSpec(L=8.0, N=64, k=4.0)
+        bump = GaussianBump(0.0, 0.5)
+        prob = CauchyProblem(family=fam, f1=np.asarray(bump(grid.x), dtype=complex),
+                             f2=-np.asarray(bump(grid.x, 1), dtype=complex), t_start=0.0, T=1.0)
+        traj = integrate(prob, grid, graded_mesh(fam, 0.0, 1.0, 64), np.linspace(0, 1, 5))
+        forcing = lambda t, x: 0.1 * (1.0 + t) * np.exp(-x * x)
+        trace = energy_monitor(traj, (0.5, 0.25), fam.profile, pair, 1.5, forcing=forcing)
+        sig = fam.profile.sigma
+        want_u, want_v, want_f = (np.array([
+            sobolev_norm(grid, f(t, u, v), SobolevIndex(a, b, eps, sig), pair)
+            for (t, u, v), eps in zip(traj.snapshots, trace.lam_values)])
+            for f, a, b in ((lambda t, u, v: _denoise(grid, u), 1.5, 1.25),
+                            (lambda t, u, v: _denoise(grid, v), 0.5, 0.25),
+                            (lambda t, u, v: forcing(t, grid.x), 0.5, 0.25)))
+        assert trace.lam_values[0] > 0.0 and trace.lam_values[-1] == 0.0
+        assert np.array_equal(trace.norm_u, want_u) and np.array_equal(trace.norm_v, want_v)
+        running = np.concatenate([[0.0], np.cumsum(
+            0.5 * (want_f[1:] + want_f[:-1]) * np.diff(trace.times))])
+        assert np.array_equal(trace.data_bound, want_u[0] + want_v[0] + running)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_lambda(self, lam):
+        # a NaN lambda used to fail `lam > 0` and silently monitor unweighted norms
+        grid = GridSpec(L=8.0, N=64, k=4.0)
+        fam = theorem_coefficient(0.0, 1.25, k=4.0)
+        z = np.zeros(grid.N, dtype=complex)
+        prob = CauchyProblem(family=fam, f1=z, f2=z, t_start=0.0, T=1.0)
+        traj = integrate(prob, grid, graded_mesh(fam, 0.0, 1.0, 16), np.linspace(0, 1, 3))
+        with pytest.raises(ValueError, match="lam"):
+            energy_monitor(traj, (0.0, 0.0), fam.profile, fam.pair, lam)
+
 
 class TestFitLambda:
     def test_reference_family_beyond_cutoff_gives_zero(self):
@@ -352,6 +390,42 @@ class TestFitLambda:
         lam1 = fit_lambda(with_b(50.0), prof).value
         lam2 = fit_lambda(with_b(100.0), prof).value
         assert abs(lam2 / lam1 - 2.0) <= 0.2
+
+    @pytest.mark.parametrize("fam", [
+        theorem_coefficient(0.0, 1.25, pair=poly_pair(0.5, 0.5), k=4.0),
+        theorem_coefficient(0.25, 1.25, pair=poly_pair(0.3, 0.7), k=2.0)],
+        ids=lambda f: f.label)
+    def test_open_lattice_matches_dense(self, fam, on_dense_mesh):
+        dense = on_dense_mesh(lambda: fit_lambda(fam, fam.profile))
+        fit = fit_lambda(fam, fam.profile)
+        assert repr(fit) == repr(dense)
+        # the witness is where the demand peaks: alone, it demands the same lambda
+        t, x, xi = fit.witness
+        alone = SampleLattice(t=np.array([t]), x=np.array([x]), xi=np.array([xi]))
+        assert fit_lambda(fam, fam.profile, lattice=alone).value == pytest.approx(
+            fit.value, rel=1e-14)
+
+    def test_open_lattice_matches_dense_with_b0(self, on_dense_mesh):
+        # b0 != 0 iterates the fixed point in lambda; b0 varies in t and x, b1 in x
+        fam = theorem_coefficient(0.0, 1.25, pair=poly_pair(0.5, 0.5), r=0.5, k=4.0)
+        fam = fam.__class__(**{**fam.__dict__,
+                               "b0": lambda t, x: 0.1 / np.sqrt(t) * np.hypot(1.0, x) ** 0.2,
+                               "b1": lambda t, x: 0.3 * np.cos(x) + 0.0 * np.asarray(t)})
+        prof = make_profile(0.0, 1.25, 0.5, 3.0, 1.0)
+        dense = on_dense_mesh(lambda: fit_lambda(fam, prof))
+        fit = fit_lambda(fam, prof)
+        assert fit.value > 0.0 and repr(fit) == repr(dense)
+
+    def test_non_finite_demand_raises_with_witness(self):
+        # g(0) = inf and sin(pi 0^(1-q)) is NaN: the fit used to return LambdaFit(nan)
+        fam = theorem_coefficient(0.25, 1.25)
+        lat = graded_lattice(1.0)
+        with_zero = SampleLattice(t=np.concatenate([[0.0], lat.t]), x=lat.x, xi=lat.xi)
+        with np.errstate(all="ignore"), pytest.raises(LambdaFitError) as err:
+            fit_lambda(fam, fam.profile, lattice=with_zero)
+        t, x, xi = err.value.witness
+        assert t == 0.0 and x in lat.x and xi in lat.xi
+        assert isinstance(err.value, ArithmeticError)
 
 
 class TestSupportRadius:

@@ -473,6 +473,14 @@ class TestL1Defect:
         with pytest.raises(QuadratureError):
             l1_defect(self.fam, self.exc, 0.5, 3.0, quad)
 
+    @pytest.mark.parametrize("settings", [
+        {"panels": 0}, {"panels": -4}, {"panels": 2.5}, {"panels": "8"},
+        {"rtol": math.nan}, {"rtol": math.inf}, {"rtol": 0.0}, {"rtol": -1e-6}])
+    def test_quadrature_rejects_bad_settings(self, settings):
+        # no panels would integrate to 0.0, and a NaN rtol passes any refinement check
+        with pytest.raises(ValueError):
+            TimeQuadrature(**settings)
+
 
 class TestFitting:
     def test_power_law_recovers_exponent(self):
@@ -516,3 +524,78 @@ class TestFitting:
         rep = root_estimate_report(char_root(excise(fam)), fam.profile)
         payload = json.loads(rep.fit.to_json())
         assert {"zone", "alpha", "beta", "constant", "t_exponent"} <= set(payload["entries"][0])
+
+
+def _report_derivatives(alpha, beta):
+    """Derivatives for a class report: order (0, 0) depends on xi alone (not full-shape on
+    open grids), order (1, 0) is infinite at |x| > 50 and t < 1e-2 (a witness)."""
+    if beta:
+        return None
+    if alpha == 0:
+        return lambda t, x, xi: bracket(xi, 2.0)
+    return lambda t, x, xi: np.where((np.abs(x) > 50.0) & (t < 1e-2), np.inf,
+                                     t ** -0.3 * np.ones_like(xi))
+
+
+class TestOpenLattice:
+    """Evaluation on ``SampleLattice.mesh()``'s open grids equals the dense lattice's."""
+
+    fam = theorem_coefficient(0.25, 1.25, pair=poly_pair(0.3, 0.7), k=2.0)
+
+    def test_mesh_is_open(self):
+        lat = graded_lattice(1.0, nt=5, nx=7, nxi=9)
+        tt, xx, ww = lat.mesh()
+        assert tt.shape == (lat.t.size, 1, 1) and xx.shape == (1, lat.x.size, 1)
+        assert ww.shape == (1, 1, lat.xi.size)
+        assert np.array_equal(tt.ravel(), lat.t) and np.array_equal(ww.ravel(), lat.xi)
+
+    def test_point_inverts_the_flat_index(self):
+        lat = graded_lattice(1.0, nt=5, nx=7, nxi=9)
+        flat = np.ravel_multi_index((3, 1, 6), (lat.t.size, lat.x.size, lat.xi.size))
+        assert lat.point(flat) == (lat.t[3], lat.x[1], lat.xi[6])
+
+    @pytest.mark.parametrize("fam", [
+        theorem_coefficient(0.25, 1.25, pair=poly_pair(0.3, 0.7), k=2.0),
+        free_wave(1.5), counterexample_family("7.3", k=1.0), example_coefficient(0.5, 0.5)],
+        ids=lambda f: f.label)
+    def test_char_root_floor_matches_dense(self, fam, on_dense_mesh):
+        dense = on_dense_mesh(lambda: char_root(excise(fam)).floor)
+        assert repr(char_root(excise(fam)).floor) == repr(dense)
+
+    def test_ellipticity_witness_matches_dense(self, on_dense_mesh):
+        # negative only for x > 10 and xi < -50, so the witness is not the first sample
+        broken = self.fam.__class__(**{**self.fam.__dict__, "separable": None,
+                                       "a": lambda t, x, xi: self.fam.a(t, x, xi) * np.where(
+                                           (x > 10.0) & (xi < -50.0), -1.0 - t, 1.0)})
+
+        def witness():
+            with pytest.raises(EllipticityError) as err:
+                char_root(excise(broken))
+            return err.value.witness
+
+        dense, open_ = on_dense_mesh(witness), witness()
+        assert repr(open_) == repr(dense)
+        t, x, xi, floor = open_
+        assert x > 10.0 and xi < -50.0 and floor < 0.0
+        ref = float(np.asarray(self.fam.pair.omega(x))) ** 2 * bracket(xi, 2.0) ** 2
+        # scalar and array evaluation may round differently
+        assert float(excise(broken).a(t, x, xi)) / ref == pytest.approx(floor, rel=1e-14)
+
+    def test_class_report_matches_dense(self, on_dense_mesh):
+        lat = graded_lattice(1.0)
+        args = (_report_derivatives, ClassDescriptor(1.0, 0.0), self.fam.profile, self.fam.pair, 2.0, lat)
+        dense = on_dense_mesh(lambda: symbol_class_report(*args, max_order=1))
+        rep = symbol_class_report(*args, max_order=1)
+        assert repr(rep.entries) == repr(dense.entries) and rep.meta == dense.meta
+        witness = rep.entry("all", 1, 0).witness
+        assert abs(witness[1]) > 50.0
+        assert np.isinf(_report_derivatives(1, 0)(*witness))
+
+    @pytest.mark.parametrize("fam", [
+        theorem_coefficient(0.25, 1.25, pair=poly_pair(0.3, 0.7), k=2.0),
+        theorem_coefficient(0.0, 1.25, pair=poly_pair(0.5, 0.5), k=4.0)],
+        ids=lambda f: f.label)
+    def test_root_report_matches_dense(self, fam, on_dense_mesh):
+        root = char_root(excise(fam))
+        dense = on_dense_mesh(lambda: root_estimate_report(root, fam.profile))
+        assert repr(root_estimate_report(root, fam.profile)) == repr(dense)
