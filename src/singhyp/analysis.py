@@ -39,8 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quantize import (GridSpec, SobolevIndex, _loss_base, _loss_map, _weighted_l2, dft_forward,
-                       dft_inverse)
+from .quantize import GridSpec, _loss_base, _loss_map, _weighted_l2, dft_forward, dft_inverse
 from .solver import CauchyProblem, Trajectory, assemble_rhs
 from .structure import (SingularityProfile, StructurePair, bracket, constant_pair, lambda_loss,
                         one, zero)
@@ -269,6 +268,7 @@ def residual_check(example_id: str, m: int, u0, grid: GridSpec,
     ``5e-4 * t``, balancing the O(h^4) truncation (~1e-8 for 8-mode data)
     against the second-derivative cancellation roundoff (~1e-7).  The default
     time grid is ``linspace(T/2, T, 6)``; callers may pass any grid in (0, T].
+    A closed form identically zero on the time grid certifies nothing: ``ValueError``.
     """
     _check_example_id(example_id)
     fam = counterexample_family(example_id, m, k=grid.k)
@@ -290,7 +290,10 @@ def residual_check(example_id: str, m: int, u0, grid: GridSpec,
         res = utt - assemble_rhs(t, uc, ut, prob, grid)[1]
         worst = max(worst, float(np.max(np.abs(res))))
         peak = max(peak, float(np.max(np.abs(uc))))
-    return worst / max(peak, 1e-300)
+    if peak == 0.0:
+        raise ValueError(f"the closed form of {example_id} (m = {m}) is identically zero on "
+                         f"the time grid {ts.tolist()}: there is no residual to certify")
+    return worst / peak
 
 
 # --------------------------------------------------------------------------
@@ -480,10 +483,8 @@ def energy_monitor(traj: Trajectory, s: tuple[float, float], profile: Singularit
     for (t, u, v), eps in zip(traj.snapshots, lam_vals):
         eps = float(max(eps, 0.0))
         loss = _loss_map(grid, base, eps)
-        nu = _weighted_l2(grid, loss(_denoise(grid, u)),
-                          SobolevIndex(s1 + 1.0, s2 + 1.0, eps, profile.sigma), pair)
-        nv = _weighted_l2(grid, loss(_denoise(grid, v)),
-                          SobolevIndex(s1, s2, eps, profile.sigma), pair)
+        nu = _weighted_l2(grid, loss(_denoise(grid, u)), (s1 + 1.0, s2 + 1.0), pair)
+        nv = _weighted_l2(grid, loss(_denoise(grid, v)), (s1, s2), pair)
         if not (np.isfinite(nu) and np.isfinite(nv)):
             raise ArithmeticError(f"non-finite weighted norm at t={t}")
         norms_u.append(nu)
@@ -491,8 +492,7 @@ def energy_monitor(traj: Trajectory, s: tuple[float, float], profile: Singularit
         supports.append(support_radius(grid, u))
         if forcing is not None:
             f = np.broadcast_to(forcing(float(t), grid.x), grid.x.shape)
-            fnorm.append(_weighted_l2(grid, loss(f), SobolevIndex(s1, s2, eps, profile.sigma),
-                                      pair))
+            fnorm.append(_weighted_l2(grid, loss(f), (s1, s2), pair))
 
     data_bound = np.full(times.shape, norms_u[0] + norms_v[0])
     if forcing is not None:

@@ -31,8 +31,9 @@ Config schema (unknown keys are rejected)::
 Ranges: ``mesh.M >= 8``, ``mesh.kappa > 0`` with strictly increasing graded nodes
 (a large kappa underflows ``(j/M)**kappa``; a null kappa from ``t_start = 0`` needs
 the family's ``p, r < 1``), ``profile.T`` finite and ``> 0``, ``profile.lambda``
-``"fit"`` or finite ``>= 0`` (0: the unweighted monitor), ``data.width > 0``,
-``zones.nt >= 2``, ``zones.nx, zones.nxi >= 1``, ``zones.N > 0``.
+``"fit"`` or finite ``>= 0`` (0: the unweighted monitor), ``data.width`` finite and
+``> 0``, ``data.center`` and ``data.velocity_scale`` finite, ``data.modes >= 1``,
+``data.seed >= 0``, ``zones.nt >= 2``, ``zones.nx, zones.nxi >= 1``, ``zones.N > 0``.
 
 Family ids and the ``params`` each accepts, with defaults (other keys are
 rejected): ``theorem`` (``pair`` ``[kappa1, kappa2]``, else the constant pair;
@@ -88,6 +89,7 @@ def _at_least(n: int):
 
 
 _positive = _where(float, lambda v: v > 0.0, "> 0")
+_finite = _where(float, math.isfinite, "finite")
 _finite_positive = _where(float, lambda v: 0.0 < v < math.inf, "finite and > 0")
 _lambda = _where(float, lambda v: math.isfinite(v) and v >= 0.0, "'fit' or a finite number >= 0")
 
@@ -103,10 +105,10 @@ _SECTIONS = {
                 ("T", 1.0, _finite_positive),
                 ("lambda", "fit", lambda v: v if v == "fit" else _lambda(v))),
     "data": (("kind", "bump", _where(str, lambda v: v in ("trig", "bump"), "'trig' or 'bump'")),
-             ("modes", 8, _int), ("seed", 42, _int), ("width", 0.7, _positive),
-             ("center", 0.0, float),
+             ("modes", 8, _at_least(1)), ("seed", 42, _at_least(0)),
+             ("width", 0.7, _finite_positive), ("center", 0.0, _finite),
              ("velocity", "zero", _where(str, lambda v: v in ("zero", "dx"), "'zero' or 'dx'")),
-             ("velocity_scale", -1.0, float)),
+             ("velocity_scale", -1.0, _finite)),
     "zones": (("nt", 16, _at_least(2)), ("nx", 17, _at_least(1)), ("nxi", 17, _at_least(1)),
               ("N", 2.0, _positive)),
 }

@@ -24,7 +24,9 @@ forms this product on some columns ``cols`` of the lattice, stored xi-major: the
 cached phase matrix ``exp(i xi_j x_i)`` has rows ``j``, so a band is a block of
 whole rows, and ``coeff[cols] @ band / (2L)`` is its part of ``Op(a)u``.  Symbol
 lattices are evaluated x-major (rows ``x``) and transposed only in that product.
-:func:`apply_kn` is the dense O(N^2) product through all columns, the reference.
+:func:`_kn_product` applies every such product (:func:`apply_kn`, the dense O(N^2)
+reference, the loss operator, the solver's banded and dense operators).  Every public
+operator takes a field or a batch of fields along the last axis, checked by :func:`_fields`.
 
 Legitimacy of the torus model: structure functions are evaluated as given
 (non-periodic), so runs keep data supported in ``|x| <= L/2`` and stop before
@@ -112,9 +114,10 @@ def _grid_arrays(grid: GridSpec):
     xi = (np.pi / grid.L) * j
     phase = np.where(j % 2 == 0, 1.0, -1.0)  # exp(i xi_j L) = (-1)^j
     xi_odd = np.where(i == grid.N // 2, 0.0, xi)
-    for a in (x, xi, phase, xi_odd):
+    dx_phase = grid.dx * phase  # dft_forward's factor of the raw FFT
+    for a in (x, xi, phase, xi_odd, dx_phase):
         a.setflags(write=False)
-    return x, xi, phase, xi_odd
+    return x, xi, phase, xi_odd, dx_phase
 
 
 @lru_cache(maxsize=4)
@@ -125,22 +128,22 @@ def _kn_phase(grid: GridSpec) -> np.ndarray:
     return E
 
 
-def dft_forward(grid: GridSpec, values) -> np.ndarray:
-    """Fourier coefficients of grid fields along the last axis, leading axes a batch."""
+def _fields(grid: GridSpec, values, name: str = "field") -> np.ndarray:
+    """``values`` as grid fields along the last axis; ValueError naming a size other than N."""
     u = np.asarray(values)
     if u.shape[-1:] != (grid.N,):
-        raise ValueError(f"field size {u.shape} does not match grid N={grid.N}")
-    phase = _grid_arrays(grid)[2]
-    return grid.dx * phase * np.fft.fft(u)
+        raise ValueError(f"{name} size {u.shape} does not match grid N={grid.N}")
+    return u
+
+
+def dft_forward(grid: GridSpec, values) -> np.ndarray:
+    """Fourier coefficients of grid fields along the last axis, leading axes a batch."""
+    return _grid_arrays(grid)[4] * np.fft.fft(_fields(grid, values))
 
 
 def dft_inverse(grid: GridSpec, coeffs) -> np.ndarray:
     """Grid fields of Fourier coefficients along the last axis, leading axes a batch."""
-    c = np.asarray(coeffs)
-    if c.shape[-1:] != (grid.N,):
-        raise ValueError(f"coefficient size {c.shape} does not match grid N={grid.N}")
-    phase = _grid_arrays(grid)[2]
-    return np.fft.ifft(c * phase) / grid.dx
+    return np.fft.ifft(_fields(grid, coeffs, "coefficient") * _grid_arrays(grid)[2]) / grid.dx
 
 
 def l2_norm(grid: GridSpec, values) -> float:
@@ -169,13 +172,10 @@ def _fft_multiply(m: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def apply_multiplier(grid: GridSpec, m, values) -> np.ndarray:
-    """Apply a Fourier multiplier ``m(xi)``, checked by :func:`_multiplier_values`; an odd
-    (derivative type) one is built on :attr:`GridSpec.xi_odd`.  :func:`_fft_multiply` applies
+    """Apply a Fourier multiplier ``m(xi)`` to grid fields, checked by :func:`_multiplier_values`;
+    an odd (derivative type) one is built on :attr:`GridSpec.xi_odd`.  :func:`_fft_multiply` applies
     it, equal to ``dft_inverse(dft_forward(u) * m)``, bitwise so when ``dx`` is a power of two."""
-    vals, u = _multiplier_values(grid, m), np.asarray(values)
-    if u.shape != (grid.N,):
-        raise ValueError(f"field size {u.shape} does not match grid N={grid.N}")
-    return _fft_multiply(vals, u)
+    return _fft_multiply(_multiplier_values(grid, m), _fields(grid, values))
 
 
 def kn_band(grid: GridSpec, lattice, cols) -> np.ndarray:
@@ -188,8 +188,17 @@ def kn_band(grid: GridSpec, lattice, cols) -> np.ndarray:
     return _kn_phase(grid)[cols] * np.atleast_2d(lattice).T
 
 
+def _kn_product(grid: GridSpec, u, band, cols=slice(None), terms=()) -> np.ndarray:
+    """``Op(a) u`` of grid fields ``u`` (last axis, unchecked) on one raw FFT ``f``: the band part
+    ``(dx (-1)^j f)[cols] @ band / (2L)`` (``dx (-1)^j f`` as in :func:`dft_forward`, ``band`` a
+    :func:`kn_band` on ``cols``) plus ``w ifft(m f) = w m(D) u`` per ``(w, m)`` of ``terms``."""
+    f = np.fft.fft(u)
+    out = (_grid_arrays(grid)[4] * f)[..., cols] @ band / (2.0 * grid.L)
+    return out + sum(w * np.fft.ifft(m * f) for w, m in terms) if terms else out
+
+
 def apply_kn(grid: GridSpec, symbol, values) -> np.ndarray:
-    """Dense Kohn-Nirenberg application of a symbol ``a(x, xi)``.
+    """Dense Kohn-Nirenberg application of a symbol ``a(x, xi)`` to grid fields.
 
     ``symbol`` is either a callable evaluated on the grid lattice (broadcasting
     over an ``(N, 1) x (1, N)`` meshgrid) or a precomputed ``(N, N)`` array with
@@ -197,7 +206,7 @@ def apply_kn(grid: GridSpec, symbol, values) -> np.ndarray:
     """
     if callable(symbol):
         symbol = symbol(grid.x[:, None], grid.xi[None, :])
-    return dft_forward(grid, values) @ kn_band(grid, symbol, slice(None)) / (2.0 * grid.L)
+    return _kn_product(grid, _fields(grid, values), kn_band(grid, symbol, slice(None)))
 
 
 @dataclass(frozen=True)
@@ -218,15 +227,8 @@ class SobolevIndex:
 
 
 def loss_symbol(grid: GridSpec, pair: StructurePair, eps: float, sigma: float):
-    """Exponent array ``eps * (Phi(x) <xi>_k)**(1/sigma)`` on the grid lattice."""
-    return eps * (pair.phi(grid.x)[:, None] * bracket(grid.xi, grid.k)[None, :]) ** (1.0 / sigma)
-
-
-def _guard_exponent(w_max: float):
-    if w_max > EXP_GUARD:
-        raise OverflowGuardError(
-            f"loss-operator exponent reaches {w_max:.1f} > {EXP_GUARD:.0f}; "
-            "reduce eps, the grid bandwidth, or Phi")
+    """``eps * (Phi(x) <xi>_k)**(1/sigma)`` on the lattice: ``eps *`` :func:`_loss_base`."""
+    return eps * np.broadcast_to(_loss_base(grid, pair, sigma), (grid.N, grid.N))
 
 
 def _loss_base(grid: GridSpec, pair: StructurePair, sigma: float) -> np.ndarray:
@@ -240,24 +242,25 @@ def _loss_base(grid: GridSpec, pair: StructurePair, sigma: float) -> np.ndarray:
 
 
 def _loss_map(grid: GridSpec, base: np.ndarray | None, eps: float):
-    """``u -> exp(eps * S) u`` in left quantization, for ``S = _loss_base(...)``: the
-    exponent is checked against ``EXP_GUARD`` and exponentiated once, so every field the
-    map is applied to shares one multiplier or one dense band.  ``eps = 0`` is the DFT
-    round trip, and needs no ``base``."""
+    """``u -> exp(eps * S) u`` in left quantization of grid fields, ``S = _loss_base(...)``: the
+    exponent is checked against ``EXP_GUARD`` and exponentiated once, so every field shares one
+    checked multiplier or dense band.  ``eps = 0`` is the DFT round trip, and needs no ``base``."""
     if eps == 0.0:
         return lambda u: dft_inverse(grid, dft_forward(grid, u))
     w = eps * base
-    _guard_exponent(float(np.max(w)))
+    if (w_max := float(np.max(w))) > EXP_GUARD:
+        raise OverflowGuardError(f"loss-operator exponent reaches {w_max:.1f} > {EXP_GUARD:.0f}; "
+                                 "reduce eps, the grid bandwidth, or Phi")
     if base.ndim == 1:
-        m = np.exp(w)
-        return lambda u: apply_multiplier(grid, m, u)
+        m = _multiplier_values(grid, np.exp(w))
+        return lambda u: _fft_multiply(m, _fields(grid, u))
     band = kn_band(grid, np.exp(w), slice(None))
-    return lambda u: dft_forward(grid, u) @ band / (2.0 * grid.L)
+    return lambda u: _kn_product(grid, _fields(grid, u), band)
 
 
 def loss_operator(grid: GridSpec, pair: StructurePair, eps: float, sigma: float,
                   values) -> np.ndarray:
-    """Apply ``exp(eps * (Phi(x) <D>_k)**(1/sigma))`` in left quantization.
+    """Apply ``exp(eps * (Phi(x) <D>_k)**(1/sigma))`` in left quantization to grid fields.
 
     ``eps = 0`` is the identity.  Collapses to a Fourier multiplier when the
     pair is constant, and is the dense Kohn-Nirenberg product of
@@ -269,12 +272,13 @@ def loss_operator(grid: GridSpec, pair: StructurePair, eps: float, sigma: float,
     return _loss_map(grid, _loss_base(grid, pair, sigma) if eps else None, eps)(values)
 
 
-def _weighted_l2(grid: GridSpec, w, index: SobolevIndex, pair: StructurePair) -> float:
-    """``|| Phi^s2 <D>_k^s1 w ||_L2``: the multiplier first, then ``Phi(x)**s2``."""
-    if index.s1 != 0.0:
-        w = apply_multiplier(grid, bracket(grid.xi, grid.k) ** index.s1, w)
-    if index.s2 != 0.0:
-        w = pair.phi(grid.x) ** index.s2 * w
+def _weighted_l2(grid: GridSpec, w, s: tuple[float, float], pair: StructurePair) -> float:
+    """``|| Phi^s2 <D>_k^s1 w ||_L2``, ``s = (s1, s2)``: the multiplier first, then ``Phi**s2``."""
+    s1, s2 = s
+    if s1 != 0.0:
+        w = apply_multiplier(grid, bracket(grid.xi, grid.k) ** s1, w)
+    if s2 != 0.0:
+        w = pair.phi(grid.x) ** s2 * w
     return l2_norm(grid, w)
 
 
@@ -285,4 +289,4 @@ def sobolev_norm(grid: GridSpec, values, index: SobolevIndex, pair: StructurePai
     ``<xi>_k**s1`` multiplier, then multiplication by ``Phi(x)**s2``, with the grid's ``k``.
     """
     return _weighted_l2(grid, loss_operator(grid, pair, index.eps, index.sigma, values),
-                        index, pair)
+                        (index.s1, index.s2), pair)

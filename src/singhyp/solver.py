@@ -18,16 +18,17 @@ the separable product ``g(t) w(x) m(D)``, the diagonal product in xi or the band
 Kohn-Nirenberg product, and ``Op(b)`` from :func:`lower_operator`.  They act on the family's
 states: Fourier coefficients of a multiplier family (coefficients depend on t only, so every
 operator is diagonal in xi and RK4 transforms only at snapshots), grid values otherwise,
-where ``m(D)`` is one raw FFT pair.  Each multiplier is checked once, where it is formed,
-and kept read-only.  On Fourier coefficients the right-hand side is
-``dv = -mu(t) u - b0(t) v (+ F)``, with one row ``mu = a(t, 0, xi) + i b1(t, 0) xi + b2(t, 0)``
-per stage time.  Each time loop forms its times once, and each operator its parts once per
-time.  An operator whose parts are coefficients in t (separable, diagonal, ``Op(b)``, ``b0``)
-evaluates them over a column of times in one call, on both state spaces: ``integrate`` over
-the stage times :func:`_substeps` yields for a block of substeps (and the CFL bound over a
-chunk of step midpoints), ``system_residual`` over a chunk of snapshot times.  A banded or
-dense product, whose lattice columns move with t, forms its parts one ``t`` at a time and
-keeps the last ``t``'s.
+where ``m(D)`` is ``quantize._fft_multiply`` and a band product ``quantize._kn_product``
+(this module makes no transform of its own).  Each multiplier is checked once, where it is
+formed, and kept read-only.  The right-hand side is ``dv = -Op(a) u - Op(b) u - b0 v (+ F)``,
+on Fourier coefficients with one row ``mu = a(t, 0, xi) + i b1(t, 0) xi + b2(t, 0)`` per
+stage time for ``Op(a) + Op(b)``.  Each time loop forms its times once, and each operator its
+parts once per time.  An operator whose parts are coefficients in t (separable, diagonal,
+``Op(b)``, ``b0``) evaluates them over a column of times in one call, on both state spaces:
+``integrate`` over the stage times :func:`_substeps` yields for a block of substeps (and the
+CFL bound over a chunk of step midpoints), ``system_residual`` over a chunk of snapshot
+times.  A banded or dense product, whose lattice columns move with t, forms its parts one
+``t`` at a time and keeps the last ``t``'s.
 
 The first-order reduction
 
@@ -58,8 +59,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# apply_kn and apply_multiplier are not called here, but perfbench's self-test patches both
-from .quantize import (GridSpec, _fft_multiply, _grid_arrays, _multiplier_values,  # noqa: F401
+# apply_kn and apply_multiplier are not called here, but perfbench's self-test patches both;
+# _fft_multiply and _kn_product are called by name, so a hook on this module reaches them
+from .quantize import (GridSpec, _fft_multiply, _kn_product, _multiplier_values,  # noqa: F401
                        apply_kn, apply_multiplier, dft_forward, dft_inverse, kn_band, l2_norm)
 from .structure import bracket
 from .symbols import CoefficientFamily, char_root, excise, h_symbol, uniform_columns
@@ -193,7 +195,7 @@ class Trajectory:
             raise ValueError("snapshot times must be strictly increasing")
 
 
-_StateSpace = namedtuple("_StateSpace", "name x multiply term state field negated_sum")
+_StateSpace = namedtuple("_StateSpace", "name x multiply term state field")
 
 
 def _state_space(grid: GridSpec, family: CoefficientFamily) -> _StateSpace:
@@ -201,25 +203,19 @@ def _state_space(grid: GridSpec, family: CoefficientFamily) -> _StateSpace:
     coefficients read at ``x = 0``, for a multiplier family; on grid values otherwise.
     ``multiply(m, u)`` applies ``m(D)`` given on ``grid.xi``, ``term(b, m, u)`` is
     ``b(x) m(D) u`` (``m (b u)`` on Fourier coefficients), ``state``/``field`` convert grid
-    fields to states and back (along the last axis: a stacked ``(u, v)`` in one call), and
-    ``negated_sum(*ops)`` applies ``-(op1 + op2 + ...)``."""
+    fields to states and back (along the last axis: a stacked ``(u, v)`` in one call)."""
     if family.is_multiplier:
         return _StateSpace("fourier", 0.0, operator.mul, lambda b, m, u: m * (b * u),
-                           lambda f: dft_forward(grid, f), lambda c: dft_inverse(grid, c),
-                           _negated_row)
+                           lambda f: dft_forward(grid, f), lambda c: dft_inverse(grid, c))
     return _StateSpace("physical", grid.x, _fft_multiply, lambda b, m, u: b * _fft_multiply(m, u),
-                       lambda f: f, lambda c: c, _negated_sum)
+                       lambda f: f, lambda c: c)
 
 
-def _negated_sum(first, *rest) -> Callable:
-    """``(t, u) -> -(first + rest[0] + ...)(t, u)``, summed as ``first(t, -u) + ...``."""
-    return lambda t, u: sum((op(t, -u) for op in rest), first(t, -u))
-
-
-def _negated_row(*ops) -> _Operator:
-    """:func:`_negated_sum` of diagonal operators (on Fourier coefficients): one product with
-    its row at ``t``, its value at ``u = 1``, formed the first time a ``t`` is read."""
-    return _Operator("row", operator.mul, parts=lambda t, neg=_negated_sum(*ops): (neg(t, 1.0), 0))
+def _negated_row(first, *rest) -> _Operator:
+    """``-(first + rest[0] + ...)`` of diagonal operators on Fourier coefficients: one product
+    with its row ``first(t, -1) + rest[0](t, -1) + ...``, formed the first time a ``t`` is read."""
+    return _Operator("row", operator.mul,
+                     parts=lambda t: (sum((op(t, -1.0) for op in rest), first(t, -1.0)), 0))
 
 
 class _Operator:
@@ -228,11 +224,10 @@ class _Operator:
     A coefficient path (``separable``, ``diagonal``, ``coefficient``) has ``column(times)``,
     its parts at every time of a 1-D array in one vectorised call, which :meth:`prime`
     tabulates; ``width`` is the number of values a part holds.  A band path (``banded``,
-    ``dense``), the ``row`` of :func:`_negated_row` and a ``coefficient`` operator with no
-    terms have ``parts(t)``, the part at one ``t`` and its number of lattice columns (summed in
-    ``lattice_columns``; ``lattice_evals`` counts the lattices formed).  On a miss (counted in
-    ``formed``) the table keeps that ``t`` alone, formed by ``column(np.array([t]))`` or
-    ``parts(t)``, unless it is a dense N x N matrix."""
+    ``dense``) and the ``row`` of :func:`_negated_row` have ``parts(t)``, the part at one ``t``
+    and its number of lattice columns (summed in ``lattice_columns``; ``lattice_evals`` counts
+    the lattices formed).  On a miss (counted in ``formed``) the table keeps that ``t`` alone,
+    formed by ``column(np.array([t]))`` or ``parts(t)``, unless it is a dense N x N matrix."""
 
     def __init__(self, path: str, apply: Callable, column: Callable | None = None,
                  parts: Callable | None = None, width: int = 1):
@@ -284,8 +279,9 @@ def symbol_operator(grid: GridSpec, family: CoefficientFamily,
     diagonal product ``symbol(t, 0, xi) u`` (``diagonal``).  On grid values, an
     excision-derived symbol is multipliers on the columns of :func:`uniform_columns`
     and :func:`kn_band` on the band of at most ``2/t * 2L/pi`` others (``banded``);
-    any other is all band (``dense``).  A separable or diagonal operator evaluates ``g``
-    or ``symbol`` over a column of times (:meth:`_Operator.prime`)."""
+    any other is all band (``dense``), both applied by ``quantize._kn_product``.  A separable
+    or diagonal operator evaluates ``g`` or ``symbol`` over a column of times
+    (:meth:`_Operator.prime`)."""
     space = _state_space(grid, family)
     if symbol is None and family.separable is not None:
         g, w, m = family.separable
@@ -312,16 +308,10 @@ def symbol_operator(grid: GridSpec, family: CoefficientFamily,
             cols = np.flatnonzero(~(lo | hi))
         xi = grid.xi[cols]
         lattice = symbol(t, grid.x[:, None], xi[None, :]) if xi.size else 0.0
-        return (terms, cols, kn_band(grid, lattice, cols)), xi.size
+        return (kn_band(grid, lattice, cols), cols, terms), xi.size
 
-    def apply(parts, u, dx_phase=grid.dx * _grid_arrays(grid)[2]):
-        # one raw FFT f: dft_forward's coefficients dx_phase f, and m(D) u = ifft(m f)
-        terms, cols, band = parts
-        f = np.fft.fft(u)
-        return ((dx_phase * f)[cols] @ band / (2.0 * grid.L)
-                + sum(w * np.fft.ifft(m * f) for w, m in terms))
-
-    return _Operator("dense" if forms is None else "banded", apply, parts=parts)
+    return _Operator("dense" if forms is None else "banded",
+                     lambda parts, u: _kn_product(grid, u, *parts), parts=parts)
 
 
 def _coefficient_operator(grid: GridSpec, family: CoefficientFamily, terms) -> _Operator | None:
@@ -385,9 +375,10 @@ class Discretization(_Operators):
     """Spatial operator application for one (problem, grid) pairing.
 
     The principal symbol is the excised ``atilde`` with ``use_excision`` and the family's ``a``
-    otherwise.  :meth:`rhs` acts on the stacked state ``(u, v)`` through ``apply_negated``, the
-    state space's ``-(Op(a) + Op(b))`` of :func:`symbol_operator` and :func:`lower_operator`
-    (one row ``-mu(t)`` per time on Fourier coefficients), and the ``b0`` multiplication.
+    otherwise.  :meth:`rhs` acts on the stacked state ``(u, v)`` through
+    :func:`symbol_operator` and :func:`lower_operator`, and the ``b0`` multiplication: on
+    Fourier coefficients ``apply_negated`` is their ``-(Op(a) + Op(b))``, one row ``-mu(t)``
+    per time (:func:`_negated_row`); on grid values it is None.
     """
 
     def __init__(self, problem: CauchyProblem, grid: GridSpec):
@@ -397,8 +388,8 @@ class Discretization(_Operators):
         self.apply_principal = symbol_operator(grid, fam, atilde)
         super().__init__(problem, grid, self.apply_principal)
         problem.check_support(grid)
-        lower = () if self.apply_lower is None else (self.apply_lower,)
-        self.apply_negated = self.space.negated_sum(self.apply_principal, *lower)
+        self.apply_negated = None if self.space.name != "fourier" else _negated_row(
+            *(op for op in (self.apply_principal, self.apply_lower) if op is not None))
 
     def rhs(self, t: float, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Time derivative ``(v, -mu(t) u - b0 v + F)`` of the stacked state ``y = (u, v)``,
@@ -406,10 +397,12 @@ class Discretization(_Operators):
         out = np.empty_like(y, dtype=complex) if out is None else out
         out[0] = y[1]
         dv = out[1]
-        if self.space.name == "fourier":
+        if self.apply_negated is not None:
             np.multiply(self.apply_negated.part(t), y[0], out=dv)
         else:
-            dv[...] = self.apply_negated(t, y[0])
+            np.negative(self.apply_principal(t, y[0]), out=dv)
+            if self.apply_lower is not None:
+                np.subtract(dv, self.apply_lower(t, y[0]), out=dv)
         if self.apply_b0 is not None:
             np.subtract(dv, self.apply_b0(t, y[1]), out=dv)
         if self.problem.forcing is not None:
@@ -588,7 +581,7 @@ def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
         "operator": disc.apply_principal.path,
         "lattice_columns": disc.apply_principal.lattice_columns,
         "lattice_evals": disc.apply_principal.lattice_evals,
-        "rows": getattr(disc.apply_negated, "formed", 0),
+        "rows": 0 if disc.apply_negated is None else disc.apply_negated.formed,
         "requested_times": out_req.tolist(),
     }
     return Trajectory(snapshots=tuple(snapshots), grid=grid, mesh=mesh, stats=stats)

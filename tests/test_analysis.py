@@ -92,6 +92,12 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             residual_check("7.2", 0, self.u0, self.grid, t_grid=[0.0, 0.5])
 
+    @pytest.mark.parametrize("ex", ["7.1", "7.3"])
+    def test_residual_rejects_zero_closed_form(self, ex):
+        # zero data give a zero closed form, whose residual 0 / peak would certify nothing
+        with pytest.raises(ValueError, match="identically zero"):
+            residual_check(ex, 0, TrigPoly({}), self.grid)
+
 
 class TestAnalyticProfiles:
     def test_trig_poly_derivatives_exact(self):

@@ -147,7 +147,11 @@ class TestRun:
         ("data", "width", -1, "data.width"), ("grid", "N", 64.9, "grid.N"),
         ("mesh", "M", 32.5, "mesh.M"), ("data", "modes", 2.5, "data.modes"),
         (None, "output_times", [float("nan"), 0.5], "output_times"),
-        (None, "output_times", [float("inf")], "output_times")])
+        (None, "output_times", [float("inf")], "output_times"),
+        ("data", "modes", -1, "data.modes"), ("data", "modes", 0, "data.modes"),
+        ("data", "seed", -3, "data.seed"), ("data", "center", float("nan"), "data.center"),
+        ("data", "velocity_scale", float("inf"), "data.velocity_scale"),
+        ("data", "width", float("inf"), "data.width")])
     def test_malformed_field_status_2(self, tmp_path, capsys, section, key, value, field):
         cfg = {"experiment": "solve", "grid": {"L": 8.0, "N": 64, "k": 2.0},
                "mesh": {"M": 32}, "profile": {"T": 1.0}, "family": {"id": "free-wave"},

@@ -197,6 +197,40 @@ class TestKohnNirenberg:
         assert np.max(np.abs(out - rand_field)) <= 1e-12 * np.max(np.abs(rand_field))
 
 
+# every public operator of a grid field, which takes a field or a batch of fields along the
+# last axis, its size checked in one place
+_FIELD_OPERATORS = {
+    "dft_forward": dft_forward,
+    "dft_inverse": dft_inverse,
+    "apply_multiplier": lambda grid, u: apply_multiplier(grid, bracket(grid.xi, 2.0) ** 1.5
+                                                         + 1j * grid.xi_odd, u),
+    "apply_kn": lambda grid, u: apply_kn(grid, lambda x, xi: np.cos(x) * bracket(xi, 1.0), u),
+    "loss_operator-constant": lambda grid, u: loss_operator(grid, constant_pair(), 0.3, 3.0, u),
+    "loss_operator-poly": lambda grid, u: loss_operator(grid, poly_pair(0.5, 0.5), 0.3, 3.0, u),
+    "loss_operator-eps0": lambda grid, u: loss_operator(grid, poly_pair(0.5, 0.5), 0.0, 3.0, u),
+}
+
+
+class TestFieldBatches:
+    @pytest.mark.parametrize("name", list(_FIELD_OPERATORS))
+    def test_batch_is_row_by_row(self, grid, name):
+        op = _FIELD_OPERATORS[name]
+        rng = np.random.default_rng(23)
+        batch = rng.standard_normal((2, grid.N)) + 1j * rng.standard_normal((2, grid.N))
+        got = op(grid, batch)
+        assert got.shape == batch.shape
+        for row, u in zip(got, batch):
+            want = op(grid, u)
+            assert np.max(np.abs(row - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("name", list(_FIELD_OPERATORS))
+    def test_wrong_size_names_it(self, grid, name):
+        u = np.ones(grid.N + 1, dtype=complex)
+        with pytest.raises(ValueError, match=rf"size \({grid.N + 1},\) does not match grid "
+                                             rf"N={grid.N}"):
+            _FIELD_OPERATORS[name](grid, u)
+
+
 class TestLossOperator:
     def test_eps_zero_identity(self, grid, rand_field):
         out = loss_operator(grid, poly_pair(0.5, 0.5), 0.0, 3.0, rand_field)
