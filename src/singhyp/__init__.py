@@ -19,8 +19,8 @@ Subpackages by role:
 __version__ = "0.1.0"
 
 from .structure import (ProfileError, SingularityProfile, StructurePair, Zone, bracket,
-                        check_structure_properties, classify_zone, constant_pair, custom_pair,
-                        lambda_loss, make_profile, one, planck, poly_pair, time_split, zero)
+                        classify_zone, constant_pair, lambda_loss, make_profile, one, planck,
+                        poly_pair, time_split, zero)
 from .quantize import (GridSpec, OverflowGuardError, SobolevIndex, apply_kn, apply_multiplier,
                        dft_forward, dft_inverse, l2_norm, loss_operator, sobolev_norm)
 from .symbols import (CharacteristicRoot, CoefficientFamily, EllipticityError, QuadratureError,

@@ -33,7 +33,9 @@ Ranges: ``mesh.M >= 8``, ``mesh.kappa > 0`` with strictly increasing graded node
 the family's ``p, r < 1``), ``profile.T`` finite and ``> 0``, ``profile.lambda``
 ``"fit"`` or finite ``>= 0`` (0: the unweighted monitor), ``data.width`` finite and
 ``> 0``, ``data.center`` and ``data.velocity_scale`` finite, ``data.modes >= 1``,
-``data.seed >= 0``, ``zones.nt >= 2``, ``zones.nx, zones.nxi >= 1``, ``zones.N > 0``.
+``data.seed >= 0``, ``zones.nt >= 2``, ``zones.nx, zones.nxi >= 1``, ``zones.N`` finite
+and ``> 0``, ``output_times`` (default: evenly spaced) a non-empty list of times in
+``[mesh.t_start, profile.T]``.
 
 Family ids and the ``params`` each accepts, with defaults (other keys are
 rejected): ``theorem`` (``pair`` ``[kappa1, kappa2]``, else the constant pair;
@@ -110,7 +112,7 @@ _SECTIONS = {
              ("velocity", "zero", _where(str, lambda v: v in ("zero", "dx"), "'zero' or 'dx'")),
              ("velocity_scale", -1.0, _finite)),
     "zones": (("nt", 16, _at_least(2)), ("nx", 17, _at_least(1)), ("nxi", 17, _at_least(1)),
-              ("N", 2.0, _positive)),
+              ("N", 2.0, _finite_positive)),
 }
 _TOP_KEYS = {"experiment", "family", "output_times", *_SECTIONS}
 
@@ -208,6 +210,10 @@ class RunConfig:
             ("output_times", None,
              lambda ts: ts if ts is None else list(map(_where(float, math.isfinite, "finite"), ts))),
         ))["output_times"]
+        ts = self.output_times
+        if ts is not None and not (ts and all(self.t_start <= t <= self.profile.T for t in ts)):
+            raise ConfigError(f"output_times must be a non-empty list of times in [mesh.t_start, "
+                              f"profile.T] = [{self.t_start}, {self.profile.T}], got {ts}")
 
     # ------------------------------------------------------------------
 
@@ -261,7 +267,8 @@ def _trajectory(cfg: RunConfig, family, n_out: int):
     f1, f2 = cfg.build_data()
     prob = CauchyProblem(family=family, f1=f1, f2=f2, t_start=cfg.t_start, T=cfg.profile.T)
     return integrate(prob, cfg.grid, mesh,
-                     cfg.output_times or list(np.linspace(cfg.t_start, cfg.profile.T, n_out)))
+                     list(np.linspace(cfg.t_start, cfg.profile.T, n_out))
+                     if cfg.output_times is None else cfg.output_times)
 
 
 def _exp_solve(cfg: RunConfig, out: Path):

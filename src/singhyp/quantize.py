@@ -287,6 +287,9 @@ def sobolev_norm(grid: GridSpec, values, index: SobolevIndex, pair: StructurePai
 
     Operators apply in exactly that order: exponential first, then the
     ``<xi>_k**s1`` multiplier, then multiplication by ``Phi(x)**s2``, with the grid's ``k``.
+    ``values`` is one field; a batch is a ``ValueError`` naming its shape.
     """
+    if np.ndim(values) != 1:
+        raise ValueError(f"sobolev_norm takes one field, got shape {np.shape(values)}")
     return _weighted_l2(grid, loss_operator(grid, pair, index.eps, index.sigma, values),
                         (index.s1, index.s2), pair)

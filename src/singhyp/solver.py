@@ -14,21 +14,19 @@ four stages at the step midpoint, so the vector field is never evaluated at the 
 time.  CFL violations trigger automatic step halving (up to 20 levels).
 
 Every ``Op(sigma)`` comes from :func:`symbol_operator`, which picks once per (symbol, grid)
-the separable product ``g(t) w(x) m(D)``, the diagonal product in xi or the banded
-Kohn-Nirenberg product, and ``Op(b)`` from :func:`lower_operator`.  They act on the family's
-states: Fourier coefficients of a multiplier family (coefficients depend on t only, so every
-operator is diagonal in xi and RK4 transforms only at snapshots), grid values otherwise,
-where ``m(D)`` is ``quantize._fft_multiply`` and a band product ``quantize._kn_product``
-(this module makes no transform of its own).  Each multiplier is checked once, where it is
-formed, and kept read-only.  The right-hand side is ``dv = -Op(a) u - Op(b) u - b0 v (+ F)``,
-on Fourier coefficients with one row ``mu = a(t, 0, xi) + i b1(t, 0) xi + b2(t, 0)`` per
-stage time for ``Op(a) + Op(b)``.  Each time loop forms its times once, and each operator its
-parts once per time.  An operator whose parts are coefficients in t (separable, diagonal,
-``Op(b)``, ``b0``) evaluates them over a column of times in one call, on both state spaces:
-``integrate`` over the stage times :func:`_substeps` yields for a block of substeps (and the
-CFL bound over a chunk of step midpoints), ``system_residual`` over a chunk of snapshot
-times.  A banded or dense product, whose lattice columns move with t, forms its parts one
-``t`` at a time and keeps the last ``t``'s.
+the separable product ``g(t) w(x) m(D)``, the diagonal product in xi, the banded
+Kohn-Nirenberg product of a symbol that declares its form off the cutoff's blend
+(:func:`~singhyp.symbols.off_blend`) or the dense one; ``Op(b)`` comes from
+:func:`lower_operator`.  They act on the family's states: Fourier coefficients of a
+multiplier family (coefficients depend on t only, so every operator is diagonal in xi and
+RK4 transforms only at snapshots), grid values otherwise, through ``quantize._fft_multiply``
+and ``quantize._kn_product`` (this module makes no transform of its own).  Each multiplier
+is checked once, where it is formed, and kept read-only.  The right-hand side is
+``dv = -Op(a) u - Op(b) u - b0 v (+ F)``, on Fourier coefficients with one row
+``mu = a(t, 0, xi) + i b1(t, 0) xi + b2(t, 0)`` per time for ``Op(a) + Op(b)``.  Each
+operator forms its parts once per time (:class:`_Operator`): coefficients in t over a
+column of times in one call (``integrate`` over a block of stage times, ``system_residual``
+over a chunk of snapshot times), a banded or dense product one ``t`` at a time.
 
 The first-order reduction
 
@@ -64,7 +62,7 @@ import numpy as np
 from .quantize import (GridSpec, _fft_multiply, _kn_product, _multiplier_values,  # noqa: F401
                        apply_kn, apply_multiplier, dft_forward, dft_inverse, kn_band, l2_norm)
 from .structure import bracket
-from .symbols import CoefficientFamily, char_root, excise, h_symbol, uniform_columns
+from .symbols import CoefficientFamily, char_root, cut_sides, excise, h_symbol, off_blend
 
 __all__ = ["SolverError", "SupportError", "TimeMesh", "graded_mesh", "CauchyProblem",
            "Trajectory", "symbol_operator", "lower_operator", "assemble_rhs", "integrate",
@@ -276,10 +274,11 @@ def symbol_operator(grid: GridSpec, family: CoefficientFamily,
     family is the exact product ``g(t) w(x) m(D)`` with ``w`` and ``m``
     precomputed (``separable``); any symbol of a multiplier family (see
     :attr:`CoefficientFamily.is_multiplier`) acts on Fourier coefficients as the
-    diagonal product ``symbol(t, 0, xi) u`` (``diagonal``).  On grid values, an
-    excision-derived symbol is multipliers on the columns of :func:`uniform_columns`
-    and :func:`kn_band` on the band of at most ``2/t * 2L/pi`` others (``banded``);
-    any other is all band (``dense``), both applied by ``quantize._kn_product``.  A separable
+    diagonal product ``symbol(t, 0, xi) u`` (``diagonal``).  On grid values, a symbol
+    whose method declares its form off the cutoff's blend (:func:`~singhyp.symbols.off_blend`)
+    is multipliers on the columns :func:`~singhyp.symbols.cut_sides` puts off the blend and
+    :func:`kn_band` on the band of at most ``2/t * 2L/pi`` others (``banded``); any other
+    is all band (``dense``), both applied by ``quantize._kn_product``.  A separable
     or diagonal operator evaluates ``g`` or ``symbol`` over a column of times
     (:meth:`_Operator.prime`)."""
     space = _state_space(grid, family)
@@ -295,16 +294,16 @@ def symbol_operator(grid: GridSpec, family: CoefficientFamily,
                          lambda ts: list(np.broadcast_to(symbol(ts[:, None], 0.0, grid.xi),
                                                          (ts.size, grid.N))),
                          width=grid.N)
-    forms = uniform_columns(symbol, grid.x, grid.xi)
+    forms = off_blend(symbol, grid.x, grid.xi)
 
     def parts(t):
         terms, cols = [], slice(None)
         if forms is not None:
-            scale, phi, br, low, high = forms
-            # the cutoff's own floating-point order, s = t * Phi * <xi>_k
-            lo, hi = t * np.max(phi) * br / scale <= 1.0, t * np.min(phi) * br / scale >= 2.0
+            form, f = forms
+            lo, hi = cut_sides(t, f.phi, f.br, form.scale)
             terms = [(w, _multiplier_values(grid, np.where(mask, m, 0.0)))
-                     for mask, side in ((lo, low), (hi, high)) if mask.any() for w, m in side(t)]
+                     for mask, side in ((lo, form.low), (hi, form.high)) if mask.any()
+                     for w, m in side(f, t)]
             cols = np.flatnonzero(~(lo | hi))
         xi = grid.xi[cols]
         lattice = symbol(t, grid.x[:, None], xi[None, :]) if xi.size else 0.0

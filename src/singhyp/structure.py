@@ -21,10 +21,9 @@ region; points with ``|x| + |xi| <= N`` form a compact core.  The boundary
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -33,8 +32,6 @@ __all__ = [
     "SingularityProfile",
     "StructurePair",
     "Zone",
-    "AxiomCheck",
-    "PropertyReport",
     "make_profile",
     "bracket",
     "one",
@@ -45,8 +42,6 @@ __all__ = [
     "lambda_loss",
     "poly_pair",
     "constant_pair",
-    "custom_pair",
-    "check_structure_properties",
 ]
 
 DUAL_FORMULA_TOL = 1e-12
@@ -136,16 +131,6 @@ def zero(x):
 # structure functions
 # --------------------------------------------------------------------------
 
-_FD_STEP = 1e-5  # centered-difference step for user-supplied pairs
-
-
-def _fd1(f: Callable) -> Callable:
-    def d(x):
-        return (f(x + _FD_STEP) - f(x - _FD_STEP)) / (2.0 * _FD_STEP)
-
-    return d
-
-
 @dataclass(frozen=True)
 class StructurePair:
     """Weight ``omega`` and metric structure function ``Phi``, with derivative oracles.
@@ -190,19 +175,6 @@ def poly_pair(kappa1: float, kappa2: float) -> StructurePair:
 def constant_pair() -> StructurePair:
     """The trivial pair ``omega = Phi = 1``."""
     return StructurePair(one, one, zero, zero, is_constant=True, label="constant")
-
-
-def custom_pair(omega: Callable, phi: Callable, *, domega=None, dphi=None,
-                label: str = "custom") -> StructurePair:
-    """Wrap user functions; missing derivative oracles fall back to centered differences."""
-    return StructurePair(
-        omega=omega,
-        phi=phi,
-        domega=domega if domega is not None else _fd1(omega),
-        dphi=dphi if dphi is not None else _fd1(phi),
-        is_constant=False,
-        label=label,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -260,184 +232,3 @@ def lambda_loss(t, lam: float, profile: SingularityProfile):
         raise ValueError(f"lambda must be positive, got {lam}")
     ds = profile.delta_star
     return (lam / ds) * (profile.T ** ds - np.asarray(t, dtype=float) ** ds)
-
-
-# --------------------------------------------------------------------------
-# sample-based axiom checks
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AxiomCheck:
-    name: str
-    constant: float
-    passed: bool
-    witness: tuple | None = None
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class PropertyReport:
-    """Fitted constants and pass flags for the structure-function axioms.
-
-    The axioms are universally quantified and cannot be proven on samples; a
-    "pass" means the fitted constant is finite and stable (within a factor 2)
-    when the sample range is extended from ``|x| <= 1e2`` to the full range.
-    Hard algebraic predicates (floors, monotonicity, subadditivity, scaling
-    laws) are checked directly with a 1e-9 relative slack.
-    """
-
-    checks: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def __getitem__(self, name: str) -> AxiomCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def to_json(self) -> str:
-        rows = [
-            {
-                "axiom": c.name,
-                "constant": c.constant,
-                "pass": c.passed,
-                "witness": list(c.witness) if c.witness is not None else None,
-                "detail": c.detail,
-            }
-            for c in self.checks
-        ]
-        return json.dumps({"passed": self.passed, "checks": rows}, indent=2)
-
-
-_STABILITY_FACTOR = 2.0
-_PREDICATE_SLACK = 1e-9
-
-
-def _stable_fit(name, values_full, values_small, witness_args, detail=""):
-    """Fitted constant = max over the full range; pass iff finite and within
-    a factor 2 of the restricted-range fit."""
-    c_full = float(np.max(values_full))
-    c_small = float(np.max(values_small)) if values_small.size else c_full
-    ok = np.isfinite(c_full) and c_full <= _STABILITY_FACTOR * max(c_small, 1e-300)
-    witness = None
-    if not ok:
-        i = int(np.argmax(values_full))
-        witness = tuple(np.asarray(a).ravel()[i] for a in witness_args) + (c_full,)
-    return AxiomCheck(name, c_full, bool(ok), witness, detail)
-
-
-def check_structure_properties(pair: StructurePair,
-                               radii: Sequence[float] = (0.25, 0.5)) -> PropertyReport:
-    """Empirically check the structure-function axioms for ``omega`` and ``Phi``.
-
-    Checks, per function f in {omega, Phi}: lower bound ``f >= 1``, monotonicity
-    in ``|x|``, sub-linearity ``f <= C*(1+|x|)``, slow variation
-    (``|x-y| <= r*f(y)`` forces ``f(x)/f(y)`` bounded), temperance exponent,
-    subadditivity ``|f(x)-f(y)| <= f(x+y) <= f(x)+f(y)``, the derivative bound
-    ``|f'(x)| <= C*f(x)/<x>`` and the two scaling laws; plus the ordering
-    ``omega <= C*Phi``.  Samples are 0 and ``+-|x|`` log-spaced on ``[1e-3, 1e4]``,
-    with 64 random pairs per radius (seed 42).  Failures are report entries
-    with the witnessing sample, never exceptions.
-
-    Default radii stay below 1: the bracket <x> itself is slowly varying only
-    for radii r < 1 (at r = 1 the ball |x - y| <= <y> reaches the origin and
-    the ratio is unbounded), and the built-in pairs are powers of it.
-    """
-    if any(rad <= 0 for rad in radii):
-        raise ValueError("radii must be positive")
-    mags = np.logspace(-3, 4, 512)
-    xs = np.concatenate([[0.0], mags, -mags])
-    n_pairs = 64
-    rng = np.random.default_rng(42)
-    small = np.abs(xs) <= 1e2
-    checks: list[AxiomCheck] = []
-
-    for fname, f, df in (("omega", pair.omega, pair.domega), ("phi", pair.phi, pair.dphi)):
-        fx = np.asarray(f(xs), dtype=float)
-
-        floor_ok = bool(np.min(fx) >= 1.0 - _PREDICATE_SLACK)
-        wit = None if floor_ok else (xs[int(np.argmin(fx))], float(np.min(fx)))
-        checks.append(AxiomCheck(f"{fname}_floor", float(np.min(fx)), floor_ok, wit,
-                                 "min value; axiom requires >= 1"))
-
-        order = np.argsort(np.abs(xs))
-        diffs = np.diff(fx[order])
-        mono_ok = bool(np.all(diffs >= -_PREDICATE_SLACK * np.maximum(fx[order][1:], 1.0)))
-        wit = None
-        if not mono_ok:
-            j = int(np.argmin(diffs))
-            wit = (xs[order][j], xs[order][j + 1])
-        checks.append(AxiomCheck(f"{fname}_monotone", float(np.min(diffs)) if diffs.size else 0.0,
-                                 mono_ok, wit, "min increment along |x|"))
-
-        sub = fx / (1.0 + np.abs(xs))
-        checks.append(_stable_fit(f"{fname}_sublinear", sub, sub[small], (xs,),
-                                  "C in f <= C*(1+|x|)"))
-
-        # slow variation: x = y + eta*r*f(y)
-        ratios_all, ratios_small, ys_used, xs_used = [], [], [], []
-        for rad in radii:
-            y = rng.choice(xs, size=n_pairs)
-            eta = rng.uniform(-1.0, 1.0, size=n_pairs)
-            xnear = y + eta * rad * np.asarray(f(y), dtype=float)
-            ratio = np.maximum(f(xnear) / f(y), f(y) / f(xnear))
-            ratios_all.append(ratio)
-            ratios_small.append(ratio[np.abs(y) <= 1e2])
-            ys_used.append(y)
-            xs_used.append(xnear)
-        ratios = np.concatenate(ratios_all)
-        checks.append(_stable_fit(f"{fname}_slowly_varying", ratios,
-                                  np.concatenate(ratios_small),
-                                  (np.concatenate(xs_used), np.concatenate(ys_used)),
-                                  f"C over radii {tuple(radii)}"))
-
-        # temperance: f(x+y) <= C*f(x)*(1+|y|)^s, fit the exponent s on |y| >= 1
-        xq = rng.choice(xs, size=4 * n_pairs)
-        yq = rng.choice(xs, size=4 * n_pairs)
-        sel = np.abs(yq) >= 1.0
-        xq, yq = xq[sel], yq[sel]
-        s_fit = np.log(np.maximum(f(xq + yq) / f(xq), 1e-300)) / np.log1p(np.abs(yq))
-        checks.append(_stable_fit(f"{fname}_temperate", s_fit,
-                                  s_fit[np.abs(xq) <= 1e2], (xq, yq),
-                                  "fitted exponent s"))
-
-        # subadditivity (both sides), hard predicate
-        xa = rng.choice(xs, size=4 * n_pairs)
-        ya = rng.choice(xs, size=4 * n_pairs)
-        fsum = np.asarray(f(xa + ya), dtype=float)
-        upper = fsum / (f(xa) + f(ya))
-        lower = np.abs(np.asarray(f(xa), dtype=float) - f(ya)) / fsum
-        c_sub = float(max(np.max(upper), np.max(lower)))
-        ok = c_sub <= 1.0 + _PREDICATE_SLACK
-        wit = None
-        if not ok:
-            i = int(np.argmax(np.maximum(upper, lower)))
-            wit = (xa[i], ya[i], c_sub)
-        checks.append(AxiomCheck(f"{fname}_subadditive", c_sub, bool(ok), wit,
-                                 "max of f(x+y)/(f(x)+f(y)) and |f(x)-f(y)|/f(x+y)"))
-
-        dratio = np.abs(np.asarray(df(xs), dtype=float)) * np.hypot(1.0, xs) / fx
-        checks.append(_stable_fit(f"{fname}_derivative", dratio, dratio[small], (xs,),
-                                  "C in |f'| <= C*f/<x>"))
-
-        # scaling laws
-        up_ratio, down_ratio = [], []
-        for a in (1.5, 2.0, 5.0, 10.0):
-            up_ratio.append(np.asarray(f(a * xs), dtype=float) / (a * fx))
-        for a in (0.1, 0.5, 0.9):
-            down_ratio.append(a * fx / np.asarray(f(a * xs), dtype=float))
-        for name, rat in ((f"{fname}_scaling_up", np.concatenate(up_ratio)),
-                          (f"{fname}_scaling_down", np.concatenate(down_ratio))):
-            c = float(np.max(rat))
-            ok = c <= 1.0 + _PREDICATE_SLACK
-            wit = None if ok else (xs[int(np.argmax(rat)) % xs.size], c)
-            checks.append(AxiomCheck(name, c, bool(ok), wit, "ratio must stay <= 1"))
-
-    ow = np.asarray(pair.omega(xs), dtype=float) / np.asarray(pair.phi(xs), dtype=float)
-    checks.append(_stable_fit("ordering_omega_le_phi", ow, ow[small], (xs,),
-                              "C in omega <= C*Phi"))
-    return PropertyReport(checks=tuple(checks))

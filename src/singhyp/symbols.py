@@ -18,7 +18,8 @@ Its root ``tau = sqrt(atilde)`` and the symbol
 
 have disjoint time supports with ``a - atilde`` (cut(s/3) = 1 wherever
 cut(s) > 0), which is what makes the first-order reduction exact for
-multiplier families.
+multiplier families.  Off the blend each is a sum of products ``w(x) m(xi)`` of its
+family's separable factors, a form its method declares (:func:`off_blend`).
 
 Estimate reports fit the minimal constants and time exponents of symbol-class
 inequalities on sample lattices; blow-up orders are fitted on windowed
@@ -28,10 +29,12 @@ log-fits ill-posed at cosine zeros.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
-from dataclasses import dataclass
-from functools import cache
+from collections import namedtuple
+from dataclasses import asdict, dataclass
+from functools import cache, reduce
 from typing import Callable
 
 import numpy as np
@@ -42,6 +45,7 @@ from .structure import (SingularityProfile, StructurePair, Zone, bracket, classi
 __all__ = [
     "cut",
     "dcut",
+    "cut_sides",
     "CoefficientFamily",
     "separable_family",
     "example_coefficient",
@@ -55,7 +59,7 @@ __all__ = [
     "char_root",
     "HSymbol",
     "h_symbol",
-    "uniform_columns",
+    "off_blend",
     "QuadratureError",
     "TimeQuadrature",
     "l1_defect",
@@ -102,6 +106,14 @@ def dcut(s):
     a, b = np.exp(-1.0 / ra), np.exp(-1.0 / rb)
     out[mid] = -(a / (ra * ra) * b + a * (b / (rb * rb))) / (a + b) ** 2
     return out
+
+
+def cut_sides(t, phi, br, scale: float = 1.0):
+    """``(low, high)`` over the columns ``br`` (``<xi>_k``) of a grid with ``Phi`` values
+    ``phi``: ``low`` where ``cut(s / scale) == 1`` at every ``phi`` (``s / scale <= 1``,
+    ``s = t Phi <xi>_k``), ``high`` where it is 0 at every ``phi`` (``s / scale >= 2``),
+    with ``s`` formed in the cutoff's own floating-point order."""
+    return t * np.max(phi) * br / scale <= 1.0, t * np.min(phi) * br / scale >= 2.0
 
 
 # --------------------------------------------------------------------------
@@ -343,6 +355,20 @@ def reference_wave(*, T: float = 1.0, k: float = 1.0) -> CoefficientFamily:
 # --------------------------------------------------------------------------
 
 
+# _declares puts on an excision-derived symbol's method its OffBlend form: the sum of
+# w(x) m(xi) over the (w, m) of low(f, t) where s / scale <= 1 and of high(f, t) where
+# s / scale >= 2 (cut_sides), f the Separated factors of its excision (off_blend).
+OffBlend = namedtuple("OffBlend", "scale low high")
+Separated = namedtuple("Separated", "g dg w m sw sm om br ow bm phi reexcised")
+
+
+def _declares(scale: float, low=lambda f, t: [], high=lambda f, t: []):
+    def declare(method):
+        method.off_blend = OffBlend(scale, low, high)
+        return method
+    return declare
+
+
 @dataclass(frozen=True)
 class ExcisedCoefficient:
     """``atilde = cut(s) omega^2 <xi>_k^2 + (1 - cut(s)) a``, ``s = t Phi <xi>_k``,
@@ -366,6 +392,8 @@ class ExcisedCoefficient:
         ref = np.asarray(self.pair.omega(x), dtype=float) ** 2 * br ** 2
         return t, br, phi_x, s, ref
 
+    @_declares(1.0, low=lambda f, t: [(f.om ** 2, f.br ** 2)],
+               high=lambda f, t: [(f.w, f.g(t) * f.m)])
     def a(self, t, x, xi):
         t, br, phi_x, s, ref = self._parts(t, x, xi)
         c = cut(s)
@@ -404,6 +432,8 @@ class ExcisedCoefficient:
                    + (1.0 - c) * self.family.dxi_a(t, x, xi))
         return np.where(c >= 1.0, om2 * 2.0 * xi, raw)
 
+    @_declares(1.0, low=lambda f, t: [] if f.reexcised else [(f.w, f.g(t) * f.m),
+                                                              (f.om ** 2, -f.br ** 2)])
     def defect(self, t, x, xi):
         """``a - atilde = cut(s) * (a - omega^2 <xi>_k^2)``; vanishes for s >= 2.
 
@@ -413,13 +443,8 @@ class ExcisedCoefficient:
         return cut(s) * (self.family.a(t, x, xi) - ref)
 
     # family duck-typing
-    @property
-    def T(self):
-        return self.family.T
-
-    @property
-    def spectral_shift(self):
-        return self.family.spectral_shift
+    T = property(lambda self: self.family.T)
+    spectral_shift = property(lambda self: self.family.spectral_shift)
 
 
 def excise(family) -> ExcisedCoefficient:
@@ -454,9 +479,12 @@ class CharacteristicRoot:
     excised: ExcisedCoefficient
     floor: float  # fitted c with atilde >= c * omega^2 * ref(xi) on the lattice
 
+    @_declares(1.0, low=lambda f, t: [(f.om, f.br)],
+               high=lambda f, t: [(f.sw, np.sqrt(f.g(t)) * f.sm)])
     def value(self, t, x, xi):
         return np.sqrt(self.excised.a(t, x, xi))
 
+    @_declares(1.0, high=lambda f, t: [(f.sw, f.dg(t) / (2.0 * np.sqrt(f.g(t))) * f.sm)])
     def dt(self, t, x, xi):
         return _d_root(self.excised.dt_a(t, x, xi), self.value(t, x, xi))
 
@@ -514,12 +542,14 @@ class HSymbol:
             * bracket(xi, self.k)
         return 1.0 - cut(s / 3.0), s
 
+    @_declares(3.0, high=lambda f, t: [(f.ow, -0.5j / np.sqrt(f.g(t)) * f.bm)])
     def value(self, t, x, xi):
         mask, _ = self._mask(t, x, xi)
         tau = self.root.value(t, x, xi)
         num = np.asarray(self.pair.omega(x), dtype=float) * bracket(xi, self.k) * mask
         return -0.5j * _guarded_div(num, tau, (tau > 0) & (mask > 0))
 
+    @_declares(3.0, high=lambda f, t: [(f.ow, 0.25j * f.dg(t) / f.g(t) ** 1.5 * f.bm)])
     def dt(self, t, x, xi):
         mask, s = self._mask(t, x, xi)
         tau = self.root.value(t, x, xi)
@@ -538,19 +568,21 @@ def h_symbol(root: CharacteristicRoot) -> HSymbol:
     return HSymbol(root=root, pair=exc.pair, k=exc.k)
 
 
-def uniform_columns(symbol, x, xi):
-    """``(scale, phi, br, low, high)``: an excision-derived ``symbol`` (``a``, ``defect``
-    of an ExcisedCoefficient, ``value``, ``dt`` of a CharacteristicRoot or HSymbol) of a
-    separable family is ``sum w(x) m(xi)`` over the pairs of ``low(t)`` on the columns
-    where ``s / scale <= 1`` for every ``x``, of ``high(t)`` where ``s / scale >= 2``
-    (``s = t phi(x) br(xi)``).  None for other symbols, no ``dg``, or ``w`` or ``m`` < 0."""
-    owner = getattr(symbol, "__self__", None)
-    exc = getattr(getattr(owner, "root", owner), "excised", owner)
-    name = next((f"{type(owner).__name__}.{n}" for n in ("a", "defect", "value", "dt")
-                 if symbol == getattr(owner, n, None)), None)
-    fam = getattr(exc, "family", None)  # a re-excised symbol's is not separable
-    if not (isinstance(exc, ExcisedCoefficient) and name and getattr(fam, "dg", None)
-            and fam.separable):
+def off_blend(symbol, x, xi):
+    """``(form, f)``: the ``OffBlend`` ``symbol``'s method declares (through ``__wrapped__``)
+    and its excision's factors on ``x``, ``xi``: ``g``, ``g'``, ``w``, ``m``, their roots,
+    ``omega``, ``<xi>_k``, ``omega / sqrt(w)``, ``<xi>_k / sqrt(m)`` (0 where the root is, as
+    in HSymbol), ``Phi`` and whether it re-excises.  Re-excision (same pair and ``k``) is the
+    identity off the blend, so the factors are the innermost family's.  None for an
+    undeclared callable, no ``separable`` or ``dg``, or ``w`` or ``m`` < 0."""
+    form = getattr(inspect.unwrap(getattr(symbol, "__func__", None)), "off_blend", None)
+    if form is None:
+        return None
+    exc = getattr(getattr(symbol.__self__, "root", symbol.__self__), "excised", symbol.__self__)
+    fam = exc.family
+    while isinstance(fam, ExcisedCoefficient) and (fam.pair, fam.k) == (exc.pair, exc.k):
+        fam = fam.family
+    if not (getattr(fam, "dg", None) and getattr(fam, "separable", None)):
         return None
     (g, w, m), dg = fam.separable, fam.dg
     wx, mx = np.asarray(w(x), dtype=float), np.asarray(m(xi), dtype=float)
@@ -558,18 +590,9 @@ def uniform_columns(symbol, x, xi):
         return None
     om, br = np.asarray(exc.pair.omega(x), dtype=float), bracket(xi, exc.k)
     sw, sm = np.sqrt(wx), np.sqrt(mx)
-    # omega / sqrt(w) and <xi>_k / sqrt(m), 0 where tau = 0 (as in HSymbol)
     ow, bm = (np.divide(a, b, out=np.zeros_like(a), where=b > 0.0) for a, b in ((om, sw), (br, sm)))
-    sg, nil = lambda t: np.sqrt(g(t)), lambda t: []
-    scale, low, high = {
-        "ExcisedCoefficient.a": (1.0, lambda t: [(om**2, br**2)], lambda t: [(wx, g(t) * mx)]),
-        "ExcisedCoefficient.defect": (1.0, lambda t: [(wx, g(t) * mx), (om**2, -br**2)], nil),
-        "CharacteristicRoot.value": (1.0, lambda t: [(om, br)], lambda t: [(sw, sg(t) * sm)]),
-        "CharacteristicRoot.dt": (1.0, nil, lambda t: [(sw, dg(t) / (2.0 * sg(t)) * sm)]),
-        "HSymbol.value": (3.0, nil, lambda t: [(ow, -0.5j / sg(t) * bm)]),
-        "HSymbol.dt": (3.0, nil, lambda t: [(ow, 0.25j * dg(t) / g(t) ** 1.5 * bm)]),
-    }[name]
-    return scale, np.asarray(exc.pair.phi(x), dtype=float), br, low, high
+    return form, Separated(g, dg, wx, mx, sw, sm, om, br, ow, bm,
+                           np.asarray(exc.pair.phi(x), dtype=float), fam is not exc.family)
 
 
 # --------------------------------------------------------------------------
@@ -716,27 +739,17 @@ def fit_blowup_exponents(family: CoefficientFamily):
     b = family.osc_exponent
     if b is None and family.q > 1.0:
         b = family.q - 1.0
-    if b is not None and b > 0.0:
-        edges = _phase_window_edges(b, n_windows)
-    else:
-        edges = np.geomspace(1e-8, 1e-2, n_windows + 1)
+    edges = (_phase_window_edges(b, n_windows) if b is not None and b > 0.0
+             else np.geomspace(1e-8, 1e-2, n_windows + 1))
+    refs = [(xx, ww, np.asarray(family.pair.omega(xx), dtype=float) ** 2
+             * bracket(ww, family.k) ** 2) for xx, ww in probes]
 
     def ratio(values_fn):
-        def sup_ratio(ts):
-            best = None
-            for (xx, ww) in probes:
-                om2 = np.asarray(family.pair.omega(xx), dtype=float) ** 2
-                ref = om2 * bracket(ww, family.k) ** 2
-                v = np.abs(values_fn(ts, xx, ww)) / ref
-                best = v if best is None else np.maximum(best, v)
-            return best
-        return sup_ratio
+        return lambda ts: reduce(np.maximum, (np.abs(values_fn(ts, xx, ww)) / ref
+                                              for xx, ww, ref in refs))
 
-    ta, env_a = _windowed_envelope(ratio(family.a), edges, per_window)
-    tq, env_dt = _windowed_envelope(ratio(family.dt_a), edges, per_window)
-    slope_a, _ = fit_power_law(ta, env_a)
-    slope_dt, _ = fit_power_law(tq, env_dt)
-    return -slope_a, -slope_dt
+    return tuple(-fit_power_law(*_windowed_envelope(ratio(f), edges, per_window))[0]
+                 for f in (family.a, family.dt_a))
 
 
 @dataclass(frozen=True)
@@ -807,15 +820,7 @@ class FitReport:
         raise KeyError((zone, alpha, beta))
 
     def to_json(self) -> str:
-        rows = [
-            {
-                "zone": e.zone, "alpha": e.alpha, "beta": e.beta,
-                "constant": e.constant, "t_exponent": e.t_exponent,
-                "residual": e.residual, "n_samples": e.n_samples,
-                "witness": list(e.witness) if e.witness is not None else None,
-            }
-            for e in self.entries
-        ]
+        rows = [asdict(e) for e in self.entries]
         return json.dumps({"meta": self.meta, "entries": rows}, indent=2)
 
 
@@ -878,11 +883,9 @@ def symbol_class_report(derivatives: Callable, descriptor: ClassDescriptor, prof
                 expo = max(-slope, 0.0)  # report blow-up exponents only
                 c = float(np.max(rz * tz ** expo))
                 entries.append(FitEntry(zone, alpha, beta, c, expo, resid, n))
-    return FitReport(entries=tuple(entries),
-                     meta={"m1": descriptor.m1, "m2": descriptor.m2,
-                           "zone_constant": 1.0,
-                           "nt": lattice.t.size, "nx": lattice.x.size,
-                           "nxi": lattice.xi.size})
+    return FitReport(entries=tuple(entries), meta={
+        "m1": descriptor.m1, "m2": descriptor.m2, "zone_constant": 1.0,
+        "nt": lattice.t.size, "nx": lattice.x.size, "nxi": lattice.xi.size})
 
 
 @dataclass(frozen=True)
@@ -901,20 +904,15 @@ def root_estimate_report(root: CharacteristicRoot, profile) -> RootReport:
     pair, k = root.excised.pair, root.excised.k
     lattice = graded_lattice(root.excised.T)
 
-    def derivs(alpha, beta):
-        table = {(0, 0): root.value, (1, 0): root.dxi, (0, 1): root.dx}
-        return table.get((alpha, beta))
-
-    fit = symbol_class_report(derivs, ClassDescriptor(m1=1.0, m2=1.0), profile, pair, k,
-                              lattice, max_order=1)
+    derivs = {(0, 0): root.value, (1, 0): root.dxi, (0, 1): root.dx}
+    fit = symbol_class_report(lambda alpha, beta: derivs.get((alpha, beta)),
+                              ClassDescriptor(m1=1.0, m2=1.0), profile, pair, k, lattice,
+                              max_order=1)
     tt, xx, ww = lattice.mesh()
     flat = _zone_masks(lattice, profile, pair, k)["excision_flat"]
     scale = np.asarray(pair.omega(xx), dtype=float) * bracket(ww, k)
     dt_vals = np.abs(root.dt(tt, xx, ww)) / scale
     dt_flat = float(np.max(np.broadcast_to(dt_vals, flat.shape)[flat], initial=0.0))
-    return RootReport(
-        fit=fit,
-        interior_exponent=fit.entry("interior", 0, 0).t_exponent,
-        exterior_exponent=fit.entry("exterior_pure", 0, 0).t_exponent,
-        dt_tau_flat_max=dt_flat,
-    )
+    return RootReport(fit=fit, interior_exponent=fit.entry("interior", 0, 0).t_exponent,
+                      exterior_exponent=fit.entry("exterior_pure", 0, 0).t_exponent,
+                      dt_tau_flat_max=dt_flat)

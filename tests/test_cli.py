@@ -151,7 +151,10 @@ class TestRun:
         ("data", "modes", -1, "data.modes"), ("data", "modes", 0, "data.modes"),
         ("data", "seed", -3, "data.seed"), ("data", "center", float("nan"), "data.center"),
         ("data", "velocity_scale", float("inf"), "data.velocity_scale"),
-        ("data", "width", float("inf"), "data.width")])
+        ("data", "width", float("inf"), "data.width"),
+        (None, "output_times", [2.0], "output_times"),
+        (None, "output_times", [-1.0, 0.5], "output_times"),
+        (None, "output_times", [], "output_times")])
     def test_malformed_field_status_2(self, tmp_path, capsys, section, key, value, field):
         cfg = {"experiment": "solve", "grid": {"L": 8.0, "N": 64, "k": 2.0},
                "mesh": {"M": 32}, "profile": {"T": 1.0}, "family": {"id": "free-wave"},
@@ -228,7 +231,7 @@ class TestRun:
         ("zones-dump", "zones", "nx", 0), ("zones-dump", "zones", "nxi", 0),
         ("check-energy", "profile", "lambda", -1.0),
         ("check-energy", "profile", "lambda", float("nan")),
-        ("solve", "profile", "T", float("inf"))])
+        ("solve", "profile", "T", float("inf")), ("zones-dump", "zones", "N", float("inf"))])
     def test_out_of_range_field_status_2(self, tmp_path, capsys, experiment, section, key,
                                          value):
         # each ran before: a traceback (N < 0), a vacuous or failed verdict (nt, nx, nxi)

@@ -315,3 +315,13 @@ class TestSobolevNorm:
             want = l2_norm(gk, apply_multiplier(gk, bracket(gk.xi, k), loss_operator(
                 gk, constant_pair(), 0.2, 3.0, rand_field)))
             assert sobolev_norm(gk, rand_field, idx, constant_pair()) == want
+
+    @pytest.mark.parametrize("pair", [poly_pair(0.5, 1.0), constant_pair()])
+    def test_rejects_a_batch(self, pair):
+        # l2_norm sums over every axis, so a batch would give one joint norm of all its rows
+        grid = GridSpec(L=np.pi, N=64)
+        rows = np.stack([random_trig_poly(4, seed=s)(grid.x) for s in (1, 2)]).astype(complex)
+        idx = SobolevIndex(1.0, 0.5, 0.2, 3.0)
+        with pytest.raises(ValueError, match=r"\(2, 64\)"):
+            sobolev_norm(grid, rows, idx, pair)
+        assert all(np.isfinite(sobolev_norm(grid, row, idx, pair)) for row in rows)

@@ -14,9 +14,9 @@ from singhyp.solver import (CauchyProblem, Discretization, SolverError, SupportE
                             integrate, lower_operator, reduce_to_system, symbol_operator,
                             system_residual)
 from singhyp.structure import bracket, constant_pair, one, poly_pair, zero
-from singhyp.symbols import (char_root, example_coefficient, excise, free_wave, h_symbol,
-                             reference_wave, separable_family, theorem_coefficient,
-                             uniform_columns)
+from singhyp.symbols import (ExcisedCoefficient, char_root, cut_sides, example_coefficient,
+                             excise, free_wave, h_symbol, off_blend, reference_wave,
+                             separable_family, theorem_coefficient)
 from singhyp.analysis import GaussianBump, closed_form, counterexample_family, \
     random_trig_poly
 
@@ -954,7 +954,8 @@ class TestExcisionSolve:
         fam = theorem_coefficient(0.0, 1.25, pair=poly_pair(0.5, 0.5), k=4.0)
         excised = excise(fam)
         sym = {"excised.a": excised.a, "h.value": h_symbol(char_root(excised)).value}[symbol]
-        scale, phi, br, _, _ = uniform_columns(sym, grid.x, grid.xi)
+        form, f = off_blend(sym, grid.x, grid.xi)
+        scale, phi, br = form.scale, f.phi, f.br
         ext = np.max(phi) if edge == 1.0 else np.min(phi)
 
         def at_edge(j):
@@ -967,13 +968,32 @@ class TestExcisionSolve:
             return None
 
         j, t = next((j, t) for j in np.argsort(-br) if (t := at_edge(j)) is not None)
-        lo, hi = t * np.max(phi) * br / scale <= 1.0, t * np.min(phi) * br / scale >= 2.0
+        lo, hi = cut_sides(t, phi, br, scale)
         assert (lo if edge == 1.0 else hi)[j] and 0.0 < t < 1.0
         op = symbol_operator(grid, fam, sym)
         assert op.path == "banded"
         u = GaussianBump(0.0, 0.45)(grid.x) * _band_field(grid)
         want = apply_kn(grid, lambda x, xi: sym(t, x, xi), u)
         assert np.max(np.abs(op(t, u) - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_wrapped_method_keeps_its_declaration(self, monkeypatch):
+        # a plain wrapper on the class that keeps only __wrapped__ (no attributes, no name),
+        # as a tracer's does, leaves the declared form readable and the path banded
+        orig = ExcisedCoefficient.a
+
+        def wrapper(*args):
+            return orig(*args)
+
+        wrapper.__wrapped__ = orig
+        monkeypatch.setattr(ExcisedCoefficient, "a", wrapper)
+        grid = GridSpec(L=8.0, N=64, k=4.0)
+        fam = theorem_coefficient(0.0, 1.25, pair=poly_pair(0.5, 0.5), k=4.0)
+        sym = excise(fam).a
+        op = symbol_operator(grid, fam, sym)
+        assert op.path == "banded"
+        u = GaussianBump(0.0, 0.45)(grid.x) * _band_field(grid)
+        want = apply_kn(grid, lambda x, xi: sym(0.05, x, xi), u)
+        assert np.max(np.abs(op(0.05, u) - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_on_off_identical_when_window_empty(self):
         # t_start * Phi_min * k >= 2: the excised symbol equals a on the whole run
@@ -1333,8 +1353,24 @@ class TestSystem:
             assert op.path == ("diagonal" if fam.is_multiplier
                                else "dense" if symbol == fam.a else "banded")
             check(op, symbol)
-        twice = excise(excised).a  # re-excised: no separable factors, so all band
-        check(symbol_operator(grid, fam, twice), twice)
+        # re-excision is the identity off the blend: the re-excised symbols declare the
+        # innermost family's forms and take the banded path; a lambda declares none
+        twice = excise(excised)
+        root2 = char_root(twice)
+        h2 = h_symbol(root2)
+        for symbol in (twice.a, twice.defect, root2.value, root2.dt, h2.value, h2.dt):
+            op = symbol_operator(grid, fam, symbol)
+            assert op.path == ("diagonal" if fam.is_multiplier else "banded")
+            check(op, symbol)
+        wrapped = lambda t, x, xi: excised.a(t, x, xi)  # noqa: E731
+        op = symbol_operator(grid, fam, wrapped)
+        assert op.path == ("diagonal" if fam.is_multiplier else "dense")
+        check(op, wrapped)
+        if not fam.is_multiplier:  # re-excised under another cutoff: not the identity off it
+            other = dataclasses.replace(twice, pair=poly_pair(0.5, 1.0))
+            op = symbol_operator(grid, fam, other.a)
+            assert op.path == "dense"
+            check(op, other.a)
         for use_excision, symbol in ((False, fam.a), (True, excised.a)):
             prob = CauchyProblem(family=fam, f1=u, f2=u, t_start=0.0, T=1.0,
                                  use_excision=use_excision)

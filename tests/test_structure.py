@@ -1,13 +1,12 @@
-"""Profile algebra, zones, loss scale, and structure-function axiom checks."""
+"""Profile algebra, structure pairs, zones and the loss scale."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singhyp.structure import (ProfileError, Zone, bracket, check_structure_properties,
-                               classify_zone, constant_pair, custom_pair, lambda_loss,
-                               make_profile, planck, poly_pair, time_split)
+from singhyp.structure import (ProfileError, Zone, bracket, classify_zone, constant_pair,
+                               lambda_loss, make_profile, planck, poly_pair, time_split)
 
 
 class TestMakeProfile:
@@ -144,39 +143,3 @@ class TestLossScale:
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ValueError):
             lambda_loss(0.5, 0.0, self.pr)
-
-
-class TestStructureProperties:
-    def test_constant_pair_passes_with_unit_constants(self):
-        rep = check_structure_properties(constant_pair())
-        assert rep.passed
-        assert rep["phi_slowly_varying"].constant == pytest.approx(1.0)
-        assert rep["phi_subadditive"].constant <= 1.0
-
-    def test_linear_bracket_passes(self):
-        rep = check_structure_properties(poly_pair(0.5, 1.0))
-        assert rep.passed, [c.name for c in rep.checks if not c.passed]
-
-    def test_quadratic_growth_fails_sublinearity_with_witness(self):
-        sq = custom_pair(lambda x: 1.0 + 0.0 * np.asarray(x, dtype=float),
-                         lambda x: np.hypot(1.0, x) ** 2,
-                         dphi=lambda x: 2.0 * np.asarray(x, dtype=float),
-                         label="quadratic")
-        rep = check_structure_properties(sq)
-        check = rep["phi_sublinear"]
-        assert not check.passed
-        assert check.witness is not None
-        assert not rep.passed
-
-    def test_report_serializes(self):
-        import json
-
-        rep = check_structure_properties(poly_pair(0.0, 0.5))
-        payload = json.loads(rep.to_json())
-        assert payload["passed"] is True
-        names = {row["axiom"] for row in payload["checks"]}
-        assert {"phi_sublinear", "omega_subadditive", "ordering_omega_le_phi"} <= names
-
-    def test_rejects_bad_radii(self):
-        with pytest.raises(ValueError):
-            check_structure_properties(constant_pair(), radii=(0.0,))
