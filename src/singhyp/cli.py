@@ -35,7 +35,7 @@ the family's ``p, r < 1``), ``profile.T`` finite and ``> 0``, ``profile.lambda``
 ``> 0``, ``data.center`` and ``data.velocity_scale`` finite, ``data.modes >= 1``,
 ``data.seed >= 0``, ``zones.nt >= 2``, ``zones.nx, zones.nxi >= 1``, ``zones.N`` finite
 and ``> 0``, ``output_times`` (default: evenly spaced) a non-empty list of times in
-``[mesh.t_start, profile.T]``.
+``[mesh.t_start, profile.T]``, for ``solve`` and ``check-energy`` only.
 
 Family ids and the ``params`` each accepts, with defaults (other keys are
 rejected): ``theorem`` (``pair`` ``[kappa1, kappa2]``, else the constant pair;
@@ -211,6 +211,8 @@ class RunConfig:
              lambda ts: ts if ts is None else list(map(_where(float, math.isfinite, "finite"), ts))),
         ))["output_times"]
         ts = self.output_times
+        if ts is not None and self.experiment not in ("solve", "check-energy"):
+            raise ConfigError(f"output_times: {self.experiment} takes no snapshots")
         if ts is not None and not (ts and all(self.t_start <= t <= self.profile.T for t in ts)):
             raise ConfigError(f"output_times must be a non-empty list of times in [mesh.t_start, "
                               f"profile.T] = [{self.t_start}, {self.profile.T}], got {ts}")

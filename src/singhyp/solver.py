@@ -13,20 +13,15 @@ singularities; when the coefficients are singular at ``t_start`` the first step 
 four stages at the step midpoint, so the vector field is never evaluated at the singular
 time.  CFL violations trigger automatic step halving (up to 20 levels).
 
-Every ``Op(sigma)`` comes from :func:`symbol_operator`, which picks once per (symbol, grid)
-the separable product ``g(t) w(x) m(D)``, the diagonal product in xi, the banded
-Kohn-Nirenberg product of a symbol that declares its form off the cutoff's blend
-(:func:`~singhyp.symbols.off_blend`) or the dense one; ``Op(b)`` comes from
-:func:`lower_operator`.  They act on the family's states: Fourier coefficients of a
-multiplier family (coefficients depend on t only, so every operator is diagonal in xi and
-RK4 transforms only at snapshots), grid values otherwise, through ``quantize._fft_multiply``
-and ``quantize._kn_product`` (this module makes no transform of its own).  Each multiplier
-is checked once, where it is formed, and kept read-only.  The right-hand side is
-``dv = -Op(a) u - Op(b) u - b0 v (+ F)``, on Fourier coefficients with one row
-``mu = a(t, 0, xi) + i b1(t, 0) xi + b2(t, 0)`` per time for ``Op(a) + Op(b)``.  Each
-operator forms its parts once per time (:class:`_Operator`): coefficients in t over a
-column of times in one call (``integrate`` over a block of stage times, ``system_residual``
-over a chunk of snapshot times), a banded or dense product one ``t`` at a time.
+Every ``Op(sigma)`` comes from :func:`symbol_operator`, which picks its path once per
+(symbol, grid), and ``Op(b)`` from :func:`lower_operator`.  They act on the family's states:
+Fourier coefficients of a multiplier family (every operator is then diagonal in xi, and RK4
+transforms only at snapshots), grid values otherwise, through ``quantize._fft_multiply`` and
+``quantize._kn_product`` (this module makes no transform).  Each multiplier is checked once,
+where it is formed, and kept read-only.  The right-hand side is
+``dv = -Op(a) u - Op(b) u - b0 v (+ F)``; on Fourier coefficients ``Op(a) + Op(b)`` is one
+row ``mu = a(t, 0, xi) + i b1(t, 0) xi + b2(t, 0)`` per time, read with ``b0`` straight from
+the tables of parts by time that each operator keeps (:class:`_Operator`).
 
 The first-order reduction
 
@@ -209,11 +204,15 @@ def _state_space(grid: GridSpec, family: CoefficientFamily) -> _StateSpace:
                        lambda f: f, lambda c: c)
 
 
-def _negated_row(first, *rest) -> _Operator:
-    """``-(first + rest[0] + ...)`` of diagonal operators on Fourier coefficients: one product
-    with its row ``first(t, -1) + rest[0](t, -1) + ...``, formed the first time a ``t`` is read."""
-    return _Operator("row", operator.mul,
-                     parts=lambda t: (sum((op(t, -1.0) for op in rest), first(t, -1.0)), 0))
+def _negated_row(first: _Operator, lower: _Operator | None) -> _Operator:
+    """``-(first + lower)`` of diagonal operators on Fourier coefficients: one product with
+    its row ``-mu(t)``, formed the first time a ``t`` is read from each operator's tabulated
+    part by its ``negated_row``."""
+    def parts(t):
+        row = first.negated_row(first.part(t))
+        return (row if lower is None else row + lower.negated_row(lower.part(t))), 0
+
+    return _Operator("row", operator.mul, parts=parts)
 
 
 class _Operator:
@@ -225,11 +224,14 @@ class _Operator:
     ``dense``) and the ``row`` of :func:`_negated_row` have ``parts(t)``, the part at one ``t``
     and its number of lattice columns (summed in ``lattice_columns``; ``lattice_evals`` counts
     the lattices formed).  On a miss (counted in ``formed``) the table keeps that ``t`` alone,
-    formed by ``column(np.array([t]))`` or ``parts(t)``, unless it is a dense N x N matrix."""
+    formed by ``column(np.array([t]))`` or ``parts(t)``, unless it is a dense N x N matrix.
+    ``negated_row(part)`` is ``apply(part, -1.0)`` written out, on Fourier coefficients."""
 
     def __init__(self, path: str, apply: Callable, column: Callable | None = None,
-                 parts: Callable | None = None, width: int = 1):
+                 parts: Callable | None = None, width: int = 1,
+                 negated_row: Callable | None = None):
         self.path, self._apply, self._column, self.width = path, apply, column, width
+        self.negated_row = negated_row
         self._parts = parts or (lambda t: (column(np.array([t]))[0], 0))
         self.lattice_columns = self.lattice_evals = self.formed = 0
         self._table = {}
@@ -287,13 +289,15 @@ def symbol_operator(grid: GridSpec, family: CoefficientFamily,
         w = np.asarray(w(space.x), dtype=float)
         m = _multiplier_values(grid, m)
         return _Operator("separable", lambda gw, u: space.term(gw, m, u),
-                         lambda ts: _rows(lambda t, x: g(t) * w, ts, space.x), width=w.size)
+                         lambda ts: _rows(lambda t, x: g(t) * w, ts, space.x), width=w.size,
+                         negated_row=(lambda gw: m * (gw * -1.0)) if space.name == "fourier"
+                         else None)
     symbol = family.a if symbol is None else symbol
     if space.name == "fourier":
         return _Operator("diagonal", operator.mul,
                          lambda ts: list(np.broadcast_to(symbol(ts[:, None], 0.0, grid.xi),
                                                          (ts.size, grid.N))),
-                         width=grid.N)
+                         width=grid.N, negated_row=lambda row: row * -1.0)
     forms = off_blend(symbol, grid.x, grid.xi)
 
     def parts(t):
@@ -313,7 +317,8 @@ def symbol_operator(grid: GridSpec, family: CoefficientFamily,
                      lambda parts, u: _kn_product(grid, u, *parts), parts=parts)
 
 
-def _coefficient_operator(grid: GridSpec, family: CoefficientFamily, terms) -> _Operator | None:
+def _coefficient_operator(grid: GridSpec, family: CoefficientFamily, terms,
+                          negated_row: Callable | None = None) -> _Operator | None:
     """``(t, u) -> sum of b(t, x) m(D) u`` over the ``(b, m)`` of ``terms`` whose ``b`` is
     not None (``m`` None: the identity) on the family's states, None when none is left.  The
     ``b`` are evaluated over a column of times (on Fourier coefficients at ``x = 0``)."""
@@ -328,14 +333,19 @@ def _coefficient_operator(grid: GridSpec, family: CoefficientFamily, terms) -> _
 
     return _Operator("coefficient", apply,
                      lambda ts: list(zip(*(_rows(b, ts, space.x) for b, _ in terms))),
-                     width=len(terms) * np.size(space.x))
+                     width=len(terms) * np.size(space.x), negated_row=negated_row)
 
 
 def lower_operator(grid: GridSpec, family: CoefficientFamily) -> _Operator | None:
     """``(t, u) -> Op(b) u = b1(t, x) du/dx + b2(t, x) u`` on the family's states;
     an absent coefficient's term is left out (None when both are)."""
     i_xi = _multiplier_values(grid, 1j * grid.xi_odd)
-    return _coefficient_operator(grid, family, ((family.b1, i_xi), (family.b2, None)))
+    b1, b2, row = family.b1, family.b2, None
+    if family.is_multiplier:
+        row = ((lambda bs: bs[0] * -1.0) if b1 is None else
+               (lambda bs: i_xi * (bs[0] * -1.0)) if b2 is None else
+               (lambda bs: i_xi * (bs[0] * -1.0) + bs[1] * -1.0))
+    return _coefficient_operator(grid, family, ((b1, i_xi), (b2, None)), row)
 
 
 class _Operators:
@@ -377,7 +387,8 @@ class Discretization(_Operators):
     otherwise.  :meth:`rhs` acts on the stacked state ``(u, v)`` through
     :func:`symbol_operator` and :func:`lower_operator`, and the ``b0`` multiplication: on
     Fourier coefficients ``apply_negated`` is their ``-(Op(a) + Op(b))``, one row ``-mu(t)``
-    per time (:func:`_negated_row`); on grid values it is None.
+    per time (:func:`_negated_row`); on grid values it is None.  ``b0 v`` is the tabulated
+    ``b0`` times ``v``, formed in one buffer per discretization.
     """
 
     def __init__(self, problem: CauchyProblem, grid: GridSpec):
@@ -388,7 +399,8 @@ class Discretization(_Operators):
         super().__init__(problem, grid, self.apply_principal)
         problem.check_support(grid)
         self.apply_negated = None if self.space.name != "fourier" else _negated_row(
-            *(op for op in (self.apply_principal, self.apply_lower) if op is not None))
+            self.apply_principal, self.apply_lower)
+        self._b0v = None if self.apply_b0 is None else np.empty(grid.N, dtype=complex)
 
     def rhs(self, t: float, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Time derivative ``(v, -mu(t) u - b0 v + F)`` of the stacked state ``y = (u, v)``,
@@ -403,7 +415,7 @@ class Discretization(_Operators):
             if self.apply_lower is not None:
                 np.subtract(dv, self.apply_lower(t, y[0]), out=dv)
         if self.apply_b0 is not None:
-            np.subtract(dv, self.apply_b0(t, y[1]), out=dv)
+            np.subtract(dv, np.multiply(self.apply_b0.part(t)[0], y[1], out=self._b0v), out=dv)
         if self.problem.forcing is not None:
             np.add(dv, self.forcing_state(t), out=dv)
         return out

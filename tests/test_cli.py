@@ -267,6 +267,17 @@ class TestRun:
         assert f"{field}:" in capsys.readouterr().err
         assert not (tmp_path / "verdict.json").exists()
 
+    @pytest.mark.parametrize("experiment", ["zones-dump", "check-cone", "verify-counterexamples",
+                                            "symbol-report"])
+    def test_output_times_rejected_where_ignored(self, tmp_path, capsys, experiment):
+        # only solve and check-energy take snapshots: the others reject output_times, not ignore it
+        cfg = {"experiment": experiment, "grid": {"L": 8.0, "N": 64, "k": 2.0},
+               "mesh": {"M": 64}, "output_times": [0.5]}
+        assert run(cfg, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "output_times:" in err and experiment in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_check_cone(self, tmp_path):
         cfg = {"experiment": "check-cone", "grid": {"L": 12.0, "N": 256, "k": 1.0},
                "mesh": {"M": 512}, "data": {"width": 0.25}}

@@ -619,6 +619,37 @@ class TestFourierState:
         traj = integrate(phys, grid, graded_mesh(fam, t_start, 1.0, 16), [1.0])
         assert traj.stats["space"] == "physical" and traj.stats["rows"] == 0
 
+    @pytest.mark.parametrize("path", ["separable", "diagonal"])
+    @pytest.mark.parametrize("b0, b1, b2, forced",
+                             [(b0, b1, b2, f) for b0 in (False, True) for b1 in (False, True)
+                              for b2 in (False, True) for f in (False, True)])
+    def test_rhs_is_the_operators_row_bitwise(self, path, b0, b1, b2, forced):
+        # the row read from the tables is bitwise the row the operators form when applied to
+        # -1.0, the b0 term bitwise apply_b0's: at a primed time, again at the same time (one
+        # formation, then a hit in the one-entry table), and at a time no table holds
+        grid = GridSpec(L=np.pi, N=64, k=4.0)
+        fam = theorem_coefficient(0.0, 1.25, k=4.0)
+        fam = dataclasses.replace(fam, b0=(lambda t, x: np.sqrt(t) + 0.0 * x) if b0 else None,
+                                  b1=(lambda t, x: np.cos(t) + 0.0 * x) if b1 else None,
+                                  b2=(lambda t, x: 0.5 + np.sin(t) + 0.0 * x) if b2 else None)
+        forcing = (lambda t, x, f=_band_field(grid): np.sin(3.0 * t) * f) if forced else None
+        y = np.random.default_rng(5).standard_normal((2, grid.N, 2)) @ np.array([1.0, 1j])
+        prob = CauchyProblem(family=fam, f1=y[0], f2=y[1], t_start=0.0, T=1.0,
+                             forcing=forcing, use_excision=path == "diagonal")
+        disc = Discretization(prob, grid)
+        first, rest = disc.apply_principal, [op for op in (disc.apply_lower,) if op is not None]
+        assert (disc.space.name, first.path) == ("fourier", path)
+        disc.prime(np.array([0.25, 0.5, 0.5]))
+        for t, formed in ((0.5, 1), (0.5, 1), (0.75, 2)):
+            got = disc.rhs(t, y)
+            assert disc.apply_negated.formed == formed
+            want = sum((op(t, -1.0) for op in rest), first(t, -1.0)) * y[0]
+            if b0:
+                want = want - disc.apply_b0(t, y[1])
+            if forced:
+                want = want + disc.forcing_state(t)
+            assert np.array_equal(got[0], y[1]) and np.array_equal(got[1], want), t
+
     @pytest.mark.parametrize("table_times", [768, 30])
     @pytest.mark.parametrize("case", ["free-wave-40", "7.3-coarse"])
     def test_halved_steps_match_physical_rk4(self, monkeypatch, case, table_times):
