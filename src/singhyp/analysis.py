@@ -365,7 +365,7 @@ def support_radius(grid: GridSpec, values, center: float = 0.0,
 
 @dataclass(frozen=True)
 class ConeSpec:
-    """Centre ``x0``, speed constant, time exponent ``1 - p/2`` and weight of the
+    """Finite centre ``x0``, speed constant, time exponent ``1 - p/2`` and weight of the
     forward support-growth bound
     ``R(t) <= R(t0) + speed * max omega * (t - t0)**exponent + 3 dx``, measured
     about ``x0`` from the first snapshot time ``t0`` (see :func:`cone_check`)."""
@@ -376,6 +376,8 @@ class ConeSpec:
     pair: StructurePair
 
     def __post_init__(self):
+        if not math.isfinite(self.x0):
+            raise ValueError(f"cone centre x0 must be finite, got {self.x0}")
         if not self.speed > 0:
             raise ValueError("cone speed must be positive")
         if not (0.75 < self.exponent <= 1.0):

@@ -212,7 +212,8 @@ def apply_kn(grid: GridSpec, symbol, values) -> np.ndarray:
 @dataclass(frozen=True)
 class SobolevIndex:
     """Index of the weighted space: derivative order s1, decay order s2,
-    sub-exponential amplitude eps, and its order sigma >= 3."""
+    sub-exponential amplitude eps >= 0, and its order sigma >= 3, all finite
+    (else a ``ValueError`` naming the field)."""
 
     s1: float
     s2: float
@@ -220,10 +221,11 @@ class SobolevIndex:
     sigma: float = 3.0
 
     def __post_init__(self):
-        if self.eps < 0:
-            raise ValueError(f"eps must be >= 0, got {self.eps}")
-        if self.sigma < 3.0:
-            raise ValueError(f"sigma >= 3 required, got {self.sigma}")
+        for name, least in (("s1", -np.inf), ("s2", -np.inf), ("eps", 0.0), ("sigma", 3.0)):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= least):
+                bound = f" and >= {least:g}" if np.isfinite(least) else ""
+                raise ValueError(f"{name} must be finite{bound}, got {value}")
 
 
 def loss_symbol(grid: GridSpec, pair: StructurePair, eps: float, sigma: float):

@@ -20,8 +20,9 @@ transforms only at snapshots), grid values otherwise, through ``quantize._fft_mu
 ``quantize._kn_product`` (this module makes no transform).  Each multiplier is checked once,
 where it is formed, and kept read-only.  The right-hand side is
 ``dv = -Op(a) u - Op(b) u - b0 v (+ F)``; on Fourier coefficients ``Op(a) + Op(b)`` is one
-row ``mu = a(t, 0, xi) + i b1(t, 0) xi + b2(t, 0)`` per time, read with ``b0`` straight from
-the tables of parts by time that each operator keeps (:class:`_Operator`).
+row ``mu = a(t, 0, xi) + i b1(t, 0) xi + b2(t, 0)`` per time, the sum of each operator's
+own product at ``-1.0`` of its tabulated part (:class:`_Operator`); ``b0`` is read from its
+table.
 
 The first-order reduction
 
@@ -204,13 +205,13 @@ def _state_space(grid: GridSpec, family: CoefficientFamily) -> _StateSpace:
                        lambda f: f, lambda c: c)
 
 
-def _negated_row(first: _Operator, lower: _Operator | None) -> _Operator:
+def _negated_mu(first: _Operator, lower: _Operator | None) -> _Operator:
     """``-(first + lower)`` of diagonal operators on Fourier coefficients: one product with
-    its row ``-mu(t)``, formed the first time a ``t`` is read from each operator's tabulated
-    part by its ``negated_row``."""
+    its row ``-mu(t)``, formed when a ``t`` is first read as ``first(t, -1.0) + lower(t, -1.0)``,
+    each operator's own apply without the instance call (a measurable share of a row)."""
     def parts(t):
-        row = first.negated_row(first.part(t))
-        return (row if lower is None else row + lower.negated_row(lower.part(t))), 0
+        row = first._apply(first.part(t), -1.0)
+        return (row if lower is None else row + lower._apply(lower.part(t), -1.0)), 0
 
     return _Operator("row", operator.mul, parts=parts)
 
@@ -221,17 +222,15 @@ class _Operator:
     A coefficient path (``separable``, ``diagonal``, ``coefficient``) has ``column(times)``,
     its parts at every time of a 1-D array in one vectorised call, which :meth:`prime`
     tabulates; ``width`` is the number of values a part holds.  A band path (``banded``,
-    ``dense``) and the ``row`` of :func:`_negated_row` have ``parts(t)``, the part at one ``t``
+    ``dense``) and the ``row`` of :func:`_negated_mu` have ``parts(t)``, the part at one ``t``
     and its number of lattice columns (summed in ``lattice_columns``; ``lattice_evals`` counts
     the lattices formed).  On a miss (counted in ``formed``) the table keeps that ``t`` alone,
     formed by ``column(np.array([t]))`` or ``parts(t)``, unless it is a dense N x N matrix.
-    ``negated_row(part)`` is ``apply(part, -1.0)`` written out, on Fourier coefficients."""
+    On Fourier coefficients every operator is diagonal, and ``op(t, -1.0)`` is its row negated."""
 
     def __init__(self, path: str, apply: Callable, column: Callable | None = None,
-                 parts: Callable | None = None, width: int = 1,
-                 negated_row: Callable | None = None):
+                 parts: Callable | None = None, width: int = 1):
         self.path, self._apply, self._column, self.width = path, apply, column, width
-        self.negated_row = negated_row
         self._parts = parts or (lambda t: (column(np.array([t]))[0], 0))
         self.lattice_columns = self.lattice_evals = self.formed = 0
         self._table = {}
@@ -289,15 +288,13 @@ def symbol_operator(grid: GridSpec, family: CoefficientFamily,
         w = np.asarray(w(space.x), dtype=float)
         m = _multiplier_values(grid, m)
         return _Operator("separable", lambda gw, u: space.term(gw, m, u),
-                         lambda ts: _rows(lambda t, x: g(t) * w, ts, space.x), width=w.size,
-                         negated_row=(lambda gw: m * (gw * -1.0)) if space.name == "fourier"
-                         else None)
+                         lambda ts: _rows(lambda t, x: g(t) * w, ts, space.x), width=w.size)
     symbol = family.a if symbol is None else symbol
     if space.name == "fourier":
         return _Operator("diagonal", operator.mul,
                          lambda ts: list(np.broadcast_to(symbol(ts[:, None], 0.0, grid.xi),
                                                          (ts.size, grid.N))),
-                         width=grid.N, negated_row=lambda row: row * -1.0)
+                         width=grid.N)
     forms = off_blend(symbol, grid.x, grid.xi)
 
     def parts(t):
@@ -317,35 +314,31 @@ def symbol_operator(grid: GridSpec, family: CoefficientFamily,
                      lambda parts, u: _kn_product(grid, u, *parts), parts=parts)
 
 
-def _coefficient_operator(grid: GridSpec, family: CoefficientFamily, terms,
-                          negated_row: Callable | None = None) -> _Operator | None:
-    """``(t, u) -> sum of b(t, x) m(D) u`` over the ``(b, m)`` of ``terms`` whose ``b`` is
-    not None (``m`` None: the identity) on the family's states, None when none is left.  The
-    ``b`` are evaluated over a column of times (on Fourier coefficients at ``x = 0``)."""
-    space = _state_space(grid, family)
-    terms = [(b, m) for b, m in terms if b is not None]
-    if not terms:
-        return None
+def _coefficient_operator(grid: GridSpec, family: CoefficientFamily, product: Callable,
+                          *bs: Callable) -> _Operator:
+    """``(t, u) -> product(parts, u)`` on the family's states, ``parts`` the coefficients
+    ``bs`` at ``t``: evaluated over a column of times (on Fourier coefficients at ``x = 0``)."""
+    x = _state_space(grid, family).x
+    return _Operator("coefficient", product, lambda ts: list(zip(*[_rows(b, ts, x) for b in bs])),
+                     width=len(bs) * np.size(x))
 
-    def apply(bs, u):
-        first, *more = (b * u if m is None else space.term(b, m, u) for b, (_, m) in zip(bs, terms))
-        return sum(more, first)
 
-    return _Operator("coefficient", apply,
-                     lambda ts: list(zip(*(_rows(b, ts, space.x) for b, _ in terms))),
-                     width=len(terms) * np.size(space.x), negated_row=negated_row)
+def _scale(bs, u):
+    """``b u``, the product of one coefficient ``bs = (b,)``."""
+    return bs[0] * u
 
 
 def lower_operator(grid: GridSpec, family: CoefficientFamily) -> _Operator | None:
     """``(t, u) -> Op(b) u = b1(t, x) du/dx + b2(t, x) u`` on the family's states;
     an absent coefficient's term is left out (None when both are)."""
+    term, b1, b2 = _state_space(grid, family).term, family.b1, family.b2
     i_xi = _multiplier_values(grid, 1j * grid.xi_odd)
-    b1, b2, row = family.b1, family.b2, None
-    if family.is_multiplier:
-        row = ((lambda bs: bs[0] * -1.0) if b1 is None else
-               (lambda bs: i_xi * (bs[0] * -1.0)) if b2 is None else
-               (lambda bs: i_xi * (bs[0] * -1.0) + bs[1] * -1.0))
-    return _coefficient_operator(grid, family, ((b1, i_xi), (b2, None)), row)
+    if b1 is None:
+        return None if b2 is None else _coefficient_operator(grid, family, _scale, b2)
+    if b2 is None:
+        return _coefficient_operator(grid, family, lambda bs, u: term(bs[0], i_xi, u), b1)
+    return _coefficient_operator(grid, family,
+                                 lambda bs, u: term(bs[0], i_xi, u) + bs[1] * u, b1, b2)
 
 
 class _Operators:
@@ -363,7 +356,8 @@ class _Operators:
         self.space = _state_space(grid, fam)
         self.state, self.field = self.space.state, self.space.field
         self.apply_lower = lower_operator(grid, fam)
-        self.apply_b0 = _coefficient_operator(grid, fam, ((fam.b0, None),))
+        self.apply_b0 = (None if fam.b0 is None
+                         else _coefficient_operator(grid, fam, _scale, fam.b0))
         self._ops = tuple(op for op in (*ops, self.apply_lower, self.apply_b0) if op is not None)
         widest = max(op.width for op in self._ops)
         self.times_per_table = max(3, min(_TABLE_TIMES, _TABLE_VALUES // widest))
@@ -387,8 +381,9 @@ class Discretization(_Operators):
     otherwise.  :meth:`rhs` acts on the stacked state ``(u, v)`` through
     :func:`symbol_operator` and :func:`lower_operator`, and the ``b0`` multiplication: on
     Fourier coefficients ``apply_negated`` is their ``-(Op(a) + Op(b))``, one row ``-mu(t)``
-    per time (:func:`_negated_row`); on grid values it is None.  ``b0 v`` is the tabulated
-    ``b0`` times ``v``, formed in one buffer per discretization.
+    per time, each operator's own product at ``-1.0`` (:func:`_negated_mu`); on grid values
+    it is None.  ``b0 v`` is the tabulated ``b0`` times ``v``, formed in one buffer per
+    discretization.
     """
 
     def __init__(self, problem: CauchyProblem, grid: GridSpec):
@@ -398,7 +393,7 @@ class Discretization(_Operators):
         self.apply_principal = symbol_operator(grid, fam, atilde)
         super().__init__(problem, grid, self.apply_principal)
         problem.check_support(grid)
-        self.apply_negated = None if self.space.name != "fourier" else _negated_row(
+        self.apply_negated = None if self.space.name != "fourier" else _negated_mu(
             self.apply_principal, self.apply_lower)
         self._b0v = None if self.apply_b0 is None else np.empty(grid.N, dtype=complex)
 

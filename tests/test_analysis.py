@@ -224,6 +224,12 @@ class TestConeCheck:
         with pytest.raises(ValueError):
             ConeSpec(0.0, 1.0, 0.5, constant_pair())
 
+    @pytest.mark.parametrize("x0", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_centre(self, x0):
+        # a NaN centre made every radius NaN, and cone_check reported valid and passed
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            ConeSpec(x0, 1.0, 1.0, constant_pair())
+
 
 class TestEnergyMonitor:
     def test_zero_data_zero_verdict(self):

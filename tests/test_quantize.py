@@ -277,6 +277,16 @@ class TestLossOperator:
 
 
 class TestSobolevNorm:
+    @pytest.mark.parametrize("field, value", [
+        ("s1", np.nan), ("s1", np.inf), ("s2", np.nan), ("s2", -np.inf), ("eps", np.nan),
+        ("eps", np.inf), ("eps", -0.5), ("sigma", np.nan), ("sigma", np.inf), ("sigma", 2.5)])
+    def test_index_rejects_bad_field(self, field, value):
+        # nan < 0 and nan < 3 are False: a NaN s2 made the norm NaN on an x-dependent pair
+        # only, and a NaN eps ended in an OverflowGuardError about the multiplier
+        fields = {"s1": 1.0, "s2": 0.5, "eps": 0.1, "sigma": 3.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            SobolevIndex(**fields)
+
     def test_reduces_to_l2(self, grid, rand_field):
         idx = SobolevIndex(0.0, 0.0, 0.0, 3.0)
         assert sobolev_norm(grid, rand_field, idx, poly_pair(0.5, 1.0)) \

@@ -792,17 +792,21 @@ class TestFourierState:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def _coefficient_ops(x_dependent):
-    # the separable principal part, Op(b) and the b0 multiplication, with coefficients that
-    # vary in t (and in x on grid values), plus a diagonal operator on Fourier coefficients
+def _coefficient_ops(x_dependent, lower):
+    # a discretization's separable principal part, Op(b) of the lower-order set ``lower``
+    # (b1, b2 or both) and the b0 multiplication, with coefficients that vary in t (and in x
+    # on grid values), plus a diagonal operator on Fourier coefficients
     grid = GridSpec(L=8.0, N=32, k=2.0)
     c = 1.0 if x_dependent else 0.0
     fam = theorem_coefficient(0.25, 1.25, pair=poly_pair(0.5, 0.5) if x_dependent else None,
                               k=2.0)
-    fam = dataclasses.replace(fam, b0=lambda t, x: np.sqrt(t) * (1.0 + c * x * x),
-                              b1=lambda t, x: np.cos(t * (1.0 + c * x)))
-    ops = [symbol_operator(grid, fam), lower_operator(grid, fam),
-           solver._coefficient_operator(grid, fam, ((fam.b0, None),))]
+    fam = dataclasses.replace(
+        fam, b0=lambda t, x: np.sqrt(t) * (1.0 + c * x * x),
+        b1=(lambda t, x: np.cos(t * (1.0 + c * x))) if "b1" in lower else None,
+        b2=(lambda t, x: 0.5 + np.sin(t * (1.0 - c * x))) if "b2" in lower else None)
+    zero = np.zeros(grid.N)
+    disc = Discretization(CauchyProblem(family=fam, f1=zero, f2=zero, t_start=0.0, T=1.0), grid)
+    ops = [disc.apply_principal, disc.apply_lower, disc.apply_b0]
     if not x_dependent:
         ops.append(symbol_operator(grid, fam, fam.dt_a))
     state = np.random.default_rng(3).standard_normal(grid.N) + 0j
@@ -815,16 +819,18 @@ class TestCoefficientTables:
     @given(data=st.data())
     def test_primed_parts_match_single_time(self, x_dependent, data):
         # the parts tabulated over a column of times, repeats included, are bitwise the
-        # parts a fresh operator forms at each time alone
+        # parts a fresh operator forms at each time alone, for each of the three Op(b) products
         base = data.draw(st.lists(st.floats(1e-12, 1.0), min_size=1, max_size=6))
         ts = data.draw(st.lists(st.sampled_from(base), min_size=1, max_size=12))
-        ops, u = _coefficient_ops(x_dependent)
-        assert {op.path for op in ops} >= {"separable", "coefficient"}
-        for op in ops:
-            op.prime(np.array(ts))
-        for t in ts:
-            for op, fresh in zip(ops, _coefficient_ops(x_dependent)[0]):
-                assert op(t, u).tobytes() == fresh(t, u).tobytes(), (op.path, t)
+        for lower in ("b1", "b2", "b1+b2"):
+            ops, u = _coefficient_ops(x_dependent, lower)
+            assert [op.path for op in ops[:3]] == ["separable", "coefficient", "coefficient"]
+            assert ops[1].width == lower.count("b") * (u.size if x_dependent else 1)
+            for op in ops:
+                op.prime(np.array(ts))
+            for t in ts:
+                for op, fresh in zip(ops, _coefficient_ops(x_dependent, lower)[0]):
+                    assert op(t, u).tobytes() == fresh(t, u).tobytes(), (lower, op.path, t)
 
 
 def _unbounded_multiplier_family():
