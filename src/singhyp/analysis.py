@@ -44,7 +44,7 @@ from .solver import CauchyProblem, Trajectory, assemble_rhs
 from .structure import (SingularityProfile, StructurePair, bracket, constant_pair, lambda_loss,
                         one, zero)
 from .symbols import (CoefficientFamily, SampleLattice, _two_xi, _xi_squared, char_root, excise,
-                      cut, graded_lattice, h_symbol, separable_family)
+                      cut, fit_power_law, graded_lattice, h_symbol, separable_family)
 
 __all__ = [
     "falling_factorial",
@@ -306,7 +306,8 @@ class BandError(ValueError):
 
 
 def loss_slope(grid: GridSpec, u_t, u0, band: tuple[int, int] | None = None) -> float:
-    """Least-squares slope of ``log(|hat u_t| / |hat u0|)`` against ``log <xi>_1``.
+    """Least-squares slope of ``log(|hat u_t| / |hat u0|)`` against ``log <xi>_1``, by
+    :func:`~singhyp.symbols.fit_power_law` (which drops a zero ratio).
 
     ``band`` selects mode numbers ``|j|`` in ``[band[0], band[1]]``; default
     ``[N/16, N/6]`` avoids the flat low end and the dealiasing region.  The
@@ -321,11 +322,7 @@ def loss_slope(grid: GridSpec, u_t, u0, band: tuple[int, int] | None = None) -> 
     ct, c0 = dft_forward(grid, np.array([u_t, u0], dtype=complex))
     if np.any(np.abs(c0[sel]) <= 1e-12 * np.max(np.abs(c0))):
         raise BandError("reference spectrum below 1e-12 of its peak inside the band")
-    ratio = np.abs(ct[sel]) / np.abs(c0[sel])
-    w = np.log(bracket(grid.xi[sel], 1.0))
-    A = np.vstack([w, np.ones_like(w)]).T
-    coef, *_ = np.linalg.lstsq(A, np.log(np.maximum(ratio, 1e-300)), rcond=None)
-    return float(coef[0])
+    return fit_power_law(bracket(grid.xi[sel], 1.0), np.abs(ct[sel]) / np.abs(c0[sel]))[0]
 
 
 _SPEED_VALUES = 1 << 15  # lattice values (256 KiB of float64) per propagation_speed chunk
@@ -365,8 +362,8 @@ def support_radius(grid: GridSpec, values, center: float = 0.0,
 
 @dataclass(frozen=True)
 class ConeSpec:
-    """Finite centre ``x0``, speed constant, time exponent ``1 - p/2`` and weight of the
-    forward support-growth bound
+    """Finite centre ``x0``, finite positive speed constant, time exponent ``1 - p/2`` and
+    weight of the forward support-growth bound
     ``R(t) <= R(t0) + speed * max omega * (t - t0)**exponent + 3 dx``, measured
     about ``x0`` from the first snapshot time ``t0`` (see :func:`cone_check`)."""
 
@@ -378,8 +375,8 @@ class ConeSpec:
     def __post_init__(self):
         if not math.isfinite(self.x0):
             raise ValueError(f"cone centre x0 must be finite, got {self.x0}")
-        if not self.speed > 0:
-            raise ValueError("cone speed must be positive")
+        if not 0.0 < self.speed < math.inf:
+            raise ValueError(f"cone speed must be finite and > 0, got {self.speed}")
         if not (0.75 < self.exponent <= 1.0):
             raise ValueError(f"cone exponent must lie in (3/4, 1], got {self.exponent}")
 
@@ -544,18 +541,14 @@ def fit_lambda(family: CoefficientFamily, profile: SingularityProfile, *,
     at most three times.  A demand that is not finite somewhere on the lattice
     raises :class:`LambdaFitError` with the witnessing ``(t, x, xi)``.
     """
-    pair, k = family.pair, family.k
     lattice = lattice if lattice is not None else graded_lattice(family.T)
     exc = excise(family)
     root = char_root(exc)
     hsym = h_symbol(root)
 
     tt, xx, ww = lattice.mesh()  # open grids: factors of one variable stay 1-D
-    om = np.asarray(pair.omega(xx), dtype=float)
-    phi = np.asarray(pair.phi(xx), dtype=float)
-    br = bracket(ww, k)
+    _, br, phi, om, s, _ = exc.parts(tt, xx, ww)
     m_sym = om * br
-    tau = root.value(tt, xx, ww)
     dt_tau = root.dt(tt, xx, ww)
     h_val = hsym.value(tt, xx, ww)
     h_dt = hsym.dt(tt, xx, ww)
@@ -566,29 +559,25 @@ def fit_lambda(family: CoefficientFamily, profile: SingularityProfile, *,
     sig_B0 = defect / m_sym
     # atilde - tau^2 vanishes pointwise; B1 keeps the root's drift and the lower order
     sig_B1 = (-1j * dt_tau + b_low) / m_sym
-    s_arg = tt * phi * br
-    phi3 = cut(s_arg / 3.0)
-    sig_2iHtau_minus_M = -m_sym * phi3
+    sig_2iHtau_minus_M = -m_sym * cut(s / 3.0)
     sig_B2_core = sig_2iHtau_minus_M - h_val * sig_B1 * h_val + h_dt
 
     ds = profile.delta_star
     weight = tt ** (1.0 - ds) / (phi * br) ** (1.0 / profile.sigma)
+    a0_total = (np.abs(sig_B0 * h_val) + np.abs(sig_B0)
+                + np.abs(h_val * sig_B0 * h_val) + np.abs(h_val * sig_B0))
+    b1h = sig_B1 * h_val
 
     lam = 0.0
     for _ in range(3):
+        # A1 = [[B1 H + B3, B1 + B4], [B2 - H B3, -H (B1 + B4)]]; B3 = B4 = 0 without b0
+        # (the symbol of i[M,tau]M^-1 vanishes pointwise)
+        a1_11, a1_12, a1_21 = b1h, sig_B1, sig_B2_core
         if b0 is not None:
             sig_B3 = b0 * (1.0 - 1j * lam * h_val / m_sym)
             sig_B4 = 1j * lam * b0 / m_sym
-        else:
-            sig_B3 = np.zeros_like(sig_B0)
-            sig_B4 = np.zeros_like(sig_B0)
-        a0_total = (np.abs(sig_B0 * h_val) + np.abs(sig_B0)
-                    + np.abs(h_val * sig_B0 * h_val) + np.abs(h_val * sig_B0))
-        a1_11 = sig_B1 * h_val + sig_B3
-        a1_12 = sig_B1 + sig_B4
-        a1_21 = sig_B2_core - h_val * sig_B3
-        a1_22 = -h_val * (sig_B1 + sig_B4)  # i[M,tau]M^-1 symbol vanishes pointwise
-        a1_total = np.abs(a1_11) + np.abs(a1_12) + np.abs(a1_21) + np.abs(a1_22)
+            a1_11, a1_12, a1_21 = b1h + sig_B3, sig_B1 + sig_B4, sig_B2_core - h_val * sig_B3
+        a1_total = np.abs(a1_11) + np.abs(a1_12) + np.abs(a1_21) + np.abs(-h_val * a1_12)
         demand = (a0_total + a1_total) * weight
         i = int(np.argmax(demand))  # the first NaN, else the first inf, else the max
         lam_new = float(demand.ravel()[i])

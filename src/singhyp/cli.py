@@ -2,14 +2,14 @@
 
 One experiment per process invocation, driven by a JSON config::
 
-    singhyp --config run.json --out results/ [--seed 42]
+    singhyp --config run.json --out results/
     singhyp --suite --out results/
 
 Exit status: 0 all verdicts pass, 2 invalid configuration (message names the
 offending field), 3 numerical abort.  Every run writes ``manifest.json``
 (resolved config, derived exponents, versions, wall time, run id) plus result
-CSVs and, for check-type experiments, ``verdict.json``.  Identical config and
-seed produce bit-identical CSV artifacts.
+CSVs and, for check-type experiments, ``verdict.json``.  An identical config
+produces bit-identical CSV artifacts (``data.seed`` seeds the trig data).
 
 Config schema (unknown keys are rejected)::
 
@@ -370,7 +370,7 @@ _RUNNERS = {
 }
 
 
-def run(raw_config: dict, out_dir, seed: int = 42) -> int:
+def run(raw_config: dict, out_dir) -> int:
     """Run one experiment; returns the process exit status (0 pass / 2 config /
     3 numerical)."""
     out = Path(out_dir)
@@ -391,14 +391,14 @@ def run(raw_config: dict, out_dir, seed: int = 42) -> int:
     if verdicts:
         artifacts.append(write_json(out / "verdict.json", {"verdicts": verdicts}))
     build_manifest(out, cfg.raw, _derived(cfg), artifacts,
-                   wall_time=time.perf_counter() - t0, seed=seed)
+                   wall_time=time.perf_counter() - t0)
     ok = all(v.get("pass", True) for v in verdicts)
     for v in verdicts:
         print(f"{'PASS' if v.get('pass', True) else 'FAIL'} {v['name']}")
     return 0 if ok else 1
 
 
-def suite(out_dir, seed: int = 42) -> int:
+def suite(out_dir) -> int:
     """Run the full acceptance battery plus a fault-injection check and write
     one aggregated verdict JSON."""
     out = Path(out_dir)
@@ -424,8 +424,7 @@ def suite(out_dir, seed: int = 42) -> int:
     entries.append(injected)
 
     passed = all(e["pass"] for e in entries)
-    payload = {"passed": passed, "checks": entries, "seed": seed,
-               "wall_time_s": time.perf_counter() - t0}
+    payload = {"passed": passed, "checks": entries, "wall_time_s": time.perf_counter() - t0}
     write_json(out / "suite.json", payload)
     print(f"{'PASS' if passed else 'FAIL'} suite ({len(entries)} checks)")
     return 0 if passed else 1
@@ -438,13 +437,12 @@ def main(argv=None) -> int:
     parser.add_argument("--config", type=Path, help="experiment config (JSON)")
     parser.add_argument("--out", type=Path, default=Path("singhyp-out"),
                         help="output directory")
-    parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--suite", action="store_true",
                         help="run the acceptance battery instead of a config")
     args = parser.parse_args(argv)
 
     if args.suite:
-        return suite(args.out, seed=args.seed)
+        return suite(args.out)
     if args.config is None:
         parser.error("--config is required unless --suite is given")
     try:
@@ -452,7 +450,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as e:
         print(f"config error: cannot read {args.config}: {e}", file=sys.stderr)
         return 2
-    return run(raw, args.out, seed=args.seed)
+    return run(raw, args.out)
 
 
 if __name__ == "__main__":

@@ -266,11 +266,11 @@ def loss_operator(grid: GridSpec, pair: StructurePair, eps: float, sigma: float,
 
     ``eps = 0`` is the identity.  Collapses to a Fourier multiplier when the
     pair is constant, and is the dense Kohn-Nirenberg product of
-    ``exp(loss_symbol)`` otherwise.  Raises :class:`OverflowGuardError` when the
+    ``exp(loss_symbol)`` otherwise.  ``eps`` and ``sigma`` are checked as
+    :class:`SobolevIndex` checks them.  Raises :class:`OverflowGuardError` when the
     exponent exceeds 700 anywhere on the lattice.
     """
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
+    SobolevIndex(0.0, 0.0, eps, sigma)
     return _loss_map(grid, _loss_base(grid, pair, sigma) if eps else None, eps)(values)
 
 

@@ -77,7 +77,7 @@ def _digest(path: Path) -> str:
 
 
 def build_manifest(out_dir: Path, config: dict, derived: dict, artifacts: list[Path],
-                   wall_time: float, seed: int) -> Path:
+                   wall_time: float) -> Path:
     """Write manifest.json referencing every artifact of the run.
 
     ``content_hash`` covers the resolved config, derived quantities and
@@ -89,7 +89,6 @@ def build_manifest(out_dir: Path, config: dict, derived: dict, artifacts: list[P
     stable = {
         "config": config,
         "derived": derived,
-        "seed": seed,
         "artifacts": entries,
         "versions": {"python": platform.python_version(), "numpy": np.__version__},
     }

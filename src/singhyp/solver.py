@@ -655,7 +655,7 @@ class SystemOperators(_Operators):
         """``(D - A0 - A1) U + F`` for ``U = (u1, u2)``, each operator product formed once:
         ``tau u1`` serves ``D`` and ``H tau u1``, the blocks ending in ``M^-1`` act on
         ``M^-1 H u1`` and ``M^-1 u2`` (:meth:`_blocks`), and ``B3`` reuses ``H u1`` and
-        ``M^-1 H u1``."""
+        ``M^-1 H u1``; without ``b0`` no ``B3`` or ``B4`` term is formed."""
         tu1 = self.apply_tau(t, u1)
         hu1 = self.apply_H(t, u1)
         w_hu1, w_u2 = self.apply_Minv(hu1), self.apply_Minv(u2)
@@ -664,18 +664,19 @@ class SystemOperators(_Operators):
         # A0 = [[B0 H, B0], [-H B0 H, H B0]]
         a0_1 = b0h + b0u2
         a0_2 = -self.apply_H(t, b0h) + self.apply_H(t, b0u2)
-        # A1 = [[B1 H + B3, B1 + B4], [B2 - H B3, i[M,tau]M^-1 - H(B1 + B4)]]
-        if self.apply_b0 is None:
-            b3u1, b4u2 = np.zeros_like(u1), np.zeros_like(u2)
-        else:
-            b3u1 = self.apply_b0(t, u1 - 1j * self.lam * w_hu1)
-            b4u2 = 1j * self.lam * self.apply_b0(t, w_u2)
-        a1_1 = b1h + b3u1 + b1u2 + b4u2
         # B2 = 2i H tau - M + i[M,tau]M^-1 H + i[tau, H] - H B1 H + dt H
         htu1 = self.apply_H(t, tu1)
         b2 = 2j * htu1 - self.apply_M(u1) + comm_h + 1j * (self.apply_tau(t, hu1) - htu1)
         b2 = b2 - self.apply_H(t, b1h) + self.apply_dtH(t, u1)
-        a1_2 = b2 - self.apply_H(t, b3u1) + comm_u2 - self.apply_H(t, b1u2 + b4u2)
+        # A1 = [[B1 H + B3, B1 + B4], [B2 - H B3, i[M,tau]M^-1 - H(B1 + B4)]]
+        if self.apply_b0 is None:
+            a1_1, b14u2 = b1h + b1u2, b1u2
+        else:
+            b3u1 = self.apply_b0(t, u1 - 1j * self.lam * w_hu1)
+            b4u2 = 1j * self.lam * self.apply_b0(t, w_u2)
+            a1_1, b14u2 = b1h + b3u1 + b1u2 + b4u2, b1u2 + b4u2
+            b2 = b2 - self.apply_H(t, b3u1)
+        a1_2 = b2 + comm_u2 - self.apply_H(t, b14u2)
         r1 = 1j * tu1 - a0_1 - a1_1
         r2 = -1j * self.apply_tau(t, u2) - a0_2 - a1_2
         if self.problem.forcing is not None:

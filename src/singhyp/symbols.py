@@ -384,36 +384,36 @@ class ExcisedCoefficient:
     pair: StructurePair
     k: float
 
-    def _parts(self, t, x, xi):
+    def parts(self, t, x, xi):
+        """``(t, <xi>_k, Phi, omega, s, omega^2 <xi>_k^2)``, ``s = t Phi <xi>_k``: the parts every
+        excision-derived symbol reads, each formed once per call."""
         t = np.asarray(t, dtype=float)
         br = bracket(xi, self.k)
-        phi_x = np.asarray(self.pair.phi(x), dtype=float)
-        s = t * phi_x * br
-        ref = np.asarray(self.pair.omega(x), dtype=float) ** 2 * br ** 2
-        return t, br, phi_x, s, ref
+        phi = np.asarray(self.pair.phi(x), dtype=float)
+        om = np.asarray(self.pair.omega(x), dtype=float)
+        return t, br, phi, om, t * phi * br, om ** 2 * br ** 2
 
     @_declares(1.0, low=lambda f, t: [(f.om ** 2, f.br ** 2)],
                high=lambda f, t: [(f.w, f.g(t) * f.m)])
     def a(self, t, x, xi):
-        t, br, phi_x, s, ref = self._parts(t, x, xi)
+        t, br, phi, om, s, ref = self.parts(t, x, xi)
         c = cut(s)
         with np.errstate(all="ignore"):
             raw = c * ref + (1.0 - c) * self.family.a(t, x, xi)
         return np.where(c >= 1.0, ref, raw)
 
     def dt_a(self, t, x, xi):
-        t, br, phi_x, s, ref = self._parts(t, x, xi)
+        t, br, phi, om, s, ref = self.parts(t, x, xi)
         c = cut(s)
-        dc = dcut(s) * phi_x * br
+        dc = dcut(s) * phi * br
         with np.errstate(all="ignore"):
             raw = dc * (ref - self.family.a(t, x, xi)) + (1.0 - c) * self.family.dt_a(t, x, xi)
         return np.where(c >= 1.0, 0.0, raw)
 
     def dx_a(self, t, x, xi):
-        t, br, phi_x, s, ref = self._parts(t, x, xi)
+        t, br, phi, om, s, ref = self.parts(t, x, xi)
         c = cut(s)
         dc = dcut(s) * t * np.asarray(self.pair.dphi(x), dtype=float) * br
-        om = np.asarray(self.pair.omega(x), dtype=float)
         dref = 2.0 * om * np.asarray(self.pair.domega(x), dtype=float) * br ** 2
         with np.errstate(all="ignore"):
             raw = (dc * (ref - self.family.a(t, x, xi)) + c * dref
@@ -421,12 +421,11 @@ class ExcisedCoefficient:
         return np.where(c >= 1.0, dref, raw)
 
     def dxi_a(self, t, x, xi):
-        t, br, phi_x, s, ref = self._parts(t, x, xi)
+        t, br, phi, om, s, ref = self.parts(t, x, xi)
         xi = np.asarray(xi, dtype=float)
         c = cut(s)
-        dbr = xi / br
-        dc = dcut(s) * t * phi_x * dbr
-        om2 = np.asarray(self.pair.omega(x), dtype=float) ** 2
+        dc = dcut(s) * t * phi * (xi / br)
+        om2 = om ** 2
         with np.errstate(all="ignore"):
             raw = (dc * (ref - self.family.a(t, x, xi)) + c * om2 * 2.0 * xi
                    + (1.0 - c) * self.family.dxi_a(t, x, xi))
@@ -439,7 +438,7 @@ class ExcisedCoefficient:
 
         Requires t > 0 when the raw coefficient is undefined at 0.
         """
-        t, br, phi_x, s, ref = self._parts(t, x, xi)
+        t, br, phi, om, s, ref = self.parts(t, x, xi)
         return cut(s) * (self.family.a(t, x, xi) - ref)
 
     # family duck-typing
@@ -525,7 +524,8 @@ def char_root(excised: ExcisedCoefficient) -> CharacteristicRoot:
 
 @dataclass(frozen=True)
 class HSymbol:
-    """``sigma(H) = -(i/2) omega <xi>_k (1 - cut(s/3)) / tau``.
+    """``sigma(H) = -(i/2) omega <xi>_k (1 - cut(s/3)) / tau``, on the parts of the root's
+    excision (:meth:`ExcisedCoefficient.parts`).
 
     Vanishes identically for ``t Phi <xi>_k <= 3``; bounded by ``1/(2 sqrt(c))``
     where ``c`` is the root's floor.  Where ``tau = 0`` (only the xi = 0 mode of
@@ -534,38 +534,30 @@ class HSymbol:
     """
 
     root: CharacteristicRoot
-    pair: StructurePair
-    k: float
-
-    def _mask(self, t, x, xi):
-        s = np.asarray(t, dtype=float) * np.asarray(self.pair.phi(x), dtype=float) \
-            * bracket(xi, self.k)
-        return 1.0 - cut(s / 3.0), s
 
     @_declares(3.0, high=lambda f, t: [(f.ow, -0.5j / np.sqrt(f.g(t)) * f.bm)])
     def value(self, t, x, xi):
-        mask, _ = self._mask(t, x, xi)
+        _, br, _, om, s, _ = self.root.excised.parts(t, x, xi)
+        mask = 1.0 - cut(s / 3.0)
         tau = self.root.value(t, x, xi)
-        num = np.asarray(self.pair.omega(x), dtype=float) * bracket(xi, self.k) * mask
-        return -0.5j * _guarded_div(num, tau, (tau > 0) & (mask > 0))
+        return -0.5j * _guarded_div(om * br * mask, tau, (tau > 0) & (mask > 0))
 
     @_declares(3.0, high=lambda f, t: [(f.ow, 0.25j * f.dg(t) / f.g(t) ** 1.5 * f.bm)])
     def dt(self, t, x, xi):
-        mask, s = self._mask(t, x, xi)
+        _, br, phi, om, s, _ = self.root.excised.parts(t, x, xi)
+        mask = 1.0 - cut(s / 3.0)
         tau = self.root.value(t, x, xi)
         dtau = _d_root(self.root.excised.dt_a(t, x, xi), tau)
-        dmask = -dcut(s / 3.0) * np.asarray(self.pair.phi(x), dtype=float) \
-            * bracket(xi, self.k) / 3.0
-        num = np.asarray(self.pair.omega(x), dtype=float) * bracket(xi, self.k)
+        dmask = -dcut(s / 3.0) * phi * br / 3.0
+        num = om * br
         good = tau > 0
         return -0.5j * (_guarded_div(num * dmask, tau, good)
                         - _guarded_div(num * mask * dtau, tau * tau, good))
 
 
 def h_symbol(root: CharacteristicRoot) -> HSymbol:
-    """The H symbol with the pair and shift of the root's excision."""
-    exc = root.excised
-    return HSymbol(root=root, pair=exc.pair, k=exc.k)
+    """The H symbol of the root."""
+    return HSymbol(root=root)
 
 
 def off_blend(symbol, x, xi):

@@ -224,6 +224,12 @@ class TestConeCheck:
         with pytest.raises(ValueError):
             ConeSpec(0.0, 1.0, 0.5, constant_pair())
 
+    def test_rejects_infinite_speed(self):
+        # not inf > 0 is False: an infinite speed predicted an infinite radius, and
+        # cone_check reported valid and passed for any trajectory
+        with pytest.raises(ValueError, match="speed must be finite"):
+            ConeSpec(0.0, np.inf, 1.0, constant_pair())
+
     @pytest.mark.parametrize("x0", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_centre(self, x0):
         # a NaN centre made every radius NaN, and cone_check reported valid and passed

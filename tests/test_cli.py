@@ -1,6 +1,8 @@
 """Config validation, experiment runs, artifact contracts, determinism."""
 
 import json
+import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +12,7 @@ from singhyp.acceptance import CriterionResult
 from singhyp.cli import ConfigError, RunConfig, main, run
 from singhyp.runio import write_json, write_trajectory
 from singhyp.quantize import GridSpec
+from singhyp.symbols import CoefficientFamily
 
 
 BASE = {
@@ -309,7 +312,7 @@ class TestSuite:
         assert main(["--suite", "--out", str(tmp_path)]) == (0 if second_passes else 1)
         capsys.readouterr()
         payload = json.loads((tmp_path / "suite.json").read_text())
-        assert payload["passed"] is second_passes and payload["seed"] == 42
+        assert payload["passed"] is second_passes
         first, second, injected = payload["checks"]
         assert (first["criterion"], first["pass"], first["runtime_s"]) == (1, True, 0.5)
         assert first["details"] == {"x": 1.5, "ok": True, "note": "a"}
@@ -336,3 +339,22 @@ class TestRunio:
         p = write_json(tmp_path / "x.json", {"a": np.float64(0.1), "b": np.arange(3)})
         data = json.loads(p.read_text())
         assert data["a"] == 0.1 and data["b"] == [0, 1, 2]
+
+
+class TestReadme:
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```(\w+)\n(.*?)```", readme, re.DOTALL)
+
+    def _only(self, lang):
+        found = [body for kind, body in self.blocks if kind == lang]
+        assert len(found) == 1
+        return found[0]
+
+    def test_python_example_builds_a_family(self):
+        scope = {}
+        exec(self._only("python"), scope)
+        assert isinstance(scope["fam"], CoefficientFamily) and scope["fam"].label == "slow-speed"
+
+    def test_json_example_is_a_valid_config(self):
+        cfg = RunConfig(json.loads(self._only("json")))
+        assert (cfg.experiment, cfg.family_id) == ("check-energy", "theorem")

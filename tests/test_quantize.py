@@ -259,6 +259,17 @@ class TestLossOperator:
         assert err5 < err4 < 1e-2
         assert err_rich < err4 / 5.0
 
+    @pytest.mark.parametrize("pair", [constant_pair(), poly_pair(0.5, 0.5)],
+                             ids=["constant", "poly"])
+    @pytest.mark.parametrize("field, value", [
+        ("eps", np.nan), ("eps", np.inf), ("sigma", np.nan), ("sigma", np.inf)])
+    def test_rejects_non_finite_eps_or_sigma(self, grid, rand_field, pair, field, value):
+        # a NaN eps or sigma passed the eps < 0 check and ended in an OverflowGuardError
+        # about a non-finite multiplier or symbol
+        args = {"eps": 0.3, "sigma": 3.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            loss_operator(grid, pair, args["eps"], args["sigma"], rand_field)
+
     def test_overflow_guard_names_exponent(self, grid, rand_field):
         with pytest.raises(OverflowGuardError, match="exponent"):
             loss_operator(grid, poly_pair(0.5, 0.5), 500.0, 3.0, rand_field)

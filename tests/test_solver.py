@@ -1488,6 +1488,6 @@ class TestSystem:
         got = ops.system_rhs(t, u1, u2)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         # the composition above makes 33 operator applications and 6 of M^-1, 36 and 8
-        # with b0 and forcing
-        assert len(calls) == 23 + forced
+        # with b0 and forcing; without b0 no H B3 term is formed
+        assert len(calls) == 22 + b0 + forced
         assert len(inverses) == 2

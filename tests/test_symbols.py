@@ -351,16 +351,17 @@ def _root_d_reference(da, tau):
 
 def _h_reference(h, t, x, xi):
     # (value, dt) of the H symbol as HSymbol first wrote them, dt through root.dt
-    br = bracket(xi, h.k)
-    s = np.asarray(t, dtype=float) * np.asarray(h.pair.phi(x), dtype=float) * br
+    pair, k = h.root.excised.pair, h.root.excised.k
+    br = bracket(xi, k)
+    s = np.asarray(t, dtype=float) * np.asarray(pair.phi(x), dtype=float) * br
     mask = 1.0 - cut(s / 3.0)
     tau = h.root.value(t, x, xi)
-    num = np.asarray(h.pair.omega(x), dtype=float) * br * mask
+    num = np.asarray(pair.omega(x), dtype=float) * br * mask
     value = np.zeros(np.broadcast(np.asarray(num), np.asarray(tau)).shape)
     np.divide(num, tau, out=value, where=(tau > 0) & (mask > 0))
     dtau = h.root.dt(t, x, xi)
-    dmask = -dcut(s / 3.0) * np.asarray(h.pair.phi(x), dtype=float) * br / 3.0
-    num = np.asarray(h.pair.omega(x), dtype=float) * br
+    dmask = -dcut(s / 3.0) * np.asarray(pair.phi(x), dtype=float) * br / 3.0
+    num = np.asarray(pair.omega(x), dtype=float) * br
     good = tau > 0
     term = np.zeros(np.broadcast(np.asarray(num * dmask), np.asarray(tau)).shape)
     np.divide(num * dmask, tau, out=term, where=good)
