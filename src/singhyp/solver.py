@@ -19,10 +19,7 @@ Fourier coefficients of a multiplier family (every operator is then diagonal in 
 transforms only at snapshots), grid values otherwise, through ``quantize._fft_multiply`` and
 ``quantize._kn_product`` (this module makes no transform).  Each multiplier is checked once,
 where it is formed, and kept read-only.  The right-hand side is
-``dv = -Op(a) u - Op(b) u - b0 v (+ F)``; on Fourier coefficients ``Op(a) + Op(b)`` is one
-row ``mu = a(t, 0, xi) + i b1(t, 0) xi + b2(t, 0)`` per time, the sum of each operator's
-own product at ``-1.0`` of its tabulated part (:class:`_Operator`); ``b0`` is read from its
-table.
+``dv = -Op(a) u - Op(b) u - b0 v (+ F)`` (:meth:`Discretization.rhs`).
 
 The first-order reduction
 
@@ -36,10 +33,8 @@ pass, with centered time differences; it is a consistency monitor, not a second
 integrator, and its blocks act on the integrator's states through the same
 operators.  Compositions are applied left to right as written, so the reported
 residual carries the quantization-commutator floor on top of the O(dt^2)
-differencing error (zero floor for multiplier families).  Each operator product
-of the system right-hand side is formed once and shared between the blocks; those
-ending in ``M^-1 = <D>_k^-1 omega^-1`` act on ``M^-1 H u1`` and ``M^-1 u2``.  An absent
-coefficient (``b0``, or both ``b1`` and ``b2``) has no operator and no terms.
+differencing error (zero floor for multiplier families).  An absent coefficient (``b0``,
+or both ``b1`` and ``b2``) has no operator and no terms.
 """
 
 from __future__ import annotations
@@ -106,12 +101,15 @@ def graded_mesh(family, t_start: float, t_end: float, m: int,
 
     For ``t_start = 0`` the default grading is ``max(2, 2/(1-p), 2/(1-r))``;
     for positive starts the singularity is excluded and ``kappa = 2`` is used.
-    That default needs ``p, r < 1``, and ``m`` is an integer >= 1 (else a ``ValueError``).
+    That default needs ``p, r < 1``, ``m`` is an integer >= 1 and an explicit ``kappa`` is
+    finite and > 0 (else a ``ValueError``).
     """
     if not 0.0 <= t_start < t_end < np.inf:
         raise ValueError(f"need 0 <= t_start < t_end < inf, got [{t_start}, {t_end}]")
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise ValueError(f"m must be an integer >= 1, got m = {m!r}")
+    if kappa is not None and not 0.0 < kappa < np.inf:
+        raise ValueError(f"kappa must be finite and > 0, got kappa = {kappa!r}")
     if kappa is None and t_start == 0.0:
         for name in ("p", "r"):
             if getattr(family, name) >= 1.0:
@@ -279,7 +277,8 @@ def symbol_operator(grid: GridSpec, family: CoefficientFamily,
     whose method declares its form off the cutoff's blend (:func:`~singhyp.symbols.off_blend`)
     is multipliers on the columns :func:`~singhyp.symbols.cut_sides` puts off the blend and
     :func:`kn_band` on the band of at most ``2/t * 2L/pi`` others (``banded``); any other
-    is all band (``dense``), both applied by ``quantize._kn_product``.  A separable
+    is all band (``dense``), both applied by ``quantize._kn_product``.  Where ``m`` is even
+    (``Separated.even``) a band's lattice is evaluated on one column per +-xi pair.  A separable
     or diagonal operator evaluates ``g`` or ``symbol`` over a column of times
     (:meth:`_Operator.prime`)."""
     space = _state_space(grid, family)
@@ -296,19 +295,28 @@ def symbol_operator(grid: GridSpec, family: CoefficientFamily,
                                                          (ts.size, grid.N))),
                          width=grid.N)
     forms = off_blend(symbol, grid.x, grid.xi)
+    # pair[j]: the column whose value column j reads when m is even, j for xi_j >= 0 and the
+    # Nyquist (unpaired), N - j (-xi_j) for the other xi_j < 0
+    pair = (np.minimum(np.arange(grid.N), np.arange(grid.N, 0, -1))
+            if forms is not None and forms[1].even else None)
 
     def parts(t):
-        terms, cols = [], slice(None)
+        terms, cols, evaluated, gather = [], slice(None), slice(None), slice(None)
         if forms is not None:
             form, f = forms
             lo, hi = cut_sides(t, f.phi, f.br, form.scale)
             terms = [(w, _multiplier_values(grid, np.where(mask, m, 0.0)))
                      for mask, side in ((lo, form.low), (hi, form.high)) if mask.any()
                      for w, m in side(f, t)]
-            cols = np.flatnonzero(~(lo | hi))
-        xi = grid.xi[cols]
-        lattice = symbol(t, grid.x[:, None], xi[None, :]) if xi.size else 0.0
-        return (kn_band(grid, lattice, cols), cols, terms), xi.size
+            on_band = ~(lo | hi)  # symmetric in +-xi, as <xi>_k is
+            cols = evaluated = np.flatnonzero(on_band)
+            if pair is not None:
+                evaluated = np.flatnonzero(on_band[:grid.N // 2 + 1])
+                gather = np.searchsorted(evaluated, pair[cols])
+        xi = grid.xi[evaluated]
+        lattice = symbol(t, grid.x[:, None], xi[None, :])[:, gather] if xi.size else 0.0
+        band = kn_band(grid, lattice, cols)
+        return (band, cols, terms), len(band)
 
     return _Operator("dense" if forms is None else "banded",
                      lambda parts, u: _kn_product(grid, u, *parts), parts=parts)

@@ -357,9 +357,11 @@ def reference_wave(*, T: float = 1.0, k: float = 1.0) -> CoefficientFamily:
 
 # _declares puts on an excision-derived symbol's method its OffBlend form: the sum of
 # w(x) m(xi) over the (w, m) of low(f, t) where s / scale <= 1 and of high(f, t) where
-# s / scale >= 2 (cut_sides), f the Separated factors of its excision (off_blend).
+# s / scale >= 2 (cut_sides), f the Separated factors of its excision (off_blend).  A
+# declared method depends on xi only through <xi>_k and its innermost family's m, so it
+# has the same values at xi and -xi wherever m does (Separated.even).
 OffBlend = namedtuple("OffBlend", "scale low high")
-Separated = namedtuple("Separated", "g dg w m sw sm om br ow bm phi reexcised")
+Separated = namedtuple("Separated", "g dg w m sw sm om br ow bm phi reexcised even")
 
 
 def _declares(scale: float, low=lambda f, t: [], high=lambda f, t: []):
@@ -393,22 +395,27 @@ class ExcisedCoefficient:
         om = np.asarray(self.pair.omega(x), dtype=float)
         return t, br, phi, om, t * phi * br, om ** 2 * br ** 2
 
+    def _blend(self, t, x, xi, dt: bool = False):
+        """``(parts, atilde, dt atilde or None)`` from one :meth:`parts`, ``cut(s)`` and
+        family ``a``, for ``a``, ``dt_a``, the root and H."""
+        p = self.parts(t, x, xi)
+        t, br, phi, om, s, ref = p
+        c = cut(s)
+        dc = dcut(s) * phi * br if dt else None
+        with np.errstate(all="ignore"):
+            a = self.family.a(t, x, xi)
+            atilde = np.where(c >= 1.0, ref, c * ref + (1.0 - c) * a)
+            dt_a = None if dc is None else np.where(
+                c >= 1.0, 0.0, dc * (ref - a) + (1.0 - c) * self.family.dt_a(t, x, xi))
+        return p, atilde, dt_a
+
     @_declares(1.0, low=lambda f, t: [(f.om ** 2, f.br ** 2)],
                high=lambda f, t: [(f.w, f.g(t) * f.m)])
     def a(self, t, x, xi):
-        t, br, phi, om, s, ref = self.parts(t, x, xi)
-        c = cut(s)
-        with np.errstate(all="ignore"):
-            raw = c * ref + (1.0 - c) * self.family.a(t, x, xi)
-        return np.where(c >= 1.0, ref, raw)
+        return self._blend(t, x, xi)[1]
 
     def dt_a(self, t, x, xi):
-        t, br, phi, om, s, ref = self.parts(t, x, xi)
-        c = cut(s)
-        dc = dcut(s) * phi * br
-        with np.errstate(all="ignore"):
-            raw = dc * (ref - self.family.a(t, x, xi)) + (1.0 - c) * self.family.dt_a(t, x, xi)
-        return np.where(c >= 1.0, 0.0, raw)
+        return self._blend(t, x, xi, dt=True)[2]
 
     def dx_a(self, t, x, xi):
         t, br, phi, om, s, ref = self.parts(t, x, xi)
@@ -485,7 +492,8 @@ class CharacteristicRoot:
 
     @_declares(1.0, high=lambda f, t: [(f.sw, f.dg(t) / (2.0 * np.sqrt(f.g(t))) * f.sm)])
     def dt(self, t, x, xi):
-        return _d_root(self.excised.dt_a(t, x, xi), self.value(t, x, xi))
+        _, atilde, dt_a = self.excised._blend(t, x, xi, dt=True)
+        return _d_root(dt_a, np.sqrt(atilde))
 
     def dx(self, t, x, xi):
         return _d_root(self.excised.dx_a(t, x, xi), self.value(t, x, xi))
@@ -537,17 +545,17 @@ class HSymbol:
 
     @_declares(3.0, high=lambda f, t: [(f.ow, -0.5j / np.sqrt(f.g(t)) * f.bm)])
     def value(self, t, x, xi):
-        _, br, _, om, s, _ = self.root.excised.parts(t, x, xi)
+        (_, br, _, om, s, _), atilde, _ = self.root.excised._blend(t, x, xi)
         mask = 1.0 - cut(s / 3.0)
-        tau = self.root.value(t, x, xi)
+        tau = np.sqrt(atilde)
         return -0.5j * _guarded_div(om * br * mask, tau, (tau > 0) & (mask > 0))
 
     @_declares(3.0, high=lambda f, t: [(f.ow, 0.25j * f.dg(t) / f.g(t) ** 1.5 * f.bm)])
     def dt(self, t, x, xi):
-        _, br, phi, om, s, _ = self.root.excised.parts(t, x, xi)
+        (_, br, phi, om, s, _), atilde, dt_a = self.root.excised._blend(t, x, xi, dt=True)
         mask = 1.0 - cut(s / 3.0)
-        tau = self.root.value(t, x, xi)
-        dtau = _d_root(self.root.excised.dt_a(t, x, xi), tau)
+        tau = np.sqrt(atilde)
+        dtau = _d_root(dt_a, tau)
         dmask = -dcut(s / 3.0) * phi * br / 3.0
         num = om * br
         good = tau > 0
@@ -564,9 +572,10 @@ def off_blend(symbol, x, xi):
     """``(form, f)``: the ``OffBlend`` ``symbol``'s method declares (through ``__wrapped__``)
     and its excision's factors on ``x``, ``xi``: ``g``, ``g'``, ``w``, ``m``, their roots,
     ``omega``, ``<xi>_k``, ``omega / sqrt(w)``, ``<xi>_k / sqrt(m)`` (0 where the root is, as
-    in HSymbol), ``Phi`` and whether it re-excises.  Re-excision (same pair and ``k``) is the
-    identity off the blend, so the factors are the innermost family's.  None for an
-    undeclared callable, no ``separable`` or ``dg``, or ``w`` or ``m`` < 0."""
+    in HSymbol), ``Phi``, whether it re-excises and whether ``m(-xi) == m(xi)`` bitwise.
+    Re-excision (same pair and ``k``) is the identity off the blend, so the factors are the
+    innermost family's.  None for an undeclared callable, no ``separable`` or ``dg``, or
+    ``w`` or ``m`` < 0."""
     form = getattr(inspect.unwrap(getattr(symbol, "__func__", None)), "off_blend", None)
     if form is None:
         return None
@@ -584,7 +593,8 @@ def off_blend(symbol, x, xi):
     sw, sm = np.sqrt(wx), np.sqrt(mx)
     ow, bm = (np.divide(a, b, out=np.zeros_like(a), where=b > 0.0) for a, b in ((om, sw), (br, sm)))
     return form, Separated(g, dg, wx, mx, sw, sm, om, br, ow, bm,
-                           np.asarray(exc.pair.phi(x), dtype=float), fam is not exc.family)
+                           np.asarray(exc.pair.phi(x), dtype=float), fam is not exc.family,
+                           np.array_equal(np.asarray(m(-xi), dtype=float), mx))
 
 
 # --------------------------------------------------------------------------

@@ -7,16 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singhyp.quantize import GridSpec, OverflowGuardError, apply_kn, apply_multiplier, l2_norm
+from singhyp.quantize import (GridSpec, OverflowGuardError, _kn_product, apply_kn,
+                              apply_multiplier, kn_band, l2_norm)
 import singhyp.solver as solver
 from singhyp.solver import (CauchyProblem, Discretization, SolverError, SupportError,
                             SystemOperators, TimeMesh, assemble_rhs, graded_mesh,
                             integrate, lower_operator, reduce_to_system, symbol_operator,
                             system_residual)
 from singhyp.structure import bracket, constant_pair, one, poly_pair, zero
-from singhyp.symbols import (ExcisedCoefficient, char_root, cut_sides, example_coefficient,
-                             excise, free_wave, h_symbol, off_blend, reference_wave,
-                             separable_family, theorem_coefficient)
+from singhyp.symbols import (CharacteristicRoot, ExcisedCoefficient, HSymbol, char_root,
+                             cut_sides, example_coefficient, excise, free_wave, h_symbol,
+                             off_blend, reference_wave, separable_family, theorem_coefficient)
 from singhyp.analysis import GaussianBump, closed_form, counterexample_family, \
     random_trig_poly
 
@@ -97,6 +98,13 @@ class TestMesh:
         # np.diff(nodes) <= 0 is False next to a NaN, so only a finiteness check catches these
         with pytest.raises(ValueError, match="mesh nodes must be finite and strictly increasing"):
             TimeMesh(nodes=np.array(nodes), kappa=2.0)
+
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_kappa(self, kappa):
+        # -1 made 0 ** -1 divide by zero (a RuntimeWarning), and the others ended in "mesh
+        # nodes must be finite and strictly increasing", which did not name kappa
+        with pytest.raises(ValueError, match=rf"kappa must be finite and > 0, got kappa = {kappa}"):
+            graded_mesh(free_wave(), 0.0, 1.0, 16, kappa=kappa)
 
     def test_infinite_horizon_rejected(self):
         # the nodes of [0, inf] would be [nan, inf, ...]: 0 * inf at j = 0
@@ -936,6 +944,78 @@ class TestGridValuePaths:
             want = _dft_matrix_product(grid, lattice, u)
             got = op(t, u)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), path
+
+
+_DECLARED = {"excised.a": (ExcisedCoefficient, "a"), "defect": (ExcisedCoefficient, "defect"),
+             "value": (CharacteristicRoot, "value"), "dt": (CharacteristicRoot, "dt"),
+             "h.value": (HSymbol, "value"), "h.dt": (HSymbol, "dt")}
+
+
+def _column_counting(monkeypatch, name, fam):
+    # the declared symbol ``name`` of ``fam``'s excision, its class method wrapped (keeping
+    # __wrapped__, as a tracer's wrapper does) to log the number of xi columns of each call
+    cls, attr = _DECLARED[name]
+    orig, widths = getattr(cls, attr), []
+
+    def wrapper(self, t, x, xi):
+        widths.append(np.shape(xi)[-1])
+        return orig(self, t, x, xi)
+
+    wrapper.__wrapped__ = orig
+    monkeypatch.setattr(cls, attr, wrapper)
+    excised = excise(fam)
+    root = char_root(excised)
+    owner = {ExcisedCoefficient: excised, CharacteristicRoot: root, HSymbol: h_symbol(root)}
+    return getattr(owner[cls], attr), widths
+
+
+class TestEvenFold:
+    @pytest.mark.parametrize("name", list(_DECLARED))
+    def test_folded_band_is_the_unfolded_one(self, monkeypatch, name):
+        # m = <xi>_k^2 is even: the band's lattice is evaluated on one column per +-xi pair
+        # (at most ncols // 2 + 1, the Nyquist column its own pair) and the band and its
+        # product are bitwise those of the lattice on every band column; at t = 0.1 the
+        # band of every symbol holds the Nyquist column
+        grid = GridSpec(L=8.0, N=64, k=4.0)
+        fam = theorem_coefficient(0.0, 1.25, pair=poly_pair(0.5, 0.5), k=4.0)
+        sym, widths = _column_counting(monkeypatch, name, fam)
+        assert off_blend(sym, grid.x, grid.xi)[1].even
+        op = symbol_operator(grid, fam, sym)
+        assert op.path == "banded"
+        u = GaussianBump(0.0, 0.45)(grid.x) * _band_field(grid)
+        for t in (0.05, 0.1, 0.3):
+            del widths[:]
+            band, cols, terms = op.part(t)
+            if t == 0.1:
+                assert grid.N // 2 in cols
+            assert len(widths) == (cols.size > 0) and all(w <= cols.size // 2 + 1 for w in widths)
+            unfolded = kn_band(grid, sym(t, grid.x[:, None], grid.xi[cols][None, :]), cols)
+            assert np.array_equal(band, unfolded)
+            assert np.array_equal(op(t, u), _kn_product(grid, u, unfolded, cols, terms))
+
+    @pytest.mark.parametrize("name", list(_DECLARED))
+    def test_odd_multiplier_keeps_the_unfolded_band(self, monkeypatch, name):
+        # m = <xi>_k^2 + xi / 2 (>= 0 for k >= 1) is not even: every band column is evaluated,
+        # and the product still matches the DFT-matrix product
+        grid = GridSpec(L=8.0, N=64, k=4.0)
+        base = theorem_coefficient(0.0, 1.25, pair=poly_pair(0.5, 0.5), k=4.0)
+        (g, _, _), dg = base.separable, base.dg
+        fam = separable_family(g, dg, one, zero, lambda xi: bracket(xi, 4.0) ** 2 + 0.5 * xi,
+                               lambda xi: 2.0 * xi + 0.5, pair=base.pair, k=4.0, p=0.0,
+                               q=1.25, r=0.0, T=1.0, c0=1.0, spectral_shift=True,
+                               x_dependent=True)
+        sym, widths = _column_counting(monkeypatch, name, fam)
+        assert not off_blend(sym, grid.x, grid.xi)[1].even
+        op = symbol_operator(grid, fam, sym)
+        assert op.path == "banded"
+        u = GaussianBump(0.0, 0.45)(grid.x) * _band_field(grid)
+        for t in (0.05, 0.1, 0.3):
+            del widths[:]
+            got = op(t, u)
+            cols = op.part(t)[1]
+            assert widths == ([cols.size] if cols.size else [])
+            want = _dft_matrix_product(grid, sym(t, grid.x[:, None], grid.xi[None, :]), u)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestExcisionSolve:

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from singhyp.quantize import GridSpec
 from singhyp.structure import bracket, poly_pair
-from singhyp.symbols import (ClassDescriptor, EllipticityError, QuadratureError,
-                             TimeQuadrature, char_root, cut, dcut, example_coefficient, excise,
-                             fit_blowup_exponents, fit_power_law, free_wave, graded_lattice,
-                             h_symbol, l1_defect, reference_wave, root_estimate_report,
-                             symbol_class_report, theorem_coefficient)
+from singhyp.symbols import (ClassDescriptor, EllipticityError, ExcisedCoefficient,
+                             QuadratureError, TimeQuadrature, char_root, cut, dcut,
+                             example_coefficient, excise, fit_blowup_exponents, fit_power_law,
+                             free_wave, graded_lattice, h_symbol, l1_defect, reference_wave,
+                             root_estimate_report, symbol_class_report, theorem_coefficient)
 from singhyp.analysis import counterexample_family
 
 
@@ -390,6 +390,26 @@ def test_root_and_h_match_reference_formulas_bitwise(fam):
         value, dt = _h_reference(h, t, x, xi)
         assert np.array_equal(h.value(t, x, xi), value)
         assert np.array_equal(h.dt(t, x, xi), dt)
+
+
+def test_excision_parts_formed_once_per_derived_call(monkeypatch):
+    # H, its time derivative and the root's read one evaluation of the excision's parts,
+    # its cutoff and the family's a, not one per symbol they are built from
+    calls = []
+    parts = ExcisedCoefficient.parts
+
+    def counted(self, t, x, xi):
+        calls.append(1)
+        return parts(self, t, x, xi)
+
+    monkeypatch.setattr(ExcisedCoefficient, "parts", counted)
+    root = char_root(excise(theorem_coefficient(0.0, 1.25, pair=poly_pair(0.5, 0.5), k=2.0)))
+    h = h_symbol(root)
+    x, xi = np.linspace(-20.0, 20.0, 17)[:, None], np.linspace(-40.0, 40.0, 33)[None, :]
+    for symbol in (h.value, h.dt, root.dt):
+        del calls[:]
+        symbol(0.3, x, xi)
+        assert len(calls) == 1, symbol
 
 
 class TestHSymbol:
