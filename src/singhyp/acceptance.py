@@ -66,8 +66,8 @@ def cone_experiment(grid: GridSpec, wave_grid: GridSpec, m: int, wave_m: int, bu
     """``(c_star, report_7_3, report_wave)``: ``c*`` of example 7.3, and cone
     checks about ``bump.center`` of 7.3 from ``(bump, 2 bump')`` up to ``t = 0.2 L``
     and of the constant wave from ``(bump, -bump')`` up to ``min(2, 0.2 L)``, on
-    meshes of ``m`` and ``wave_m`` steps."""
-    fam = counterexample_family("7.3", k=grid.k, T=max(3.0, T))
+    meshes of ``m`` and ``wave_m`` steps; 7.3's family runs to ``max(3, T, 0.2 L)``."""
+    fam = counterexample_family("7.3", k=grid.k, T=max(3.0, T, 0.2 * grid.L))
     c_star = propagation_speed(fam, grid, np.linspace(1e-4, 3.0, 30001))
     famw = free_wave(1.0, T=max(2.5, T), k=wave_grid.k)
     reports = []

@@ -35,7 +35,8 @@ the family's ``p, r < 1``), ``profile.T`` finite and ``> 0``, ``profile.lambda``
 ``> 0``, ``data.center`` and ``data.velocity_scale`` finite, ``data.modes >= 1``,
 ``data.seed >= 0``, ``zones.nt >= 2``, ``zones.nx, zones.nxi >= 1``, ``zones.N`` finite
 and ``> 0``, ``output_times`` (default: evenly spaced) a non-empty list of times in
-``[mesh.t_start, profile.T]``, for ``solve`` and ``check-energy`` only.
+``[mesh.t_start, profile.T]``, for ``solve`` and ``check-energy`` only.  ``check-cone``
+takes any finite ``grid.L > 0``; ``symbol-report`` rejects a family constant in t.
 
 Family ids and the ``params`` each accepts, with defaults (other keys are
 rejected): ``theorem`` (``pair`` ``[kappa1, kappa2]``, else the constant pair;
@@ -336,6 +337,10 @@ def _exp_symbol_report(cfg: RunConfig, out: Path):
     family = cfg.build_family()
     if family.profile is None:
         raise ConfigError("family: symbol-report needs an admissible profile")
+    if family.p == 0.0 and family.osc_exponent is None:
+        # neither blow-up nor oscillation: a is constant in t, so dt a has no order to fit
+        raise ConfigError(f"family: {family.label} is constant in t, so symbol-report has no "
+                          "blow-up exponent q to fit")
     payload, verdicts = estimate_checks(family)
     art = write_json(out / "symbol_report.json", payload)
     return [art], verdicts

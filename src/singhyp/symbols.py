@@ -35,6 +35,7 @@ import math
 from collections import namedtuple
 from dataclasses import asdict, dataclass
 from functools import cache, reduce
+from operator import mul
 from typing import Callable
 
 import numpy as np
@@ -395,19 +396,35 @@ class ExcisedCoefficient:
         om = np.asarray(self.pair.omega(x), dtype=float)
         return t, br, phi, om, t * phi * br, om ** 2 * br ** 2
 
-    def _blend(self, t, x, xi, dt: bool = False):
-        """``(parts, atilde, dt atilde or None)`` from one :meth:`parts`, ``cut(s)`` and
-        family ``a``, for ``a``, ``dt_a``, the root and H."""
+    def _blend(self, t, x, xi, wrt=None):
+        """``(parts, atilde, d atilde)`` from one :meth:`parts`, ``cut(s)`` and family ``a``,
+        ``d`` along ``wrt`` (``"t"``, ``"x"`` or ``"xi"``; None for none) by the one rule
+
+            ``d atilde = cut'(s) ds (ref - a) + cut(s) dref + (1 - cut(s)) da``,
+
+        ``ref = omega^2 <xi>_k^2``, and ``d atilde = dref`` where ``cut(s) = 1``.  ``ds`` and
+        ``dref`` are factors multiplied in each variable's own order; along t ``dref = 0``."""
         p = self.parts(t, x, xi)
         t, br, phi, om, s, ref = p
         c = cut(s)
-        dc = dcut(s) * phi * br if dt else None
         with np.errstate(all="ignore"):
             a = self.family.a(t, x, xi)
             atilde = np.where(c >= 1.0, ref, c * ref + (1.0 - c) * a)
-            dt_a = None if dc is None else np.where(
-                c >= 1.0, 0.0, dc * (ref - a) + (1.0 - c) * self.family.dt_a(t, x, xi))
-        return p, atilde, dt_a
+            if wrt is None:
+                return p, atilde, None
+            if wrt == "t":
+                ds, dref = (phi, br), ()
+            elif wrt == "x":
+                ds = (t, np.asarray(self.pair.dphi(x), dtype=float), br)
+                dref = (2.0 * om * np.asarray(self.pair.domega(x), dtype=float) * br ** 2,)
+            else:
+                xi = np.asarray(xi, dtype=float)
+                ds, dref = (t, phi, xi / br), (om ** 2, 2.0, xi)
+            d = reduce(mul, ds, dcut(s)) * (ref - a)
+            if dref:
+                d = d + reduce(mul, dref, c)
+            d = d + (1.0 - c) * getattr(self.family, f"d{wrt}_a")(t, x, xi)
+            return p, atilde, np.where(c >= 1.0, reduce(mul, dref) if dref else 0.0, d)
 
     @_declares(1.0, low=lambda f, t: [(f.om ** 2, f.br ** 2)],
                high=lambda f, t: [(f.w, f.g(t) * f.m)])
@@ -415,28 +432,13 @@ class ExcisedCoefficient:
         return self._blend(t, x, xi)[1]
 
     def dt_a(self, t, x, xi):
-        return self._blend(t, x, xi, dt=True)[2]
+        return self._blend(t, x, xi, "t")[2]
 
     def dx_a(self, t, x, xi):
-        t, br, phi, om, s, ref = self.parts(t, x, xi)
-        c = cut(s)
-        dc = dcut(s) * t * np.asarray(self.pair.dphi(x), dtype=float) * br
-        dref = 2.0 * om * np.asarray(self.pair.domega(x), dtype=float) * br ** 2
-        with np.errstate(all="ignore"):
-            raw = (dc * (ref - self.family.a(t, x, xi)) + c * dref
-                   + (1.0 - c) * self.family.dx_a(t, x, xi))
-        return np.where(c >= 1.0, dref, raw)
+        return self._blend(t, x, xi, "x")[2]
 
     def dxi_a(self, t, x, xi):
-        t, br, phi, om, s, ref = self.parts(t, x, xi)
-        xi = np.asarray(xi, dtype=float)
-        c = cut(s)
-        dc = dcut(s) * t * phi * (xi / br)
-        om2 = om ** 2
-        with np.errstate(all="ignore"):
-            raw = (dc * (ref - self.family.a(t, x, xi)) + c * om2 * 2.0 * xi
-                   + (1.0 - c) * self.family.dxi_a(t, x, xi))
-        return np.where(c >= 1.0, om2 * 2.0 * xi, raw)
+        return self._blend(t, x, xi, "xi")[2]
 
     @_declares(1.0, low=lambda f, t: [] if f.reexcised else [(f.w, f.g(t) * f.m),
                                                               (f.om ** 2, -f.br ** 2)])
@@ -473,11 +475,6 @@ def _guarded_div(num, den, where):
     return out
 
 
-def _d_root(da, tau):
-    """``d tau = da / (2 tau)`` of ``tau = sqrt(atilde)``, 0 where ``tau = 0``."""
-    return _guarded_div(da, 2.0 * tau, tau > 0.0)
-
-
 @dataclass(frozen=True)
 class CharacteristicRoot:
     """``tau = sqrt(atilde)``, with closed-form first derivatives by the chain rule."""
@@ -490,16 +487,22 @@ class CharacteristicRoot:
     def value(self, t, x, xi):
         return np.sqrt(self.excised.a(t, x, xi))
 
+    def _tau(self, t, x, xi, wrt=None):
+        """``(parts, tau, d tau)`` of one :meth:`ExcisedCoefficient._blend` along ``wrt``:
+        ``d tau = d atilde / (2 tau)``, 0 where ``tau = 0``."""
+        p, atilde, da = self.excised._blend(t, x, xi, wrt)
+        tau = np.sqrt(atilde)
+        return p, tau, None if da is None else _guarded_div(da, 2.0 * tau, tau > 0.0)
+
     @_declares(1.0, high=lambda f, t: [(f.sw, f.dg(t) / (2.0 * np.sqrt(f.g(t))) * f.sm)])
     def dt(self, t, x, xi):
-        _, atilde, dt_a = self.excised._blend(t, x, xi, dt=True)
-        return _d_root(dt_a, np.sqrt(atilde))
+        return self._tau(t, x, xi, "t")[2]
 
     def dx(self, t, x, xi):
-        return _d_root(self.excised.dx_a(t, x, xi), self.value(t, x, xi))
+        return self._tau(t, x, xi, "x")[2]
 
     def dxi(self, t, x, xi):
-        return _d_root(self.excised.dxi_a(t, x, xi), self.value(t, x, xi))
+        return self._tau(t, x, xi, "xi")[2]
 
 
 def char_root(excised: ExcisedCoefficient) -> CharacteristicRoot:
@@ -545,17 +548,14 @@ class HSymbol:
 
     @_declares(3.0, high=lambda f, t: [(f.ow, -0.5j / np.sqrt(f.g(t)) * f.bm)])
     def value(self, t, x, xi):
-        (_, br, _, om, s, _), atilde, _ = self.root.excised._blend(t, x, xi)
+        (_, br, _, om, s, _), tau, _ = self.root._tau(t, x, xi)
         mask = 1.0 - cut(s / 3.0)
-        tau = np.sqrt(atilde)
         return -0.5j * _guarded_div(om * br * mask, tau, (tau > 0) & (mask > 0))
 
     @_declares(3.0, high=lambda f, t: [(f.ow, 0.25j * f.dg(t) / f.g(t) ** 1.5 * f.bm)])
     def dt(self, t, x, xi):
-        (_, br, phi, om, s, _), atilde, dt_a = self.root.excised._blend(t, x, xi, dt=True)
+        (_, br, phi, om, s, _), tau, dtau = self.root._tau(t, x, xi, "t")
         mask = 1.0 - cut(s / 3.0)
-        tau = np.sqrt(atilde)
-        dtau = _d_root(dt_a, tau)
         dmask = -dcut(s / 3.0) * phi * br / 3.0
         num = om * br
         good = tau > 0

@@ -292,6 +292,28 @@ class TestRun:
         for name in ("cone_oscillating.csv", "cone_wave.csv"):
             assert (tmp_path / name).read_text().splitlines()[0] == "t,measured,predicted"
 
+    def test_check_cone_beyond_its_default_horizon(self, tmp_path):
+        # 7.3 runs to 0.2 L = 3.2 > 3 here: its family's horizon follows the run's end
+        cfg = {"experiment": "check-cone", "grid": {"L": 16.0, "N": 512},
+               "mesh": {"M": 512}, "data": {"width": 0.25}}
+        assert run(cfg, tmp_path) == 0
+        verdicts = json.loads((tmp_path / "verdict.json").read_text())["verdicts"]
+        assert all(v["valid"] and v["pass"] for v in verdicts)
+        rows = (tmp_path / "cone_oscillating.csv").read_text().splitlines()
+        assert float(rows[-1].split(",")[0]) == pytest.approx(3.2, rel=1e-15)
+
+    @pytest.mark.parametrize("family", [
+        {"id": "free-wave"}, {"id": "reference-wave"},
+        {"id": "theorem", "params": {"amplitude": 0}}], ids=lambda f: f["id"])
+    def test_symbol_report_rejects_family_constant_in_t(self, tmp_path, capsys, family):
+        # a(t) neither blows up nor oscillates, so dt a vanishes and q has nothing to fit
+        cfg = {"experiment": "symbol-report", "grid": {"L": 8.0, "N": 64, "k": 2.0},
+               "family": family}
+        assert run(cfg, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "family:" in err and "constant in t" in err and "Traceback" not in err
+        assert not (tmp_path / "verdict.json").exists()
+
     def test_main_entry_point(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(dict(BASE)))

@@ -349,6 +349,46 @@ def _root_d_reference(da, tau):
     return out
 
 
+def _excised_d_reference(exc, t, x, xi):
+    # (dt, dx, dxi) of atilde as ExcisedCoefficient first wrote them, one chain rule each
+    fam, pair = exc.family, exc.pair
+    t, xi = np.asarray(t, dtype=float), np.asarray(xi, dtype=float)
+    br = bracket(xi, exc.k)
+    phi = np.asarray(pair.phi(x), dtype=float)
+    om = np.asarray(pair.omega(x), dtype=float)
+    s, ref = t * phi * br, om ** 2 * br ** 2
+    c = cut(s)
+    with np.errstate(all="ignore"):
+        a = fam.a(t, x, xi)
+        dc = dcut(s) * phi * br
+        dt = np.where(c >= 1.0, 0.0, dc * (ref - a) + (1.0 - c) * fam.dt_a(t, x, xi))
+        dc = dcut(s) * t * np.asarray(pair.dphi(x), dtype=float) * br
+        dref = 2.0 * om * np.asarray(pair.domega(x), dtype=float) * br ** 2
+        dx = np.where(c >= 1.0, dref,
+                      dc * (ref - a) + c * dref + (1.0 - c) * fam.dx_a(t, x, xi))
+        dc = dcut(s) * t * phi * (xi / br)
+        om2 = om ** 2
+        dxi = np.where(c >= 1.0, om2 * 2.0 * xi,
+                       dc * (ref - a) + c * om2 * 2.0 * xi + (1.0 - c) * fam.dxi_a(t, x, xi))
+    return dt, dx, dxi
+
+
+@pytest.mark.parametrize("fam", [
+    theorem_coefficient(0.0, 1.25, pair=poly_pair(0.5, 0.5), k=2.0),
+    example_coefficient(0.5, 0.5, k=2.0), free_wave(1.5, k=40.0),
+    excise(theorem_coefficient(0.25, 1.3, pair=poly_pair(0.3, 0.7), k=2.0))],
+    ids=["theorem-poly", "example11", "free-wave", "re-excised"])
+def test_excised_derivatives_match_reference_formulas_bitwise(fam):
+    # one chain rule serves t, x and xi; each keeps its own floating-point grouping
+    exc = excise(fam)
+    x = np.linspace(-20.0, 20.0, 17)[:, None]
+    xi = np.linspace(-40.0, 40.0, 33)[None, :]
+    for t in (0.0, 1e-3, 0.05, 0.3, 0.9):
+        for got, want in zip((exc.dt_a, exc.dx_a, exc.dxi_a),
+                             _excised_d_reference(exc, t, x, xi)):
+            assert np.array_equal(got(t, x, xi), want), (got.__name__, t)
+
+
 def _h_reference(h, t, x, xi):
     # (value, dt) of the H symbol as HSymbol first wrote them, dt through root.dt
     pair, k = h.root.excised.pair, h.root.excised.k
@@ -406,10 +446,15 @@ def test_excision_parts_formed_once_per_derived_call(monkeypatch):
     root = char_root(excise(theorem_coefficient(0.0, 1.25, pair=poly_pair(0.5, 0.5), k=2.0)))
     h = h_symbol(root)
     x, xi = np.linspace(-20.0, 20.0, 17)[:, None], np.linspace(-40.0, 40.0, 33)[None, :]
-    for symbol in (h.value, h.dt, root.dt):
+    exc = root.excised
+    for symbol in (h.value, h.dt, root.dt, root.dx, root.dxi, exc.dt_a, exc.dx_a, exc.dxi_a):
         del calls[:]
         symbol(0.3, x, xi)
         assert len(calls) == 1, symbol
+    # symbol-report reads tau, d_xi tau, d_x tau and d_t tau on its lattice
+    del calls[:]
+    root_estimate_report(root, root.excised.family.profile)
+    assert len(calls) == 4
 
 
 class TestHSymbol:
