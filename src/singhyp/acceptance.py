@@ -9,7 +9,6 @@ Nor can the CLI's check experiments: they call the functions the criteria call.
 from __future__ import annotations
 
 import functools
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -92,7 +91,7 @@ def estimate_checks(family) -> tuple[dict, list[dict]]:
     payload = {"interior_exponent": rep.interior_exponent,
                "exterior_exponent": rep.exterior_exponent,
                "dt_tau_flat_max": rep.dt_tau_flat_max, "p_fit": p_fit, "q_fit": q_fit,
-               "fit_report": json.loads(rep.fit.to_json())}
+               "fit_report": rep.fit.as_dict()}
     p, q = family.p, family.q
     verdicts = [
         {"name": "root-interior-exponent", "pass": bool(abs(rep.interior_exponent) <= 0.1),

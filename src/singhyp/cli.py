@@ -28,21 +28,24 @@ Config schema (unknown keys are rejected)::
       "zones":   {"nt": 16, "nx": 17, "nxi": 17, "N": 2.0}
     }
 
-Ranges: ``mesh.M >= 8``, ``mesh.kappa > 0`` with strictly increasing graded nodes
-(a large kappa underflows ``(j/M)**kappa``; a null kappa from ``t_start = 0`` needs
-the family's ``p, r < 1``), ``profile.T`` finite and ``> 0``, ``profile.lambda``
-``"fit"`` or finite ``>= 0`` (0: the unweighted monitor), ``data.width`` finite and
-``> 0``, ``data.center`` and ``data.velocity_scale`` finite, ``data.modes >= 1``,
-``data.seed >= 0``, ``zones.nt >= 2``, ``zones.nx, zones.nxi >= 1``, ``zones.N`` finite
-and ``> 0``, ``output_times`` (default: evenly spaced) a non-empty list of times in
+Ranges: ``grid.N`` a power of two in ``[8, 2**14]``, ``mesh.M`` in ``[8, 2**20]``,
+``mesh.kappa > 0`` with strictly increasing graded nodes (a large kappa underflows
+``(j/M)**kappa``; a null kappa from ``t_start = 0`` needs the family's ``p, r < 1``),
+``profile.T`` finite and ``> 0``, ``profile.lambda`` ``"fit"`` or finite ``>= 0`` (0: the
+unweighted monitor), ``data.width`` finite and ``> 0``, ``data.center`` and
+``data.velocity_scale`` finite, ``data.modes >= 1`` and, where trig data is built
+(``data.kind`` ``"trig"``, ``verify-counterexamples``), ``<= grid.N / 2``,
+``data.seed >= 0``, ``zones.nt >= 2``, ``zones.nx, zones.nxi >= 1`` with
+``zones.nt * zones.nx * zones.nxi <= 2**20``, ``zones.N`` finite and ``> 0``,
+``output_times`` (default: evenly spaced) a non-empty list of times in
 ``[mesh.t_start, profile.T]``, for ``solve`` and ``check-energy`` only.  ``check-cone``
 takes any finite ``grid.L > 0``; ``symbol-report`` rejects a family constant in t.
 
-Family ids and the ``params`` each accepts, with defaults (other keys are
-rejected): ``theorem`` (``pair`` ``[kappa1, kappa2]``, else the constant pair;
-``amplitude`` 0.5), ``example11`` (``kappa1``, ``kappa2`` 0.5), ``free-wave``
-(``speed`` 1.0), ``reference-wave`` (none), ``counterexample-7.1`` ... ``-7.4``
-(an integer ``m >= 0``, 0; counterexamples use their oracle initial data).
+Family ids and the ``params`` each accepts, with defaults (an unknown id is rejected
+before its params, and so are other keys): ``theorem`` (``pair`` ``[kappa1, kappa2]``,
+else the constant pair; ``amplitude`` 0.5), ``example11`` (``kappa1``, ``kappa2`` 0.5),
+``free-wave`` (``speed`` 1.0), ``reference-wave`` (none), ``counterexample-7.1`` ...
+``-7.4`` (an integer ``m >= 0``, 0; counterexamples use their oracle initial data).
 """
 
 from __future__ import annotations
@@ -87,8 +90,10 @@ def _where(conv, ok, need: str):
     return convert
 
 
-def _at_least(n: int):
-    return _where(_int, lambda v: v >= n, f"an integer >= {n}")
+def _int_in(lo: int, hi: float = math.inf):
+    """``_int`` refusing a value outside ``[lo, hi]``."""
+    return _where(_int, lambda v: lo <= v <= hi,
+                  f"an integer >= {lo}" if hi == math.inf else f"an integer in [{lo}, {hi}]")
 
 
 _positive = _where(float, lambda v: v > 0.0, "> 0")
@@ -99,20 +104,20 @@ _lambda = _where(float, lambda v: math.isfinite(v) and v >= 0.0, "'fit' or a fin
 # each config section's fields as ``(key, default, conv)``; ``conv`` converts the
 # value and checks its range, and the keys are all the section accepts
 _SECTIONS = {
-    "grid": (("L", 8.0, _finite_positive), ("N", 256, _int),
+    "grid": (("L", 8.0, _finite_positive), ("N", 256, _int_in(8, 2**14)),
              ("k", 1.0, _where(float, lambda v: 1.0 <= v < math.inf, "finite and >= 1"))),
-    "mesh": (("M", 2048, _at_least(8)),
+    "mesh": (("M", 2048, _int_in(8, 2**20)),
              ("kappa", None, lambda v: v if v is None else _positive(v)),
              ("t_start", 0.0, float)),
     "profile": (("p", 0.0, float), ("q", 1.25, float), ("r", 0.0, float), ("sigma", 3.0, float),
                 ("T", 1.0, _finite_positive),
                 ("lambda", "fit", lambda v: v if v == "fit" else _lambda(v))),
     "data": (("kind", "bump", _where(str, lambda v: v in ("trig", "bump"), "'trig' or 'bump'")),
-             ("modes", 8, _at_least(1)), ("seed", 42, _at_least(0)),
+             ("modes", 8, _int_in(1)), ("seed", 42, _int_in(0)),
              ("width", 0.7, _finite_positive), ("center", 0.0, _finite),
              ("velocity", "zero", _where(str, lambda v: v in ("zero", "dx"), "'zero' or 'dx'")),
              ("velocity_scale", -1.0, _finite)),
-    "zones": (("nt", 16, _at_least(2)), ("nx", 17, _at_least(1)), ("nxi", 17, _at_least(1)),
+    "zones": (("nt", 16, _int_in(2)), ("nx", 17, _int_in(1)), ("nxi", 17, _int_in(1)),
               ("N", 2.0, _finite_positive)),
 }
 _TOP_KEYS = {"experiment", "family", "output_times", *_SECTIONS}
@@ -202,11 +207,21 @@ class RunConfig:
                 raise ConfigError(f"mesh.kappa: {self.mesh_kappa!r} is too large for "
                                   f"mesh.M = {self.mesh_m} ({e})") from e
         self.data, self.zones = sec["data"], sec["zones"]
+        if ((self.data["kind"] == "trig" or self.experiment == "verify-counterexamples")
+                and self.data["modes"] > self.grid.N // 2):
+            raise ConfigError(f"invalid field 'data.modes': must be <= grid.N / 2 = "
+                              f"{self.grid.N // 2}, got {self.data['modes']}")
+        samples = self.zones["nt"] * self.zones["nx"] * self.zones["nxi"]
+        if samples > 2**20:
+            raise ConfigError("invalid fields 'zones.nt', 'zones.nx', 'zones.nxi': their "
+                              f"product must be <= {2**20}, got {samples}")
 
         f = _known(raw.get("family", {"id": "theorem"}), {"id", "params"}, "family")
         self.family_id = str(_require(f, "id", "family"))
+        if self.family_id not in _FAMILIES:
+            raise ConfigError(f"family.id: unknown family {self.family_id!r}")
         self.family_params = _fields(f.get("params", {}), "family.params",
-                                     _FAMILIES.get(self.family_id, (None, ()))[1])
+                                     _FAMILIES[self.family_id][1])
         self.output_times = _fields({"output_times": raw.get("output_times")}, "config", (
             ("output_times", None,
              lambda ts: ts if ts is None else list(map(_where(float, math.isfinite, "finite"), ts))),
@@ -221,8 +236,6 @@ class RunConfig:
     # ------------------------------------------------------------------
 
     def build_family(self):
-        if self.family_id not in _FAMILIES:
-            raise ConfigError(f"family.id: unknown family {self.family_id!r}")
         pp = self.profile_params
         try:
             return _FAMILIES[self.family_id][0](pp, **self.family_params, T=pp["T"],

@@ -514,7 +514,8 @@ def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
     place) by each step, its stages in work buffers allocated once per solve, and checked finite
     once per block, replayed to name the step: a block that ends non-finite is stepped again from
     its start, checking the end of each mesh step, so :class:`SolverError`'s ``report`` names
-    the first mesh step that ends non-finite (``t``, ``step``).  Snapshots ``(t, u, v)`` at the
+    the first mesh step that ends non-finite (``t``, ``step``); an overflow or invalid operation
+    in the stepping raises no warning first.  Snapshots ``(t, u, v)`` at the
     mesh nodes nearest the requested output times, which must be finite (the stored snapshot
     time is the exact node time; requests nearest the same node share one snapshot, and
     ``stats`` lists the sorted requests as ``requested_times``).  Steps run on the state space
@@ -564,22 +565,25 @@ def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
                 snapshots.append((t1, *disc.field(y)))
         return y
 
-    # a block's stage times (three per substep) fill one table of parts
     n = 0
-    while block := list(itertools.islice(substeps, disc.times_per_table // 3)):
-        disc.prime(np.array([stages for _, stages, _, _ in block]).ravel())
-        start, kept = y, len(snapshots)
-        y = step(block, start, False)
-        if not np.isfinite(y).all():
-            # every step ends in y + (...), so a non-finite entry stays non-finite: step the
-            # block again from its start, checking each mesh step, to name the first such
-            # step (the next block names it if this block ends inside it)
-            del snapshots[kept:]
-            y = step(block, start, True)
-            if np.isfinite(y).all():
-                raise SolverError(f"state became non-finite by t={block[-1][1][2]} but not "
-                                  "when its block was stepped again")
-        n += len(block)
+    # an overflowing or NaN state steps on quietly to its block's end, where the check and
+    # the replay name its step
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a block's stage times (three per substep) fill one table of parts
+        while block := list(itertools.islice(substeps, disc.times_per_table // 3)):
+            disc.prime(np.array([stages for _, stages, _, _ in block]).ravel())
+            start, kept = y, len(snapshots)
+            y = step(block, start, False)
+            if not np.isfinite(y).all():
+                # every step ends in y + (...), so a non-finite entry stays non-finite: step
+                # the block again from its start, checking each mesh step, to name the first
+                # such step (the next block names it if this block ends inside it)
+                del snapshots[kept:]
+                y = step(block, start, True)
+                if np.isfinite(y).all():
+                    raise SolverError(f"state became non-finite by t={block[-1][1][2]} but not "
+                                      "when its block was stepped again")
+            n += len(block)
 
     halving_steps = log["halving_steps"]
     stats = {

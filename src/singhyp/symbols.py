@@ -30,7 +30,6 @@ log-fits ill-posed at cosine zeros.
 from __future__ import annotations
 
 import inspect
-import json
 import math
 from collections import namedtuple
 from dataclasses import asdict, dataclass
@@ -66,7 +65,6 @@ __all__ = [
     "l1_defect",
     "SampleLattice",
     "graded_lattice",
-    "ClassDescriptor",
     "FitEntry",
     "FitReport",
     "symbol_class_report",
@@ -786,19 +784,6 @@ def graded_lattice(T: float, *, nt: int = 32, nx: int = 33, nxi: int = 33) -> Sa
 
 
 @dataclass(frozen=True)
-class ClassDescriptor:
-    """Symbol-class envelope ``<xi>^(m1 - |a|) omega^m2 Phi^(-|b|)`` of ``d_xi^a D_x^b``."""
-
-    m1: float
-    m2: float
-
-    def envelope(self, alpha: int, beta: int, x, xi, pair: StructurePair, k: float):
-        return (bracket(xi, k) ** (self.m1 - alpha)
-                * np.asarray(pair.omega(x), dtype=float) ** self.m2
-                * np.asarray(pair.phi(x), dtype=float) ** -beta)
-
-
-@dataclass(frozen=True)
 class FitEntry:
     zone: str
     alpha: int
@@ -821,9 +806,8 @@ class FitReport:
                 return e
         raise KeyError((zone, alpha, beta))
 
-    def to_json(self) -> str:
-        rows = [asdict(e) for e in self.entries]
-        return json.dumps({"meta": self.meta, "entries": rows}, indent=2)
+    def as_dict(self) -> dict:
+        return {"meta": self.meta, "entries": [asdict(e) for e in self.entries]}
 
 
 def _zone_masks(lattice: SampleLattice, profile, pair: StructurePair, k: float):
@@ -839,13 +823,13 @@ def _zone_masks(lattice: SampleLattice, profile, pair: StructurePair, k: float):
     }
 
 
-def symbol_class_report(derivatives: Callable, descriptor: ClassDescriptor, profile,
-                        pair: StructurePair, k: float, lattice: SampleLattice, *,
-                        max_order: int = 2) -> FitReport:
+def symbol_class_report(derivatives: dict, m1: float, m2: float, profile,
+                        pair: StructurePair, k: float, lattice: SampleLattice) -> FitReport:
     """Fit minimal class constants and time exponents on a lattice.
 
-    ``derivatives(alpha, beta)`` returns the callable ``(t, x, xi)`` evaluating
-    ``d_xi^alpha D_x^beta a`` (or None when unavailable; the pair is skipped).
+    ``derivatives`` maps each multi-index ``(alpha, beta)``, in the order fitted, to
+    the callable ``(t, x, xi)`` evaluating ``d_xi^alpha D_x^beta a``, whose class
+    envelope is ``<xi>_k^(m1 - alpha) omega^m2 Phi^(-beta)``.
     Per zone and multi-index, the fit is ``|deriv| <= C * envelope * t**-e``:
     ``e`` from a log-log least-squares slope, then ``C`` as the max of
     ``|deriv| * t**e / envelope`` over the zone's samples.  Unbounded fits are
@@ -855,38 +839,35 @@ def symbol_class_report(derivatives: Callable, descriptor: ClassDescriptor, prof
     masks = _zone_masks(lattice, profile, pair, k)
     full = masks["all"].shape
     entries = []
-    for alpha in range(max_order + 1):
-        for beta in range(max_order + 1 - alpha):
-            fn = derivatives(alpha, beta)
-            if fn is None:
+    for (alpha, beta), fn in derivatives.items():
+        vals = np.abs(np.asarray(fn(tt, xx, ww), dtype=complex))
+        env = (bracket(ww, k) ** (m1 - alpha) * np.asarray(pair.omega(xx), dtype=float) ** m2
+               * np.asarray(pair.phi(xx), dtype=float) ** -beta)
+        ratio = np.broadcast_to(vals / env, full)
+        for zone, mask in masks.items():
+            n = int(np.count_nonzero(mask))
+            if n < 2:
+                entries.append(FitEntry(zone, alpha, beta, 0.0, 0.0, 0.0, n))
                 continue
-            vals = np.abs(np.asarray(fn(tt, xx, ww), dtype=complex))
-            env = descriptor.envelope(alpha, beta, xx, ww, pair, k)
-            ratio = np.broadcast_to(vals / env, full)
-            for zone, mask in masks.items():
-                n = int(np.count_nonzero(mask))
-                if n < 2:
-                    entries.append(FitEntry(zone, alpha, beta, 0.0, 0.0, 0.0, n))
-                    continue
-                rz = ratio[mask]
-                tz = np.broadcast_to(tt, full)[mask]
-                if not np.all(np.isfinite(rz)):
-                    i = int(np.argmax(~np.isfinite(rz)))
-                    entries.append(FitEntry(zone, alpha, beta, float("inf"), 0.0, 0.0, n,
-                                            lattice.point(int(np.flatnonzero(mask)[i]))))
-                    continue
-                pos = rz > 0
-                if np.count_nonzero(pos) < max(2, n // 8):
-                    # essentially zero on this zone
-                    entries.append(FitEntry(zone, alpha, beta, float(np.max(rz, initial=0.0)),
-                                            0.0, 0.0, n))
-                    continue
-                slope, resid = fit_power_law(tz[pos], rz[pos])
-                expo = max(-slope, 0.0)  # report blow-up exponents only
-                c = float(np.max(rz * tz ** expo))
-                entries.append(FitEntry(zone, alpha, beta, c, expo, resid, n))
+            rz = ratio[mask]
+            tz = np.broadcast_to(tt, full)[mask]
+            if not np.all(np.isfinite(rz)):
+                i = int(np.argmax(~np.isfinite(rz)))
+                entries.append(FitEntry(zone, alpha, beta, float("inf"), 0.0, 0.0, n,
+                                        lattice.point(int(np.flatnonzero(mask)[i]))))
+                continue
+            pos = rz > 0
+            if np.count_nonzero(pos) < max(2, n // 8):
+                # essentially zero on this zone
+                entries.append(FitEntry(zone, alpha, beta, float(np.max(rz, initial=0.0)),
+                                        0.0, 0.0, n))
+                continue
+            slope, resid = fit_power_law(tz[pos], rz[pos])
+            expo = max(-slope, 0.0)  # report blow-up exponents only
+            c = float(np.max(rz * tz ** expo))
+            entries.append(FitEntry(zone, alpha, beta, c, expo, resid, n))
     return FitReport(entries=tuple(entries), meta={
-        "m1": descriptor.m1, "m2": descriptor.m2, "zone_constant": 1.0,
+        "m1": m1, "m2": m2, "zone_constant": 1.0,
         "nt": lattice.t.size, "nx": lattice.x.size, "nxi": lattice.xi.size})
 
 
@@ -906,10 +887,8 @@ def root_estimate_report(root: CharacteristicRoot, profile) -> RootReport:
     pair, k = root.excised.pair, root.excised.k
     lattice = graded_lattice(root.excised.T)
 
-    derivs = {(0, 0): root.value, (1, 0): root.dxi, (0, 1): root.dx}
-    fit = symbol_class_report(lambda alpha, beta: derivs.get((alpha, beta)),
-                              ClassDescriptor(m1=1.0, m2=1.0), profile, pair, k, lattice,
-                              max_order=1)
+    fit = symbol_class_report({(0, 0): root.value, (0, 1): root.dx, (1, 0): root.dxi},
+                              1.0, 1.0, profile, pair, k, lattice)
     tt, xx, ww = lattice.mesh()
     flat = _zone_masks(lattice, profile, pair, k)["excision_flat"]
     scale = np.asarray(pair.omega(xx), dtype=float) * bracket(ww, k)

@@ -45,9 +45,15 @@ class TestRunConfig:
             RunConfig({**BASE, "experiment": "teleport"})
 
     def test_unknown_family(self):
-        cfg = RunConfig({**BASE, "family": {"id": "mystery"}})
         with pytest.raises(ConfigError, match="family"):
-            cfg.build_family()
+            RunConfig({**BASE, "family": {"id": "mystery"}})
+
+    def test_largest_sizes_build(self):
+        # the upper bounds of the size fields are accepted
+        cfg = RunConfig({**BASE, "grid": {"N": 2**14}, "mesh": {"M": 2**20},
+                         "data": {"kind": "trig", "modes": 2**13},
+                         "zones": {"nt": 2**6, "nx": 2**7, "nxi": 2**7}})
+        assert (cfg.grid.N, cfg.mesh_m, cfg.data["modes"]) == (2**14, 2**20, 2**13)
 
 
 class TestRun:
@@ -166,6 +172,15 @@ class TestRun:
         assert run(cfg, tmp_path) == 2
         assert field in capsys.readouterr().err
 
+    def test_check_cone_overflow_status_3(self, tmp_path, capsys):
+        # on L = 2**70 example 7.3's state overflows; with RuntimeWarnings raised as errors
+        # this was an overflow traceback (exit 1), and is a numerical abort naming the step
+        cfg = {"experiment": "check-cone", "grid": {"L": 2.0**70, "N": 32}, "mesh": {"M": 16}}
+        assert run(cfg, tmp_path) == 3
+        assert "state became non-finite" in capsys.readouterr().err
+        report = json.loads((tmp_path / "abort.json").read_text())["report"]
+        assert set(report) == {"t", "step"}
+
     @pytest.mark.parametrize("kappa", ["500.0", "1e999"])
     def test_underflowing_kappa_status_2(self, tmp_path, capsys, kappa):
         # (j/M)**kappa underflows and repeats the first nodes; 1e999 reads as inf
@@ -220,7 +235,8 @@ class TestRun:
         ({"id": "example11", "params": {"kappa1": 0.9, "kappa2": 0.1}}, "family.params"),
         ({"id": "counterexample-7.9"}, "family.id"),
         ({"id": "example11", "params": {"bogus": 1}}, "family.params.bogus"),
-        ({"id": "counterexample-7.1", "params": {"m": 1.5}}, "family.params.m")])
+        ({"id": "counterexample-7.1", "params": {"m": 1.5}}, "family.params.m"),
+        ({"id": "nope", "params": {"a": 1}}, "family.id: unknown family 'nope'")])
     def test_malformed_family_status_2(self, tmp_path, capsys, family, field):
         cfg = {"experiment": "solve", "grid": {"L": 8.0, "N": 64, "k": 2.0},
                "mesh": {"M": 32}, "family": family, "data": {"kind": "bump", "width": 0.5}}
@@ -234,11 +250,18 @@ class TestRun:
         ("zones-dump", "zones", "nx", 0), ("zones-dump", "zones", "nxi", 0),
         ("check-energy", "profile", "lambda", -1.0),
         ("check-energy", "profile", "lambda", float("nan")),
-        ("solve", "profile", "T", float("inf")), ("zones-dump", "zones", "N", float("inf"))])
+        ("solve", "profile", "T", float("inf")), ("zones-dump", "zones", "N", float("inf")),
+        ("solve", "grid", "N", 2**70), ("solve", "mesh", "M", 1e20),
+        ("check-cone", "mesh", "M", 1e20), ("zones-dump", "zones", "nt", 1e15),
+        ("verify-counterexamples", "data", "modes", 1e15),
+        ("verify-counterexamples", "data", "modes", 33)])
     def test_out_of_range_field_status_2(self, tmp_path, capsys, experiment, section, key,
                                          value):
-        # each ran before: a traceback (N < 0), a vacuous or failed verdict (nt, nx, nxi)
-        # or a pass with a negative or NaN lambda, which the monitor read as unweighted
+        # each ran before: a traceback (N < 0), a vacuous or failed verdict (nt, nx, nxi),
+        # a pass with a negative or NaN lambda, which the monitor read as unweighted, or,
+        # for an absurd size, numpy's refusal to allocate it (exit 1; mesh.M was misnamed
+        # mesh.t_start/mesh.kappa); numpy refuses these sizes at once, so a size guard that
+        # regresses fails fast instead of filling memory; 33 trig modes exceed N / 2 = 32
         cfg = {"experiment": experiment, "grid": {"L": 8.0, "N": 64, "k": 2.0},
                "mesh": {"M": 32}, section: {key: value}}
         assert run(cfg, tmp_path) == 2

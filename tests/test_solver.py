@@ -386,6 +386,25 @@ class TestIntegrate:
             assemble_rhs(0.5, f1, f1, prob, grid)
 
     @pytest.mark.parametrize("space", ["fourier", "physical"])
+    def test_overflowing_state_names_its_step(self, space):
+        # b2 = 1e300 for t > 0.4 overflows the state in the first step that samples it, in
+        # the middle of a block: with RuntimeWarnings raised as errors, the
+        # overflow and the invalid operations on the infinite state after it raise no
+        # warning, and the block's check and replay name that step
+        fam = dataclasses.replace(
+            free_wave(1.0), b2=lambda t, x: np.where(t > 0.4, 1e300, 0.0) + 0.0 * np.asarray(x))
+        fam = _physical(fam) if space == "physical" else fam
+        grid = GridSpec(L=8.0, N=32, k=1.0)
+        f1 = GaussianBump(0.0, 0.45)(grid.x) * _band_field(grid)
+        prob = CauchyProblem(family=fam, f1=f1, f2=np.zeros_like(f1), t_start=0.0, T=1.0)
+        mesh = graded_mesh(fam, 0.0, 1.0, 32)
+        j = int(np.searchsorted(mesh.nodes, 0.4, side="right")) - 1
+        assert Discretization(prob, grid).times_per_table // 3 > mesh.M > j + 1
+        with pytest.raises(SolverError, match="state became non-finite") as err:
+            integrate(prob, grid, mesh, [1.0])
+        assert err.value.report == {"t": float(mesh.nodes[j + 1]), "step": j}
+
+    @pytest.mark.parametrize("space", ["fourier", "physical"])
     @pytest.mark.parametrize("where", ["third-block", "halved-step"])
     def test_non_finite_state_named_across_blocks(self, monkeypatch, space, where):
         # the state is checked once per block, and a non-finite block is stepped again

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from singhyp.quantize import GridSpec
 from singhyp.structure import bracket, poly_pair
-from singhyp.symbols import (ClassDescriptor, EllipticityError, ExcisedCoefficient,
+from singhyp.symbols import (EllipticityError, ExcisedCoefficient,
                              QuadratureError, TimeQuadrature, char_root, cut, dcut,
                              example_coefficient, excise, fit_blowup_exponents, fit_power_law,
                              free_wave, graded_lattice, h_symbol, l1_defect, reference_wave,
@@ -563,14 +563,9 @@ class TestFitting:
         fam = theorem_coefficient(0.0, 1.25, pair=poly_pair(0.5, 0.5), k=2.0)
         pair = fam.pair
 
-        def derivs(alpha, beta):
-            if (alpha, beta) == (0, 0):
-                return lambda t, x, xi: np.asarray(pair.omega(x)) * bracket(xi, 2.0) \
-                    + 0.0 * np.asarray(t)
-            return None
-
-        rep = symbol_class_report(derivs, ClassDescriptor(1.0, 1.0), fam.profile, pair, 2.0,
-                                  graded_lattice(1.0))
+        derivs = {(0, 0): lambda t, x, xi: np.asarray(pair.omega(x)) * bracket(xi, 2.0)
+                  + 0.0 * np.asarray(t)}
+        rep = symbol_class_report(derivs, 1.0, 1.0, fam.profile, pair, 2.0, graded_lattice(1.0))
         entry = rep.entry("all", 0, 0)
         assert entry.constant == pytest.approx(1.0, rel=1e-12)
         assert entry.t_exponent == pytest.approx(0.0, abs=1e-12)
@@ -588,19 +583,17 @@ class TestFitting:
 
         fam = theorem_coefficient(0.0, 1.25, k=2.0)
         rep = root_estimate_report(char_root(excise(fam)), fam.profile)
-        payload = json.loads(rep.fit.to_json())
+        payload = json.loads(json.dumps(rep.fit.as_dict()))
         assert {"zone", "alpha", "beta", "constant", "t_exponent"} <= set(payload["entries"][0])
 
 
-def _report_derivatives(alpha, beta):
-    """Derivatives for a class report: order (0, 0) depends on xi alone (not full-shape on
-    open grids), order (1, 0) is infinite at |x| > 50 and t < 1e-2 (a witness)."""
-    if beta:
-        return None
-    if alpha == 0:
-        return lambda t, x, xi: bracket(xi, 2.0)
-    return lambda t, x, xi: np.where((np.abs(x) > 50.0) & (t < 1e-2), np.inf,
-                                     t ** -0.3 * np.ones_like(xi))
+# Derivatives for a class report: order (0, 0) depends on xi alone (not full-shape on open
+# grids), order (1, 0) is infinite at |x| > 50 and t < 1e-2 (a witness)
+_REPORT_DERIVATIVES = {
+    (0, 0): lambda t, x, xi: bracket(xi, 2.0),
+    (1, 0): lambda t, x, xi: np.where((np.abs(x) > 50.0) & (t < 1e-2), np.inf,
+                                      t ** -0.3 * np.ones_like(xi)),
+}
 
 
 class TestOpenLattice:
@@ -649,13 +642,13 @@ class TestOpenLattice:
 
     def test_class_report_matches_dense(self, on_dense_mesh):
         lat = graded_lattice(1.0)
-        args = (_report_derivatives, ClassDescriptor(1.0, 0.0), self.fam.profile, self.fam.pair, 2.0, lat)
-        dense = on_dense_mesh(lambda: symbol_class_report(*args, max_order=1))
-        rep = symbol_class_report(*args, max_order=1)
+        args = (_REPORT_DERIVATIVES, 1.0, 0.0, self.fam.profile, self.fam.pair, 2.0, lat)
+        dense = on_dense_mesh(lambda: symbol_class_report(*args))
+        rep = symbol_class_report(*args)
         assert repr(rep.entries) == repr(dense.entries) and rep.meta == dense.meta
         witness = rep.entry("all", 1, 0).witness
         assert abs(witness[1]) > 50.0
-        assert np.isinf(_report_derivatives(1, 0)(*witness))
+        assert np.isinf(_REPORT_DERIVATIVES[(1, 0)](*witness))
 
     @pytest.mark.parametrize("fam", [
         theorem_coefficient(0.25, 1.25, pair=poly_pair(0.3, 0.7), k=2.0),
