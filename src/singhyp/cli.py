@@ -28,18 +28,21 @@ Config schema (unknown keys are rejected)::
       "zones":   {"nt": 16, "nx": 17, "nxi": 17, "N": 2.0}
     }
 
-Ranges: ``grid.N`` a power of two in ``[8, 2**14]``, ``mesh.M`` in ``[8, 2**20]``,
+Ranges: ``grid.L`` in ``[2**-100, 2**100]``, ``grid.k`` in ``[1, 2**100]``, ``grid.N`` a
+power of two in ``[8, 2**14]``, ``mesh.M`` in ``[8, 2**20]``,
 ``mesh.kappa > 0`` with strictly increasing graded nodes (a large kappa underflows
 ``(j/M)**kappa``; a null kappa from ``t_start = 0`` needs the family's ``p, r < 1``),
-``profile.T`` finite and ``> 0``, ``profile.lambda`` ``"fit"`` or finite ``>= 0`` (0: the
-unweighted monitor), ``data.width`` finite and ``> 0``, ``data.center`` and
-``data.velocity_scale`` finite, ``data.modes >= 1`` and, where trig data is built
+``profile.T`` in ``[2**-100, 2**100]``, ``profile.lambda`` ``"fit"`` or in ``[0, 2**100]``
+(0: the unweighted monitor), ``data.width`` in ``[2**-100, 2**100]``, ``data.center`` in
+``[-grid.L, grid.L]``, ``data.velocity_scale`` and the free-wave ``speed`` in
+``[-2**100, 2**100]`` (so no grid array, symbol value or datum overflows),
+``data.modes >= 1`` and, where trig data is built
 (``data.kind`` ``"trig"``, ``verify-counterexamples``), ``<= grid.N / 2``,
 ``data.seed >= 0``, ``zones.nt >= 2``, ``zones.nx, zones.nxi >= 1`` with
 ``zones.nt * zones.nx * zones.nxi <= 2**20``, ``zones.N`` finite and ``> 0``,
 ``output_times`` (default: evenly spaced) a non-empty list of times in
 ``[mesh.t_start, profile.T]``, for ``solve`` and ``check-energy`` only.  ``check-cone``
-takes any finite ``grid.L > 0``; ``symbol-report`` rejects a family constant in t.
+takes any ``grid.L`` in range; ``symbol-report`` rejects a family constant in t.
 
 Family ids and the ``params`` each accepts, with defaults (an unknown id is rejected
 before its params, and so are other keys): ``theorem`` (``pair`` ``[kappa1, kappa2]``,
@@ -99,24 +102,28 @@ def _int_in(lo: int, hi: float = math.inf):
 _positive = _where(float, lambda v: v > 0.0, "> 0")
 _finite = _where(float, math.isfinite, "finite")
 _finite_positive = _where(float, lambda v: 0.0 < v < math.inf, "finite and > 0")
-_lambda = _where(float, lambda v: math.isfinite(v) and v >= 0.0, "'fit' or a finite number >= 0")
+# a length, time, width, shift, speed or weight beyond 2**100 (about 1.3e30), or a length,
+# time or width below 2**-100, overflows a grid array, a symbol value or the data
+_scale = _where(float, lambda v: 2.0**-100 <= v <= 2.0**100, "in [2**-100, 2**100]")
+_bounded = _where(float, lambda v: abs(v) <= 2.0**100, "in [-2**100, 2**100]")
+_lambda = _where(float, lambda v: 0.0 <= v <= 2.0**100, "'fit' or a number in [0, 2**100]")
 
 # each config section's fields as ``(key, default, conv)``; ``conv`` converts the
 # value and checks its range, and the keys are all the section accepts
 _SECTIONS = {
-    "grid": (("L", 8.0, _finite_positive), ("N", 256, _int_in(8, 2**14)),
-             ("k", 1.0, _where(float, lambda v: 1.0 <= v < math.inf, "finite and >= 1"))),
+    "grid": (("L", 8.0, _scale), ("N", 256, _int_in(8, 2**14)),
+             ("k", 1.0, _where(float, lambda v: 1.0 <= v <= 2.0**100, "in [1, 2**100]"))),
     "mesh": (("M", 2048, _int_in(8, 2**20)),
              ("kappa", None, lambda v: v if v is None else _positive(v)),
              ("t_start", 0.0, float)),
     "profile": (("p", 0.0, float), ("q", 1.25, float), ("r", 0.0, float), ("sigma", 3.0, float),
-                ("T", 1.0, _finite_positive),
+                ("T", 1.0, _scale),
                 ("lambda", "fit", lambda v: v if v == "fit" else _lambda(v))),
     "data": (("kind", "bump", _where(str, lambda v: v in ("trig", "bump"), "'trig' or 'bump'")),
              ("modes", 8, _int_in(1)), ("seed", 42, _int_in(0)),
-             ("width", 0.7, _finite_positive), ("center", 0.0, _finite),
+             ("width", 0.7, _scale), ("center", 0.0, _finite),
              ("velocity", "zero", _where(str, lambda v: v in ("zero", "dx"), "'zero' or 'dx'")),
-             ("velocity_scale", -1.0, _finite)),
+             ("velocity_scale", -1.0, _bounded)),
     "zones": (("nt", 16, _int_in(2)), ("nx", 17, _int_in(1)), ("nxi", 17, _int_in(1)),
               ("N", 2.0, _finite_positive)),
 }
@@ -131,7 +138,7 @@ _FAMILIES = {
                  ("amplitude", 0.5, float))),
     "example11": (lambda pp, **kw: example_coefficient(**kw),
                   (("kappa1", 0.5, float), ("kappa2", 0.5, float))),
-    "free-wave": (lambda pp, **kw: free_wave(**kw), (("speed", 1.0, float),)),
+    "free-wave": (lambda pp, **kw: free_wave(**kw), (("speed", 1.0, _bounded),)),
     "reference-wave": (lambda pp, **kw: reference_wave(**kw), ()),
     **{f"counterexample-{ex}": (lambda pp, ex=ex, **kw: counterexample_family(ex, **kw),
                                 (("m", 0, _int),)) for ex in EXAMPLE_IDS},
@@ -207,6 +214,10 @@ class RunConfig:
                 raise ConfigError(f"mesh.kappa: {self.mesh_kappa!r} is too large for "
                                   f"mesh.M = {self.mesh_m} ({e})") from e
         self.data, self.zones = sec["data"], sec["zones"]
+        if abs(self.data["center"]) > self.grid.L:
+            raise ConfigError(f"invalid field 'data.center': must lie on the torus [-grid.L, "
+                              f"grid.L] = [{-self.grid.L}, {self.grid.L}], got "
+                              f"{self.data['center']!r}")
         if ((self.data["kind"] == "trig" or self.experiment == "verify-counterexamples")
                 and self.data["modes"] > self.grid.N // 2):
             raise ConfigError(f"invalid field 'data.modes': must be <= grid.N / 2 = "

@@ -278,9 +278,12 @@ def symbol_operator(grid: GridSpec, family: CoefficientFamily,
     is multipliers on the columns :func:`~singhyp.symbols.cut_sides` puts off the blend and
     :func:`kn_band` on the band of at most ``2/t * 2L/pi`` others (``banded``); any other
     is all band (``dense``), both applied by ``quantize._kn_product``.  Where ``m`` is even
-    (``Separated.even``) a band's lattice is evaluated on one column per +-xi pair.  A separable
-    or diagonal operator evaluates ``g`` or ``symbol`` over a column of times
-    (:meth:`_Operator.prime`)."""
+    (``Separated.even``) a band's lattice is evaluated on one column per +-xi pair.  A declared
+    method reads x only through the pair's ``Phi`` and ``omega`` and the family's ``w``, so
+    where ``grid.x`` holds its own negations and those three are bitwise even on it
+    (``Separated.even_x``) the lattice is evaluated on one row per +-x pair, rows ``0 ... N/2``,
+    and the others copied.  A separable or diagonal operator evaluates ``g`` or ``symbol`` over
+    a column of times (:meth:`_Operator.prime`)."""
     space = _state_space(grid, family)
     if symbol is None and family.separable is not None:
         g, w, m = family.separable
@@ -295,10 +298,12 @@ def symbol_operator(grid: GridSpec, family: CoefficientFamily,
                                                          (ts.size, grid.N))),
                          width=grid.N)
     forms = off_blend(symbol, grid.x, grid.xi)
+    fold_xi, fold_x = (False, False) if forms is None else (forms[1].even, forms[1].even_x)
     # pair[j]: the column whose value column j reads when m is even, j for xi_j >= 0 and the
-    # Nyquist (unpaired), N - j (-xi_j) for the other xi_j < 0
-    pair = (np.minimum(np.arange(grid.N), np.arange(grid.N, 0, -1))
-            if forms is not None and forms[1].even else None)
+    # Nyquist (unpaired), N - j (-xi_j) for the other xi_j < 0; rows pair the same way when
+    # they fold: row i > N/2 (x_i > 0) reads row N - i (-x_i), and x_0 = -L is unpaired
+    half, pair = grid.N // 2 + 1, np.minimum(np.arange(grid.N), np.arange(grid.N, 0, -1))
+    rows = slice(half if fold_x else None)
 
     def parts(t):
         terms, cols, evaluated, gather = [], slice(None), slice(None), slice(None)
@@ -310,11 +315,23 @@ def symbol_operator(grid: GridSpec, family: CoefficientFamily,
                      for w, m in side(f, t)]
             on_band = ~(lo | hi)  # symmetric in +-xi, as <xi>_k is
             cols = evaluated = np.flatnonzero(on_band)
-            if pair is not None:
-                evaluated = np.flatnonzero(on_band[:grid.N // 2 + 1])
+            if fold_xi:
+                evaluated = np.flatnonzero(on_band[:half])
                 gather = np.searchsorted(evaluated, pair[cols])
+            elif fold_x:
+                gather = np.arange(cols.size)
         xi = grid.xi[evaluated]
-        lattice = symbol(t, grid.x[:, None], xi[None, :])[:, gather] if xi.size else 0.0
+        lattice = 0.0
+        if xi.size:
+            values = symbol(t, grid.x[rows, None], xi[None, :])
+            if fold_x:
+                # rows 0 ... N/2 gathered into one array (mode "clip" writes to it unbuffered),
+                # then rows N/2 + 1 ... N - 1 copied from rows pair[i] = N/2 - 1 ... 1
+                lattice = np.empty((grid.N, gather.size), values.dtype)
+                values.take(gather, axis=1, out=lattice[rows], mode="clip")
+                lattice[half:] = lattice[half - 2:0:-1]
+            else:
+                lattice = values[:, gather]
         band = kn_band(grid, lattice, cols)
         return (band, cols, terms), len(band)
 

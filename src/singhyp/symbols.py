@@ -357,10 +357,12 @@ def reference_wave(*, T: float = 1.0, k: float = 1.0) -> CoefficientFamily:
 # _declares puts on an excision-derived symbol's method its OffBlend form: the sum of
 # w(x) m(xi) over the (w, m) of low(f, t) where s / scale <= 1 and of high(f, t) where
 # s / scale >= 2 (cut_sides), f the Separated factors of its excision (off_blend).  A
-# declared method depends on xi only through <xi>_k and its innermost family's m, so it
-# has the same values at xi and -xi wherever m does (Separated.even).
+# declared method reads xi only through <xi>_k and its innermost family's m, and x only
+# through the pair's Phi and omega and that family's w.  So it has the same values at xi
+# and -xi wherever m does (Separated.even), and at x and -x wherever Phi, omega and w do
+# (Separated.even_x).
 OffBlend = namedtuple("OffBlend", "scale low high")
-Separated = namedtuple("Separated", "g dg w m sw sm om br ow bm phi reexcised even")
+Separated = namedtuple("Separated", "g dg w m sw sm om br ow bm phi reexcised even even_x")
 
 
 def _declares(scale: float, low=lambda f, t: [], high=lambda f, t: []):
@@ -570,7 +572,9 @@ def off_blend(symbol, x, xi):
     """``(form, f)``: the ``OffBlend`` ``symbol``'s method declares (through ``__wrapped__``)
     and its excision's factors on ``x``, ``xi``: ``g``, ``g'``, ``w``, ``m``, their roots,
     ``omega``, ``<xi>_k``, ``omega / sqrt(w)``, ``<xi>_k / sqrt(m)`` (0 where the root is, as
-    in HSymbol), ``Phi``, whether it re-excises and whether ``m(-xi) == m(xi)`` bitwise.
+    in HSymbol), ``Phi``, whether it re-excises, whether ``m(-xi) == m(xi)`` bitwise, and
+    whether ``x[1:]`` is exactly ``-x[:0:-1]`` with ``Phi``, ``omega`` and ``w`` bitwise even
+    on it (``v[i] == v[N - i]`` for ``i >= 1``, ``x[0]`` unpaired).
     Re-excision (same pair and ``k``) is the identity off the blend, so the factors are the
     innermost family's.  None for an undeclared callable, no ``separable`` or ``dg``, or
     ``w`` or ``m`` < 0."""
@@ -590,9 +594,11 @@ def off_blend(symbol, x, xi):
     om, br = np.asarray(exc.pair.omega(x), dtype=float), bracket(xi, exc.k)
     sw, sm = np.sqrt(wx), np.sqrt(mx)
     ow, bm = (np.divide(a, b, out=np.zeros_like(a), where=b > 0.0) for a, b in ((om, sw), (br, sm)))
-    return form, Separated(g, dg, wx, mx, sw, sm, om, br, ow, bm,
-                           np.asarray(exc.pair.phi(x), dtype=float), fam is not exc.family,
-                           np.array_equal(np.asarray(m(-xi), dtype=float), mx))
+    phi = np.asarray(exc.pair.phi(x), dtype=float)
+    even_x = np.array_equal(x[1:], -x[:0:-1]) and all(
+        np.array_equal(v[1:], v[:0:-1]) for v in np.broadcast_arrays(x, phi, om, wx)[1:])
+    return form, Separated(g, dg, wx, mx, sw, sm, om, br, ow, bm, phi, fam is not exc.family,
+                           np.array_equal(np.asarray(m(-xi), dtype=float), mx), even_x)
 
 
 # --------------------------------------------------------------------------

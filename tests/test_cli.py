@@ -269,6 +269,54 @@ class TestRun:
         assert f"{section}.{key}" in err and "Traceback" not in err
         assert not (tmp_path / "verdict.json").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("experiment, section, key, value, field", [
+        ("solve", "data", "width", 1e-300, "data.width"),
+        ("solve", "data", "center", 1e308, "data.center"),
+        ("solve", "grid", "L", 1e308, "grid.L"), ("solve", "grid", "L", 1e-300, "grid.L"),
+        ("solve", "grid", "k", 1e308, "grid.k"),
+        ("solve", "family", "params", {"speed": 1e308}, "family.params.speed"),
+        ("solve", "profile", "T", 1e308, "profile.T"),
+        ("solve", "profile", "T", 1e-300, "profile.T"),
+        ("solve", "data", "velocity_scale", 1e308, "data.velocity_scale"),
+        ("check-energy", "profile", "lambda", 1e308, "profile.lambda")])
+    def test_extreme_float_status_2(self, tmp_path, capsys, experiment, section, key, value,
+                                    field):
+        # each ended in an overflow or invalid-value RuntimeWarning traceback (exit 1):
+        # in the Gaussian data, the grid's x or <xi>_k^2, the symbols or the loss weight
+        cfg = {"experiment": experiment, "grid": {"N": 32}, "mesh": {"M": 64},
+               "data": {"velocity": "dx"}}
+        if section == "family":
+            cfg["family"] = {"id": "free-wave"}
+        cfg.setdefault(section, {})[key] = value
+        assert run(cfg, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert f"invalid field '{field}'" in err and "Traceback" not in err
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("experiment, section, key, value", [
+        ("solve", "grid", "L", 2.0**100), ("solve", "grid", "L", 2.0**-100),
+        ("solve", "grid", "k", 2.0**100), ("solve", "data", "width", 2.0**-100),
+        ("solve", "data", "center", -8.0), ("solve", "family", "params", {"speed": -2.0**100}),
+        ("solve", "profile", "T", 2.0**100), ("solve", "profile", "T", 2.0**-100),
+        ("solve", "data", "velocity_scale", 2.0**100),
+        ("check-energy", "profile", "lambda", 2.0**100)])
+    def test_extreme_float_in_range_runs_or_aborts(self, tmp_path, capsys, experiment, section,
+                                                   key, value):
+        # a value at the edge of its range runs, or ends in a named numerical abort (the CFL
+        # halvings or the loss exponent), never in a RuntimeWarning
+        cfg = {"experiment": experiment, "grid": {"N": 32}, "mesh": {"M": 64},
+               "data": {"velocity": "dx"}}
+        if section == "family":
+            cfg["family"] = {"id": "free-wave"}
+        cfg.setdefault(section, {})[key] = value
+        status = run(cfg, tmp_path)
+        assert status in (0, 3)
+        if status == 3:
+            assert "numerical abort: " in capsys.readouterr().err
+            assert (tmp_path / "abort.json").exists()
+
     def test_check_cone_failure_status_1(self, tmp_path):
         # a wide bump on a small torus reaches 3L/4: both cone checks are invalid
         cfg = {"experiment": "check-cone", "grid": {"L": 4.0, "N": 64, "k": 1.0},

@@ -14,7 +14,7 @@ from singhyp.solver import (CauchyProblem, Discretization, SolverError, SupportE
                             SystemOperators, TimeMesh, assemble_rhs, graded_mesh,
                             integrate, lower_operator, reduce_to_system, symbol_operator,
                             system_residual)
-from singhyp.structure import bracket, constant_pair, one, poly_pair, zero
+from singhyp.structure import StructurePair, bracket, constant_pair, one, poly_pair, zero
 from singhyp.symbols import (CharacteristicRoot, ExcisedCoefficient, HSymbol, char_root,
                              cut_sides, example_coefficient, excise, free_wave, h_symbol,
                              off_blend, reference_wave, separable_family, theorem_coefficient)
@@ -972,12 +972,14 @@ _DECLARED = {"excised.a": (ExcisedCoefficient, "a"), "defect": (ExcisedCoefficie
 
 def _column_counting(monkeypatch, name, fam):
     # the declared symbol ``name`` of ``fam``'s excision, its class method wrapped (keeping
-    # __wrapped__, as a tracer's wrapper does) to log the number of xi columns of each call
+    # __wrapped__, as a tracer's wrapper does) to log the number of xi columns and of x rows
+    # of each call
     cls, attr = _DECLARED[name]
-    orig, widths = getattr(cls, attr), []
+    orig, widths, heights = getattr(cls, attr), [], []
 
     def wrapper(self, t, x, xi):
         widths.append(np.shape(xi)[-1])
+        heights.append(np.shape(x)[0])
         return orig(self, t, x, xi)
 
     wrapper.__wrapped__ = orig
@@ -985,7 +987,23 @@ def _column_counting(monkeypatch, name, fam):
     excised = excise(fam)
     root = char_root(excised)
     owner = {ExcisedCoefficient: excised, CharacteristicRoot: root, HSymbol: h_symbol(root)}
-    return getattr(owner[cls], attr), widths
+    return getattr(owner[cls], attr), widths, heights
+
+
+def _even_but(factor, pair=None):
+    # the theorem family's g with m = <xi>_4^2, w = 1 and ``pair`` (poly_pair(0.5, 0.5)), but
+    # with e(x) = 1.25 + 0.25 tanh(x) (>= 1, not even) as ``factor``: "phi", "omega", "w" or
+    # None (no factor replaced)
+    base = theorem_coefficient(0.0, 1.25, pair=poly_pair(0.5, 0.5), k=4.0)
+    (g, _, _), dg, pair = base.separable, base.dg, pair or base.pair
+    odd = (lambda x: 1.25 + 0.25 * np.tanh(x), lambda x: 0.25 / np.cosh(x) ** 2)
+    om, dom = odd if factor == "omega" else (pair.omega, pair.domega)
+    phi, dphi = odd if factor == "phi" else (pair.phi, pair.dphi)
+    w, dw = odd if factor == "w" else (one, zero)
+    return separable_family(g, dg, w, dw, lambda xi: bracket(xi, 4.0) ** 2,
+                            lambda xi: 2.0 * xi, pair=StructurePair(om, phi, dom, dphi), k=4.0,
+                            p=0.0, q=1.25, r=0.0, T=1.0, c0=1.0, spectral_shift=True,
+                            x_dependent=True)
 
 
 class TestEvenFold:
@@ -995,19 +1013,23 @@ class TestEvenFold:
         # (at most ncols // 2 + 1, the Nyquist column its own pair) and the band and its
         # product are bitwise those of the lattice on every band column; at t = 0.1 the
         # band of every symbol holds the Nyquist column
+        # poly_pair's Phi and omega and the family's w = omega^2 are bitwise even on x, which
+        # holds its own negations on L = 8: the lattice is evaluated on rows 0 ... N/2 too
         grid = GridSpec(L=8.0, N=64, k=4.0)
         fam = theorem_coefficient(0.0, 1.25, pair=poly_pair(0.5, 0.5), k=4.0)
-        sym, widths = _column_counting(monkeypatch, name, fam)
-        assert off_blend(sym, grid.x, grid.xi)[1].even
+        sym, widths, heights = _column_counting(monkeypatch, name, fam)
+        f = off_blend(sym, grid.x, grid.xi)[1]
+        assert f.even and f.even_x
         op = symbol_operator(grid, fam, sym)
         assert op.path == "banded"
         u = GaussianBump(0.0, 0.45)(grid.x) * _band_field(grid)
         for t in (0.05, 0.1, 0.3):
-            del widths[:]
+            del widths[:], heights[:]
             band, cols, terms = op.part(t)
             if t == 0.1:
                 assert grid.N // 2 in cols
             assert len(widths) == (cols.size > 0) and all(w <= cols.size // 2 + 1 for w in widths)
+            assert heights == ([grid.N // 2 + 1] if cols.size else [])
             unfolded = kn_band(grid, sym(t, grid.x[:, None], grid.xi[cols][None, :]), cols)
             assert np.array_equal(band, unfolded)
             assert np.array_equal(op(t, u), _kn_product(grid, u, unfolded, cols, terms))
@@ -1023,18 +1045,60 @@ class TestEvenFold:
                                lambda xi: 2.0 * xi + 0.5, pair=base.pair, k=4.0, p=0.0,
                                q=1.25, r=0.0, T=1.0, c0=1.0, spectral_shift=True,
                                x_dependent=True)
-        sym, widths = _column_counting(monkeypatch, name, fam)
-        assert not off_blend(sym, grid.x, grid.xi)[1].even
+        # (its rows still fold: poly_pair and w = 1 are even)
+        sym, widths, heights = _column_counting(monkeypatch, name, fam)
+        f = off_blend(sym, grid.x, grid.xi)[1]
+        assert not f.even and f.even_x
         op = symbol_operator(grid, fam, sym)
         assert op.path == "banded"
         u = GaussianBump(0.0, 0.45)(grid.x) * _band_field(grid)
         for t in (0.05, 0.1, 0.3):
-            del widths[:]
+            del widths[:], heights[:]
             got = op(t, u)
             cols = op.part(t)[1]
             assert widths == ([cols.size] if cols.size else [])
+            assert heights == ([grid.N // 2 + 1] if cols.size else [])
             want = _dft_matrix_product(grid, sym(t, grid.x[:, None], grid.xi[None, :]), u)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @staticmethod
+    def _every_row(monkeypatch, name, grid, fam):
+        # the band of ``fam``'s declared symbol ``name`` on an even m: one column per +-xi
+        # pair, but every row evaluated, and the product matches the DFT-matrix product to
+        # rounding on the scale of max |symbol| max |u|
+        sym, widths, heights = _column_counting(monkeypatch, name, fam)
+        f = off_blend(sym, grid.x, grid.xi)[1]
+        assert f.even and not f.even_x
+        op = symbol_operator(grid, fam, sym)
+        assert op.path == "banded"
+        u = GaussianBump(0.0, 0.45)(grid.x) * _band_field(grid)
+        for t in (0.05, 0.1, 0.3):
+            del widths[:], heights[:]
+            got = op(t, u)
+            cols = op.part(t)[1]
+            assert heights == ([grid.N] if cols.size else [])
+            assert all(w <= cols.size // 2 + 1 for w in widths)
+            lattice = sym(t, grid.x[:, None], grid.xi[None, :])
+            want = _dft_matrix_product(grid, lattice, u)
+            scale = np.max(np.abs(lattice)) * np.max(np.abs(u))
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("name", list(_DECLARED))
+    def test_non_negating_grid_keeps_every_row(self, monkeypatch, name):
+        # on L = pi, x[1:] is not exactly -x[:0:-1]: every row is evaluated, even though
+        # the constant pair and w = 1 are bitwise even on it
+        grid = GridSpec(L=np.pi, N=64, k=4.0)
+        assert not np.array_equal(grid.x[1:], -grid.x[:0:-1])
+        self._every_row(monkeypatch, name, grid, _even_but(None, constant_pair()))
+
+    @pytest.mark.parametrize("factor", ["phi", "omega", "w"])
+    @pytest.mark.parametrize("name", list(_DECLARED))
+    def test_odd_factor_keeps_every_row(self, monkeypatch, name, factor):
+        # Phi, omega or w with an odd part (the other two even) on L = 8, where x holds its
+        # own negations: every row is evaluated
+        grid = GridSpec(L=8.0, N=64, k=4.0)
+        assert np.array_equal(grid.x[1:], -grid.x[:0:-1])
+        self._every_row(monkeypatch, name, grid, _even_but(factor))
 
 
 class TestExcisionSolve:
