@@ -19,14 +19,18 @@ A symbol ``a(x, xi)`` acts in left (Kohn-Nirenberg) quantization:
     ``(Op(a)u)(x_i) = (1/2L) * sum_j a(x_i, xi_j) coeff_j exp(i x_i xi_j)``
 
 i.e. the frequency part acts first, multiplication by x-factors second; for a
-product symbol ``g(x)m(xi)`` this is exactly ``g * (m(D)u)``.  :func:`kn_band`
-forms this product on some columns ``cols`` of the lattice, stored xi-major: the
-cached phase matrix ``exp(i xi_j x_i)`` has rows ``j``, so a band is a block of
-whole rows, and ``coeff[cols] @ band / (2L)`` is its part of ``Op(a)u``.  Symbol
-lattices are evaluated x-major (rows ``x``) and transposed only in that product.
-:func:`_kn_product` applies every such product (:func:`apply_kn`, the dense O(N^2)
-reference, the loss operator, the solver's banded and dense operators).  Every public
-operator takes a field or a batch of fields along the last axis, checked by :func:`_fields`.
+product symbol ``g(x)m(xi)`` this is exactly ``g * (m(D)u)``.  Symbol lattices are
+evaluated x-major (rows ``x``) and transposed only where a band is formed.
+
+:func:`kn_band` forms this product on some columns ``cols`` of the lattice, stored
+xi-major: the cached N x N phase matrix ``exp(i xi_j x_i)`` (``_kn_phase``) has rows ``j``,
+so a band is a block of whole rows, and ``coeff[cols] @ band / (2L)`` is its part of
+``Op(a)u``; :func:`_kn_product` applies it for :func:`apply_kn`, the dense O(N^2)
+reference, and the loss operator.  The solver's operators use :func:`kn_fold` instead: real
+cosine and sine bands on a cached table of ``xi_j x_i`` for ``xi_j >= 0`` only, applied by
+:func:`_kn_fold_product` to the sum and difference of each ``+-xi`` pair's coefficients and
+mirrored over ``+-x`` where the symbol is even in x.  Every public operator takes a field or
+a batch of fields along the last axis, checked by :func:`_fields`.
 
 Legitimacy of the torus model: structure functions are evaluated as given
 (non-periodic), so runs keep data supported in ``|x| <= L/2`` and stop before
@@ -52,6 +56,7 @@ __all__ = [
     "l2_norm",
     "apply_multiplier",
     "kn_band",
+    "kn_fold",
     "apply_kn",
     "loss_symbol",
     "loss_operator",
@@ -115,9 +120,10 @@ def _grid_arrays(grid: GridSpec):
     phase = np.where(j % 2 == 0, 1.0, -1.0)  # exp(i xi_j L) = (-1)^j
     xi_odd = np.where(i == grid.N // 2, 0.0, xi)
     dx_phase = grid.dx * phase  # dft_forward's factor of the raw FFT
-    for a in (x, xi, phase, xi_odd, dx_phase):
+    kn_scale = dx_phase / (2.0 * grid.L)  # and the Kohn-Nirenberg sum's
+    for a in (x, xi, phase, xi_odd, dx_phase, kn_scale):
         a.setflags(write=False)
-    return x, xi, phase, xi_odd, dx_phase
+    return x, xi, phase, xi_odd, dx_phase, kn_scale
 
 
 @lru_cache(maxsize=4)
@@ -126,6 +132,18 @@ def _kn_phase(grid: GridSpec) -> np.ndarray:
     E = np.exp(1j * np.outer(grid.xi, grid.x))
     E.setflags(write=False)
     return E
+
+
+@lru_cache(maxsize=4)
+def _kn_trig(grid: GridSpec, rows: int) -> np.ndarray:
+    """``(cos, sin)`` of ``xi_j x_i`` for ``j = 0 ... N/2`` and ``i < rows``, shape
+    ``(2, N/2 + 1, rows)``: bitwise the real and imaginary parts of :func:`_kn_phase`'s
+    entries, formed without an N x N or complex array.  Its row ``N - j``, ``-xi_j``, is
+    ``(cos, -sin)`` of row ``j``."""
+    theta = np.outer(grid.xi[:grid.N // 2 + 1], grid.x[:rows])
+    table = np.stack((np.cos(theta), np.sin(theta)))
+    table.setflags(write=False)
+    return table
 
 
 def _fields(grid: GridSpec, values, name: str = "field") -> np.ndarray:
@@ -186,6 +204,54 @@ def kn_band(grid: GridSpec, lattice, cols) -> np.ndarray:
     if not np.all(np.isfinite(lattice)):
         raise OverflowGuardError("Kohn-Nirenberg symbol not finite on the grid lattice")
     return _kn_phase(grid)[cols] * np.atleast_2d(lattice).T
+
+
+def kn_fold(grid: GridSpec, lattice, cols, fold_xi: bool, fold_x: bool):
+    """The band of ``Op(a)`` on the lattice columns ``cols``: ``K = [a cos(xi_j x); a sin(xi_j x)]``
+    on :func:`_kn_trig`'s rows, shape ``(2, len(cols), rows)``, and index maps ``(plus, minus)``
+    into ``F = dx (-1)^j fft(u) / (2L)`` padded with a zero, so the band's part of ``Op(a) u``
+    is ``P @ K[0] + i Q @ K[1]``, ``P, Q = F[plus] +- F[minus]``.  ``lattice`` (rows x) is
+    ``a`` on every row, or with ``fold_x`` (``a`` even in x, which holds its own negations) on
+    rows ``0 ... N/2``, row ``N - i`` of the product being row ``i``'s with ``Q`` negated.
+    With ``fold_xi`` (``a`` even in xi) ``cols`` holds only ``xi_j >= 0`` and the Nyquist,
+    column ``j`` standing for ``N - j`` too: ``P, Q = F_j +- F_{N-j}``.  An unpaired column
+    has ``P = Q = F_j``, or ``Q = -F_j`` where ``xi_j < 0``.  OverflowGuardError unless
+    ``lattice`` is finite."""
+    if not np.all(np.isfinite(lattice)):
+        raise OverflowGuardError("Kohn-Nirenberg symbol not finite on the grid lattice")
+    n, half = grid.N, grid.N // 2 + 1
+    neg = cols >= half
+    partner = np.where(fold_xi & (cols > 0) & (cols < n // 2), n - cols, n)
+    band = _kn_trig(grid, half if fold_x else n)[:, np.minimum(cols, n - cols)]
+    lattice = np.atleast_2d(lattice).T
+    band = band * lattice if np.iscomplexobj(lattice) else np.multiply(band, lattice, out=band)
+    return band, np.stack((np.where(neg, n, cols), np.where(neg, cols, partner)))
+
+
+def _kn_fold_product(grid: GridSpec, u, band, terms=()) -> np.ndarray:
+    """``Op(a) u`` of grid fields ``u`` (last axis, unchecked) on one raw FFT ``f``: the part of a
+    :func:`kn_fold` band (None for an empty band) plus ``w ifft(m f) = w m(D) u`` per ``(w, m)``
+    of ``terms``.  A real band is applied by real products on the real and imaginary parts."""
+    f = np.fft.fft(u)
+    parts = [w * np.fft.ifft(m * f) for w, m in terms]
+    if band is not None:
+        K, index = band
+        n, rows = grid.N, K.shape[-1]
+        F = np.zeros((n + 1, f.size // n), complex)  # the batch on the last axis, F[n] = 0
+        np.multiply(f.reshape(-1, n).T, _grid_arrays(grid)[5][:, None], out=F[:n])
+        G = F[index]
+        PQ = np.empty_like(G)
+        np.add(G[0], G[1], out=PQ[0])
+        np.subtract(G[0], G[1], out=PQ[1])
+        KT = K.swapaxes(1, 2)
+        AB = KT @ PQ if np.iscomplexobj(K) else (KT @ PQ.view(float)).view(complex)
+        A, iB = AB[0], 1j * AB[1]
+        part = np.empty_like(F[:n])
+        np.add(A, iB, out=part[:rows])
+        if rows < n:  # rows N/2 + 1 ... N - 1 mirror rows N/2 - 1 ... 1
+            np.subtract(A[rows - 2:0:-1], iB[rows - 2:0:-1], out=part[rows:])
+        parts.append(part.T.reshape(u.shape))
+    return sum(parts[1:], parts[0]) if parts else np.zeros(u.shape, complex)
 
 
 def _kn_product(grid: GridSpec, u, band, cols=slice(None), terms=()) -> np.ndarray:

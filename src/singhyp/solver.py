@@ -17,8 +17,8 @@ Every ``Op(sigma)`` comes from :func:`symbol_operator`, which picks its path onc
 (symbol, grid), and ``Op(b)`` from :func:`lower_operator`.  They act on the family's states:
 Fourier coefficients of a multiplier family (every operator is then diagonal in xi, and RK4
 transforms only at snapshots), grid values otherwise, through ``quantize._fft_multiply`` and
-``quantize._kn_product`` (this module makes no transform).  Each multiplier is checked once,
-where it is formed, and kept read-only.  The right-hand side is
+``quantize._kn_fold_product`` (this module makes no transform).  Each multiplier is checked
+once, where it is formed, and kept read-only.  The right-hand side is
 ``dv = -Op(a) u - Op(b) u - b0 v (+ F)`` (:meth:`Discretization.rhs`).
 
 The first-order reduction
@@ -49,9 +49,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 # apply_kn and apply_multiplier are not called here, but perfbench's self-test patches both;
-# _fft_multiply and _kn_product are called by name, so a hook on this module reaches them
-from .quantize import (GridSpec, _fft_multiply, _kn_product, _multiplier_values,  # noqa: F401
-                       apply_kn, apply_multiplier, dft_forward, dft_inverse, kn_band, l2_norm)
+# _fft_multiply, _kn_fold_product and kn_fold are called by name, so a hook on this module
+# reaches them
+from .quantize import (GridSpec, _fft_multiply, _kn_fold_product, _multiplier_values,  # noqa: F401
+                       apply_kn, apply_multiplier, dft_forward, dft_inverse, kn_fold, l2_norm)
 from .structure import bracket
 from .symbols import CoefficientFamily, char_root, cut_sides, excise, h_symbol, off_blend
 
@@ -276,14 +277,17 @@ def symbol_operator(grid: GridSpec, family: CoefficientFamily,
     diagonal product ``symbol(t, 0, xi) u`` (``diagonal``).  On grid values, a symbol
     whose method declares its form off the cutoff's blend (:func:`~singhyp.symbols.off_blend`)
     is multipliers on the columns :func:`~singhyp.symbols.cut_sides` puts off the blend and
-    :func:`kn_band` on the band of at most ``2/t * 2L/pi`` others (``banded``); any other
-    is all band (``dense``), both applied by ``quantize._kn_product``.  Where ``m`` is even
-    (``Separated.even``) a band's lattice is evaluated on one column per +-xi pair.  A declared
-    method reads x only through the pair's ``Phi`` and ``omega`` and the family's ``w``, so
-    where ``grid.x`` holds its own negations and those three are bitwise even on it
-    (``Separated.even_x``) the lattice is evaluated on one row per +-x pair, rows ``0 ... N/2``,
-    and the others copied.  A separable or diagonal operator evaluates ``g`` or ``symbol`` over
-    a column of times (:meth:`_Operator.prime`)."""
+    one band on the at most ``2/t * 2L/pi`` others (``banded``); any other is all band
+    (``dense``).  A band is :func:`~singhyp.quantize.kn_fold`'s real cosine and sine bands of
+    its evaluated lattice, applied with the multiplier terms on one raw FFT by
+    ``quantize._kn_fold_product``, with no N x N phase matrix.  Where ``m`` is even
+    (``Separated.even``) the lattice is evaluated on one column per +-xi pair, which applies
+    to the sum and difference of the pair's coefficients.  A declared method reads x only
+    through the pair's ``Phi`` and ``omega`` and the family's ``w``, so where ``grid.x``
+    holds its own negations and those three are bitwise even on it (``Separated.even_x``)
+    the lattice is evaluated on one row per +-x pair, rows ``0 ... N/2``, and row ``N - i``
+    of the product is row ``i``'s with its sine part negated.  A separable or diagonal
+    operator evaluates ``g`` or ``symbol`` over a column of times (:meth:`_Operator.prime`)."""
     space = _state_space(grid, family)
     if symbol is None and family.separable is not None:
         g, w, m = family.separable
@@ -299,44 +303,28 @@ def symbol_operator(grid: GridSpec, family: CoefficientFamily,
                          width=grid.N)
     forms = off_blend(symbol, grid.x, grid.xi)
     fold_xi, fold_x = (False, False) if forms is None else (forms[1].even, forms[1].even_x)
-    # pair[j]: the column whose value column j reads when m is even, j for xi_j >= 0 and the
-    # Nyquist (unpaired), N - j (-xi_j) for the other xi_j < 0; rows pair the same way when
-    # they fold: row i > N/2 (x_i > 0) reads row N - i (-x_i), and x_0 = -L is unpaired
-    half, pair = grid.N // 2 + 1, np.minimum(np.arange(grid.N), np.arange(grid.N, 0, -1))
+    half, every = grid.N // 2 + 1, np.arange(grid.N)
     rows = slice(half if fold_x else None)
 
     def parts(t):
-        terms, cols, evaluated, gather = [], slice(None), slice(None), slice(None)
+        terms, cols = [], every
         if forms is not None:
             form, f = forms
             lo, hi = cut_sides(t, f.phi, f.br, form.scale)
             terms = [(w, _multiplier_values(grid, np.where(mask, m, 0.0)))
                      for mask, side in ((lo, form.low), (hi, form.high)) if mask.any()
                      for w, m in side(f, t)]
-            on_band = ~(lo | hi)  # symmetric in +-xi, as <xi>_k is
-            cols = evaluated = np.flatnonzero(on_band)
-            if fold_xi:
-                evaluated = np.flatnonzero(on_band[:half])
-                gather = np.searchsorted(evaluated, pair[cols])
-            elif fold_x:
-                gather = np.arange(cols.size)
-        xi = grid.xi[evaluated]
-        lattice = 0.0
-        if xi.size:
-            values = symbol(t, grid.x[rows, None], xi[None, :])
-            if fold_x:
-                # rows 0 ... N/2 gathered into one array (mode "clip" writes to it unbuffered),
-                # then rows N/2 + 1 ... N - 1 copied from rows pair[i] = N/2 - 1 ... 1
-                lattice = np.empty((grid.N, gather.size), values.dtype)
-                values.take(gather, axis=1, out=lattice[rows], mode="clip")
-                lattice[half:] = lattice[half - 2:0:-1]
-            else:
-                lattice = values[:, gather]
-        band = kn_band(grid, lattice, cols)
-        return (band, cols, terms), len(band)
+            cols = np.flatnonzero(~(lo | hi))  # symmetric in +-xi, as <xi>_k is
+        band = None
+        if cols.size:
+            evaluated = cols[cols < half] if fold_xi else cols
+            lattice = symbol(t, grid.x[rows, None], grid.xi[evaluated][None, :])
+            band = kn_fold(grid, lattice, evaluated, fold_xi, fold_x)
+        return (band, cols, terms), cols.size
 
     return _Operator("dense" if forms is None else "banded",
-                     lambda parts, u: _kn_product(grid, u, *parts), parts=parts)
+                     lambda parts, u: _kn_fold_product(grid, u, parts[0], parts[2]),
+                     parts=parts)
 
 
 def _coefficient_operator(grid: GridSpec, family: CoefficientFamily, product: Callable,

@@ -738,15 +738,20 @@ def fit_blowup_exponents(family: CoefficientFamily):
     Windowed-envelope fitting on 14 phase-equidistributed windows of 128 samples,
     with the sup over the probes ``(x, xi) = (0, k), (1, 4k)``: the oscillatory
     factor's cosine zeros make raw pointwise log-fits unbounded below, while
-    per-window maxima track the envelope.
+    per-window maxima track the envelope.  Without an oscillation, or with one so
+    slow that those windows would reach below ``t = 1e-250``, the windows are
+    geometric on ``[1e-8, 1e-2]``.
     """
     n_windows, per_window = 14, 128
     probes = [(0.0, family.k), (1.0, 4.0 * family.k)]
     b = family.osc_exponent
     if b is None and family.q > 1.0:
         b = family.q - 1.0
-    edges = (_phase_window_edges(b, n_windows) if b is not None and b > 0.0
-             else np.geomspace(1e-8, 1e-2, n_windows + 1))
+    edges = _phase_window_edges(b, n_windows) if b is not None and b > 0.0 else None
+    if edges is None or edges[-1] < 1e-250:
+        # b < 0.0067 (the windows may underflow to 0): over [1e-8, 1e-2] the phase then
+        # turns by less than 0.1 pi, so |cos| stays near 1 and plain windows track the envelope
+        edges = np.geomspace(1e-8, 1e-2, n_windows + 1)
     refs = [(xx, ww, np.asarray(family.pair.omega(xx), dtype=float) ** 2
              * bracket(ww, family.k) ** 2) for xx, ww in probes]
 

@@ -385,6 +385,18 @@ class TestRun:
         assert "family:" in err and "constant in t" in err and "Traceback" not in err
         assert not (tmp_path / "verdict.json").exists()
 
+    @pytest.mark.parametrize("q", [1.001, 1.000001])
+    def test_symbol_report_slow_oscillation(self, tmp_path, q):
+        # q - 1 so small that sin(pi t**(1-q)) would turn only below t = 1e-250 (at 1.001 its
+        # phase windows underflow to 0): the fit falls back to plain windows and recovers q
+        cfg = {"experiment": "symbol-report", "grid": {"N": 32}, "mesh": {"M": 64},
+               "profile": {"q": q}}
+        assert run(cfg, tmp_path) == 0
+        payload = json.loads((tmp_path / "symbol_report.json").read_text())
+        assert abs(payload["q_fit"] - q) <= 0.1 and abs(payload["p_fit"]) <= 0.1
+        verdicts = json.loads((tmp_path / "verdict.json").read_text())["verdicts"]
+        assert all(v["pass"] for v in verdicts)
+
     def test_main_entry_point(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(dict(BASE)))

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from singhyp.quantize import (GridSpec, OverflowGuardError, SobolevIndex, _fft_multiply,
-                              _multiplier_values, apply_kn, apply_multiplier, dft_forward,
-                              dft_inverse, kn_band, l2_norm, loss_operator, loss_symbol,
-                              sobolev_norm)
+                              _kn_fold_product, _kn_product, _multiplier_values, apply_kn,
+                              apply_multiplier, dft_forward, dft_inverse, kn_band, kn_fold,
+                              l2_norm, loss_operator, loss_symbol, sobolev_norm)
 from singhyp.structure import bracket, constant_pair, poly_pair
 from singhyp.analysis import random_trig_poly
 
@@ -191,6 +191,40 @@ class TestKohnNirenberg:
             kn_band(grid, lattice, slice(0, 4))
         with pytest.raises(OverflowGuardError):
             kn_band(grid, lattice.real, np.r_[0, 1, grid.N - 2, grid.N - 1])
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("L", [np.pi, 8.0])
+    def test_folded_band_matches_the_phase_band(self, kind, L):
+        # the kn_fold band of a batch, on every fold the grid admits, against _kn_product on
+        # the kn_band of the whole lattice: columns folded over +-xi where the lattice is
+        # even in xi, rows over +-x where it is even in x and x holds its own negations
+        # (L = 8, not pi), a band with -xi columns unfolded, and an empty band
+        grid = GridSpec(L=L, N=64, k=1.0)
+        x, xi, N, half = grid.x, grid.xi, grid.N, grid.N // 2 + 1
+        even_x = np.array_equal(x[1:], -x[:0:-1])
+        rng = np.random.default_rng(3)
+        u = rng.standard_normal((2, 3, N)) + 1j * rng.standard_normal((2, 3, N))
+        full = (2.0 + np.cos(x / 3.0))[:, None] * bracket(xi, 1.0)[None, :] ** 2
+        if kind == "complex":
+            full = full * np.exp(1j * np.cos(x)[:, None] / (1.0 + xi * xi)[None, :])
+        for cols in (np.arange(N), np.r_[3:20, N - 19:N - 2], np.r_[5:9, N - 8:N - 4]):
+            want = _kn_product(grid, u, kn_band(grid, full[:, cols], cols), cols)
+            for fold_xi, fold_x in ((False, False), (True, False), (False, even_x),
+                                    (True, even_x)):
+                evaluated = cols[cols < half] if fold_xi else cols
+                rows = slice(half if fold_x else None)
+                band = kn_fold(grid, full[rows, evaluated], evaluated, fold_xi, fold_x)
+                got = _kn_fold_product(grid, u, band)
+                assert got.shape == u.shape
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.array_equal(_kn_fold_product(grid, u, None), np.zeros_like(u))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_folded_band_rejects_non_finite_lattice(self, grid, bad):
+        lattice = np.ones((grid.N // 2 + 1, 4))
+        lattice[7, 2] = bad
+        with pytest.raises(OverflowGuardError):
+            kn_fold(grid, lattice, np.arange(4), True, True)
 
     def test_unit_symbol_is_identity(self, grid, rand_field):
         out = apply_kn(grid, lambda x, xi: 1.0 + 0.0 * x + 0.0 * xi, rand_field)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singhyp.quantize import (GridSpec, OverflowGuardError, _kn_product, apply_kn,
-                              apply_multiplier, kn_band, l2_norm)
+from singhyp.quantize import (GridSpec, OverflowGuardError, _kn_phase, _kn_product, _kn_trig,
+                              apply_kn, apply_multiplier, kn_band, l2_norm)
 import singhyp.solver as solver
 from singhyp.solver import (CauchyProblem, Discretization, SolverError, SupportError,
                             SystemOperators, TimeMesh, assemble_rhs, graded_mesh,
@@ -1010,29 +1010,40 @@ class TestEvenFold:
     @pytest.mark.parametrize("name", list(_DECLARED))
     def test_folded_band_is_the_unfolded_one(self, monkeypatch, name):
         # m = <xi>_k^2 is even: the band's lattice is evaluated on one column per +-xi pair
-        # (at most ncols // 2 + 1, the Nyquist column its own pair) and the band and its
-        # product are bitwise those of the lattice on every band column; at t = 0.1 the
-        # band of every symbol holds the Nyquist column
+        # (at most ncols // 2 + 1, the Nyquist column its own pair), bitwise the block of the
+        # lattice on every band column that it covers, and its product is the unfolded band's
+        # to rounding on the scale of max |symbol| max |u|; at t = 0.1 the band of every
+        # symbol holds the Nyquist column
         # poly_pair's Phi and omega and the family's w = omega^2 are bitwise even on x, which
         # holds its own negations on L = 8: the lattice is evaluated on rows 0 ... N/2 too
         grid = GridSpec(L=8.0, N=64, k=4.0)
         fam = theorem_coefficient(0.0, 1.25, pair=poly_pair(0.5, 0.5), k=4.0)
         sym, widths, heights = _column_counting(monkeypatch, name, fam)
+        lattices = []
+
+        def kn_fold(grid, lattice, *args, _fold=solver.kn_fold):
+            lattices.append(lattice)
+            return _fold(grid, lattice, *args)
+        monkeypatch.setattr(solver, "kn_fold", kn_fold)
         f = off_blend(sym, grid.x, grid.xi)[1]
         assert f.even and f.even_x
         op = symbol_operator(grid, fam, sym)
         assert op.path == "banded"
         u = GaussianBump(0.0, 0.45)(grid.x) * _band_field(grid)
         for t in (0.05, 0.1, 0.3):
-            del widths[:], heights[:]
+            del widths[:], heights[:], lattices[:]
             band, cols, terms = op.part(t)
             if t == 0.1:
                 assert grid.N // 2 in cols
             assert len(widths) == (cols.size > 0) and all(w <= cols.size // 2 + 1 for w in widths)
             assert heights == ([grid.N // 2 + 1] if cols.size else [])
-            unfolded = kn_band(grid, sym(t, grid.x[:, None], grid.xi[cols][None, :]), cols)
-            assert np.array_equal(band, unfolded)
-            assert np.array_equal(op(t, u), _kn_product(grid, u, unfolded, cols, terms))
+            lattice = sym(t, grid.x[:, None], grid.xi[cols][None, :])
+            assert len(lattices) == (cols.size > 0) and all(
+                np.array_equal(got, lattice[:grid.N // 2 + 1, :got.shape[1]]) for got in lattices)
+            want = _kn_product(grid, u, kn_band(grid, lattice, cols), cols, terms)
+            full = sym(t, grid.x[:, None], grid.xi[None, :])
+            scale = np.max(np.abs(full)) * np.max(np.abs(u))
+            assert np.max(np.abs(op(t, u) - want)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("name", list(_DECLARED))
     def test_odd_multiplier_keeps_the_unfolded_band(self, monkeypatch, name):
@@ -1106,7 +1117,7 @@ class TestExcisionSolve:
         # the excised x-dependent principal part forms its band product at most once
         # per stage time (RK4 stages 2 and 3 share one), and over far fewer than N
         # lattice columns per time
-        counts = {"kn_band": 0, "_rk4_step": 0, "dft_forward": 0, "dft_inverse": 0}
+        counts = {"kn_fold": 0, "_rk4_step": 0, "dft_forward": 0, "dft_inverse": 0}
         for name in counts:
             _counting(monkeypatch, counts, solver, name)
         grid = GridSpec(L=8.0, N=64, k=4.0)
@@ -1117,14 +1128,53 @@ class TestExcisionSolve:
         mesh = graded_mesh(fam, 0.0, 1.0, 256)
         traj = integrate(prob, grid, mesh, [0.5, 1.0])
         assert traj.stats["halvings"] == 0 and traj.stats["operator"] == "banded"
-        assert 0 < counts["kn_band"] <= 3 * counts["_rk4_step"]
+        assert 0 < counts["kn_fold"] <= 3 * counts["_rk4_step"]
         # the band and each multiplier term share one raw FFT, with no DFT call
         assert counts["dft_forward"] == counts["dft_inverse"] == 0
-        assert 0 < traj.stats["lattice_evals"] <= min(counts["kn_band"],
+        assert 0 < traj.stats["lattice_evals"] <= min(counts["kn_fold"],
                                                       2 * counts["_rk4_step"] + 1)
         t0, dt = mesh.nodes[:-1], np.diff(mesh.nodes)
         stage_times = np.unique(np.concatenate([t0, t0 + 0.5 * dt, t0 + dt]))
         assert 0 < traj.stats["lattice_columns"] < grid.N * stage_times.size
+
+    def test_no_phase_matrix(self):
+        # an excised solve applies its bands on the (cos, sin) table of xi_j x_i, xi_j >= 0,
+        # and forms no N x N exp(i xi_j x_i); the table's rows are that matrix's xi >= 0
+        # rows bit for bit, and (cos, -sin) its -xi rows, on a grid that holds its own
+        # negations (L = 8) and on one that does not (L = pi)
+        grid = GridSpec(L=8.0, N=64, k=4.0)
+        fam = theorem_coefficient(0.0, 1.25, pair=poly_pair(0.5, 0.5), k=4.0)
+        f1 = GaussianBump(0.0, 0.45)(grid.x) * _band_field(grid)
+        prob = CauchyProblem(family=fam, f1=f1, f2=np.zeros_like(f1), t_start=0.0, T=1.0,
+                             use_excision=True)
+        _kn_phase.cache_clear()
+        traj = integrate(prob, grid, graded_mesh(fam, 0.0, 1.0, 64), [0.5, 1.0])
+        assert traj.stats["operator"] == "banded" and traj.stats["lattice_evals"] > 0
+        assert _kn_phase.cache_info().currsize == 0
+        for g in (grid, GridSpec(L=np.pi, N=64, k=4.0)):
+            E, half = _kn_phase(g), g.N // 2 + 1
+            for rows in (half, g.N):
+                cos, sin = _kn_trig(g, rows)
+                assert np.array_equal(cos, E[:half, :rows].real)
+                assert np.array_equal(sin, E[:half, :rows].imag)
+                assert np.array_equal(cos[half - 2:0:-1], E[half:, :rows].real)
+                assert np.array_equal(-sin[half - 2:0:-1], E[half:, :rows].imag)
+
+    def test_excised_operator_is_not_local(self):
+        # excised_dense's family and seed-1 data on L = 8: one application of Op(atilde) at
+        # t = 0.05 already puts 6.8e-5 of its peak beyond |x| = 3L/4, where the torus model
+        # is meant to stay clean, while Op(a) (the dense product) is at rounding there
+        grid = GridSpec(L=8.0, N=256, k=4.0)
+        fam = theorem_coefficient(0.0, 1.25, pair=poly_pair(0.5, 0.5), k=4.0)
+        u = random_trig_poly(8, seed=1)(grid.x) * GaussianBump(0.0, 0.45)(grid.x)
+        far = np.abs(grid.x) >= 0.75 * grid.L
+
+        def edge_mass(sym):
+            w = symbol_operator(grid, fam, sym)(0.05, u)
+            return np.max(np.abs(w[far])) / np.max(np.abs(w))
+
+        assert 3e-5 <= edge_mass(excise(fam).a) <= 1.5e-4
+        assert edge_mass(fam.a) < 1e-12
 
     def test_counters_locate_halvings(self, monkeypatch):
         # a coarse mesh halves the later steps: halving_steps names each one with its
