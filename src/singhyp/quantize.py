@@ -32,6 +32,12 @@ cosine and sine bands on a cached table of ``xi_j x_i`` for ``xi_j >= 0`` only, 
 mirrored over ``+-x`` where the symbol is even in x.  Every public operator takes a field or
 a batch of fields along the last axis, checked by :func:`_fields`.
 
+:func:`_modal_basis` diagonalises a separable ``w(x) m(D)`` with ``w > 0`` and ``m`` real
+and even: ``m(D)`` is a real symmetric circulant ``C``, so ``W^(1/2) C W^(1/2)`` is symmetric
+and one ``eigh`` gives its eigenvalues and orthogonal eigenvectors ``Q``, the one N x N array
+kept.  The solver's modal states are the coefficients ``z`` of ``u = W^(1/2) Q z``; it changes
+basis by :func:`_real_matmul`, real products on the real and imaginary parts.
+
 Legitimacy of the torus model: structure functions are evaluated as given
 (non-periodic), so runs keep data supported in ``|x| <= L/2`` and stop before
 the dependence cone reaches ``|x| = 3L/4``; x-independent problems are exactly
@@ -187,6 +193,30 @@ def _fft_multiply(m: np.ndarray, u: np.ndarray) -> np.ndarray:
     unchecked: ``ifft(fft(u) * m)`` is ``dft_inverse(dft_forward(u) * m)``, as the phases
     ``(-1)^j`` square to 1 and ``dx`` cancels, bitwise when ``dx`` is a power of two."""
     return np.fft.ifft(np.fft.fft(u) * m)
+
+
+def _modal_basis(grid: GridSpec, w: np.ndarray, m: np.ndarray):
+    """``(lam, Q, sw)`` with ``w(x) m(D) = W^(1/2) Q diag(lam) Q^T W^(-1/2)`` on grid values,
+    for the values ``w > 0`` on ``grid.x`` and ``m`` real and even on ``grid.xi``
+    (``m[j] == m[N - j]``).  ``m(D)`` is then the real symmetric circulant
+    ``C[i, j] = c[(i - j) mod N]``, ``c = ifft(m)``, formed by one index gather, so
+    ``S = W^(1/2) C W^(1/2)`` (``W = diag(w)``) is symmetric and ``eigh`` gives
+    ``S = Q diag(lam) Q^T``; ``sw = sqrt(w)``.  ``Q`` is the one N x N array kept."""
+    i = np.arange(grid.N)
+    sw = np.sqrt(w)
+    S = np.fft.ifft(m).real[np.subtract.outer(i, i) % grid.N]
+    S *= sw[:, None]
+    S *= sw
+    lam, Q = np.linalg.eigh(S)
+    return lam, Q, sw
+
+
+def _real_matmul(z: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """``z @ A`` of a complex ``z`` and a real ``A``, as real products on ``z``'s real and
+    imaginary parts (no complex copy of ``A``)."""
+    out = np.empty(z.shape[:-1] + A.shape[-1:], dtype=complex)
+    out.real, out.imag = z.real @ A, z.imag @ A
+    return out
 
 
 def apply_multiplier(grid: GridSpec, m, values) -> np.ndarray:

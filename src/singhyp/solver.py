@@ -17,8 +17,14 @@ Every ``Op(sigma)`` comes from :func:`symbol_operator`, which picks its path onc
 (symbol, grid), and ``Op(b)`` from :func:`lower_operator`.  They act on the family's states:
 Fourier coefficients of a multiplier family (every operator is then diagonal in xi, and RK4
 transforms only at snapshots), grid values otherwise, through ``quantize._fft_multiply`` and
-``quantize._kn_fold_product`` (this module makes no transform).  Each multiplier is checked
-once, where it is formed, and kept read-only.  The right-hand side is
+``quantize._kn_fold_product`` (this module makes no transform).  :func:`integrate` alone may
+step a third space, ``modal`` (:func:`_modal_space`): where the only operator is the family's
+separable ``g(t) w(x) m(D)``, x-dependent, with ``w > 0``, ``m`` real and even, no ``b0``,
+``b1``, ``b2``, forcing or excision, ``N <= 1024`` and ``N**2 <= 256 M``, it steps the
+coefficients of the state in the eigenbasis of ``w(x) m(D)``, formed once per solve, on which
+that operator is diagonal; it changes basis only at the data and at snapshots.
+``stats["space"]`` names the space of a solve: ``fourier``, ``modal`` or ``physical``.  Each
+multiplier is checked once, where it is formed, and kept read-only.  The right-hand side is
 ``dv = -Op(a) u - Op(b) u - b0 v (+ F)`` (:meth:`Discretization.rhs`).
 
 The first-order reduction
@@ -49,10 +55,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 # apply_kn and apply_multiplier are not called here, but perfbench's self-test patches both;
-# _fft_multiply, _kn_fold_product and kn_fold are called by name, so a hook on this module
-# reaches them
-from .quantize import (GridSpec, _fft_multiply, _kn_fold_product, _multiplier_values,  # noqa: F401
-                       apply_kn, apply_multiplier, dft_forward, dft_inverse, kn_fold, l2_norm)
+# _fft_multiply, _kn_fold_product, kn_fold, _modal_basis and _real_matmul are called by name,
+# so a hook on this module reaches them
+from .quantize import (GridSpec, _fft_multiply, _kn_fold_product, _modal_basis,  # noqa: F401
+                       _multiplier_values, _real_matmul, apply_kn, apply_multiplier, dft_forward,
+                       dft_inverse, kn_fold, l2_norm)
 from .structure import bracket
 from .symbols import CoefficientFamily, char_root, cut_sides, excise, h_symbol, off_blend
 
@@ -66,6 +73,10 @@ CFL_SAFETY = 0.5
 # a table of parts holds at most this many times, and at most this many
 # coefficient values (32 KiB of float64), per operator
 _TABLE_TIMES, _TABLE_VALUES = 768, 1 << 12
+# integrate steps the modal space only where N <= _MODAL_MAX_N (an N x N basis of at most
+# 8 MiB) and N**2 <= _MODAL_N2_PER_STEP * M, where the basis's O(N**3) eigh is repaid by the
+# FFT pairs it saves (calibrated on the theorem family with the poly pair, see CHANGES.md)
+_MODAL_MAX_N, _MODAL_N2_PER_STEP = 1024, 256
 
 
 class SolverError(RuntimeError):
@@ -188,7 +199,12 @@ class Trajectory:
             raise ValueError("snapshot times must be strictly increasing")
 
 
-_StateSpace = namedtuple("_StateSpace", "name x multiply term state field")
+_StateSpace = namedtuple("_StateSpace", "name x multiply term state field modes",
+                         defaults=(None,))
+
+
+def _diagonal_term(b, m, u):
+    return m * (b * u)
 
 
 def _state_space(grid: GridSpec, family: CoefficientFamily) -> _StateSpace:
@@ -196,16 +212,43 @@ def _state_space(grid: GridSpec, family: CoefficientFamily) -> _StateSpace:
     coefficients read at ``x = 0``, for a multiplier family; on grid values otherwise.
     ``multiply(m, u)`` applies ``m(D)`` given on ``grid.xi``, ``term(b, m, u)`` is
     ``b(x) m(D) u`` (``m (b u)`` on Fourier coefficients), ``state``/``field`` convert grid
-    fields to states and back (along the last axis: a stacked ``(u, v)`` in one call)."""
+    fields to states and back (along the last axis: a stacked ``(u, v)`` in one call).
+    :func:`integrate` alone may step a third space, :func:`_modal_space`'s."""
     if family.is_multiplier:
-        return _StateSpace("fourier", 0.0, operator.mul, lambda b, m, u: m * (b * u),
+        return _StateSpace("fourier", 0.0, operator.mul, _diagonal_term,
                            lambda f: dft_forward(grid, f), lambda c: dft_inverse(grid, c))
     return _StateSpace("physical", grid.x, _fft_multiply, lambda b, m, u: b * _fft_multiply(m, u),
                        lambda f: f, lambda c: c)
 
 
+def _modal_space(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh) -> _StateSpace | None:
+    """The coefficients ``z`` of ``u = W^(1/2) Q z`` in the eigenbasis of ``w(x) m(D)``
+    (``quantize._modal_basis``), where ``Op(a) = g(t) w(x) m(D)`` is ``g(t) diag(modes)``;
+    None unless every condition holds: the principal part is the family's own separable ``a``
+    (no excision) and the family is x-dependent, with no ``b0``, ``b1``, ``b2`` or forcing;
+    ``w > 0`` (and finite) on ``grid.x`` and ``m`` real, finite and bitwise even on ``grid.xi``;
+    ``N <= _MODAL_MAX_N`` and ``N**2 <= _MODAL_N2_PER_STEP * M``.  The states are read at
+    ``grid.x``, as on grid values; ``state`` is ``(f / sqrt(w)) @ Q`` and ``field`` is
+    ``(z @ Q^T) sqrt(w)``, both real products on real and imaginary parts."""
+    fam, n = problem.family, grid.N
+    if (problem.use_excision or not fam.x_dependent or fam.separable is None
+            or any(b is not None for b in (fam.b0, fam.b1, fam.b2, problem.forcing))
+            or n > _MODAL_MAX_N or n * n > _MODAL_N2_PER_STEP * mesh.M):
+        return None
+    _, w, m = fam.separable
+    w = np.broadcast_to(np.asarray(w(grid.x), dtype=float), (n,))
+    m = np.broadcast_to(m(grid.xi), (n,))
+    if not (np.all((w > 0.0) & (w < np.inf)) and np.all(np.isreal(m))
+            and np.all(np.isfinite(m)) and np.array_equal(m[1:], m[:0:-1])):
+        return None
+    lam, Q, sw = _modal_basis(grid, w, m.real)
+    return _StateSpace("modal", grid.x, None, _diagonal_term,
+                       lambda f: _real_matmul(f / sw, Q), lambda z: _real_matmul(z, Q.T) * sw, lam)
+
+
 def _negated_mu(first: _Operator, lower: _Operator | None) -> _Operator:
-    """``-(first + lower)`` of diagonal operators on Fourier coefficients: one product with
+    """``-(first + lower)`` of diagonal operators (on Fourier coefficients or modal states,
+    where ``lower`` is None): one product with
     its row ``-mu(t)``, formed when a ``t`` is first read as ``first(t, -1.0) + lower(t, -1.0)``,
     each operator's own apply without the instance call (a measurable share of a row)."""
     def parts(t):
@@ -225,7 +268,8 @@ class _Operator:
     and its number of lattice columns (summed in ``lattice_columns``; ``lattice_evals`` counts
     the lattices formed).  On a miss (counted in ``formed``) the table keeps that ``t`` alone,
     formed by ``column(np.array([t]))`` or ``parts(t)``, unless it is a dense N x N matrix.
-    On Fourier coefficients every operator is diagonal, and ``op(t, -1.0)`` is its row negated."""
+    On Fourier coefficients every operator is diagonal, and so is the separable principal
+    part on modal states: ``op(t, -1.0)`` is its row negated."""
 
     def __init__(self, path: str, apply: Callable, column: Callable | None = None,
                  parts: Callable | None = None, width: int = 1):
@@ -266,7 +310,7 @@ def _rows(f: Callable, ts: np.ndarray, x) -> list:
 
 
 def symbol_operator(grid: GridSpec, family: CoefficientFamily,
-                    symbol: Callable | None = None) -> _Operator:
+                    symbol: Callable | None = None, space: _StateSpace | None = None) -> _Operator:
     """``(t, u) -> Op(symbol(t, ., .)) u`` on the family's states, with the path
     chosen once and named by the operator's ``path``.
 
@@ -287,10 +331,15 @@ def symbol_operator(grid: GridSpec, family: CoefficientFamily,
     holds its own negations and those three are bitwise even on it (``Separated.even_x``)
     the lattice is evaluated on one row per +-x pair, rows ``0 ... N/2``, and row ``N - i``
     of the product is row ``i``'s with its sine part negated.  A separable or diagonal
-    operator evaluates ``g`` or ``symbol`` over a column of times (:meth:`_Operator.prime`)."""
-    space = _state_space(grid, family)
+    operator evaluates ``g`` or ``symbol`` over a column of times (:meth:`_Operator.prime`).
+    ``space`` defaults to the family's (:func:`_state_space`); on :func:`_modal_space`'s, the
+    family's ``a`` is the diagonal product ``g(t) modes``."""
+    space = space or _state_space(grid, family)
     if symbol is None and family.separable is not None:
         g, w, m = family.separable
+        if space.modes is not None:
+            return _Operator("separable", lambda gt, u: space.term(gt, space.modes, u),
+                             lambda ts: _rows(lambda t, x: g(t), ts, 0.0))
         w = np.asarray(w(space.x), dtype=float)
         m = _multiplier_values(grid, m)
         return _Operator("separable", lambda gw, u: space.term(gw, m, u),
@@ -311,9 +360,13 @@ def symbol_operator(grid: GridSpec, family: CoefficientFamily,
         if forms is not None:
             form, f = forms
             lo, hi = cut_sides(t, f.phi, f.br, form.scale)
-            terms = [(w, _multiplier_values(grid, np.where(mask, m, 0.0)))
-                     for mask, side in ((lo, form.low), (hi, form.high)) if mask.any()
-                     for w, m in side(f, t)]
+            # terms of bitwise-equal weights are summed in xi, to be applied by one ifft
+            summed = {}
+            for mask, side in ((lo, form.low), (hi, form.high)):
+                for w, m in side(f, t) if mask.any() else ():
+                    key = w.tobytes()
+                    summed[key] = w, summed.get(key, (w, 0.0))[1] + np.where(mask, m, 0.0)
+            terms = [(w, _multiplier_values(grid, m)) for w, m in summed.values()]
             cols = np.flatnonzero(~(lo | hi))  # symmetric in +-xi, as <xi>_k is
         band = None
         if cols.size:
@@ -362,11 +415,12 @@ class _Operators:
     tabulates every operator's coefficients over a column of at most ``times_per_table``
     times."""
 
-    def __init__(self, problem: CauchyProblem, grid: GridSpec, *ops: _Operator):
+    def __init__(self, problem: CauchyProblem, grid: GridSpec, *ops: _Operator,
+                 space: _StateSpace | None = None):
         problem.validate(grid)
         fam = problem.family
         self.problem, self.grid = problem, grid
-        self.space = _state_space(grid, fam)
+        self.space = space or _state_space(grid, fam)
         self.state, self.field = self.space.state, self.space.field
         self.apply_lower = lower_operator(grid, fam)
         self.apply_b0 = (None if fam.b0 is None
@@ -394,19 +448,20 @@ class Discretization(_Operators):
     otherwise.  :meth:`rhs` acts on the stacked state ``(u, v)`` through
     :func:`symbol_operator` and :func:`lower_operator`, and the ``b0`` multiplication: on
     Fourier coefficients ``apply_negated`` is their ``-(Op(a) + Op(b))``, one row ``-mu(t)``
-    per time, each operator's own product at ``-1.0`` (:func:`_negated_mu`); on grid values
-    it is None.  ``b0 v`` is the tabulated ``b0`` times ``v``, formed in one buffer per
-    discretization.
+    per time, each operator's own product at ``-1.0`` (:func:`_negated_mu`), and so on modal
+    states, where it is ``-g(t) modes``; on grid values it is None.  ``space`` is the family's
+    (:func:`_state_space`) unless given (:func:`integrate` gives :func:`_modal_space`'s).
+    ``b0 v`` is the tabulated ``b0`` times ``v``, formed in one buffer per discretization.
     """
 
-    def __init__(self, problem: CauchyProblem, grid: GridSpec):
+    def __init__(self, problem: CauchyProblem, grid: GridSpec, space: _StateSpace | None = None):
         fam = problem.family
         atilde = excise(fam).a if problem.use_excision else None
         self.symbol = fam.a if atilde is None else atilde
-        self.apply_principal = symbol_operator(grid, fam, atilde)
-        super().__init__(problem, grid, self.apply_principal)
+        self.apply_principal = symbol_operator(grid, fam, atilde, space)
+        super().__init__(problem, grid, self.apply_principal, space=space)
         problem.check_support(grid)
-        self.apply_negated = None if self.space.name != "fourier" else _negated_mu(
+        self.apply_negated = None if self.space.name == "physical" else _negated_mu(
             self.apply_principal, self.apply_lower)
         self._b0v = None if self.apply_b0 is None else np.empty(grid.N, dtype=complex)
 
@@ -524,9 +579,12 @@ def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
     mesh nodes nearest the requested output times, which must be finite (the stored snapshot
     time is the exact node time; requests nearest the same node share one snapshot, and
     ``stats`` lists the sorted requests as ``requested_times``).  Steps run on the state space
-    of :class:`Discretization`, named by ``stats["space"]`` (and ``operator``,
-    ``lattice_columns``, ``lattice_evals``).  ``stats["halving_steps"]`` maps each halved mesh
-    step to its level, and ``stats["substeps"]`` counts the RK4 substeps.
+    of :class:`Discretization`, the modal one where :func:`_modal_space`'s rule holds for the
+    problem, grid and mesh (its basis formed here, once per solve), named by ``stats["space"]``
+    (``fourier``, ``modal`` or ``physical``; and ``operator``, ``lattice_columns``,
+    ``lattice_evals``, and ``rows``, the rows ``-mu(t)`` formed on the first two).
+    ``stats["halving_steps"]`` maps each halved mesh step to its level, and
+    ``stats["substeps"]`` counts the RK4 substeps.
 
     The vector field is never sampled at a singular ``t_start``: the first step then uses
     midpoint-only stages.  Steps violating the CFL bound ``dt <= 0.5 dx / speed_bound`` are
@@ -534,7 +592,7 @@ def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
     :func:`_substeps` yields for a block of substeps (:meth:`Discretization.prime`) before
     the block is stepped.
     """
-    disc = Discretization(problem, grid)
+    disc = Discretization(problem, grid, _modal_space(problem, grid, mesh))
     nodes = mesh.nodes
     if abs(nodes[0] - problem.t_start) > 1e-14 * max(1.0, problem.t_start):
         raise ValueError("mesh must start at problem.t_start")

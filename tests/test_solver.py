@@ -350,13 +350,16 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="output_times must be finite"):
             integrate(prob, grid, graded_mesh(fam, 0.0, 1.0, 8), [bad, 0.5])
 
-    @pytest.mark.parametrize("space", ["fourier", "physical"])
+    @pytest.mark.parametrize("space", ["fourier", "physical", "modal"])
     def test_snapshots_share_no_memory(self, space):
         # each step replaces the stacked state: a step updating it in place would make
-        # the snapshots (rows of the states on grid values) alias one another
+        # the snapshots (rows of the states on grid values) alias one another; the free
+        # wave flagged x-dependent steps the modal space, and with a b2 grid values
         prob, grid, _, _ = _problem(free_wave(1.0), GridSpec(L=8.0, N=32, k=1.0), 0.0, 16)
         bump = GaussianBump(0.0, 0.45)(grid.x)
-        fam = _physical(prob.family) if space == "physical" else prob.family
+        fam = prob.family if space == "fourier" else _physical(prob.family)
+        if space == "physical":
+            fam = dataclasses.replace(fam, b2=lambda t, x: 0.25 + 0.0 * x)
         prob = dataclasses.replace(prob, family=fam, f1=bump * prob.f1, f2=bump * prob.f2)
         traj = integrate(prob, grid, graded_mesh(fam, 0.0, 1.0, 16), np.linspace(0.0, 1.0, 5))
         assert traj.stats["space"] == space and len(traj.snapshots) == 5
@@ -725,8 +728,13 @@ class TestFourierState:
         theorem = CauchyProblem(family=theorem_coefficient(0.0, 1.25, pair=poly_pair(0.5, 0.5),
                                                            k=4.0),
                                 f1=f1, f2=np.zeros_like(f1), t_start=0.0, T=1.0)
+        # M = 48 keeps grid values (N**2 > 256 M), and M = 64 steps the modal space, in
+        # blocks of 32 substeps
         for space, prob, grid, M in (("fourier", prob73, grid73, 640),
-                                     ("physical", theorem, grid, 48)):
+                                     ("physical", theorem, grid, 48),
+                                     ("modal", theorem, grid, 64)):
+            if space == "modal":
+                monkeypatch.setattr(solver, "_TABLE_TIMES", 96)
             fam = prob.family
             g, w, m = fam.separable
             b1 = fam.b1 and counted("b1", fam.b1)
@@ -734,7 +742,8 @@ class TestFourierState:
             prob = dataclasses.replace(prob, family=fam)
             counts.update(dict.fromkeys(counts, 0))  # the family's construction probes g, b1
             traj = integrate(prob, grid, graded_mesh(fam, 0.0, 1.0, M), [1.0])
-            disc = Discretization(prob, grid)
+            disc = Discretization(prob, grid, solver._modal_space(prob, grid, traj.mesh))
+            assert disc.space.name == space
             n = traj.stats["substeps"]
             blocks = -(-n // (disc.times_per_table // 3))
             chunks = -(-M // (solver._TABLE_VALUES // np.size(disc.space.x)))
@@ -747,8 +756,10 @@ class TestFourierState:
             assert counts["b1"] == (blocks + 1 if b1 else 0)
 
     def test_transforms_only_at_data_and_snapshots(self, monkeypatch):
-        counts = {"dft_forward": 0, "dft_inverse": 0, "_fft_multiply": 0, "rhs": 0}
-        for name in ("dft_forward", "dft_inverse", "_fft_multiply"):
+        counts = dict.fromkeys(("dft_forward", "dft_inverse", "_fft_multiply", "_modal_basis",
+                                "_real_matmul", "rhs"), 0)
+        for name in ("dft_forward", "dft_inverse", "_fft_multiply", "_modal_basis",
+                     "_real_matmul"):
             _counting(monkeypatch, counts, solver, name)
         _counting(monkeypatch, counts, Discretization, "rhs")
         prob, grid, M, _ = _problem(counterexample_family("7.3"), _PI64, 0.0, 256)
@@ -758,19 +769,34 @@ class TestFourierState:
         # the stacked (u, v) converts in one call: once at the data, once per snapshot
         assert (counts["dft_forward"], counts["dft_inverse"], counts["_fft_multiply"]) \
             == (1, S, 0)
+        assert counts["_modal_basis"] == counts["_real_matmul"] == 0
         assert (traj.stats["operator"], traj.stats["lattice_columns"],
                 traj.stats["lattice_evals"]) == ("separable", 0, 0)
 
-        # an x-dependent family keeps the physical path: one multiplier per RHS
+        # an x-dependent family with a b2 keeps the physical path: one multiplier per RHS
         counts.update(dict.fromkeys(counts, 0))
         grid = GridSpec(L=8.0, N=64, k=4.0)
         fam = theorem_coefficient(0.0, 1.25, pair=poly_pair(0.5, 0.5), k=4.0)
         f1 = GaussianBump(0.0, 0.45)(grid.x) * _band_field(grid)
-        prob = CauchyProblem(family=fam, f1=f1, f2=np.zeros_like(f1), t_start=0.0, T=1.0)
+        prob = CauchyProblem(family=dataclasses.replace(fam, b2=lambda t, x: 0.25 + 0.0 * x),
+                             f1=f1, f2=np.zeros_like(f1), t_start=0.0, T=1.0)
         traj = integrate(prob, grid, graded_mesh(fam, 0.0, 1.0, 64), [0.5, 1.0])
         assert traj.stats["space"] == "physical" and traj.stats["lattice_evals"] == 0
         assert counts["rhs"] > 0 and counts["_fft_multiply"] == counts["rhs"]
         assert counts["dft_forward"] == counts["dft_inverse"] == 0
+        assert counts["_modal_basis"] == counts["_real_matmul"] == 0
+
+        # without it the modal space: one basis, and one real change of basis at the data
+        # and one per snapshot, with no transform per RHS
+        counts.update(dict.fromkeys(counts, 0))
+        prob = dataclasses.replace(prob, family=fam)
+        traj = integrate(prob, grid, graded_mesh(fam, 0.0, 1.0, 64), [0.5, 1.0])
+        S = len(traj.snapshots)
+        assert traj.stats["space"] == "modal" and S == 2 and counts["rhs"] > 0
+        assert (counts["_modal_basis"], counts["_real_matmul"]) == (1, 1 + S)
+        assert counts["_fft_multiply"] == counts["dft_forward"] == counts["dft_inverse"] == 0
+        assert (traj.stats["operator"], traj.stats["lattice_columns"],
+                traj.stats["lattice_evals"]) == ("separable", 0, 0)
 
 
     @pytest.mark.parametrize("N", [32, 1024])
@@ -817,6 +843,102 @@ class TestFourierState:
         want = _dft_matrix_product(grid, lattice, u)
         got = space.field(op(t, space.state(u)))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+_MODAL_FAMILIES = {
+    "theorem-poly": lambda: theorem_coefficient(0.0, 1.25, pair=poly_pair(0.5, 0.5), k=4.0),
+    "example11": lambda: example_coefficient(0.5, 0.5, k=4.0),  # m(0) = 0: a zero eigenvalue
+}
+
+
+def _modal_problem(name, N, t_start=0.0, **kw):
+    grid = GridSpec(L=8.0, N=N, k=4.0)
+    f1 = GaussianBump(0.0, 0.45)(grid.x) * _band_field(grid)
+    return CauchyProblem(family=_MODAL_FAMILIES[name](), f1=f1, f2=0.5 * f1, t_start=t_start,
+                         T=1.0, **kw), grid
+
+
+class TestModalState:
+    @pytest.mark.parametrize("N, M, t_start", [(64, 128, 0.0), (64, 16, 0.0), (64, 128, 1e-3),
+                                               (256, 1024, 0.0)])
+    @pytest.mark.parametrize("name", sorted(_MODAL_FAMILIES))
+    def test_matches_physical_integrate(self, monkeypatch, name, N, M, t_start):
+        # the modal space steps the same RK4 as grid values in a fixed basis, so the two
+        # agree to rounding at every snapshot, on the same mesh and substeps: from the
+        # singular start t = 0 and from t = 1e-3, with CFL halvings at M = 16
+        prob, grid = _modal_problem(name, N, t_start)
+        mesh = graded_mesh(prob.family, t_start, 1.0, M)
+        times = np.linspace(t_start, 1.0, 5)
+        modal = integrate(prob, grid, mesh, times)
+        monkeypatch.setattr(solver, "_modal_space", lambda *args: None)
+        phys = integrate(prob, grid, mesh, times)
+        assert (modal.stats["space"], phys.stats["space"]) == ("modal", "physical")
+        assert modal.stats["singular_start"] == (t_start == 0.0)
+        assert (M == 16) == (modal.stats["halvings"] > 0)
+        keys = ("substeps", "halving_steps", "singular_start", "operator", "min_cfl_dt")
+        assert all(modal.stats[k] == phys.stats[k] for k in keys)
+        n = modal.stats["substeps"]
+        assert 2 * n <= modal.stats["rows"] <= 2 * n + 1 and phys.stats["rows"] == 0
+        assert len(modal.snapshots) == len(phys.snapshots) == 5
+        for (t, u, v), (t_ref, u_ref, v_ref) in zip(modal.snapshots, phys.snapshots):
+            assert t == t_ref
+            assert l2_norm(grid, u - u_ref) <= 1e-11 * l2_norm(grid, u_ref), t
+            assert l2_norm(grid, v - v_ref) <= 1e-11 * l2_norm(grid, v_ref), t
+
+    @pytest.mark.parametrize("N", [32, 128])
+    @pytest.mark.parametrize("name", sorted(_MODAL_FAMILIES))
+    def test_basis_reproduces_separable_product(self, name, N):
+        # g(t) modes on the modal states is symbol_operator's separable product on grid values
+        prob, grid = _modal_problem(name, N)
+        space = solver._modal_space(prob, grid, graded_mesh(prob.family, 0.0, 1.0, N))
+        phys = symbol_operator(grid, prob.family)
+        modal = symbol_operator(grid, prob.family, space=space)
+        assert (space.name, phys.path, modal.path) == ("modal", "separable", "separable")
+        u = np.random.default_rng(N).standard_normal((2, N, 2)) @ np.array([1.0, 1j])
+        assert np.max(np.abs(space.field(space.state(u)) - u)) <= 1e-12 * np.max(np.abs(u))
+        for t in (1e-3, 0.3, 1.0):
+            want = phys(t, u)
+            got = space.field(modal(t, space.state(u)))
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), t
+
+    @pytest.mark.parametrize("broken", ["b0", "b1", "b2", "excision", "forcing", "N>1024",
+                                        "N^2>256M", "w<=0", "m-odd", "m-complex"])
+    def test_broken_rule_keeps_grid_values(self, broken):
+        # the modal space needs each condition of the rule; the unbroken problem takes it,
+        # at N**2 = 256 M exactly
+        coefficient = lambda t, x: 0.25 + 0.0 * x  # noqa: E731
+        prob, grid = _modal_problem("theorem-poly", 64)
+        M = 16
+        assert solver._modal_space(prob, grid, graded_mesh(prob.family, 0.0, 1.0, M)) is not None
+        fam = prob.family
+        if broken in ("b0", "b1", "b2"):
+            fam = dataclasses.replace(fam, **{broken: coefficient})
+            prob = dataclasses.replace(prob, family=fam)
+        elif broken == "excision":
+            prob = dataclasses.replace(prob, use_excision=True)
+        elif broken == "forcing":
+            prob = dataclasses.replace(prob, forcing=coefficient)
+        elif broken == "N>1024":
+            grid, M = GridSpec(L=8.0, N=2048, k=4.0), 2048 ** 2 // 256
+        elif broken == "N^2>256M":
+            M = 15
+        else:
+            g, w, m = fam.separable
+            if broken == "w<=0":  # 0 at x = 0
+                w = lambda x: np.asarray(x, dtype=float) ** 2  # noqa: E731
+            elif broken == "m-odd":
+                m = lambda xi: bracket(xi, 4.0) ** 2 + 0.5 * np.asarray(xi)  # noqa: E731
+            else:
+                m = lambda xi: bracket(xi, 4.0) ** 2 + 0.5j  # noqa: E731
+            fam = separable_family(g, fam.dg, w, lambda x: 0.0 * x, m, lambda xi: 0.0 * xi,
+                                   pair=fam.pair, k=fam.k, p=fam.p, q=fam.q, r=fam.r, T=fam.T,
+                                   c0=fam.c0, spectral_shift=True, x_dependent=True)
+            prob = dataclasses.replace(prob, family=fam)
+        mesh = graded_mesh(prob.family, 0.0, 1.0, M)
+        assert solver._modal_space(prob, grid, mesh) is None
+        # (a complex m has no real speed bound, so only its rule is checked)
+        if grid.N <= 64 and broken != "m-complex":
+            assert integrate(prob, grid, mesh, [1.0]).stats["space"] == "physical"
 
 
 def _coefficient_ops(x_dependent, lower):
@@ -963,6 +1085,31 @@ class TestGridValuePaths:
             want = _dft_matrix_product(grid, lattice, u)
             got = op(t, u)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), path
+
+    @pytest.mark.parametrize("family, symbol, n_terms",
+                             [("theorem-poly", "a", 1), ("theorem-poly", "defect", 1),
+                              ("theorem-poly", "value", 1), ("example11", "a", 2)])
+    def test_equal_weights_share_one_term(self, family, symbol, n_terms):
+        # at t = 0.05 on N = 256 the off-blend terms of excised a and tau lie on both sides of
+        # the blend, and defect's two on its low side; the theorem family's w is omega^2
+        # bitwise, so its terms are summed in xi into one, and Example 1.1's w is not; the
+        # product is the one of the terms applied one by one to rounding
+        grid = GridSpec(L=8.0, N=256, k=4.0)
+        fam = _MODAL_FAMILIES[family]()
+        excised = excise(fam)
+        sym = {"a": excised.a, "defect": excised.defect, "value": char_root(excised).value}[symbol]
+        t = 0.05
+        op = symbol_operator(grid, fam, sym)
+        band, _, terms = op.part(t)
+        form, f = off_blend(sym, grid.x, grid.xi)
+        lo, hi = cut_sides(t, f.phi, f.br, form.scale)
+        apart = [(w, solver._multiplier_values(grid, np.where(mask, m, 0.0)))
+                 for mask, side in ((lo, form.low), (hi, form.high)) if mask.any()
+                 for w, m in side(f, t)]
+        assert (len(apart), len(terms)) == (2, n_terms)
+        u = GaussianBump(0.0, 0.45)(grid.x) * _band_field(grid)
+        want = solver._kn_fold_product(grid, u, band, apart)
+        assert np.max(np.abs(op(t, u) - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 _DECLARED = {"excised.a": (ExcisedCoefficient, "a"), "defect": (ExcisedCoefficient, "defect"),
