@@ -36,7 +36,9 @@ a batch of fields along the last axis, checked by :func:`_fields`.
 and even: ``m(D)`` is a real symmetric circulant ``C``, so ``W^(1/2) C W^(1/2)`` is symmetric
 and one ``eigh`` gives its eigenvalues and orthogonal eigenvectors ``Q``, the one N x N array
 kept.  The solver's modal states are the coefficients ``z`` of ``u = W^(1/2) Q z``; it changes
-basis by :func:`_real_matmul`, real products on the real and imaginary parts.
+basis by :func:`_real_matmul`, one real product for real ``z`` and two for complex.  Real
+fields have Hermitian coefficients, so the solver keeps their half spectrum ``j = 0 ... N/2``
+(:func:`_rdft_forward`, :func:`_rdft_inverse`).
 
 Legitimacy of the torus model: structure functions are evaluated as given
 (non-periodic), so runs keep data supported in ``|x| <= L/2`` and stop before
@@ -170,6 +172,18 @@ def dft_inverse(grid: GridSpec, coeffs) -> np.ndarray:
     return np.fft.ifft(_fields(grid, coeffs, "coefficient") * _grid_arrays(grid)[2]) / grid.dx
 
 
+def _rdft_forward(grid: GridSpec, values) -> np.ndarray:
+    """:func:`dft_forward` of real grid fields on the half spectrum ``j = 0 ... N/2``, by one
+    ``rfft`` (unchecked); coefficient ``N - j`` is the conjugate of coefficient ``j``."""
+    return _grid_arrays(grid)[4][:grid.N // 2 + 1] * np.fft.rfft(values)
+
+
+def _rdft_inverse(grid: GridSpec, coeffs) -> np.ndarray:
+    """The real grid fields whose :func:`_rdft_forward` half spectrum is ``coeffs``, by one
+    ``irfft`` (unchecked)."""
+    return np.fft.irfft(coeffs * _grid_arrays(grid)[2][:grid.N // 2 + 1], grid.N) / grid.dx
+
+
 def l2_norm(grid: GridSpec, values) -> float:
     """Discrete L2 norm ``sqrt(dx * sum |u|^2)``."""
     u = np.asarray(values)
@@ -212,8 +226,10 @@ def _modal_basis(grid: GridSpec, w: np.ndarray, m: np.ndarray):
 
 
 def _real_matmul(z: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """``z @ A`` of a complex ``z`` and a real ``A``, as real products on ``z``'s real and
-    imaginary parts (no complex copy of ``A``)."""
+    """``z @ A`` of a real ``A``: one real product for a real ``z``, and for a complex one real
+    products on its real and imaginary parts (no complex copy of ``A``)."""
+    if not np.iscomplexobj(z):
+        return z @ A
     out = np.empty(z.shape[:-1] + A.shape[-1:], dtype=complex)
     out.real, out.imag = z.real @ A, z.imag @ A
     return out

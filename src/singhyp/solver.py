@@ -22,10 +22,13 @@ step a third space, ``modal`` (:func:`_modal_space`): where the only operator is
 separable ``g(t) w(x) m(D)``, x-dependent, with ``w > 0``, ``m`` real and even, no ``b0``,
 ``b1``, ``b2``, forcing or excision, ``N <= 1024`` and ``N**2 <= 256 M``, it steps the
 coefficients of the state in the eigenbasis of ``w(x) m(D)``, formed once per solve, on which
-that operator is diagonal; it changes basis only at the data and at snapshots.
-``stats["space"]`` names the space of a solve: ``fourier``, ``modal`` or ``physical``.  Each
-multiplier is checked once, where it is formed, and kept read-only.  The right-hand side is
-``dv = -Op(a) u - Op(b) u - b0 v (+ F)`` (:meth:`Discretization.rhs`).
+that operator is diagonal; it changes basis only at the data and at snapshots.  It alone also
+steps real states, for real data and no forcing: real modal coefficients, or the half spectrum
+of Fourier coefficients (:func:`_state_space`); grid values stay complex.  ``stats["space"]``
+names the space of a solve (``fourier``, ``modal`` or ``physical``) and ``stats["real"]``
+whether its states were real.  Each multiplier is checked once, where it is formed, and kept
+read-only.  The right-hand side is ``dv = -Op(a) u - Op(b) u - b0 v (+ F)``
+(:meth:`Discretization.rhs`).
 
 The first-order reduction
 
@@ -55,11 +58,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 # apply_kn and apply_multiplier are not called here, but perfbench's self-test patches both;
-# _fft_multiply, _kn_fold_product, kn_fold, _modal_basis and _real_matmul are called by name,
-# so a hook on this module reaches them
+# _fft_multiply, _kn_fold_product, kn_fold, _modal_basis, _real_matmul, _rdft_forward and
+# _rdft_inverse are called by name, so a hook on this module reaches them
 from .quantize import (GridSpec, _fft_multiply, _kn_fold_product, _modal_basis,  # noqa: F401
-                       _multiplier_values, _real_matmul, apply_kn, apply_multiplier, dft_forward,
-                       dft_inverse, kn_fold, l2_norm)
+                       _multiplier_values, _rdft_forward, _rdft_inverse, _real_matmul, apply_kn,
+                       apply_multiplier, dft_forward, dft_inverse, kn_fold, l2_norm)
 from .structure import bracket
 from .symbols import CoefficientFamily, char_root, cut_sides, excise, h_symbol, off_blend
 
@@ -199,7 +202,7 @@ class Trajectory:
             raise ValueError("snapshot times must be strictly increasing")
 
 
-_StateSpace = namedtuple("_StateSpace", "name x multiply term state field modes",
+_StateSpace = namedtuple("_StateSpace", "name x multiply term state field real size dtype modes",
                          defaults=(None,))
 
 
@@ -207,21 +210,44 @@ def _diagonal_term(b, m, u):
     return m * (b * u)
 
 
-def _state_space(grid: GridSpec, family: CoefficientFamily) -> _StateSpace:
+def _even_multiplier(grid: GridSpec, family: CoefficientFamily) -> np.ndarray | None:
+    """The family's separable ``m`` on ``grid.xi`` where it is finite, real and bitwise even
+    there, so that ``m(D)`` keeps real fields real; else None."""
+    if family.separable is None:
+        return None
+    m = np.broadcast_to(family.separable[2](grid.xi), (grid.N,))
+    ok = np.all(np.isreal(m) & np.isfinite(m)) and np.array_equal(m[1:], m[:0:-1])
+    return m.real if ok else None
+
+
+def _state_space(grid: GridSpec, family: CoefficientFamily, real: bool = False) -> _StateSpace:
     """Where the operators of ``family`` act: on Fourier coefficients, with the
     coefficients read at ``x = 0``, for a multiplier family; on grid values otherwise.
     ``multiply(m, u)`` applies ``m(D)`` given on ``grid.xi``, ``term(b, m, u)`` is
     ``b(x) m(D) u`` (``m (b u)`` on Fourier coefficients), ``state``/``field`` convert grid
-    fields to states and back (along the last axis: a stacked ``(u, v)`` in one call).
+    fields to states of ``size`` values of ``dtype`` and back (along the last axis: a stacked
+    ``(u, v)`` in one call).  With ``real`` (real fields) and an :func:`_even_multiplier`,
+    Fourier coefficients are the half spectrum ``j = 0 ... N/2`` of real fields (``real``).
     :func:`integrate` alone may step a third space, :func:`_modal_space`'s."""
-    if family.is_multiplier:
-        return _StateSpace("fourier", 0.0, operator.mul, _diagonal_term,
-                           lambda f: dft_forward(grid, f), lambda c: dft_inverse(grid, c))
-    return _StateSpace("physical", grid.x, _fft_multiply, lambda b, m, u: b * _fft_multiply(m, u),
-                       lambda f: f, lambda c: c)
+    if not family.is_multiplier:
+        return _StateSpace("physical", grid.x, _fft_multiply,
+                           lambda b, m, u: b * _fft_multiply(m, u), lambda f: f, lambda c: c,
+                           False, grid.N, complex)
+    real = real and _even_multiplier(grid, family) is not None
+    forward, inverse = (_rdft_forward, _rdft_inverse) if real else (dft_forward, dft_inverse)
+    return _StateSpace("fourier", 0.0, operator.mul, _diagonal_term, lambda f: forward(grid, f),
+                       lambda c: inverse(grid, c), real, grid.N // 2 + 1 if real else grid.N,
+                       complex)
 
 
-def _modal_space(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh) -> _StateSpace | None:
+def _space_multiplier(grid: GridSpec, space: _StateSpace, m) -> np.ndarray:
+    """``quantize._multiplier_values`` of ``m``, cut to the ``space.size`` entries of a state."""
+    m = _multiplier_values(grid, m)
+    return m if m.size == space.size else m[:space.size]
+
+
+def _modal_space(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
+                 real: bool = False) -> _StateSpace | None:
     """The coefficients ``z`` of ``u = W^(1/2) Q z`` in the eigenbasis of ``w(x) m(D)``
     (``quantize._modal_basis``), where ``Op(a) = g(t) w(x) m(D)`` is ``g(t) diag(modes)``;
     None unless every condition holds: the principal part is the family's own separable ``a``
@@ -229,21 +255,20 @@ def _modal_space(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh) -> _Sta
     ``w > 0`` (and finite) on ``grid.x`` and ``m`` real, finite and bitwise even on ``grid.xi``;
     ``N <= _MODAL_MAX_N`` and ``N**2 <= _MODAL_N2_PER_STEP * M``.  The states are read at
     ``grid.x``, as on grid values; ``state`` is ``(f / sqrt(w)) @ Q`` and ``field`` is
-    ``(z @ Q^T) sqrt(w)``, both real products on real and imaginary parts."""
+    ``(z @ Q^T) sqrt(w)``, real products; ``z`` is real with ``real`` (real fields)."""
     fam, n = problem.family, grid.N
     if (problem.use_excision or not fam.x_dependent or fam.separable is None
             or any(b is not None for b in (fam.b0, fam.b1, fam.b2, problem.forcing))
             or n > _MODAL_MAX_N or n * n > _MODAL_N2_PER_STEP * mesh.M):
         return None
-    _, w, m = fam.separable
-    w = np.broadcast_to(np.asarray(w(grid.x), dtype=float), (n,))
-    m = np.broadcast_to(m(grid.xi), (n,))
-    if not (np.all((w > 0.0) & (w < np.inf)) and np.all(np.isreal(m))
-            and np.all(np.isfinite(m)) and np.array_equal(m[1:], m[:0:-1])):
+    w = np.broadcast_to(np.asarray(fam.separable[1](grid.x), dtype=float), (n,))
+    m = _even_multiplier(grid, fam)
+    if m is None or not np.all((w > 0.0) & (w < np.inf)):
         return None
-    lam, Q, sw = _modal_basis(grid, w, m.real)
+    lam, Q, sw = _modal_basis(grid, w, m)
     return _StateSpace("modal", grid.x, None, _diagonal_term,
-                       lambda f: _real_matmul(f / sw, Q), lambda z: _real_matmul(z, Q.T) * sw, lam)
+                       lambda f: _real_matmul(f / sw, Q), lambda z: _real_matmul(z, Q.T) * sw,
+                       real, n, float if real else complex, lam)
 
 
 def _negated_mu(first: _Operator, lower: _Operator | None) -> _Operator:
@@ -333,7 +358,7 @@ def symbol_operator(grid: GridSpec, family: CoefficientFamily,
     of the product is row ``i``'s with its sine part negated.  A separable or diagonal
     operator evaluates ``g`` or ``symbol`` over a column of times (:meth:`_Operator.prime`).
     ``space`` defaults to the family's (:func:`_state_space`); on :func:`_modal_space`'s, the
-    family's ``a`` is the diagonal product ``g(t) modes``."""
+    family's ``a`` is the diagonal product ``g(t) modes``; a half spectrum's multipliers are cut."""
     space = space or _state_space(grid, family)
     if symbol is None and family.separable is not None:
         g, w, m = family.separable
@@ -341,15 +366,16 @@ def symbol_operator(grid: GridSpec, family: CoefficientFamily,
             return _Operator("separable", lambda gt, u: space.term(gt, space.modes, u),
                              lambda ts: _rows(lambda t, x: g(t), ts, 0.0))
         w = np.asarray(w(space.x), dtype=float)
-        m = _multiplier_values(grid, m)
+        m = _space_multiplier(grid, space, m)
         return _Operator("separable", lambda gw, u: space.term(gw, m, u),
                          lambda ts: _rows(lambda t, x: g(t) * w, ts, space.x), width=w.size)
     symbol = family.a if symbol is None else symbol
     if space.name == "fourier":
+        xi = grid.xi[:space.size]
         return _Operator("diagonal", operator.mul,
-                         lambda ts: list(np.broadcast_to(symbol(ts[:, None], 0.0, grid.xi),
-                                                         (ts.size, grid.N))),
-                         width=grid.N)
+                         lambda ts: list(np.broadcast_to(symbol(ts[:, None], 0.0, xi),
+                                                         (ts.size, xi.size))),
+                         width=xi.size)
     forms = off_blend(symbol, grid.x, grid.xi)
     fold_xi, fold_x = (False, False) if forms is None else (forms[1].even, forms[1].even_x)
     half, every = grid.N // 2 + 1, np.arange(grid.N)
@@ -380,11 +406,9 @@ def symbol_operator(grid: GridSpec, family: CoefficientFamily,
                      parts=parts)
 
 
-def _coefficient_operator(grid: GridSpec, family: CoefficientFamily, product: Callable,
-                          *bs: Callable) -> _Operator:
-    """``(t, u) -> product(parts, u)`` on the family's states, ``parts`` the coefficients
+def _coefficient_operator(x, product: Callable, *bs: Callable) -> _Operator:
+    """``(t, u) -> product(parts, u)`` on states read at ``x``, ``parts`` the coefficients
     ``bs`` at ``t``: evaluated over a column of times (on Fourier coefficients at ``x = 0``)."""
-    x = _state_space(grid, family).x
     return _Operator("coefficient", product, lambda ts: list(zip(*[_rows(b, ts, x) for b in bs])),
                      width=len(bs) * np.size(x))
 
@@ -394,26 +418,26 @@ def _scale(bs, u):
     return bs[0] * u
 
 
-def lower_operator(grid: GridSpec, family: CoefficientFamily) -> _Operator | None:
-    """``(t, u) -> Op(b) u = b1(t, x) du/dx + b2(t, x) u`` on the family's states;
-    an absent coefficient's term is left out (None when both are)."""
-    term, b1, b2 = _state_space(grid, family).term, family.b1, family.b2
-    i_xi = _multiplier_values(grid, 1j * grid.xi_odd)
+def lower_operator(grid: GridSpec, family: CoefficientFamily, space=None) -> _Operator | None:
+    """``(t, u) -> Op(b) u = b1(t, x) du/dx + b2(t, x) u`` on ``space``'s states (by default
+    the family's); an absent coefficient's term is left out (None when both are)."""
+    space = space or _state_space(grid, family)
+    term, x, b1, b2 = space.term, space.x, family.b1, family.b2
+    i_xi = _space_multiplier(grid, space, 1j * grid.xi_odd)
     if b1 is None:
-        return None if b2 is None else _coefficient_operator(grid, family, _scale, b2)
+        return None if b2 is None else _coefficient_operator(x, _scale, b2)
     if b2 is None:
-        return _coefficient_operator(grid, family, lambda bs, u: term(bs[0], i_xi, u), b1)
-    return _coefficient_operator(grid, family,
-                                 lambda bs, u: term(bs[0], i_xi, u) + bs[1] * u, b1, b2)
+        return _coefficient_operator(x, lambda bs, u: term(bs[0], i_xi, u), b1)
+    return _coefficient_operator(x, lambda bs, u: term(bs[0], i_xi, u) + bs[1] * u, b1, b2)
 
 
 class _Operators:
-    """The operators of one (problem, grid) pairing on the family's states: ``ops``,
-    ``Op(b)`` (``apply_lower``) and the ``b0`` multiplication (``apply_b0``), each None when
-    its coefficients are absent; the grid must match the data's size and the family's ``k``.
-    ``state`` and ``field`` convert grid fields to states and back, and :meth:`prime`
-    tabulates every operator's coefficients over a column of at most ``times_per_table``
-    times."""
+    """The operators of one (problem, grid) pairing on the states of ``space`` (by default the
+    family's, :func:`_state_space`): ``ops``, ``Op(b)`` (``apply_lower``) and the ``b0``
+    multiplication (``apply_b0``), each None when its coefficients are absent; the grid must
+    match the data's size and the family's ``k``.  ``state`` and ``field`` convert grid fields
+    to states and back, and :meth:`prime` tabulates every operator's coefficients over a column
+    of at most ``times_per_table`` times."""
 
     def __init__(self, problem: CauchyProblem, grid: GridSpec, *ops: _Operator,
                  space: _StateSpace | None = None):
@@ -422,9 +446,9 @@ class _Operators:
         self.problem, self.grid = problem, grid
         self.space = space or _state_space(grid, fam)
         self.state, self.field = self.space.state, self.space.field
-        self.apply_lower = lower_operator(grid, fam)
+        self.apply_lower = lower_operator(grid, fam, self.space)
         self.apply_b0 = (None if fam.b0 is None
-                         else _coefficient_operator(grid, fam, _scale, fam.b0))
+                         else _coefficient_operator(self.space.x, _scale, fam.b0))
         self._ops = tuple(op for op in (*ops, self.apply_lower, self.apply_b0) if op is not None)
         widest = max(op.width for op in self._ops)
         self.times_per_table = max(3, min(_TABLE_TIMES, _TABLE_VALUES // widest))
@@ -450,7 +474,7 @@ class Discretization(_Operators):
     Fourier coefficients ``apply_negated`` is their ``-(Op(a) + Op(b))``, one row ``-mu(t)``
     per time, each operator's own product at ``-1.0`` (:func:`_negated_mu`), and so on modal
     states, where it is ``-g(t) modes``; on grid values it is None.  ``space`` is the family's
-    (:func:`_state_space`) unless given (:func:`integrate` gives :func:`_modal_space`'s).
+    complex one (:func:`_state_space`) unless given (:func:`integrate` gives the one it steps).
     ``b0 v`` is the tabulated ``b0`` times ``v``, formed in one buffer per discretization.
     """
 
@@ -463,12 +487,12 @@ class Discretization(_Operators):
         problem.check_support(grid)
         self.apply_negated = None if self.space.name == "physical" else _negated_mu(
             self.apply_principal, self.apply_lower)
-        self._b0v = None if self.apply_b0 is None else np.empty(grid.N, dtype=complex)
+        self._b0v = None if self.apply_b0 is None else np.empty(self.space.size, self.space.dtype)
 
     def rhs(self, t: float, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Time derivative ``(v, -mu(t) u - b0 v + F)`` of the stacked state ``y = (u, v)``,
-        written into ``out`` (a new array when None), which must not overlap ``y``."""
-        out = np.empty_like(y, dtype=complex) if out is None else out
+        written into ``out`` (new, of the space's dtype, if None), which must not overlap ``y``."""
+        out = np.empty_like(y, dtype=self.space.dtype) if out is None else out
         out[0] = y[1]
         dv = out[1]
         if self.apply_negated is not None:
@@ -582,9 +606,11 @@ def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
     of :class:`Discretization`, the modal one where :func:`_modal_space`'s rule holds for the
     problem, grid and mesh (its basis formed here, once per solve), named by ``stats["space"]``
     (``fourier``, ``modal`` or ``physical``; and ``operator``, ``lattice_columns``,
-    ``lattice_evals``, and ``rows``, the rows ``-mu(t)`` formed on the first two).
-    ``stats["halving_steps"]`` maps each halved mesh step to its level, and
-    ``stats["substeps"]`` counts the RK4 substeps.
+    ``lattice_evals``, and ``rows``, the rows ``-mu(t)`` formed on the first two).  Where
+    ``f1`` and ``f2`` have no nonzero imaginary part and there is no forcing, those two spaces
+    step real states (``stats["real"]``; on Fourier coefficients, see :func:`_state_space`),
+    and the snapshots' imaginary parts are exactly 0.  ``stats["halving_steps"]`` maps each
+    halved mesh step to its level, and ``stats["substeps"]`` counts the RK4 substeps.
 
     The vector field is never sampled at a singular ``t_start``: the first step then uses
     midpoint-only stages.  Steps violating the CFL bound ``dt <= 0.5 dx / speed_bound`` are
@@ -592,7 +618,10 @@ def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
     :func:`_substeps` yields for a block of substeps (:meth:`Discretization.prime`) before
     the block is stepped.
     """
-    disc = Discretization(problem, grid, _modal_space(problem, grid, mesh))
+    # the family's coefficients are real, so real data with no forcing have a real solution
+    real = problem.forcing is None and not any(np.any(np.imag(f)) for f in (problem.f1, problem.f2))
+    disc = Discretization(problem, grid, _modal_space(problem, grid, mesh, real)
+                          or _state_space(grid, problem.family, real))
     nodes = mesh.nodes
     if abs(nodes[0] - problem.t_start) > 1e-14 * max(1.0, problem.t_start):
         raise ValueError("mesh must start at problem.t_start")
@@ -604,7 +633,8 @@ def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
         raise ValueError(f"output_times must be finite, got {out_req.tolist()}")
     idx = np.unique(np.abs(nodes[None, :] - out_req[:, None]).argmin(axis=1))
 
-    y = disc.state(np.array([problem.f1, problem.f2], dtype=complex))
+    data = np.array([problem.f1, problem.f2], dtype=complex)
+    y = disc.state(data.real if disc.space.real else data)
     snapshots = []
     if 0 in idx:
         snapshots.append((float(nodes[0]), *disc.field(y)))
@@ -612,7 +642,7 @@ def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
     singular = disc.singular_start()
     log = {"halving_steps": {}, "min_cfl_dt": math.inf}
     substeps = _substeps(disc, nodes, singular, log)
-    work = np.empty((5, *y.shape), dtype=complex)
+    work = np.empty((5, *y.shape), dtype=y.dtype)
 
     def step(block, y, check):
         # RK4 over a block, checking the state finite at every mesh step's end if ``check``
@@ -649,6 +679,9 @@ def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
             n += len(block)
 
     halving_steps = log["halving_steps"]
+    # complex snapshots on every space, those of real states with imaginary parts exactly 0
+    snapshots = [(t, u.astype(complex, copy=False), v.astype(complex, copy=False))
+                 for t, u, v in snapshots]
     stats = {
         "steps": mesh.M,
         "substeps": n,
@@ -659,6 +692,7 @@ def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
         "max_dt": float(np.max(np.diff(nodes))),
         "singular_start": bool(singular),
         "space": disc.space.name,
+        "real": disc.space.real,
         "operator": disc.apply_principal.path,
         "lattice_columns": disc.apply_principal.lattice_columns,
         "lattice_evals": disc.apply_principal.lattice_evals,

@@ -93,6 +93,7 @@ class TestRun:
         assert header == "x,re_u,im_u,re_ut,im_ut"
         stats = json.loads((tmp_path / "solve_stats.json").read_text())["stats"]
         assert stats["space"] == "fourier" and stats["requested_times"] == [0.0, 0.5, 1.0]
+        assert stats["real"] is True  # real data with no forcing step real states
         assert (stats["operator"], stats["lattice_columns"]) == ("separable", 0)
         assert (stats["lattice_evals"], stats["halving_steps"]) == (0, {})
         assert stats["substeps"] == 128 and stats["rows"] == 2 * 128 + 1

@@ -756,22 +756,27 @@ class TestFourierState:
             assert counts["b1"] == (blocks + 1 if b1 else 0)
 
     def test_transforms_only_at_data_and_snapshots(self, monkeypatch):
-        counts = dict.fromkeys(("dft_forward", "dft_inverse", "_fft_multiply", "_modal_basis",
-                                "_real_matmul", "rhs"), 0)
-        for name in ("dft_forward", "dft_inverse", "_fft_multiply", "_modal_basis",
-                     "_real_matmul"):
+        names = ("dft_forward", "dft_inverse", "_rdft_forward", "_rdft_inverse", "_fft_multiply",
+                 "_modal_basis", "_real_matmul")
+        counts = dict.fromkeys((*names, "rhs"), 0)
+        for name in names:
             _counting(monkeypatch, counts, solver, name)
         _counting(monkeypatch, counts, Discretization, "rhs")
         prob, grid, M, _ = _problem(counterexample_family("7.3"), _PI64, 0.0, 256)
-        traj = integrate(prob, grid, graded_mesh(prob.family, 0.0, 1.0, M), [0.0, 0.5, 1.0])
-        S = len(traj.snapshots)
-        assert S == 3 and counts["rhs"] > 0
-        # the stacked (u, v) converts in one call: once at the data, once per snapshot
-        assert (counts["dft_forward"], counts["dft_inverse"], counts["_fft_multiply"]) \
-            == (1, S, 0)
-        assert counts["_modal_basis"] == counts["_real_matmul"] == 0
-        assert (traj.stats["operator"], traj.stats["lattice_columns"],
-                traj.stats["lattice_evals"]) == ("separable", 0, 0)
+        # real data step the half spectrum, complex data the full one; the stacked (u, v)
+        # converts in one call: once at the data, once per snapshot
+        for f2, real in ((prob.f2, True), (prob.f2 + 0.5j * prob.f1, False)):
+            counts.update(dict.fromkeys(counts, 0))
+            traj = integrate(dataclasses.replace(prob, f2=f2), grid,
+                             graded_mesh(prob.family, 0.0, 1.0, M), [0.0, 0.5, 1.0])
+            S = len(traj.snapshots)
+            assert S == 3 and counts["rhs"] > 0 and traj.stats["real"] is real
+            full, half = (0, 0), (1, S)
+            assert (counts["dft_forward"], counts["dft_inverse"]) == (full if real else half)
+            assert (counts["_rdft_forward"], counts["_rdft_inverse"]) == (half if real else full)
+            assert counts["_fft_multiply"] == counts["_modal_basis"] == counts["_real_matmul"] == 0
+            assert (traj.stats["operator"], traj.stats["lattice_columns"],
+                    traj.stats["lattice_evals"]) == ("separable", 0, 0)
 
         # an x-dependent family with a b2 keeps the physical path: one multiplier per RHS
         counts.update(dict.fromkeys(counts, 0))
@@ -782,38 +787,46 @@ class TestFourierState:
                              f1=f1, f2=np.zeros_like(f1), t_start=0.0, T=1.0)
         traj = integrate(prob, grid, graded_mesh(fam, 0.0, 1.0, 64), [0.5, 1.0])
         assert traj.stats["space"] == "physical" and traj.stats["lattice_evals"] == 0
+        assert not traj.stats["real"]
         assert counts["rhs"] > 0 and counts["_fft_multiply"] == counts["rhs"]
         assert counts["dft_forward"] == counts["dft_inverse"] == 0
+        assert counts["_rdft_forward"] == counts["_rdft_inverse"] == 0
         assert counts["_modal_basis"] == counts["_real_matmul"] == 0
 
-        # without it the modal space: one basis, and one real change of basis at the data
-        # and one per snapshot, with no transform per RHS
-        counts.update(dict.fromkeys(counts, 0))
-        prob = dataclasses.replace(prob, family=fam)
-        traj = integrate(prob, grid, graded_mesh(fam, 0.0, 1.0, 64), [0.5, 1.0])
-        S = len(traj.snapshots)
-        assert traj.stats["space"] == "modal" and S == 2 and counts["rhs"] > 0
-        assert (counts["_modal_basis"], counts["_real_matmul"]) == (1, 1 + S)
-        assert counts["_fft_multiply"] == counts["dft_forward"] == counts["dft_inverse"] == 0
-        assert (traj.stats["operator"], traj.stats["lattice_columns"],
-                traj.stats["lattice_evals"]) == ("separable", 0, 0)
+        # without it the modal space: one basis, and one change of basis at the data and one
+        # per snapshot, with no transform per RHS, for real and for complex data
+        for f2, real in ((prob.f2, True), (0.5j * prob.f1, False)):
+            counts.update(dict.fromkeys(counts, 0))
+            traj = integrate(dataclasses.replace(prob, family=fam, f2=f2), grid,
+                             graded_mesh(fam, 0.0, 1.0, 64), [0.5, 1.0])
+            S = len(traj.snapshots)
+            assert traj.stats["space"] == "modal" and S == 2 and counts["rhs"] > 0
+            assert traj.stats["real"] is real
+            assert (counts["_modal_basis"], counts["_real_matmul"]) == (1, 1 + S)
+            assert all(counts[name] == 0 for name in names[:5])
+            assert (traj.stats["operator"], traj.stats["lattice_columns"],
+                    traj.stats["lattice_evals"]) == ("separable", 0, 0)
 
 
     @pytest.mark.parametrize("N", [32, 1024])
     def test_stacked_state_is_row_by_row(self, N):
         # state and field convert a stacked (u, v) in one batched FFT, bitwise the
-        # transforms of its rows one at a time
+        # transforms of its rows one at a time, on the full spectrum of complex fields and
+        # the half spectrum of real ones
         grid = GridSpec(L=np.pi, N=N, k=1.0)
         rng = np.random.default_rng(N)
         y = rng.standard_normal((2, N)) + 1j * rng.standard_normal((2, N))
         prob = CauchyProblem(family=free_wave(1.0), f1=y[0], f2=y[1], t_start=0.0, T=1.0)
-        disc = Discretization(prob, grid)
-        assert disc.space.name == "fourier"
-        for convert, row_by_row in ((disc.state, solver.dft_forward),
-                                    (disc.field, solver.dft_inverse)):
-            got = convert(y)
-            assert got.shape == (2, N)
-            assert all(got[i].tobytes() == row_by_row(grid, y[i]).tobytes() for i in (0, 1))
+        for real, size, y, forward, inverse in (
+                (False, N, y, solver.dft_forward, solver.dft_inverse),
+                (True, N // 2 + 1, y.real.copy(), solver._rdft_forward, solver._rdft_inverse)):
+            disc = Discretization(prob, grid, solver._state_space(grid, prob.family, real))
+            assert (disc.space.name, disc.space.real, disc.space.size) == ("fourier", real, size)
+            c = disc.state(y)
+            for got, want, shape in ((c, [forward(grid, r) for r in y], (2, size)),
+                                     (disc.field(c), [inverse(grid, r) for r in c], (2, N))):
+                assert got.shape == shape
+                assert all(got[i].tobytes() == want[i].tobytes() for i in (0, 1))
 
     @settings(max_examples=60, deadline=1000)
     @given(family=st.sampled_from(["theorem", "7.1-m0", "7.1-m3", "7.2", "7.3", "7.4"]),
@@ -888,18 +901,23 @@ class TestModalState:
     @pytest.mark.parametrize("N", [32, 128])
     @pytest.mark.parametrize("name", sorted(_MODAL_FAMILIES))
     def test_basis_reproduces_separable_product(self, name, N):
-        # g(t) modes on the modal states is symbol_operator's separable product on grid values
+        # g(t) modes on the modal states is symbol_operator's separable product on grid values,
+        # on complex states and on the real states of real fields
         prob, grid = _modal_problem(name, N)
-        space = solver._modal_space(prob, grid, graded_mesh(prob.family, 0.0, 1.0, N))
+        mesh = graded_mesh(prob.family, 0.0, 1.0, N)
         phys = symbol_operator(grid, prob.family)
-        modal = symbol_operator(grid, prob.family, space=space)
-        assert (space.name, phys.path, modal.path) == ("modal", "separable", "separable")
         u = np.random.default_rng(N).standard_normal((2, N, 2)) @ np.array([1.0, 1j])
-        assert np.max(np.abs(space.field(space.state(u)) - u)) <= 1e-12 * np.max(np.abs(u))
-        for t in (1e-3, 0.3, 1.0):
-            want = phys(t, u)
-            got = space.field(modal(t, space.state(u)))
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), t
+        for real, dtype, u in ((False, complex, u), (True, float, u.real.copy())):
+            space = solver._modal_space(prob, grid, mesh, real)
+            modal = symbol_operator(grid, prob.family, space=space)
+            assert (space.name, phys.path, modal.path) == ("modal", "separable", "separable")
+            z = space.state(u)
+            assert (space.real, space.size, space.dtype, z.dtype) == (real, N, dtype, dtype)
+            assert np.max(np.abs(space.field(z) - u)) <= 1e-12 * np.max(np.abs(u))
+            for t in (1e-3, 0.3, 1.0):
+                want = phys(t, u)
+                got = space.field(modal(t, z))
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (real, t)
 
     @pytest.mark.parametrize("broken", ["b0", "b1", "b2", "excision", "forcing", "N>1024",
                                         "N^2>256M", "w<=0", "m-odd", "m-complex"])
@@ -939,6 +957,81 @@ class TestModalState:
         # (a complex m has no real speed bound, so only its rule is checked)
         if grid.N <= 64 and broken != "m-complex":
             assert integrate(prob, grid, mesh, [1.0]).stats["space"] == "physical"
+
+
+_REAL_CASES = {
+    # 7.3 from its singular start with 24 CFL halvings; 7.1 (m = 3) with b0 and b1; Example
+    # 1.1 on modal states from its singular start with 20 halvings
+    "7.3-halved": lambda: (counterexample_family("7.3"), _PI64, 0.0, 16, None),
+    "7.1-m3": lambda: (counterexample_family("7.1", 3), _PI64, 1e-3, 256, None),
+    "example11": lambda: (_MODAL_FAMILIES["example11"](), GridSpec(L=8.0, N=64, k=4.0), 0.0, 64,
+                          GaussianBump(0.0, 0.45)),
+}
+
+
+class TestRealStates:
+    @pytest.mark.parametrize("case", sorted(_REAL_CASES))
+    def test_complex_solve_is_two_real_solves(self, case):
+        # the solve is linear: integrate(f + i g) on complex states is integrate(f) + i
+        # integrate(g) on real states, at every snapshot, to rounding
+        fam, grid, t_start, M, envelope = _REAL_CASES[case]()
+        e = 1.0 if envelope is None else envelope(grid.x)
+        noise = 1e-3 * np.random.default_rng(7).standard_normal((4, grid.N))
+        u1 = random_trig_poly(8, seed=3)
+        f = ((U0(grid.x) + noise[0]) * e, (U0(grid.x, 1) + noise[1]) * e)
+        g = ((u1(grid.x) + noise[2]) * e, (u1(grid.x, 1) + noise[3]) * e)
+        mesh, times = graded_mesh(fam, t_start, 1.0, M), np.linspace(t_start, 1.0, 5)
+        c, rf, rg = (integrate(CauchyProblem(family=fam, f1=d1, f2=d2, t_start=t_start, T=1.0),
+                               grid, mesh, times)
+                     for d1, d2 in ((f[0] + 1j * g[0], f[1] + 1j * g[1]), f, g))
+        assert (c.stats["real"], rf.stats["real"], rg.stats["real"]) == (False, True, True)
+        assert c.stats["space"] == rf.stats["space"] == ("modal" if envelope else "fourier")
+        assert c.stats["halving_steps"] == rf.stats["halving_steps"]
+        assert (c.stats["halvings"] > 0) == (case != "7.1-m3")
+        assert c.stats["singular_start"] == (t_start == 0.0)
+        assert len(c.snapshots) == len(rf.snapshots) == len(rg.snapshots) == 5
+        for (t, *z), (_, *x), (_, *y) in zip(c.snapshots, rf.snapshots, rg.snapshots):
+            for zi, xi, yi in zip(z, x, y):
+                assert zi.dtype == xi.dtype == yi.dtype == complex
+                assert not (xi.imag.any() or yi.imag.any())
+                assert l2_norm(grid, zi - (xi + 1j * yi)) <= 1e-12 * l2_norm(grid, zi), t
+
+    def test_finite_loss_solve_is_real(self):
+        # Example 7.1 (m = 3) loses derivatives, which amplifies any rounding asymmetry of
+        # complex states; on the half spectrum its solution has no imaginary part at all
+        grid = GridSpec(L=np.pi, N=256, k=1.0)
+        fam, sol = counterexample_family("7.1", 3), closed_form("7.1", 3, U0)
+        f1, f2 = sol.initial_data(grid, 1e-3)
+        prob = CauchyProblem(family=fam, f1=f1, f2=f2, t_start=1e-3, T=1.0)
+        traj = integrate(prob, grid, graded_mesh(fam, 1e-3, 1.0, 1024), [1.0])
+        t, u, v = traj.snapshots[-1]
+        assert traj.stats["real"] and t == 1.0
+        assert np.max(np.abs(u.imag)) == 0.0 and np.max(np.abs(v.imag)) == 0.0
+        exact = np.asarray(sol.u(t, grid.x), dtype=complex)
+        assert l2_norm(grid, u - exact) <= 1e-5 * l2_norm(grid, exact)
+
+    def test_rule(self):
+        # real states need real data, no forcing and, on Fourier coefficients, a separable a
+        # whose m is real and even on the grid
+        prob, grid, M, _ = _problem(counterexample_family("7.3"), _PI64, 1e-3, 16)
+        fam = prob.family
+        g, w, m = fam.separable
+
+        def family(m):
+            return separable_family(g, fam.dg, w, zero, m, zero, pair=fam.pair, k=fam.k, p=fam.p,
+                                    q=fam.q, r=fam.r, T=fam.T, c0=fam.c0, b1=fam.b1,
+                                    spectral_shift=False, x_dependent=False)
+        cases = {"real": (prob, True),
+                 "rebuilt": (dataclasses.replace(prob, family=family(m)), True),
+                 "imaginary-f1": (dataclasses.replace(prob, f1=prob.f1 + 1e-300j), False),
+                 "forcing": (dataclasses.replace(prob, forcing=lambda t, x: 0.0 * x), False),
+                 "not-separable": (dataclasses.replace(prob, family=dataclasses.replace(
+                     fam, separable=None)), False),
+                 "m-odd": (dataclasses.replace(prob, family=family(
+                     m=lambda xi: m(xi) + 0.5 * np.asarray(xi))), False)}
+        for name, (p, real) in cases.items():
+            traj = integrate(p, grid, graded_mesh(p.family, 1e-3, 1.0, M), [1.0])
+            assert (traj.stats["space"], traj.stats["real"]) == ("fourier", real), name
 
 
 def _coefficient_ops(x_dependent, lower):
