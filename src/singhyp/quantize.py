@@ -22,15 +22,13 @@ i.e. the frequency part acts first, multiplication by x-factors second; for a
 product symbol ``g(x)m(xi)`` this is exactly ``g * (m(D)u)``.  Symbol lattices are
 evaluated x-major (rows ``x``) and transposed only where a band is formed.
 
-:func:`kn_band` forms this product on some columns ``cols`` of the lattice, stored
-xi-major: the cached N x N phase matrix ``exp(i xi_j x_i)`` (``_kn_phase``) has rows ``j``,
-so a band is a block of whole rows, and ``coeff[cols] @ band / (2L)`` is its part of
-``Op(a)u``; :func:`_kn_product` applies it for :func:`apply_kn`, the dense O(N^2)
-reference, and the loss operator.  The solver's operators use :func:`kn_fold` instead: real
-cosine and sine bands on a cached table of ``xi_j x_i`` for ``xi_j >= 0`` only, applied by
-:func:`_kn_fold_product` to the sum and difference of each ``+-xi`` pair's coefficients and
-mirrored over ``+-x`` where the symbol is even in x.  Every public operator takes a field or
-a batch of fields along the last axis, checked by :func:`_fields`.
+Every Kohn-Nirenberg product is :func:`kn_fold`'s: real cosine and sine bands of the lattice
+on a cached table of ``xi_j x_i`` for ``xi_j >= 0`` only (:func:`_kn_trig`, its argument
+reduced exactly), applied by :func:`_kn_fold_product` to the sum and difference of each
+``+-xi`` pair's coefficients and mirrored over ``+-x`` where the symbol is even in x.  The
+solver's operators, :func:`apply_kn` and the loss operator all take it, and nothing forms an
+N x N complex phase matrix.  Every public operator takes a field or a batch of fields along
+the last axis, checked by :func:`_fields`.
 
 :func:`_modal_basis` diagonalises a separable ``w(x) m(D)`` with ``w > 0`` and ``m`` real
 and even: ``m(D)`` is a real symmetric circulant ``C``, so ``W^(1/2) C W^(1/2)`` is symmetric
@@ -63,7 +61,6 @@ __all__ = [
     "dft_inverse",
     "l2_norm",
     "apply_multiplier",
-    "kn_band",
     "kn_fold",
     "apply_kn",
     "loss_symbol",
@@ -135,21 +132,18 @@ def _grid_arrays(grid: GridSpec):
 
 
 @lru_cache(maxsize=4)
-def _kn_phase(grid: GridSpec) -> np.ndarray:
-    """``exp(i xi_j x_i)`` with rows ``j`` (xi-major)."""
-    E = np.exp(1j * np.outer(grid.xi, grid.x))
-    E.setflags(write=False)
-    return E
-
-
-@lru_cache(maxsize=4)
 def _kn_trig(grid: GridSpec, rows: int) -> np.ndarray:
     """``(cos, sin)`` of ``xi_j x_i`` for ``j = 0 ... N/2`` and ``i < rows``, shape
-    ``(2, N/2 + 1, rows)``: bitwise the real and imaginary parts of :func:`_kn_phase`'s
-    entries, formed without an N x N or complex array.  Its row ``N - j``, ``-xi_j``, is
-    ``(cos, -sin)`` of row ``j``."""
-    theta = np.outer(grid.xi[:grid.N // 2 + 1], grid.x[:rows])
-    table = np.stack((np.cos(theta), np.sin(theta)))
+    ``(2, N/2 + 1, rows)``, formed with no N x N or complex table.  The argument is reduced
+    exactly: ``xi_j x_i = -j pi + 2 pi j i / N``, so ``exp(i xi_j x_i) = (-1)^j W[(j i) mod N]``
+    with ``W = exp(2 pi i k / N)``, N evaluations on ``k`` in ``(-N/2, N/2]``, each within
+    about 3e-16.  Its row ``N - j``, ``-xi_j``, is ``(cos, -sin)`` of row ``j``."""
+    n = grid.N
+    W = np.exp((2j * np.pi / n) * np.r_[:n // 2 + 1, 1 - n // 2:0])
+    index = np.multiply.outer(np.arange(n // 2 + 1), np.arange(rows))
+    index %= n
+    table = np.take(np.stack((W.real, W.imag)), index, axis=1)  # C-contiguous, unlike [:, index]
+    table[:, 1::2] *= -1.0
     table.setflags(write=False)
     return table
 
@@ -242,14 +236,12 @@ def apply_multiplier(grid: GridSpec, m, values) -> np.ndarray:
     return _fft_multiply(_multiplier_values(grid, m), _fields(grid, values))
 
 
-def kn_band(grid: GridSpec, lattice, cols) -> np.ndarray:
-    """``exp(i xi_j x) a(x, xi_j)`` on the lattice columns ``cols`` (indices or a slice),
-    stored xi-major: row ``r`` is lattice column ``cols[r]``, so ``coeffs[cols] @ band / (2L)``
-    is their part of ``Op(a) u``.  ``lattice`` has rows x (it may be anything that broadcasts
-    to ``(N, len(cols))``); OverflowGuardError unless finite."""
-    if not np.all(np.isfinite(lattice)):
-        raise OverflowGuardError("Kohn-Nirenberg symbol not finite on the grid lattice")
-    return _kn_phase(grid)[cols] * np.atleast_2d(lattice).T
+def _even_x(x, *values) -> bool:
+    """Whether ``x[1:]`` is exactly ``-x[:0:-1]`` (the grid holds its own negations, ``x[0]``
+    unpaired) and each of ``values`` (on ``x``) is bitwise even on it: ``v[i] == v[N - i]``
+    for ``i >= 1``.  A symbol read in x only through such values is then even in x."""
+    return np.array_equal(x[1:], -x[:0:-1]) and all(
+        np.array_equal(v[1:], v[:0:-1]) for v in np.broadcast_arrays(x, *values)[1:])
 
 
 def kn_fold(grid: GridSpec, lattice, cols, fold_xi: bool, fold_x: bool):
@@ -300,25 +292,18 @@ def _kn_fold_product(grid: GridSpec, u, band, terms=()) -> np.ndarray:
     return sum(parts[1:], parts[0]) if parts else np.zeros(u.shape, complex)
 
 
-def _kn_product(grid: GridSpec, u, band, cols=slice(None), terms=()) -> np.ndarray:
-    """``Op(a) u`` of grid fields ``u`` (last axis, unchecked) on one raw FFT ``f``: the band part
-    ``(dx (-1)^j f)[cols] @ band / (2L)`` (``dx (-1)^j f`` as in :func:`dft_forward`, ``band`` a
-    :func:`kn_band` on ``cols``) plus ``w ifft(m f) = w m(D) u`` per ``(w, m)`` of ``terms``."""
-    f = np.fft.fft(u)
-    out = (_grid_arrays(grid)[4] * f)[..., cols] @ band / (2.0 * grid.L)
-    return out + sum(w * np.fft.ifft(m * f) for w, m in terms) if terms else out
-
-
 def apply_kn(grid: GridSpec, symbol, values) -> np.ndarray:
-    """Dense Kohn-Nirenberg application of a symbol ``a(x, xi)`` to grid fields.
+    """Kohn-Nirenberg application of a symbol ``a(x, xi)`` to grid fields.
 
     ``symbol`` is either a callable evaluated on the grid lattice (broadcasting
     over an ``(N, 1) x (1, N)`` meshgrid) or a precomputed ``(N, N)`` array with
-    rows indexed by ``x`` and columns by ``xi`` in FFT layout.  Cost O(N^2).
+    rows indexed by ``x`` and columns by ``xi`` in FFT layout.  The product is
+    :func:`kn_fold`'s band on every column, unfolded.  Cost O(N^2).
     """
     if callable(symbol):
         symbol = symbol(grid.x[:, None], grid.xi[None, :])
-    return _kn_product(grid, _fields(grid, values), kn_band(grid, symbol, slice(None)))
+    band = kn_fold(grid, symbol, np.arange(grid.N), False, False)
+    return _kn_fold_product(grid, _fields(grid, values), band)
 
 
 @dataclass(frozen=True)
@@ -341,24 +326,37 @@ class SobolevIndex:
 
 
 def loss_symbol(grid: GridSpec, pair: StructurePair, eps: float, sigma: float):
-    """``eps * (Phi(x) <xi>_k)**(1/sigma)`` on the lattice: ``eps *`` :func:`_loss_base`."""
-    return eps * np.broadcast_to(_loss_base(grid, pair, sigma), (grid.N, grid.N))
+    """``eps * (Phi(x) <xi>_k)**(1/sigma)`` on the whole lattice: ``eps *`` :func:`_loss_base`,
+    whose folded rows and columns stand for their ``-x`` and ``-xi`` partners too."""
+    base, n = _loss_base(grid, pair, sigma), grid.N
+    if base.ndim == 1:
+        return eps * np.broadcast_to(base, (n, n))
+    every = np.arange(n)
+    fold = np.minimum(every, n - every)
+    return eps * base[np.ix_(fold if base.shape[0] < n else every, fold)]
 
 
 def _loss_base(grid: GridSpec, pair: StructurePair, sigma: float) -> np.ndarray:
-    """``S = (Phi(x) <xi>_k)**(1/sigma)``, the loss exponent at ``eps = 1``: the (N, N)
-    lattice with rows x, or the N-vector over xi at ``Phi(0)`` when the pair is constant.
-    It does not depend on ``eps``, so a caller at many ``eps`` forms it once."""
+    """``S = (Phi(x) <xi>_k)**(1/sigma)``, the loss exponent at ``eps = 1``, where
+    :func:`_loss_map` reads it: the N-vector over xi at ``Phi(0)`` when the pair is constant,
+    else the lattice (rows x) on the columns ``j = 0 ... N/2`` (``S`` is even in xi, as
+    ``<xi>_k`` is), and on the rows ``0 ... N/2`` where :func:`_even_x` holds for ``Phi``, every
+    row elsewhere.  It does not depend on ``eps``, so a caller at many ``eps`` forms it once."""
     br = bracket(grid.xi, grid.k)
     if pair.is_constant:
-        return (float(np.asarray(pair.phi(0.0))) * br) ** (1.0 / sigma)
-    return (pair.phi(grid.x)[:, None] * br[None, :]) ** (1.0 / sigma)
+        phi = float(np.asarray(pair.phi(0.0)))
+    else:
+        half, phi = grid.N // 2 + 1, pair.phi(grid.x)
+        phi, br = (phi[:half] if _even_x(grid.x, phi) else phi)[:, None], br[:half]
+    return (phi * br) ** (1.0 / sigma)
 
 
 def _loss_map(grid: GridSpec, base: np.ndarray | None, eps: float):
     """``u -> exp(eps * S) u`` in left quantization of grid fields, ``S = _loss_base(...)``: the
     exponent is checked against ``EXP_GUARD`` and exponentiated once, so every field shares one
-    checked multiplier or dense band.  ``eps = 0`` is the DFT round trip, and needs no ``base``."""
+    checked multiplier, or one :func:`kn_fold` band folded over ``+-xi``, and over ``+-x`` where
+    ``S`` holds rows ``0 ... N/2`` only.  ``eps = 0`` is the DFT round trip, and needs no
+    ``base``."""
     if eps == 0.0:
         return lambda u: dft_inverse(grid, dft_forward(grid, u))
     w = eps * base
@@ -368,8 +366,8 @@ def _loss_map(grid: GridSpec, base: np.ndarray | None, eps: float):
     if base.ndim == 1:
         m = _multiplier_values(grid, np.exp(w))
         return lambda u: _fft_multiply(m, _fields(grid, u))
-    band = kn_band(grid, np.exp(w), slice(None))
-    return lambda u: _kn_product(grid, _fields(grid, u), band)
+    band = kn_fold(grid, np.exp(w, out=w), np.arange(w.shape[1]), True, w.shape[0] < grid.N)
+    return lambda u: _kn_fold_product(grid, _fields(grid, u), band)
 
 
 def loss_operator(grid: GridSpec, pair: StructurePair, eps: float, sigma: float,
@@ -377,10 +375,11 @@ def loss_operator(grid: GridSpec, pair: StructurePair, eps: float, sigma: float,
     """Apply ``exp(eps * (Phi(x) <D>_k)**(1/sigma))`` in left quantization to grid fields.
 
     ``eps = 0`` is the identity.  Collapses to a Fourier multiplier when the
-    pair is constant, and is the dense Kohn-Nirenberg product of
-    ``exp(loss_symbol)`` otherwise.  ``eps`` and ``sigma`` are checked as
-    :class:`SobolevIndex` checks them.  Raises :class:`OverflowGuardError` when the
-    exponent exceeds 700 anywhere on the lattice.
+    pair is constant, and is otherwise the Kohn-Nirenberg product of
+    ``exp(loss_symbol)``: one :func:`kn_fold` band on the columns ``xi_j >= 0``, and
+    on the rows ``x_i <= 0`` where the grid and ``Phi`` are even in x.  ``eps`` and
+    ``sigma`` are checked as :class:`SobolevIndex` checks them.  Raises
+    :class:`OverflowGuardError` when the exponent exceeds 700 anywhere on the lattice.
     """
     SobolevIndex(0.0, 0.0, eps, sigma)
     return _loss_map(grid, _loss_base(grid, pair, sigma) if eps else None, eps)(values)

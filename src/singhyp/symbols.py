@@ -39,6 +39,7 @@ from typing import Callable
 
 import numpy as np
 
+from .quantize import _even_x
 from .structure import (SingularityProfile, StructurePair, Zone, bracket, classify_zone,
                         constant_pair, make_profile, one, poly_pair, zero)
 
@@ -573,8 +574,8 @@ def off_blend(symbol, x, xi):
     and its excision's factors on ``x``, ``xi``: ``g``, ``g'``, ``w``, ``m``, their roots,
     ``omega``, ``<xi>_k``, ``omega / sqrt(w)``, ``<xi>_k / sqrt(m)`` (0 where the root is, as
     in HSymbol), ``Phi``, whether it re-excises, whether ``m(-xi) == m(xi)`` bitwise, and
-    whether ``x[1:]`` is exactly ``-x[:0:-1]`` with ``Phi``, ``omega`` and ``w`` bitwise even
-    on it (``v[i] == v[N - i]`` for ``i >= 1``, ``x[0]`` unpaired).
+    whether ``x`` holds its own negations with ``Phi``, ``omega`` and ``w`` bitwise even on it
+    (:func:`~singhyp.quantize._even_x`).
     Re-excision (same pair and ``k``) is the identity off the blend, so the factors are the
     innermost family's.  None for an undeclared callable, no ``separable`` or ``dg``, or
     ``w`` or ``m`` < 0."""
@@ -595,10 +596,9 @@ def off_blend(symbol, x, xi):
     sw, sm = np.sqrt(wx), np.sqrt(mx)
     ow, bm = (np.divide(a, b, out=np.zeros_like(a), where=b > 0.0) for a, b in ((om, sw), (br, sm)))
     phi = np.asarray(exc.pair.phi(x), dtype=float)
-    even_x = np.array_equal(x[1:], -x[:0:-1]) and all(
-        np.array_equal(v[1:], v[:0:-1]) for v in np.broadcast_arrays(x, phi, om, wx)[1:])
     return form, Separated(g, dg, wx, mx, sw, sm, om, br, ow, bm, phi, fam is not exc.family,
-                           np.array_equal(np.asarray(m(-xi), dtype=float), mx), even_x)
+                           np.array_equal(np.asarray(m(-xi), dtype=float), mx),
+                           _even_x(x, phi, om, wx))
 
 
 # --------------------------------------------------------------------------

@@ -1,15 +1,18 @@
 """DFT conventions, multipliers, Kohn-Nirenberg reductions, loss operator,
 and weighted Sobolev norms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from singhyp.quantize import (GridSpec, OverflowGuardError, SobolevIndex, _fft_multiply,
-                              _kn_fold_product, _kn_product, _multiplier_values, apply_kn,
-                              apply_multiplier, dft_forward, dft_inverse, kn_band, kn_fold,
+                              _grid_arrays, _kn_fold_product, _kn_trig, _multiplier_values,
+                              apply_kn, apply_multiplier, dft_forward, dft_inverse, kn_fold,
                               l2_norm, loss_operator, loss_symbol, sobolev_norm)
 from singhyp.structure import bracket, constant_pair, poly_pair
 from singhyp.analysis import random_trig_poly
+from dft_reference import dft_matrix_product
 
 
 @pytest.fixture
@@ -166,39 +169,12 @@ class TestKohnNirenberg:
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
-    def test_band_layout_matches_dft_matrix_product(self, grid, rand_field, kind):
-        # c[cols] @ kn_band(...) / (2L) is the cols part of the Kohn-Nirenberg product
-        # written with explicit DFT matrices, for a slice, the two runs of a symmetric
-        # xi-window in FFT layout, and no columns at all (the lattice is then 0.0)
-        x, xi, N = grid.x, grid.xi, grid.N
-        c = grid.dx * np.exp(-1j * np.outer(xi, x)) @ rand_field
-        full = np.cos(x)[:, None] * bracket(xi, 1.0)[None, :] + np.sin(xi / 3.0)[None, :]
-        if kind == "complex":
-            full = full * np.exp(1j * np.outer(x, xi) / 7.0)
-        for cols in (slice(5, 40), np.r_[3:20, N - 19:N - 2], np.array([], dtype=int)):
-            xi_band = xi[cols]
-            lattice = full[:, cols] if xi_band.size else 0.0
-            got = c[cols] @ kn_band(grid, lattice, cols) / (2.0 * grid.L)
-            want = (np.exp(1j * np.outer(x, xi_band)) * full[:, cols]) @ c[cols] / (2.0 * grid.L)
-            assert got.shape == (N,)
-            assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1e-300)
-
-    @pytest.mark.parametrize("bad", [np.inf, np.nan])
-    def test_band_rejects_non_finite_lattice(self, grid, bad):
-        lattice = np.ones((grid.N, 4), dtype=complex)
-        lattice[7, 2] = bad
-        with pytest.raises(OverflowGuardError):
-            kn_band(grid, lattice, slice(0, 4))
-        with pytest.raises(OverflowGuardError):
-            kn_band(grid, lattice.real, np.r_[0, 1, grid.N - 2, grid.N - 1])
-
-    @pytest.mark.parametrize("kind", ["real", "complex"])
     @pytest.mark.parametrize("L", [np.pi, 8.0])
     def test_folded_band_matches_the_phase_band(self, kind, L):
-        # the kn_fold band of a batch, on every fold the grid admits, against _kn_product on
-        # the kn_band of the whole lattice: columns folded over +-xi where the lattice is
-        # even in xi, rows over +-x where it is even in x and x holds its own negations
-        # (L = 8, not pi), a band with -xi columns unfolded, and an empty band
+        # the kn_fold band of a batch, on every fold the grid admits, against the DFT-matrix
+        # product of the lattice on the band's columns (0 elsewhere): columns folded over +-xi
+        # where the lattice is even in xi, rows over +-x where it is even in x and x holds its
+        # own negations (L = 8, not pi), a band with -xi columns unfolded, and an empty band
         grid = GridSpec(L=L, N=64, k=1.0)
         x, xi, N, half = grid.x, grid.xi, grid.N, grid.N // 2 + 1
         even_x = np.array_equal(x[1:], -x[:0:-1])
@@ -208,7 +184,9 @@ class TestKohnNirenberg:
         if kind == "complex":
             full = full * np.exp(1j * np.cos(x)[:, None] / (1.0 + xi * xi)[None, :])
         for cols in (np.arange(N), np.r_[3:20, N - 19:N - 2], np.r_[5:9, N - 8:N - 4]):
-            want = _kn_product(grid, u, kn_band(grid, full[:, cols], cols), cols)
+            on_cols = np.zeros_like(full)
+            on_cols[:, cols] = full[:, cols]
+            want = dft_matrix_product(grid, on_cols, u)
             for fold_xi, fold_x in ((False, False), (True, False), (False, even_x),
                                     (True, even_x)):
                 evaluated = cols[cols < half] if fold_xi else cols
@@ -220,11 +198,15 @@ class TestKohnNirenberg:
         assert np.array_equal(_kn_fold_product(grid, u, None), np.zeros_like(u))
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
-    def test_folded_band_rejects_non_finite_lattice(self, grid, bad):
+    def test_folded_band_rejects_non_finite_lattice(self, grid, rand_field, bad):
         lattice = np.ones((grid.N // 2 + 1, 4))
         lattice[7, 2] = bad
         with pytest.raises(OverflowGuardError):
             kn_fold(grid, lattice, np.arange(4), True, True)
+        whole = np.ones((grid.N, grid.N), dtype=complex)
+        whole[7, grid.N - 2] = bad
+        with pytest.raises(OverflowGuardError):
+            apply_kn(grid, whole, rand_field)
 
     def test_unit_symbol_is_identity(self, grid, rand_field):
         out = apply_kn(grid, lambda x, xi: 1.0 + 0.0 * x + 0.0 * xi, rand_field)
@@ -307,6 +289,23 @@ class TestLossOperator:
     def test_overflow_guard_names_exponent(self, grid, rand_field):
         with pytest.raises(OverflowGuardError, match="exponent"):
             loss_operator(grid, poly_pair(0.5, 0.5), 500.0, 3.0, rand_field)
+
+    def test_band_holds_no_complex_phase_matrix(self):
+        # from cold caches, the poly-pair loss operator at N = 1024 on L = 8 allocates less
+        # than one complex N x N array at its peak: its band is folded over +-xi and +-x
+        grid = GridSpec(L=8.0, N=1024, k=4.0)
+        u = np.asarray(random_trig_poly(8, seed=1)(grid.x), dtype=complex)
+        _kn_trig.cache_clear()
+        _grid_arrays.cache_clear()
+        tracemalloc.start()
+        try:
+            out = loss_operator(grid, poly_pair(0.5, 0.5), 3.97, 3.0, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            _kn_trig.cache_clear()
+        assert np.all(np.isfinite(out))
+        assert peak < 16 * grid.N ** 2, peak / (16 * grid.N ** 2)
 
     def test_invertibility_improves_with_k(self):
         pair = poly_pair(0.5, 0.5)

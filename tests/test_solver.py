@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singhyp.quantize import (GridSpec, OverflowGuardError, _kn_phase, _kn_product, _kn_trig,
-                              apply_kn, apply_multiplier, kn_band, l2_norm)
+from singhyp.quantize import (GridSpec, OverflowGuardError, _kn_trig, apply_kn, apply_multiplier,
+                              kn_fold, l2_norm, loss_operator)
 import singhyp.solver as solver
 from singhyp.solver import (CauchyProblem, Discretization, SolverError, SupportError,
                             SystemOperators, TimeMesh, assemble_rhs, graded_mesh,
@@ -20,6 +20,7 @@ from singhyp.symbols import (CharacteristicRoot, ExcisedCoefficient, HSymbol, ch
                              off_blend, reference_wave, separable_family, theorem_coefficient)
 from singhyp.analysis import GaussianBump, closed_form, counterexample_family, \
     random_trig_poly
+from dft_reference import dft_matrix_product
 
 U0 = random_trig_poly(8, seed=42)
 
@@ -853,7 +854,7 @@ class TestFourierState:
         rng = np.random.default_rng(seed)
         u = rng.standard_normal(N) + 1j * rng.standard_normal(N)
         lattice = np.broadcast_to(sym(t, grid.x[:, None], grid.xi[None, :]), (N, N))
-        want = _dft_matrix_product(grid, lattice, u)
+        want = dft_matrix_product(grid, lattice, u)
         got = space.field(op(t, space.state(u)))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -1132,13 +1133,6 @@ class TestMultiplierChecks:
         assert all(any(m is f for f in formed) for m in applied)
 
 
-def _dft_matrix_product(grid, lattice, u):
-    # Op(a) u with explicit DFT matrices, no FFT and no kn_band:
-    # (1/2L) sum_j a(x_i, xi_j) exp(i x_i xi_j) dx sum_l u_l exp(-i xi_j x_l)
-    E = np.exp(1j * np.outer(grid.x, grid.xi))
-    return (lattice * E) @ (grid.dx * (E.conj().T @ u)) / (2.0 * grid.L)
-
-
 class TestGridValuePaths:
     @settings(max_examples=40, deadline=1000)
     @given(N=st.sampled_from([32, 64, 128]), L=st.sampled_from([np.pi, 8.0]),
@@ -1146,18 +1140,21 @@ class TestGridValuePaths:
                                                         max_size=2),
            p=st.floats(0.0, 0.25), amplitude=st.floats(0.0, 1.0), t=st.floats(1e-3, 1.0),
            symbol=st.sampled_from(["a", "defect", "value", "dt", "h.value", "h.dt"]),
-           s=st.floats(-2.0, 2.0), c=st.floats(-1.0, 1.0), seed=st.integers(0, 2 ** 16))
+           s=st.floats(-2.0, 2.0), c=st.floats(-1.0, 1.0), seed=st.integers(0, 2 ** 16),
+           twice=st.booleans(), eps=st.floats(0.0, 4.0))
     def test_paths_match_dft_matrix_product(self, N, L, k, kappa, p, amplitude, t, symbol, s,
-                                            c, seed):
-        # the grid-value separable, banded and dense paths of symbol_operator, lower_operator
-        # and apply_multiplier against the DFT-matrix product, with dx = 2L/N a power of
-        # two (L = 8) and not (L = pi)
+                                            c, seed, twice, eps):
+        # the grid-value separable, banded and dense paths of symbol_operator, lower_operator,
+        # apply_multiplier, apply_kn of the banded symbol's lattice and loss_operator against
+        # the DFT-matrix product, with dx = 2L/N a power of two (L = 8, where the loss band
+        # folds over +-x) and not (L = pi); the banded symbol is of the excision or of the
+        # re-excision
         grid = GridSpec(L=L, N=N, k=k)
         fam = theorem_coefficient(p, 1.25, amplitude=amplitude, pair=poly_pair(*sorted(kappa)),
                                   k=k)
         fam = dataclasses.replace(fam, b1=lambda tt, x: np.cos(tt * x) / (1.0 + tt),
                                   b2=lambda tt, x: c * tt * np.hypot(1.0, x))
-        excised = excise(fam)
+        excised = excise(excise(fam)) if twice else excise(fam)
         root = char_root(excised)
         h = h_symbol(root)
         banded = {"a": excised.a, "defect": excised.defect, "value": root.value, "dt": root.dt,
@@ -1166,16 +1163,20 @@ class TestGridValuePaths:
         rng = np.random.default_rng(seed)
         u = rng.standard_normal(N) + 1j * rng.standard_normal(N)
         m = bracket(grid.xi, k) ** s + 1j * c * grid.xi_odd
+        band = banded(t, X, XI)
+        loss = np.exp(eps * (fam.pair.phi(X) * bracket(XI, k)) ** (1.0 / 3.0))
         cases = [
             (symbol_operator(grid, fam), "separable", fam.a(t, X, XI)),
-            (symbol_operator(grid, fam, banded), "banded", banded(t, X, XI)),
+            (symbol_operator(grid, fam, banded), "banded", band),
             (symbol_operator(grid, fam, fam.a), "dense", fam.a(t, X, XI)),
             (lower_operator(grid, fam), "coefficient",
              fam.b1(t, X) * 1j * grid.xi_odd[None, :] + fam.b2(t, X)),
-            (lambda tt, w: apply_multiplier(grid, m, w), None, np.broadcast_to(m, (N, N)))]
+            (lambda tt, w: apply_multiplier(grid, m, w), None, np.broadcast_to(m, (N, N))),
+            (lambda tt, w: apply_kn(grid, band, w), None, band),
+            (lambda tt, w: loss_operator(grid, fam.pair, eps, 3.0, w), None, loss)]
         for op, path, lattice in cases:
             assert getattr(op, "path", None) == path
-            want = _dft_matrix_product(grid, lattice, u)
+            want = dft_matrix_product(grid, lattice, u)
             got = op(t, u)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), path
 
@@ -1280,7 +1281,11 @@ class TestEvenFold:
             lattice = sym(t, grid.x[:, None], grid.xi[cols][None, :])
             assert len(lattices) == (cols.size > 0) and all(
                 np.array_equal(got, lattice[:grid.N // 2 + 1, :got.shape[1]]) for got in lattices)
-            want = _kn_product(grid, u, kn_band(grid, lattice, cols), cols, terms)
+            # the band's lattice on its columns, and the terms' w(x) m(xi) (0 there) elsewhere
+            whole = sum((np.multiply.outer(w, m) for w, m in terms),
+                        np.zeros((grid.N, grid.N), complex))
+            whole[:, cols] += lattice
+            want = dft_matrix_product(grid, whole, u)
             full = sym(t, grid.x[:, None], grid.xi[None, :])
             scale = np.max(np.abs(full)) * np.max(np.abs(u))
             assert np.max(np.abs(op(t, u) - want)) <= 1e-12 * scale
@@ -1309,7 +1314,7 @@ class TestEvenFold:
             cols = op.part(t)[1]
             assert widths == ([cols.size] if cols.size else [])
             assert heights == ([grid.N // 2 + 1] if cols.size else [])
-            want = _dft_matrix_product(grid, sym(t, grid.x[:, None], grid.xi[None, :]), u)
+            want = dft_matrix_product(grid, sym(t, grid.x[:, None], grid.xi[None, :]), u)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @staticmethod
@@ -1330,7 +1335,7 @@ class TestEvenFold:
             assert heights == ([grid.N] if cols.size else [])
             assert all(w <= cols.size // 2 + 1 for w in widths)
             lattice = sym(t, grid.x[:, None], grid.xi[None, :])
-            want = _dft_matrix_product(grid, lattice, u)
+            want = dft_matrix_product(grid, lattice, u)
             scale = np.max(np.abs(lattice)) * np.max(np.abs(u))
             assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
@@ -1350,6 +1355,15 @@ class TestEvenFold:
         grid = GridSpec(L=8.0, N=64, k=4.0)
         assert np.array_equal(grid.x[1:], -grid.x[:0:-1])
         self._every_row(monkeypatch, name, grid, _even_but(factor))
+
+
+def _exact_phase_rows(N):
+    # row j -> exp(i xi_j x_n) for every n (j in FFT layout, the grid's x exact), independent
+    # of the library: xi_j x_n = pi (2 j n - j N) / N, for j and for j - N alike, is reduced
+    # over the integers into [0, 2 pi), and the 2N angles are evaluated in extended precision
+    theta = (4.0 * np.arctan(np.longdouble(1.0)) / N) * np.arange(2 * N)
+    phases, n = np.cos(theta).astype(float) + 1j * np.sin(theta).astype(float), np.arange(N)
+    return lambda j: phases[(2 * j * n - j * N) % (2 * N)]
 
 
 class TestExcisionSolve:
@@ -1378,27 +1392,38 @@ class TestExcisionSolve:
         assert 0 < traj.stats["lattice_columns"] < grid.N * stage_times.size
 
     def test_no_phase_matrix(self):
-        # an excised solve applies its bands on the (cos, sin) table of xi_j x_i, xi_j >= 0,
-        # and forms no N x N exp(i xi_j x_i); the table's rows are that matrix's xi >= 0
-        # rows bit for bit, and (cos, -sin) its -xi rows, on a grid that holds its own
-        # negations (L = 8) and on one that does not (L = pi)
+        # an excised solve applies its bands on one cached (cos, sin) table of xi_j x_i,
+        # xi_j >= 0, with no N x N exp(i xi_j x_i); the table is that phase to 1e-15, as its
+        # argument is reduced exactly (cos and sin of the rounded products xi_j * x_i, which
+        # reach N pi / 2, are off by 2.8e-13 at N = 1024), on a grid that holds its own
+        # negations (L = 8) and on one that does not (L = pi); (cos, -sin) of its row j is
+        # the -xi_j row to the same bound, and bitwise what an unfolded band applies on its
+        # -xi columns
         grid = GridSpec(L=8.0, N=64, k=4.0)
         fam = theorem_coefficient(0.0, 1.25, pair=poly_pair(0.5, 0.5), k=4.0)
         f1 = GaussianBump(0.0, 0.45)(grid.x) * _band_field(grid)
         prob = CauchyProblem(family=fam, f1=f1, f2=np.zeros_like(f1), t_start=0.0, T=1.0,
                              use_excision=True)
-        _kn_phase.cache_clear()
+        _kn_trig.cache_clear()
         traj = integrate(prob, grid, graded_mesh(fam, 0.0, 1.0, 64), [0.5, 1.0])
         assert traj.stats["operator"] == "banded" and traj.stats["lattice_evals"] > 0
-        assert _kn_phase.cache_info().currsize == 0
-        for g in (grid, GridSpec(L=np.pi, N=64, k=4.0)):
-            E, half = _kn_phase(g), g.N // 2 + 1
-            for rows in (half, g.N):
-                cos, sin = _kn_trig(g, rows)
-                assert np.array_equal(cos, E[:half, :rows].real)
-                assert np.array_equal(sin, E[:half, :rows].imag)
-                assert np.array_equal(cos[half - 2:0:-1], E[half:, :rows].real)
-                assert np.array_equal(-sin[half - 2:0:-1], E[half:, :rows].imag)
+        assert _kn_trig.cache_info().currsize == 1
+        for g in (grid, GridSpec(L=np.pi, N=64, k=4.0), GridSpec(L=8.0, N=1024, k=4.0),
+                  GridSpec(L=8.0, N=2048, k=4.0)):
+            N, half = g.N, g.N // 2 + 1
+            cos, sin = _kn_trig(g, N)
+            assert np.array_equal(_kn_trig(g, half), _kn_trig(g, N)[:, :, :half])
+            row = _exact_phase_rows(N)
+            err = max(np.max(np.abs(cos[min(j, N - j)] + 1j * np.sign(half - 0.5 - j)
+                                    * sin[min(j, N - j)] - row(j))) for j in range(N))
+            assert err <= 1e-15, (N, err)
+            if N == 64:
+                K, (plus, minus) = kn_fold(g, np.ones((N, N)), np.arange(N), False, False)
+                # P = F_j, Q = -F_j on a -xi_j column: F_j (cos - i sin) of row N - j
+                assert np.array_equal(K[:, half:], np.stack((cos, sin))[:, half - 2:0:-1])
+                assert np.array_equal(plus[half:], np.full(N - half, N))
+                assert np.array_equal(minus[half:], np.arange(half, N))
+        _kn_trig.cache_clear()
 
     def test_excised_operator_is_not_local(self):
         # excised_dense's family and seed-1 data on L = 8: one application of Op(atilde) at
@@ -1463,7 +1488,7 @@ class TestExcisionSolve:
         op = symbol_operator(grid, fam, sym)
         assert op.path == "banded"
         u = GaussianBump(0.0, 0.45)(grid.x) * _band_field(grid)
-        want = apply_kn(grid, lambda x, xi: sym(t, x, xi), u)
+        want = dft_matrix_product(grid, sym(t, grid.x[:, None], grid.xi[None, :]), u)
         assert np.max(np.abs(op(t, u) - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_wrapped_method_keeps_its_declaration(self, monkeypatch):
@@ -1482,7 +1507,7 @@ class TestExcisionSolve:
         op = symbol_operator(grid, fam, sym)
         assert op.path == "banded"
         u = GaussianBump(0.0, 0.45)(grid.x) * _band_field(grid)
-        want = apply_kn(grid, lambda x, xi: sym(0.05, x, xi), u)
+        want = dft_matrix_product(grid, sym(0.05, grid.x[:, None], grid.xi[None, :]), u)
         assert np.max(np.abs(op(0.05, u) - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_on_off_identical_when_window_empty(self):
@@ -1806,7 +1831,7 @@ class TestSystem:
         ("theorem-poly-N1024", 0.05)])
     def test_operator_paths_match_dense_kn(self, name, t):
         # every path symbol_operator picks (separable, diagonal, banded, dense), and the
-        # solver's principal part with and without excision, against the dense KN
+        # solver's principal part with and without excision, against the DFT-matrix
         # product on grid values.  With k = 4 and L = 8: at t = 0 every column has
         # cut = 1, t = 0.02 and 0.05 are inside the blend window, at t = 0.9 the
         # excised symbols' band is empty; "example" has w != omega^2 and m = xi^2,
@@ -1826,16 +1851,26 @@ class TestSystem:
 
         def check(op, symbol):
             # operators act on the family's states: Fourier coefficients on a multiplier
-            # family; banded operators meet the tighter bound
+            # family; banded operators meet the tighter relative bound,
             try:
-                want = apply_kn(grid, lambda x, xi: symbol(t, x, xi), u)
-            except (RuntimeWarning, OverflowGuardError) as e:  # a, defect undefined at t = 0
-                with pytest.raises(type(e)):
+                lattice = symbol(t, grid.x[:, None], grid.xi[None, :])
+            except RuntimeWarning:  # a, defect undefined at t = 0
+                error = RuntimeWarning
+            else:
+                error = None if np.all(np.isfinite(lattice)) else OverflowGuardError
+            if error is not None:
+                with pytest.raises(error):
                     op(t, disc.state(u))
                 return
+            want = dft_matrix_product(grid, lattice, u)
             got = disc.field(op(t, disc.state(u)))
+            # or, where larger, 4 ulps of max |symbol| max |u|: no double product is closer
+            # to an independent one where |Op(a) u| is that much smaller (H, tau_t and the
+            # re-excised defect at t = 0.05 on N = 1024 are 1e-16 to 5e-5 of it)
             tol = 1e-12 if op.path == "banded" else 1e-10
-            assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want)), (op.path, symbol)
+            bound = max(tol * np.max(np.abs(want)),
+                        4 * np.finfo(float).eps * np.max(np.abs(lattice)) * np.max(np.abs(u)))
+            assert np.max(np.abs(got - want)) <= bound, (op.path, symbol)
 
         check(symbol_operator(grid, fam), fam.a)
         for symbol in (fam.a, root.value, root.dt, h.value, h.dt, excised.defect, excised.a):
