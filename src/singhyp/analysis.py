@@ -492,6 +492,7 @@ def energy_monitor(traj: Trajectory, s: tuple[float, float], profile: Singularit
         if forcing is not None:
             f = np.broadcast_to(forcing(float(t), grid.x), grid.x.shape)
             fnorm.append(_weighted_l2(grid, loss(f), (s1, s2), pair))
+        del loss  # so that the next snapshot's band is formed with no other alive
 
     data_bound = np.full(times.shape, norms_u[0] + norms_v[0])
     if forcing is not None:

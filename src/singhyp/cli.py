@@ -5,10 +5,10 @@ One experiment per process invocation, driven by a JSON config::
     singhyp --config run.json --out results/
     singhyp --suite --out results/
 
-Exit status: 0 all verdicts pass, 2 invalid configuration (message names the
-offending field), 3 numerical abort.  Every run writes ``manifest.json``
-(resolved config, derived exponents, versions, wall time, run id) plus result
-CSVs and, for check-type experiments, ``verdict.json``.  An identical config
+Exit status: 0 all verdicts pass, 1 a verdict failed (``verdict.json`` names it), 2 invalid
+configuration (message names the offending field), 3 numerical abort (``abort.json``).  Every
+run writes ``manifest.json`` (resolved config, derived exponents, versions, wall time, run id)
+plus result CSVs and, for check-type experiments, ``verdict.json``.  An identical config
 produces bit-identical CSV artifacts (``data.seed`` seeds the trig data).
 
 Config schema (unknown keys are rejected)::
@@ -400,8 +400,8 @@ _RUNNERS = {
 
 
 def run(raw_config: dict, out_dir) -> int:
-    """Run one experiment; returns the process exit status (0 pass / 2 config /
-    3 numerical)."""
+    """Run one experiment; returns the process exit status (0 pass / 1 a verdict failed /
+    2 config / 3 numerical)."""
     out = Path(out_dir)
     try:
         cfg = RunConfig(raw_config)
@@ -409,7 +409,8 @@ def run(raw_config: dict, out_dir) -> int:
         t0 = time.perf_counter()
         artifacts, verdicts = _RUNNERS[cfg.experiment](cfg, out)
     except (ConfigError, SupportError) as e:
-        print(f"config error: {e}", file=sys.stderr)
+        where = "data: " if isinstance(e, SupportError) else ""  # data leaking past |x| = L/2
+        print(f"config error: {where}{e}", file=sys.stderr)
         return 2
     except (SolverError, EllipticityError, QuadratureError, OverflowGuardError,
             ArithmeticError) as e:

@@ -14,21 +14,22 @@ four stages at the step midpoint, so the vector field is never evaluated at the 
 time.  CFL violations trigger automatic step halving (up to 20 levels).
 
 Every ``Op(sigma)`` comes from :func:`symbol_operator`, which picks its path once per
-(symbol, grid), and ``Op(b)`` from :func:`lower_operator`.  They act on the family's states:
-Fourier coefficients of a multiplier family (every operator is then diagonal in xi, and RK4
-transforms only at snapshots), grid values otherwise, through ``quantize._fft_multiply`` and
-``quantize._kn_fold_product`` (this module makes no transform).  :func:`integrate` alone may
-step a third space, ``modal`` (:func:`_modal_space`): where the only operator is the family's
-separable ``g(t) w(x) m(D)``, x-dependent, with ``w > 0``, ``m`` real and even, no ``b0``,
-``b1``, ``b2``, forcing or excision, ``N <= 1024`` and ``N**2 <= 256 M``, it steps the
-coefficients of the state in the eigenbasis of ``w(x) m(D)``, formed once per solve, on which
-that operator is diagonal; it changes basis only at the data and at snapshots.  It alone also
-steps real states, for real data and no forcing: real modal coefficients, or the half spectrum
-of Fourier coefficients (:func:`_state_space`); grid values stay complex.  ``stats["space"]``
-names the space of a solve (``fourier``, ``modal`` or ``physical``) and ``stats["real"]``
-whether its states were real.  Each multiplier is checked once, where it is formed, and kept
-read-only.  The right-hand side is ``dv = -Op(a) u - Op(b) u - b0 v (+ F)``
-(:meth:`Discretization.rhs`).
+(symbol, grid), and ``Op(b)`` from :func:`lower_operator`.  Each is one of two kinds of
+operator (:class:`_Operator`): parts tabulated over a column of times
+(:func:`_coefficient_operator`), or a band formed one ``t`` at a time.  The operators of one
+discretization share one state space, whose ``term(b, m, u) = b(x) m(D) u`` is its one
+product: Fourier coefficients of a multiplier family (every operator is then diagonal in xi,
+and RK4 transforms only at snapshots), grid values otherwise, through ``quantize._fft_multiply``
+and ``quantize._kn_fold_product`` (this module makes no transform).  :func:`integrate` alone may
+step a third space, ``modal``: where :func:`_modal_space`'s rule holds (among its conditions,
+the only operator is the family's x-dependent separable ``g(t) w(x) m(D)``), it steps the
+coefficients of the state in the eigenbasis of ``w(x) m(D)``, changing basis only at the data
+and at snapshots.  For real data and no forcing it steps real states, and
+:func:`assemble_rhs` acts on them (:func:`_discretize`): real modal coefficients, or the half
+spectrum of Fourier coefficients; grid values stay complex.  ``stats["space"]`` names the
+space of a solve (``fourier``, ``modal`` or ``physical``) and ``stats["real"]`` whether its
+states were real.  Each multiplier is checked once, where it is formed, and kept read-only.
+The right-hand side is ``dv = -Op(a) u - Op(b) u - b0 v (+ F)`` (:meth:`Discretization.rhs`).
 
 The first-order reduction
 
@@ -50,7 +51,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -202,7 +202,7 @@ class Trajectory:
             raise ValueError("snapshot times must be strictly increasing")
 
 
-_StateSpace = namedtuple("_StateSpace", "name x multiply term state field real size dtype modes",
+_StateSpace = namedtuple("_StateSpace", "name x term state field real size dtype modes",
                          defaults=(None,))
 
 
@@ -223,19 +223,18 @@ def _even_multiplier(grid: GridSpec, family: CoefficientFamily) -> np.ndarray | 
 def _state_space(grid: GridSpec, family: CoefficientFamily, real: bool = False) -> _StateSpace:
     """Where the operators of ``family`` act: on Fourier coefficients, with the
     coefficients read at ``x = 0``, for a multiplier family; on grid values otherwise.
-    ``multiply(m, u)`` applies ``m(D)`` given on ``grid.xi``, ``term(b, m, u)`` is
-    ``b(x) m(D) u`` (``m (b u)`` on Fourier coefficients), ``state``/``field`` convert grid
+    ``term(b, m, u)``, the space's one product, is ``b(x) m(D) u`` with ``m`` given on
+    ``grid.xi`` (``m (b u)`` on Fourier coefficients), ``state``/``field`` convert grid
     fields to states of ``size`` values of ``dtype`` and back (along the last axis: a stacked
     ``(u, v)`` in one call).  With ``real`` (real fields) and an :func:`_even_multiplier`,
     Fourier coefficients are the half spectrum ``j = 0 ... N/2`` of real fields (``real``).
     :func:`integrate` alone may step a third space, :func:`_modal_space`'s."""
     if not family.is_multiplier:
-        return _StateSpace("physical", grid.x, _fft_multiply,
-                           lambda b, m, u: b * _fft_multiply(m, u), lambda f: f, lambda c: c,
-                           False, grid.N, complex)
+        return _StateSpace("physical", grid.x, lambda b, m, u: b * _fft_multiply(m, u),
+                           lambda f: f, lambda c: c, False, grid.N, complex)
     real = real and _even_multiplier(grid, family) is not None
     forward, inverse = (_rdft_forward, _rdft_inverse) if real else (dft_forward, dft_inverse)
-    return _StateSpace("fourier", 0.0, operator.mul, _diagonal_term, lambda f: forward(grid, f),
+    return _StateSpace("fourier", 0.0, _diagonal_term, lambda f: forward(grid, f),
                        lambda c: inverse(grid, c), real, grid.N // 2 + 1 if real else grid.N,
                        complex)
 
@@ -266,31 +265,31 @@ def _modal_space(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
     if m is None or not np.all((w > 0.0) & (w < np.inf)):
         return None
     lam, Q, sw = _modal_basis(grid, w, m)
-    return _StateSpace("modal", grid.x, None, _diagonal_term,
+    return _StateSpace("modal", grid.x, _diagonal_term,
                        lambda f: _real_matmul(f / sw, Q), lambda z: _real_matmul(z, Q.T) * sw,
                        real, n, float if real else complex, lam)
 
 
 def _negated_mu(first: _Operator, lower: _Operator | None) -> _Operator:
     """``-(first + lower)`` of diagonal operators (on Fourier coefficients or modal states,
-    where ``lower`` is None): one product with
-    its row ``-mu(t)``, formed when a ``t`` is first read as ``first(t, -1.0) + lower(t, -1.0)``,
-    each operator's own apply without the instance call (a measurable share of a row)."""
+    where ``lower`` is None): one product with its row ``-mu(t)``, formed when a ``t`` is first
+    read as ``first(t, -1.0) + lower(t, -1.0)`` without the instance calls (a measurable share)."""
     def parts(t):
         row = first._apply(first.part(t), -1.0)
         return (row if lower is None else row + lower._apply(lower.part(t), -1.0)), 0
 
-    return _Operator("row", operator.mul, parts=parts)
+    return _Operator("row", np.multiply, parts=parts)
 
 
 class _Operator:
     """``(t, u) -> apply(part, u)``, the part at ``t`` looked up in a table of parts by time.
 
-    A coefficient path (``separable``, ``diagonal``, ``coefficient``) has ``column(times)``,
-    its parts at every time of a 1-D array in one vectorised call, which :meth:`prime`
-    tabulates; ``width`` is the number of values a part holds.  A band path (``banded``,
-    ``dense``) and the ``row`` of :func:`_negated_mu` have ``parts(t)``, the part at one ``t``
-    and its number of lattice columns (summed in ``lattice_columns``; ``lattice_evals`` counts
+    Two kinds, each built in one place.  A coefficient path (``separable``, ``diagonal``,
+    ``coefficient``; :func:`_coefficient_operator`) has ``column(times)``, its parts at every
+    time of a 1-D array in one vectorised call, which :meth:`prime` tabulates; ``width`` is the
+    number of values a part holds.  A band path (``banded``, ``dense``; :func:`symbol_operator`)
+    and the ``row`` of :func:`_negated_mu` have ``parts(t)``, the part at one ``t`` and its
+    number of lattice columns (summed in ``lattice_columns``; ``lattice_evals`` counts
     the lattices formed).  On a miss (counted in ``formed``) the table keeps that ``t`` alone,
     formed by ``column(np.array([t]))`` or ``parts(t)``, unless it is a dense N x N matrix.
     On Fourier coefficients every operator is diagonal, and so is the separable principal
@@ -325,19 +324,12 @@ class _Operator:
         return self._apply(self.part(t), u)
 
 
-def _rows(f: Callable, ts: np.ndarray, x) -> list:
-    """``f(t, x)`` at every time of ``ts`` in one call: one row per time, an array over
-    ``x`` on grid values and the value at ``x = 0`` on Fourier coefficients, as a Python
-    float (which multiplies a state measurably faster than a numpy scalar)."""
-    if np.ndim(x):
-        return list(np.broadcast_to(f(ts[:, None], x), (ts.size, np.size(x))))
-    return np.broadcast_to(f(ts, x), ts.shape).tolist()
-
-
 def symbol_operator(grid: GridSpec, family: CoefficientFamily,
                     symbol: Callable | None = None, space: _StateSpace | None = None) -> _Operator:
-    """``(t, u) -> Op(symbol(t, ., .)) u`` on the family's states, with the path
-    chosen once and named by the operator's ``path``.
+    """``(t, u) -> Op(symbol(t, ., .)) u`` on the states of ``space`` (by default the
+    family's, :func:`_state_space`), with the path chosen once and named by the operator's
+    ``path``: a coefficient operator on Fourier coefficients and for the separable default, a
+    band formed one ``t`` at a time on grid values otherwise.
 
     ``symbol`` defaults to the family's ``a``.  That default on a separable
     family is the exact product ``g(t) w(x) m(D)`` with ``w`` and ``m``
@@ -356,26 +348,20 @@ def symbol_operator(grid: GridSpec, family: CoefficientFamily,
     holds its own negations and those three are bitwise even on it (``Separated.even_x``)
     the lattice is evaluated on one row per +-x pair, rows ``0 ... N/2``, and row ``N - i``
     of the product is row ``i``'s with its sine part negated.  A separable or diagonal
-    operator evaluates ``g`` or ``symbol`` over a column of times (:meth:`_Operator.prime`).
-    ``space`` defaults to the family's (:func:`_state_space`); on :func:`_modal_space`'s, the
-    family's ``a`` is the diagonal product ``g(t) modes``; a half spectrum's multipliers are cut."""
+    operator evaluates ``g`` or ``symbol`` over a column of times (:meth:`_Operator.prime`),
+    and applies it by the space's ``term``.  On :func:`_modal_space`'s states the family's
+    ``a`` is the diagonal product ``g(t) modes``; a half spectrum's multipliers are cut."""
     space = space or _state_space(grid, family)
     if symbol is None and family.separable is not None:
         g, w, m = family.separable
-        if space.modes is not None:
-            return _Operator("separable", lambda gt, u: space.term(gt, space.modes, u),
-                             lambda ts: _rows(lambda t, x: g(t), ts, 0.0))
-        w = np.asarray(w(space.x), dtype=float)
-        m = _space_multiplier(grid, space, m)
-        return _Operator("separable", lambda gw, u: space.term(gw, m, u),
-                         lambda ts: _rows(lambda t, x: g(t) * w, ts, space.x), width=w.size)
+        x, w, m = ((space.x, np.asarray(w(space.x), dtype=float), _space_multiplier(grid, space, m))
+                   if space.modes is None else (0.0, 1.0, space.modes))  # modal: diag(modes)
+        return _coefficient_operator("separable", x, lambda gw, u: space.term(gw[0], m, u),
+                                     lambda t, x: g(t) * w)
     symbol = family.a if symbol is None else symbol
     if space.name == "fourier":
-        xi = grid.xi[:space.size]
-        return _Operator("diagonal", operator.mul,
-                         lambda ts: list(np.broadcast_to(symbol(ts[:, None], 0.0, xi),
-                                                         (ts.size, xi.size))),
-                         width=xi.size)
+        return _coefficient_operator("diagonal", grid.xi[:space.size], _scale,
+                                     lambda t, xi: symbol(t, 0.0, xi))
     forms = off_blend(symbol, grid.x, grid.xi)
     fold_xi, fold_x = (False, False) if forms is None else (forms[1].even, forms[1].even_x)
     half, every = grid.N // 2 + 1, np.arange(grid.N)
@@ -406,10 +392,15 @@ def symbol_operator(grid: GridSpec, family: CoefficientFamily,
                      parts=parts)
 
 
-def _coefficient_operator(x, product: Callable, *bs: Callable) -> _Operator:
-    """``(t, u) -> product(parts, u)`` on states read at ``x``, ``parts`` the coefficients
-    ``bs`` at ``t``: evaluated over a column of times (on Fourier coefficients at ``x = 0``)."""
-    return _Operator("coefficient", product, lambda ts: list(zip(*[_rows(b, ts, x) for b in bs])),
+def _coefficient_operator(path: str, x, product: Callable, *bs: Callable) -> _Operator:
+    """``(t, u) -> product(parts, u)``, ``parts`` the tuple of the coefficients ``bs`` read at
+    ``t`` and ``x`` (the points a state is read at, or ``grid.xi`` for a diagonal symbol),
+    evaluated over a column of times in one call each (:meth:`_Operator.prime`): per time, an
+    array over ``x``, or at a scalar ``x`` a Python float (which multiplies a state measurably
+    faster than a numpy scalar)."""
+    rows = ((lambda b, ts: np.broadcast_to(b(ts[:, None], x), (ts.size, np.size(x))))
+            if np.ndim(x) else (lambda b, ts: np.broadcast_to(b(ts, x), ts.shape).tolist()))
+    return _Operator(path, product, lambda ts: list(zip(*[rows(b, ts) for b in bs])),
                      width=len(bs) * np.size(x))
 
 
@@ -425,30 +416,29 @@ def lower_operator(grid: GridSpec, family: CoefficientFamily, space=None) -> _Op
     term, x, b1, b2 = space.term, space.x, family.b1, family.b2
     i_xi = _space_multiplier(grid, space, 1j * grid.xi_odd)
     if b1 is None:
-        return None if b2 is None else _coefficient_operator(x, _scale, b2)
+        return None if b2 is None else _coefficient_operator("coefficient", x, _scale, b2)
     if b2 is None:
-        return _coefficient_operator(x, lambda bs, u: term(bs[0], i_xi, u), b1)
-    return _coefficient_operator(x, lambda bs, u: term(bs[0], i_xi, u) + bs[1] * u, b1, b2)
+        return _coefficient_operator("coefficient", x, lambda bs, u: term(bs[0], i_xi, u), b1)
+    return _coefficient_operator("coefficient", x,
+                                 lambda bs, u: term(bs[0], i_xi, u) + bs[1] * u, b1, b2)
 
 
 class _Operators:
-    """The operators of one (problem, grid) pairing on the states of ``space`` (by default the
-    family's, :func:`_state_space`): ``ops``, ``Op(b)`` (``apply_lower``) and the ``b0``
-    multiplication (``apply_b0``), each None when its coefficients are absent; the grid must
-    match the data's size and the family's ``k``.  ``state`` and ``field`` convert grid fields
-    to states and back, and :meth:`prime` tabulates every operator's coefficients over a column
-    of at most ``times_per_table`` times."""
+    """The operators of one (problem, grid) pairing, all on the states of ``space``: ``ops``,
+    ``Op(b)`` (``apply_lower``) and the ``b0`` multiplication (``apply_b0``), each None when its
+    coefficients are absent; the grid must match the data's size and the family's ``k``.
+    ``state`` and ``field`` convert grid fields to states and back, and :meth:`prime` tabulates
+    every operator's coefficients over a column of at most ``times_per_table`` times."""
 
-    def __init__(self, problem: CauchyProblem, grid: GridSpec, *ops: _Operator,
-                 space: _StateSpace | None = None):
+    def __init__(self, problem: CauchyProblem, grid: GridSpec, space: _StateSpace,
+                 *ops: _Operator):
         problem.validate(grid)
         fam = problem.family
-        self.problem, self.grid = problem, grid
-        self.space = space or _state_space(grid, fam)
-        self.state, self.field = self.space.state, self.space.field
-        self.apply_lower = lower_operator(grid, fam, self.space)
+        self.problem, self.grid, self.space = problem, grid, space
+        self.state, self.field = space.state, space.field
+        self.apply_lower = lower_operator(grid, fam, space)
         self.apply_b0 = (None if fam.b0 is None
-                         else _coefficient_operator(self.space.x, _scale, fam.b0))
+                         else _coefficient_operator("coefficient", space.x, _scale, fam.b0))
         self._ops = tuple(op for op in (*ops, self.apply_lower, self.apply_b0) if op is not None)
         widest = max(op.width for op in self._ops)
         self.times_per_table = max(3, min(_TABLE_TIMES, _TABLE_VALUES // widest))
@@ -474,16 +464,17 @@ class Discretization(_Operators):
     Fourier coefficients ``apply_negated`` is their ``-(Op(a) + Op(b))``, one row ``-mu(t)``
     per time, each operator's own product at ``-1.0`` (:func:`_negated_mu`), and so on modal
     states, where it is ``-g(t) modes``; on grid values it is None.  ``space`` is the family's
-    complex one (:func:`_state_space`) unless given (:func:`integrate` gives the one it steps).
-    ``b0 v`` is the tabulated ``b0`` times ``v``, formed in one buffer per discretization.
+    complex one unless given (:func:`_discretize`).  ``b0 v`` is the tabulated ``b0`` times
+    ``v``, formed in one buffer per discretization.
     """
 
     def __init__(self, problem: CauchyProblem, grid: GridSpec, space: _StateSpace | None = None):
         fam = problem.family
+        space = space or _state_space(grid, fam)
         atilde = excise(fam).a if problem.use_excision else None
         self.symbol = fam.a if atilde is None else atilde
         self.apply_principal = symbol_operator(grid, fam, atilde, space)
-        super().__init__(problem, grid, self.apply_principal, space=space)
+        super().__init__(problem, grid, space, self.apply_principal)
         problem.check_support(grid)
         self.apply_negated = None if self.space.name == "physical" else _negated_mu(
             self.apply_principal, self.apply_lower)
@@ -526,10 +517,23 @@ class Discretization(_Operators):
         return not all(np.all(np.isfinite(v)) for v in vals)
 
 
+def _discretize(problem: CauchyProblem, grid: GridSpec, fields, mesh: TimeMesh | None = None):
+    """:func:`integrate`'s :class:`Discretization` (modal where ``mesh`` is given and
+    :func:`_modal_space`'s rule holds) and the stacked state of the grid fields ``(u, v)`` on
+    it: real, where the space has real states, if the fields have no nonzero imaginary part and
+    there is no forcing (the family's coefficients are real, so the solution then is)."""
+    real = problem.forcing is None and not any(np.any(np.imag(f)) for f in fields)
+    space = mesh and _modal_space(problem, grid, mesh, real)
+    disc = Discretization(problem, grid, space or _state_space(grid, problem.family, real))
+    data = np.array(fields, dtype=complex)
+    return disc, disc.state(data.real if disc.space.real else data)
+
+
 def assemble_rhs(t: float, u, v, problem: CauchyProblem, grid: GridSpec):
-    """``(du, dv) = (v, f - b0 v - Op(a or atilde)u - Op(b)u)`` of grid fields, checked finite."""
-    disc = Discretization(problem, grid)
-    dy = disc.field(disc.rhs(t, disc.state(np.array([u, v], dtype=complex))))
+    """``(du, dv) = (v, f - b0 v - Op(a or atilde)u - Op(b)u)`` of grid fields, as complex
+    arrays, checked finite, on the non-modal space :func:`integrate` steps (:func:`_discretize`)."""
+    disc, y = _discretize(problem, grid, (u, v))
+    dy = disc.field(disc.rhs(t, y)).astype(complex, copy=False)
     if not np.isfinite(dy).all():
         raise SolverError(f"non-finite right-hand side at t={t}",
                           report={"t": t, "max_u": float(np.max(np.abs(u)))})
@@ -602,26 +606,19 @@ def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
     in the stepping raises no warning first.  Snapshots ``(t, u, v)`` at the
     mesh nodes nearest the requested output times, which must be finite (the stored snapshot
     time is the exact node time; requests nearest the same node share one snapshot, and
-    ``stats`` lists the sorted requests as ``requested_times``).  Steps run on the state space
-    of :class:`Discretization`, the modal one where :func:`_modal_space`'s rule holds for the
-    problem, grid and mesh (its basis formed here, once per solve), named by ``stats["space"]``
-    (``fourier``, ``modal`` or ``physical``; and ``operator``, ``lattice_columns``,
-    ``lattice_evals``, and ``rows``, the rows ``-mu(t)`` formed on the first two).  Where
-    ``f1`` and ``f2`` have no nonzero imaginary part and there is no forcing, those two spaces
-    step real states (``stats["real"]``; on Fourier coefficients, see :func:`_state_space`),
-    and the snapshots' imaginary parts are exactly 0.  ``stats["halving_steps"]`` maps each
-    halved mesh step to its level, and ``stats["substeps"]`` counts the RK4 substeps.
+    ``stats`` lists the sorted requests as ``requested_times``).  Steps run on
+    :func:`_discretize`'s space and states (a modal basis formed once per solve), named by
+    ``stats["space"]`` (``fourier``, ``modal`` or ``physical``; and ``operator``,
+    ``lattice_columns``, ``lattice_evals``, and ``rows``, the rows ``-mu(t)`` formed on the
+    first two) and ``stats["real"]``; real states give snapshots whose imaginary parts are
+    exactly 0.  ``stats["halving_steps"]`` maps each halved mesh step to its level, and
+    ``stats["substeps"]`` counts the RK4 substeps.
 
-    The vector field is never sampled at a singular ``t_start``: the first step then uses
-    midpoint-only stages.  Steps violating the CFL bound ``dt <= 0.5 dx / speed_bound`` are
-    halved up to 20 levels.  The coefficients are evaluated over the stage times
-    :func:`_substeps` yields for a block of substeps (:meth:`Discretization.prime`) before
-    the block is stepped.
+    The vector field is never sampled at a singular ``t_start``, and steps violating the CFL
+    bound are halved (:func:`_substeps`).  The coefficients are evaluated over the stage times
+    of a block of substeps (:meth:`Discretization.prime`) before the block is stepped.
     """
-    # the family's coefficients are real, so real data with no forcing have a real solution
-    real = problem.forcing is None and not any(np.any(np.imag(f)) for f in (problem.f1, problem.f2))
-    disc = Discretization(problem, grid, _modal_space(problem, grid, mesh, real)
-                          or _state_space(grid, problem.family, real))
+    disc, y = _discretize(problem, grid, (problem.f1, problem.f2), mesh)
     nodes = mesh.nodes
     if abs(nodes[0] - problem.t_start) > 1e-14 * max(1.0, problem.t_start):
         raise ValueError("mesh must start at problem.t_start")
@@ -633,8 +630,6 @@ def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
         raise ValueError(f"output_times must be finite, got {out_req.tolist()}")
     idx = np.unique(np.abs(nodes[None, :] - out_req[:, None]).argmin(axis=1))
 
-    data = np.array([problem.f1, problem.f2], dtype=complex)
-    y = disc.state(data.real if disc.space.real else data)
     snapshots = []
     if 0 in idx:
         snapshots.append((float(nodes[0]), *disc.field(y)))
@@ -725,23 +720,22 @@ class SystemOperators(_Operators):
         self.excised = excise(fam)
         self.root = char_root(self.excised)
         self.h = h_symbol(self.root)
-        self.apply_tau = symbol_operator(grid, fam, self.root.value)
-        self.apply_dt_tau = symbol_operator(grid, fam, self.root.dt)
-        self.apply_H = symbol_operator(grid, fam, self.h.value)
-        self.apply_dtH = symbol_operator(grid, fam, self.h.dt)
-        self.apply_defect = symbol_operator(grid, fam, self.excised.defect)
-        self.apply_excised = symbol_operator(grid, fam, self.excised.a)
-        super().__init__(problem, grid, self.apply_tau, self.apply_dt_tau, self.apply_H,
-                         self.apply_dtH, self.apply_defect, self.apply_excised)
+        space = _state_space(grid, fam)
+        ops = [symbol_operator(grid, fam, sym, space) for sym in (
+            self.root.value, self.root.dt, self.h.value, self.h.dt, self.excised.defect,
+            self.excised.a)]
+        (self.apply_tau, self.apply_dt_tau, self.apply_H, self.apply_dtH, self.apply_defect,
+         self.apply_excised) = ops
+        super().__init__(problem, grid, space, *ops)
         self._om = np.asarray(fam.pair.omega(self.space.x), dtype=float)
         self._br = _multiplier_values(grid, bracket(grid.xi, grid.k))
         self._br_inv = _multiplier_values(grid, 1.0 / self._br)
 
     def apply_M(self, u):
-        return self._om * self.space.multiply(self._br, u)
+        return self.space.term(self._om, self._br, u)
 
     def apply_Minv(self, u):
-        return self.space.multiply(self._br_inv, u / self._om)
+        return self.space.term(1.0, self._br_inv, u / self._om)
 
     def _blocks(self, t, w):
         """``B0 u``, ``B1 u`` and ``i[M, tau]M^-1 u`` from ``w = M^-1 u``: ``Op(defect) w``,

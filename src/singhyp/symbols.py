@@ -158,10 +158,14 @@ class CoefficientFamily:
     label: str = "family"
 
     def __post_init__(self):
-        # the solver applies ``separable`` and ``dg``, not ``a`` and ``dt_a``, and reads an
-        # x-independent family at x = 0: reject a family that breaks either promise
+        # the solver steps real data as real states, applies ``separable`` and ``dg``, not
+        # ``a`` and ``dt_a``, and reads an x-independent family at x = 0: reject a family
+        # that breaks any of these promises
         x, xi = np.repeat([0.0, 0.5, 2.0], 3), self.k * np.tile([1.0, 3.0, 7.0], 3)
         a = self.a(self.T, x, xi)
+        bs = [b for b in (self.b0, self.b1, self.b2) if b is not None]
+        if any(np.any(np.imag(f)) for f in [a] + [b(self.T, x) for b in bs]):
+            raise ValueError(f"{self.label}: a, b0, b1 or b2 has a nonzero imaginary part")
         if self.separable is not None:
             g, w, m = self.separable
             dt = [] if self.dg is None else [(self.dt_a(self.T, x, xi), self.dg(self.T))]
@@ -171,8 +175,7 @@ class CoefficientFamily:
                                  "separable factors; rebuild with separable=None")
         if not self.x_dependent:
             pairs = [(a, self.a(self.T, 0.0 * x, xi))]
-            pairs += [(b(self.T, x), b(self.T, 0.0 * x))
-                      for b in (self.b0, self.b1, self.b2) if b is not None]
+            pairs += [(b(self.T, x), b(self.T, 0.0 * x)) for b in bs]
             if not all(np.allclose(f, f0, rtol=1e-12, atol=0.0) for f, f0 in pairs):
                 raise ValueError(f"{self.label}: flagged x_dependent=False, but a, b0, b1 "
                                  "or b2 varies in x")

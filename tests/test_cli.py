@@ -1,13 +1,21 @@
 """Config validation, experiment runs, artifact contracts, determinism."""
 
+import contextlib
+import io
 import json
+import math
 import re
+import tempfile
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from singhyp import cli
 from singhyp.acceptance import CriterionResult
 from singhyp.cli import ConfigError, RunConfig, main, run
 from singhyp.runio import write_json, write_trajectory
@@ -405,6 +413,84 @@ class TestRun:
         assert main(["--config", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "out2")]) == 2
         capsys.readouterr()
+
+
+_OMIT = object()
+# the sizes every accepted draw keeps small, and values of each that RunConfig rejects
+_SIZES = {("grid", "N"): ([8, 16, 32, 64], [4, 48, 2**15, 2**70, 64.5, "64", None]),
+          ("mesh", "M"): (list(range(8, 257)), [7, 0, 2**21, 2**70, 16.5, "64", None])}
+_PARAMS = [spec for _, spec in cli._FAMILIES.values()]
+_WORDS = sorted({d for spec in [*cli._SECTIONS.values(), *_PARAMS] for _, d, _ in spec
+                 if isinstance(d, str)} | {"trig", "dx", "bogus", ""})
+_ODD = [None, *_WORDS, [0.5, 0.5], [1.0], 0.0, 1.5, -1, 2**70, 2.0**-100, 2.0**100, 2.0**-101,
+        2.0**101, 1e-300, math.nan, math.inf, -math.inf]
+
+
+def _rarely(common, rare):
+    """``common`` in 39 draws of 40, ``rare`` in one: a draw has about one odd field in two."""
+    return st.integers(0, 39).flatmap(lambda i: rare if i == 0 else common)
+
+
+def _value(where, key, default):
+    """Mostly the default (given or omitted), rarely an odd value of any type."""
+    if (where, key) in _SIZES:
+        ok, bad = _SIZES[where, key]
+        return _rarely(st.sampled_from(ok), st.sampled_from(bad))
+    return _rarely(st.sampled_from([default, _OMIT]), st.one_of(
+        st.sampled_from(_ODD), st.floats(-4.0, 4.0), st.integers(-2, 40)))
+
+
+def _section(where, spec):
+    return st.fixed_dictionaries({key: _value(where, key, d) for key, d, _ in spec}).map(
+        lambda fields: {k: v for k, v in fields.items() if v is not _OMIT})
+
+
+_FAMILY = st.sampled_from(sorted(cli._FAMILIES) + ["mystery"]).flatmap(
+    lambda fid: _section("family.params", cli._FAMILIES.get(fid, (None, ()))[1]).map(
+        lambda params: {"id": fid, "params": params}))
+_CONFIG = st.fixed_dictionaries(
+    {"experiment": _rarely(st.sampled_from(list(cli._RUNNERS)), st.just("teleport")),
+     **{name: _section(name, spec) for name, spec in cli._SECTIONS.items()}},
+    optional={"family": _FAMILY, "output_times": _rarely(
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+        st.sampled_from([[], "x", [math.nan], [2.0]]))})
+# the names a configuration error may give: every section, field and family param
+_NAMES = {"config.", "experiment", "output_times", "family", *cli._SECTIONS,
+          *(f"{name}.{key}" for name, spec in cli._SECTIONS.items() for key, _, _ in spec),
+          *(f"family.params.{key}" for spec in _PARAMS for key, _, _ in spec)}
+
+
+class TestExitStatus:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(config=_CONFIG)
+    # data leaking outside |x| <= L/2 (Example 1.1's default bump on L = 8)
+    @example(config={"experiment": "solve", "grid": {"N": 64}, "mesh": {"M": 64}, "profile": {},
+                     "data": {}, "zones": {}, "family": {"id": "example11"}})
+    def test_status_contract(self, tmp_path, config):
+        # drawn from cli's own sections and families, so a new field is drawn too: nothing
+        # escapes run (RuntimeWarnings raised as errors, as the CI runs the CLI), status 1
+        # comes with a failed verdict, 2 with a message naming a field, 3 with an abort.json
+        out = Path(tempfile.mkdtemp(dir=tmp_path))
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error", RuntimeWarning)
+            status = run(config, out)
+        message = err.getvalue()
+        small = (config["grid"]["N"] in _SIZES["grid", "N"][0]
+                 and config["mesh"]["M"] in _SIZES["mesh", "M"][0])
+        assert status in (0, 1, 2, 3) and (small or status == 2), (status, message)
+        if status in (0, 1):
+            assert (out / "manifest.json").exists()
+            verdicts = (json.loads((out / "verdict.json").read_text())["verdicts"]
+                        if (out / "verdict.json").exists() else [])
+            assert status == int(not all(v.get("pass", True) for v in verdicts)), verdicts
+        elif status == 2:
+            assert message.startswith("config error: "), message
+            assert any(name in message.removeprefix("config error: ") for name in _NAMES), message
+        else:
+            assert (out / "abort.json").exists(), message
 
 
 class TestSuite:

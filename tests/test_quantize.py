@@ -11,7 +11,9 @@ from singhyp.quantize import (GridSpec, OverflowGuardError, SobolevIndex, _fft_m
                               apply_kn, apply_multiplier, dft_forward, dft_inverse, kn_fold,
                               l2_norm, loss_operator, loss_symbol, sobolev_norm)
 from singhyp.structure import bracket, constant_pair, poly_pair
-from singhyp.analysis import random_trig_poly
+from singhyp.analysis import GaussianBump, energy_monitor, random_trig_poly
+from singhyp.solver import TimeMesh, Trajectory
+from singhyp.symbols import theorem_coefficient
 from dft_reference import dft_matrix_product
 
 
@@ -306,6 +308,35 @@ class TestLossOperator:
             _kn_trig.cache_clear()
         assert np.all(np.isfinite(out))
         assert peak < 16 * grid.N ** 2, peak / (16 * grid.N ** 2)
+
+    def test_energy_monitor_holds_one_band_at_a_time(self):
+        # from cold caches, energy_monitor on four snapshots peaks no higher than one
+        # loss_operator call on the same grid (to one complex N-vector of bookkeeping): each
+        # snapshot's band is freed before the next is formed (1.01 against 0.76 complex N x N
+        # arrays when the last band was kept alive)
+        grid, pair = GridSpec(L=8.0, N=1024, k=4.0), poly_pair(0.5, 0.5)
+        profile = theorem_coefficient(0.0, 1.25, pair=pair, k=4.0).profile
+        u = np.asarray(random_trig_poly(8, seed=1)(grid.x) * GaussianBump(0.0, 0.45)(grid.x),
+                       dtype=complex)
+        times = np.linspace(0.25, 1.0, 4)
+        traj = Trajectory(snapshots=tuple((float(t), np.cos(t) * u, np.sin(t) * u)
+                                          for t in times),
+                          grid=grid, mesh=TimeMesh(nodes=times, kappa=1.0), stats={})
+
+        def cold_peak(f):
+            _kn_trig.cache_clear()
+            _grid_arrays.cache_clear()
+            tracemalloc.start()
+            try:
+                return f(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                _kn_trig.cache_clear()
+
+        _, one = cold_peak(lambda: loss_operator(grid, pair, 3.97, 3.0, u))
+        trace, peak = cold_peak(lambda: energy_monitor(traj, (0.0, 0.0), profile, pair, 2.25))
+        assert np.all(trace.lam_values[:-1] > 0.0) and np.isfinite(trace.verdict)
+        assert peak <= one + 16 * grid.N, (peak / (16 * grid.N ** 2), one / (16 * grid.N ** 2))
 
     def test_invertibility_improves_with_k(self):
         pair = poly_pair(0.5, 0.5)

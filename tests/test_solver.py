@@ -1,6 +1,7 @@
 """Graded-mesh RK4 integration and the first-order system machinery."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -147,6 +148,27 @@ class TestAssembleRhs:
         expect = apply_multiplier(grid, -grid.xi ** 2 + 2j * grid.xi, u)
         assert np.max(np.abs(dv - expect)) <= 1e-11 * np.max(np.abs(expect))
 
+    @pytest.mark.parametrize("example, m", [("7.1", 3), ("7.3", 0)])
+    def test_real_fields_take_the_half_spectrum(self, monkeypatch, example, m):
+        # real fields with no forcing are stepped on the half spectrum, so residual_check
+        # certifies that right-hand side; it is the complex full spectrum's to rounding (7.1
+        # with m = 3 has b0 and b1)
+        grid = GridSpec(L=np.pi, N=64, k=1.0)
+        u0 = random_trig_poly(8, seed=3)
+        u, v = u0(grid.x), u0(grid.x, 1)
+        prob = CauchyProblem(family=counterexample_family(example, m), f1=u, f2=v, t_start=0.0,
+                             T=1.0)
+        disc = Discretization(prob, grid)
+        want = disc.field(disc.rhs(0.5, disc.state(np.array([u, v], dtype=complex))))
+        counts = dict.fromkeys(("_rdft_forward", "_rdft_inverse", "dft_forward", "dft_inverse"), 0)
+        for name in list(counts):
+            _counting(monkeypatch, counts, solver, name)
+        got = assemble_rhs(0.5, u, v, prob, grid)
+        assert counts == {"_rdft_forward": 1, "_rdft_inverse": 1, "dft_forward": 0,
+                          "dft_inverse": 0}
+        for g, w in zip(got, want):
+            assert g.dtype == complex
+            assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
 
     @pytest.mark.parametrize("space", ["fourier", "physical"])
     def test_x_independent_forcing_on_both_state_spaces(self, space):
@@ -457,6 +479,42 @@ class TestIntegrate:
         with pytest.raises(SolverError, match="state became non-finite") as err:
             integrate(problem(a), grid, mesh, [0.5, 1.0])
         assert err.value.report == {"t": float(mesh.nodes[j + 1]), "step": j}
+
+
+class TestManufacturedSolution:
+    """``u*(t, x) = cos(3t) G(x)``, ``G`` a Gaussian of width 0.45, solves ``u_tt + Op(sigma(t))
+    u = F`` for the forcing ``F = u*_tt + Op(sigma(t)) u*``, whose ``Op`` is the tests' DFT
+    matrix product: on the grid ``u*`` is the semi-discrete solution, so a solve's error at
+    t = 1 is RK4's alone.  A forcing puts every solve on grid values; the modal path is covered
+    by its equality with them (``TestModalState::test_matches_physical_integrate``)."""
+
+    @pytest.mark.parametrize("path", ["separable", "banded", "dense"])
+    def test_rk4_order(self, path):
+        # theorem family, p = 0, poly pair, default graded mesh: the observed order is 4 once
+        # the mesh resolves the start (M = 128 -> 256, measured 3.95) and below 1 on the
+        # pre-asymptotic M = 32 -> 64 (0.53 separable and dense, 0.31 banded); the banded
+        # path steps the excised symbol and the dense one the family rebuilt undeclared
+        grid = GridSpec(L=8.0, N=64, k=4.0)
+        fam = theorem_coefficient(0.0, 1.25, pair=poly_pair(0.5, 0.5), k=4.0)
+        if path == "dense":
+            fam = dataclasses.replace(fam, separable=None)
+        sigma = excise(fam).a if path == "banded" else fam.a
+        G = GaussianBump(0.0, 0.45)(grid.x).astype(complex)
+
+        def forcing(t, x):
+            lattice = sigma(t, x[:, None], grid.xi[None, :])
+            return np.cos(3.0 * t) * (dft_matrix_product(grid, lattice, G) - 9.0 * G)
+        prob = CauchyProblem(family=fam, f1=G, f2=np.zeros_like(G), t_start=0.0, T=1.0,
+                             forcing=forcing, use_excision=path == "banded")
+        want, errs = np.cos(3.0) * G, []
+        for M in (32, 64, 128, 256):
+            traj = integrate(prob, grid, graded_mesh(fam, 0.0, 1.0, M), [1.0])
+            assert (traj.stats["operator"], traj.stats["space"]) == (path, "physical")
+            t, u, _ = traj.snapshots[-1]
+            assert t == 1.0
+            errs.append(np.max(np.abs(u - want)) / np.max(np.abs(want)))
+        orders = np.log2(np.array(errs[:-1]) / errs[1:])
+        assert orders[-1] >= 3.8 and orders[0] < 1.0, (errs, orders)
 
 
 class TestStepBuffers:
@@ -949,14 +1007,18 @@ class TestModalState:
                 m = lambda xi: bracket(xi, 4.0) ** 2 + 0.5 * np.asarray(xi)  # noqa: E731
             else:
                 m = lambda xi: bracket(xi, 4.0) ** 2 + 0.5j  # noqa: E731
-            fam = separable_family(g, fam.dg, w, lambda x: 0.0 * x, m, lambda xi: 0.0 * xi,
-                                   pair=fam.pair, k=fam.k, p=fam.p, q=fam.q, r=fam.r, T=fam.T,
-                                   c0=fam.c0, spectral_shift=True, x_dependent=True)
-            prob = dataclasses.replace(prob, family=fam)
+            rebuild = functools.partial(
+                separable_family, g, fam.dg, w, lambda x: 0.0 * x, m, lambda xi: 0.0 * xi,
+                pair=fam.pair, k=fam.k, p=fam.p, q=fam.q, r=fam.r, T=fam.T, c0=fam.c0,
+                spectral_shift=True, x_dependent=True)
+            if broken == "m-complex":  # rejected where the family is built, before any rule
+                with pytest.raises(ValueError, match="nonzero imaginary part"):
+                    rebuild()
+                return
+            prob = dataclasses.replace(prob, family=rebuild())
         mesh = graded_mesh(prob.family, 0.0, 1.0, M)
         assert solver._modal_space(prob, grid, mesh) is None
-        # (a complex m has no real speed bound, so only its rule is checked)
-        if grid.N <= 64 and broken != "m-complex":
+        if grid.N <= 64:
             assert integrate(prob, grid, mesh, [1.0]).stats["space"] == "physical"
 
 
@@ -1730,14 +1792,14 @@ class TestSystem:
         # each of its six symbols once, however often it applies the operator
         counts = []
 
-        def counting(grid, fam, symbol=None, _make=solver.symbol_operator):
+        def counting(grid, fam, symbol=None, space=None, _make=solver.symbol_operator):
             i = len(counts)
             counts.append(0)
 
             def counted(t, x, xi):
                 counts[i] += 1
                 return symbol(t, x, xi)
-            return _make(grid, fam, counted)
+            return _make(grid, fam, counted, space)
 
         monkeypatch.setattr(solver, "symbol_operator", counting)
         grid = GridSpec(L=np.pi, N=64, k=4.0)
@@ -1747,6 +1809,26 @@ class TestSystem:
         counts[:] = [0] * len(counts)
         ops.system_rhs(0.3, u1, u2)
         assert counts == [1] * 6
+
+    @pytest.mark.parametrize("space", ["fourier", "physical"])
+    def test_one_state_space_per_operator_set(self, monkeypatch, space):
+        # every operator of a Discretization (excised or not) or of a SystemOperators is
+        # built on the one state space it makes
+        calls = []
+        make = solver._state_space
+        monkeypatch.setattr(solver, "_state_space",
+                            lambda *args: calls.append(args) or make(*args))
+        if space == "fourier":
+            grid = GridSpec(L=np.pi, N=64, k=4.0)
+            prob = _problem(counterexample_family("7.1", 3, k=4.0), grid, 1e-3, 64)[0]
+        else:
+            grid = GridSpec(L=8.0, N=64, k=4.0)
+            prob = _theorem_poly_problem(grid)
+        excised = dataclasses.replace(prob, use_excision=True)
+        for build in (lambda: Discretization(prob, grid), lambda: Discretization(excised, grid),
+                      lambda: SystemOperators(prob, grid)):
+            calls.clear()
+            assert build().space.name == space and len(calls) == 1
 
     def test_residual_transforms_each_snapshot_once(self, monkeypatch):
         grid = GridSpec(L=np.pi, N=64, k=4.0)

@@ -176,6 +176,21 @@ def test_x_independent_family_must_not_vary_in_x():
         fam.__class__(**{**fam.__dict__, "b1": lambda t, x: x, "separable": None})
 
 
+@pytest.mark.parametrize("field", ["a", "b0", "b1", "b2"])
+def test_complex_coefficient_is_rejected(field):
+    # real data step real states, on which a complex coefficient would act as its Hermitian
+    # part: a family with g(t) = 1 + 0.5i built, and its real-data solve went wrong silently
+    fam = free_wave(1.0)
+    a = fam.a
+
+    def changed(im):
+        return ({"a": lambda t, x, xi: (1.0 + im * 1j) * a(t, x, xi), "separable": None}
+                if field == "a" else {field: lambda t, x: 0.25 + im * 1j + 0.0 * x})
+    with pytest.raises(ValueError, match=r"^free-wave\(c=1\.0\): .*nonzero imaginary part"):
+        fam.__class__(**{**fam.__dict__, **changed(0.5)})
+    fam.__class__(**{**fam.__dict__, **changed(0.0)})  # a complex dtype, but real
+
+
 class TestTheoremCoefficient:
     def test_value_at_t1(self):
         fam = theorem_coefficient(0.0, 1.25, k=2.0)
