@@ -11,6 +11,8 @@ Subpackages by role:
   root, auxiliary H symbol, estimate-fitting reports.
 * :mod:`singhyp.solver`    -- graded-mesh RK4 integration and the first-order
   system residual.
+* :mod:`singhyp.stepping`  -- one RK4 substep, by stages or as a closed-form
+  per-mode propagator.
 * :mod:`singhyp.analysis`  -- counterexample oracles, loss slopes, cones,
   energy monitoring, lambda fitting.
 * :mod:`singhyp.cli`       -- config-driven experiment runner.

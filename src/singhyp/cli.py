@@ -38,6 +38,8 @@ power of two in ``[8, 2**14]``, ``mesh.M`` in ``[8, 2**20]``,
 ``[-2**100, 2**100]`` (so no grid array, symbol value or datum overflows),
 ``data.modes >= 1`` and, where trig data is built
 (``data.kind`` ``"trig"``, ``verify-counterexamples``), ``<= grid.N / 2``,
+``grid.L`` a positive integer multiple of pi for ``verify-counterexamples`` (its trig data
+are 2 pi-periodic),
 ``data.seed >= 0``, ``zones.nt >= 2``, ``zones.nx, zones.nxi >= 1`` with
 ``zones.nt * zones.nx * zones.nxi <= 2**20``, ``zones.N`` finite and ``> 0``,
 ``output_times`` (default: evenly spaced) a non-empty list of times in
@@ -243,6 +245,12 @@ class RunConfig:
         if ts is not None and not (ts and all(self.t_start <= t <= self.profile.T for t in ts)):
             raise ConfigError(f"output_times must be a non-empty list of times in [mesh.t_start, "
                               f"profile.T] = [{self.t_start}, {self.profile.T}], got {ts}")
+        periods = self.grid.L / math.pi
+        if self.experiment == "verify-counterexamples" and not (
+                round(periods) >= 1 and math.isclose(periods, round(periods), rel_tol=1e-12)):
+            # its trig data are 2 pi-periodic, so the torus period 2L must be a multiple of 2 pi
+            raise ConfigError(f"invalid field 'grid.L': verify-counterexamples needs a positive "
+                              f"integer multiple of pi, got {self.grid.L!r}")
 
     # ------------------------------------------------------------------
 

@@ -30,6 +30,11 @@ spectrum of Fourier coefficients; grid values stay complex.  ``stats["space"]`` 
 space of a solve (``fourier``, ``modal`` or ``physical``) and ``stats["real"]`` whether its
 states were real.  Each multiplier is checked once, where it is formed, and kept read-only.
 The right-hand side is ``dv = -Op(a) u - Op(b) u - b0 v (+ F)`` (:meth:`Discretization.rhs`).
+Where every mode of the states solves ``u'' = -g(t) lam u`` (:func:`_propagator_modes`: modal
+states, and Fourier coefficients of a separable family with no ``b0``, ``b1``, ``b2`` or
+forcing), one RK4 substep is exactly a 2x2 matrix per mode whose entries are quadratics in
+``lam``, and :func:`integrate` takes it in closed form (:mod:`singhyp.stepping`) on the same
+mesh and substeps; ``stats["stepping"]`` names the stepping (``propagator`` or ``stages``).
 
 The first-order reduction
 
@@ -63,6 +68,8 @@ import numpy as np
 from .quantize import (GridSpec, _fft_multiply, _kn_fold_product, _modal_basis,  # noqa: F401
                        _multiplier_values, _rdft_forward, _rdft_inverse, _real_matmul, apply_kn,
                        apply_multiplier, dft_forward, dft_inverse, kn_fold, l2_norm)
+# _rk4_step too: perfbench's tracer and the tests hook it here
+from .stepping import _propagator, _rk4_step
 from .structure import bracket
 from .symbols import CoefficientFamily, char_root, cut_sides, excise, h_symbol, off_blend
 
@@ -293,7 +300,10 @@ class _Operator:
     the lattices formed).  On a miss (counted in ``formed``) the table keeps that ``t`` alone,
     formed by ``column(np.array([t]))`` or ``parts(t)``, unless it is a dense N x N matrix.
     On Fourier coefficients every operator is diagonal, and so is the separable principal
-    part on modal states: ``op(t, -1.0)`` is its row negated."""
+    part on modal states: ``op(t, -1.0)`` is its row negated.  That separable part's
+    ``diagonal`` is the row its part at ``t`` scales (``m`` or ``modes``; None elsewhere)."""
+
+    diagonal = None
 
     def __init__(self, path: str, apply: Callable, column: Callable | None = None,
                  parts: Callable | None = None, width: int = 1):
@@ -356,8 +366,11 @@ def symbol_operator(grid: GridSpec, family: CoefficientFamily,
         g, w, m = family.separable
         x, w, m = ((space.x, np.asarray(w(space.x), dtype=float), _space_multiplier(grid, space, m))
                    if space.modes is None else (0.0, 1.0, space.modes))  # modal: diag(modes)
-        return _coefficient_operator("separable", x, lambda gw, u: space.term(gw[0], m, u),
-                                     lambda t, x: g(t) * w)
+        op = _coefficient_operator("separable", x, lambda gw, u: space.term(gw[0], m, u),
+                                   lambda t, x: g(t) * w)
+        if space.name != "physical":
+            op.diagonal = m  # the part at t, g(t) w(0), times diag(m)
+        return op
     symbol = family.a if symbol is None else symbol
     if space.name == "fourier":
         return _coefficient_operator("diagonal", grid.xi[:space.size], _scale,
@@ -540,22 +553,16 @@ def assemble_rhs(t: float, u, v, problem: CauchyProblem, grid: GridSpec):
     return dy[0], dy[1]
 
 
-def _rk4_step(rhs, stages, dt: float, y, work):
-    """One RK4 step of length ``dt`` of the stacked state ``y`` at ``stages = (t0, tm, t1)``;
-    stages 2 and 3 share ``tm``.  ``work`` holds the four derivatives and one stage input
-    (shape ``(5, *y.shape)``, reused from step to step), and each sum is formed in it in the
-    order of ``y + (dt/6) (k1 + 2 k2 + 2 k3 + k4)`` written out.  Returns a new array; ``y``
-    is not updated in place."""
-    t0, tm, t1 = stages
-    k1, k2, k3, k4, z = work
-    rhs(t0, y, k1)
-    rhs(tm, np.add(y, np.multiply(0.5 * dt, k1, out=z), out=z), k2)
-    rhs(tm, np.add(y, np.multiply(0.5 * dt, k2, out=z), out=z), k3)
-    rhs(t1, np.add(y, np.multiply(dt, k3, out=z), out=z), k4)
-    k1 += np.multiply(2.0, k2, out=k2)
-    k1 += np.multiply(2.0, k3, out=k3)
-    k1 += k4
-    return y + np.multiply(dt / 6.0, k1, out=k1)
+def _propagator_modes(disc: Discretization) -> np.ndarray | None:
+    """``lam``, where every mode of ``disc``'s states solves ``u'' = -g(t) lam u``: the real
+    ``diagonal`` of a separable principal part on Fourier coefficients or modal states, with no
+    ``b0``, ``b1``, ``b2`` or forcing; else None."""
+    lam = disc.apply_principal.diagonal
+    if (lam is None or np.any(np.imag(lam))
+            or any(op is not None for op in (disc.apply_lower, disc.apply_b0,
+                                             disc.problem.forcing))):
+        return None
+    return np.real(lam)
 
 
 def _substeps(disc: Discretization, nodes: np.ndarray, singular: bool, log: dict):
@@ -596,6 +603,14 @@ def _substeps(disc: Discretization, nodes: np.ndarray, singular: bool, log: dict
                 singular = False
 
 
+def _edge_mass(grid: GridSpec, snapshots) -> float:
+    """The largest, over ``snapshots``, of ``max |u|`` on ``|x| >= 3L/4`` relative to the
+    snapshot's ``max |u|`` (a zero snapshot counts as 0)."""
+    edge = np.abs(grid.x) >= 0.75 * grid.L
+    peaks = [(np.max(np.abs(u[edge])), np.max(np.abs(u))) for _, u, _ in snapshots]
+    return max((float(e / p) for e, p in peaks if p > 0.0), default=0.0)
+
+
 def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
               output_times: Sequence[float]) -> Trajectory:
     """RK4 of one stacked state ``(u, v)`` over the graded mesh, replaced (never updated in
@@ -610,9 +625,19 @@ def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
     :func:`_discretize`'s space and states (a modal basis formed once per solve), named by
     ``stats["space"]`` (``fourier``, ``modal`` or ``physical``; and ``operator``,
     ``lattice_columns``, ``lattice_evals``, and ``rows``, the rows ``-mu(t)`` formed on the
-    first two) and ``stats["real"]``; real states give snapshots whose imaginary parts are
-    exactly 0.  ``stats["halving_steps"]`` maps each halved mesh step to its level, and
-    ``stats["substeps"]`` counts the RK4 substeps.
+    first two, stepped by stages) and ``stats["real"]``; real states give snapshots whose
+    imaginary parts are exactly 0.  ``stats["halving_steps"]`` maps each halved mesh step to its
+    level, and ``stats["substeps"]`` counts the RK4 substeps.  ``stats["stepping"]`` is
+    ``propagator`` where every mode solves ``u'' = -g(t) lam u`` (:func:`_propagator_modes`):
+    each substep is then RK4's step in closed form, ``u <- Puu u + Puv v``,
+    ``v <- Pvu u + Pvv v`` with ``r_i = -g_i lam`` at the stages ``(t0, tm, t1)``,
+    ``Puu = 1 + h^2/6 (r0 + 2 rm) + h^4/24 rm r0``, ``Puv = h + h^3/6 rm``,
+    ``Pvu = h/6 (r0 + 4 rm + r1) + h^3/12 rm (r0 + r1)`` and
+    ``Pvv = 1 + h^2/6 (2 rm + r1) + h^4/24 r1 rm`` (:func:`_propagator`), with no call of
+    :meth:`Discretization.rhs`; it is ``stages`` otherwise (:func:`_rk4_step`).  For an
+    x-dependent family ``stats["edge_mass"]`` is the largest, over the snapshots, of ``max |u|``
+    on ``|x| >= 3L/4`` relative to the snapshot's ``max |u|`` (None for x-independent problems,
+    which are exactly periodic).
 
     The vector field is never sampled at a singular ``t_start``, and steps violating the CFL
     bound are halved (:func:`_substeps`).  The coefficients are evaluated over the stage times
@@ -637,12 +662,20 @@ def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
     singular = disc.singular_start()
     log = {"halving_steps": {}, "min_cfl_dt": math.inf}
     substeps = _substeps(disc, nodes, singular, log)
-    work = np.empty((5, *y.shape), dtype=y.dtype)
+    lam = _propagator_modes(disc)
+    if lam is None:
+        work = np.empty((5, *y.shape), dtype=y.dtype)
 
-    def step(block, y, check):
+        def states(block, y):
+            for _, stages, h, _ in block:
+                y = _rk4_step(disc.rhs, stages, h, y, work)
+                yield y
+    else:
+        states = _propagator(disc.apply_principal.part, lam)
+
+    def step(block, start, check):
         # RK4 over a block, checking the state finite at every mesh step's end if ``check``
-        for j, stages, h, last in block:
-            y = _rk4_step(disc.rhs, stages, h, y, work)
+        for (j, _, _, last), y in zip(block, states(block, start)):
             if not last:
                 continue
             t1 = float(nodes[j + 1])
@@ -687,12 +720,14 @@ def integrate(problem: CauchyProblem, grid: GridSpec, mesh: TimeMesh,
         "max_dt": float(np.max(np.diff(nodes))),
         "singular_start": bool(singular),
         "space": disc.space.name,
+        "stepping": "stages" if lam is None else "propagator",
         "real": disc.space.real,
         "operator": disc.apply_principal.path,
         "lattice_columns": disc.apply_principal.lattice_columns,
         "lattice_evals": disc.apply_principal.lattice_evals,
         "rows": 0 if disc.apply_negated is None else disc.apply_negated.formed,
         "requested_times": out_req.tolist(),
+        "edge_mass": _edge_mass(grid, snapshots) if problem.family.x_dependent else None,
     }
     return Trajectory(snapshots=tuple(snapshots), grid=grid, mesh=mesh, stats=stats)
 

@@ -89,6 +89,16 @@ class TestRun:
         assert names == [f"counterexample-7.{i}" for i in (1, 2, 3, 4)]
         assert all(v["pass"] for v in verdict["verdicts"])
 
+    @pytest.mark.parametrize("L, status", [(8.0, 2), (float(np.pi), 0), (float(2 * np.pi), 0)])
+    def test_verify_counterexamples_needs_a_multiple_of_pi(self, tmp_path, capsys, L, status):
+        # its trig data are 2 pi-periodic: on L = 8 they do not fit the torus, and its
+        # residuals read 10.7-184, a failure of the config, not of the solver
+        cfg = {"experiment": "verify-counterexamples", "grid": {"L": L, "N": 64, "k": 1.0}}
+        assert run(cfg, tmp_path / "out") == status
+        err = capsys.readouterr().err
+        assert ("grid.L" in err) == (status == 2) and "Traceback" not in err
+        assert (tmp_path / "out").exists() == (status == 0)
+
     def test_solve_writes_snapshots(self, tmp_path):
         cfg = {"experiment": "solve", "grid": {"L": 8.0, "N": 64, "k": 2.0},
                "mesh": {"M": 128}, "family": {"id": "free-wave"},
@@ -104,7 +114,10 @@ class TestRun:
         assert stats["real"] is True  # real data with no forcing step real states
         assert (stats["operator"], stats["lattice_columns"]) == ("separable", 0)
         assert (stats["lattice_evals"], stats["halving_steps"]) == (0, {})
-        assert stats["substeps"] == 128 and stats["rows"] == 2 * 128 + 1
+        # a free wave has no b0, b1 or b2: each substep is one closed-form RK4 propagator,
+        # with no row -mu(t)
+        assert stats["substeps"] == 128 and stats["stepping"] == "propagator"
+        assert stats["rows"] == 0 and stats["edge_mass"] is None
 
     def test_determinism_bit_identical(self, tmp_path):
         cfg = {"experiment": "solve", "grid": {"L": 8.0, "N": 64, "k": 2.0},

@@ -4,8 +4,8 @@ import importlib
 
 import pytest
 
-MODULES = ("acceptance", "analysis", "cli", "quantize", "runio", "solver", "structure",
-           "symbols")
+MODULES = ("acceptance", "analysis", "cli", "quantize", "runio", "solver", "stepping",
+           "structure", "symbols")
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from singhyp.quantize import (GridSpec, OverflowGuardError, _kn_trig, apply_kn, apply_multiplier,
                               kn_fold, l2_norm, loss_operator)
 import singhyp.solver as solver
+import singhyp.stepping as stepping
 from singhyp.solver import (CauchyProblem, Discretization, SolverError, SupportError,
                             SystemOperators, TimeMesh, assemble_rhs, graded_mesh,
                             integrate, lower_operator, reduce_to_system, symbol_operator,
@@ -488,14 +490,18 @@ class TestManufacturedSolution:
     t = 1 is RK4's alone.  A forcing puts every solve on grid values; the modal path is covered
     by its equality with them (``TestModalState::test_matches_physical_integrate``)."""
 
-    @pytest.mark.parametrize("path", ["separable", "banded", "dense"])
+    @pytest.mark.parametrize("path", ["separable", "banded", "dense", "singular"])
     def test_rk4_order(self, path):
         # theorem family, p = 0, poly pair, default graded mesh: the observed order is 4 once
         # the mesh resolves the start (M = 128 -> 256, measured 3.95) and below 1 on the
         # pre-asymptotic M = 32 -> 64 (0.53 separable and dense, 0.31 banded); the banded
-        # path steps the excised symbol and the dense one the family rebuilt undeclared
+        # path steps the excised symbol and the dense one the family rebuilt undeclared;
+        # "singular" is the separable path for p = 0.2, whose a also blows up like t**-0.2 at
+        # t = 0 (measured 0.42, 1.98, 3.94).  Every solve here is forced, so it steps grid values
+        # stage by stage: the closed-form propagator never steps a forced solve
         grid = GridSpec(L=8.0, N=64, k=4.0)
-        fam = theorem_coefficient(0.0, 1.25, pair=poly_pair(0.5, 0.5), k=4.0)
+        fam = theorem_coefficient(0.2 if path == "singular" else 0.0, 1.25,
+                                  pair=poly_pair(0.5, 0.5), k=4.0)
         if path == "dense":
             fam = dataclasses.replace(fam, separable=None)
         sigma = excise(fam).a if path == "banded" else fam.a
@@ -509,7 +515,8 @@ class TestManufacturedSolution:
         want, errs = np.cos(3.0) * G, []
         for M in (32, 64, 128, 256):
             traj = integrate(prob, grid, graded_mesh(fam, 0.0, 1.0, M), [1.0])
-            assert (traj.stats["operator"], traj.stats["space"]) == (path, "physical")
+            assert (traj.stats["operator"], traj.stats["space"], traj.stats["stepping"]) == (
+                "separable" if path == "singular" else path, "physical", "stages")
             t, u, _ = traj.snapshots[-1]
             assert t == 1.0
             errs.append(np.max(np.abs(u - want)) / np.max(np.abs(want)))
@@ -702,11 +709,14 @@ class TestFourierState:
             assert traj.stats["singular_start"] == (t_start == 0.0)
             assert traj.stats["halvings"] > 0 or t_start > 0.0
             assert 2 * n <= traj.stats["rows"] <= 2 * n + 1
+            # the counterexamples are exactly periodic: no torus edge mass
+            assert traj.stats["stepping"] == "stages" and traj.stats["edge_mass"] is None
         # on grid values the operators are applied, and no row is formed
         bump = GaussianBump(0.0, 0.2)(grid.x)
         phys = dataclasses.replace(prob, family=_physical(fam), f1=bump, f2=0.0 * bump)
         traj = integrate(phys, grid, graded_mesh(fam, t_start, 1.0, 16), [1.0])
         assert traj.stats["space"] == "physical" and traj.stats["rows"] == 0
+        assert 0.0 < traj.stats["edge_mass"] < 1e-6  # x-dependent: recorded (1.2e-8)
 
     @pytest.mark.parametrize("path", ["separable", "diagonal"])
     @pytest.mark.parametrize("b0, b1, b2, forced",
@@ -768,7 +778,8 @@ class TestFourierState:
     def test_coefficients_evaluated_per_block(self, monkeypatch):
         # from a singular start with halved steps, on Fourier coefficients (7.3) and on grid
         # values (the theorem family with x-dependent omega): g, b1 and speed_bound are called
-        # once per block or chunk, not once per stage, and rhs still 4 times per substep
+        # once per block or chunk, not once per stage, and rhs still 4 times per substep on
+        # the first two (the modal space steps propagators, which read g from the same table)
         counts = dict.fromkeys(("g", "b1", "speed_bound", "rhs", "_rk4_step"), 0)
 
         def counted(name, fn):
@@ -808,7 +819,10 @@ class TestFourierState:
             chunks = -(-M // (solver._TABLE_VALUES // np.size(disc.space.x)))
             assert traj.stats["space"] == space and traj.stats["singular_start"]
             assert traj.stats["halvings"] > 0 and blocks > 1
-            assert counts["_rk4_step"] == n and counts["rhs"] == 4 * n
+            # the modal solve steps one closed-form propagator per substep, with no stage
+            stepped = (0, 0) if space == "modal" else (n, 4 * n)
+            assert (counts["_rk4_step"], counts["rhs"]) == stepped
+            assert traj.stats["stepping"] == ("propagator" if space == "modal" else "stages")
             assert counts["speed_bound"] == chunks and (space == "fourier" or chunks > 1)
             assert counts["g"] == blocks
             # b1 (of 7.3 only) is also probed once at t_start for a singular start
@@ -853,13 +867,15 @@ class TestFourierState:
         assert counts["_modal_basis"] == counts["_real_matmul"] == 0
 
         # without it the modal space: one basis, and one change of basis at the data and one
-        # per snapshot, with no transform per RHS, for real and for complex data
+        # per snapshot, with no transform per substep (and no RHS: each substep is one
+        # closed-form propagator), for real and for complex data
         for f2, real in ((prob.f2, True), (0.5j * prob.f1, False)):
             counts.update(dict.fromkeys(counts, 0))
             traj = integrate(dataclasses.replace(prob, family=fam, f2=f2), grid,
                              graded_mesh(fam, 0.0, 1.0, 64), [0.5, 1.0])
             S = len(traj.snapshots)
-            assert traj.stats["space"] == "modal" and S == 2 and counts["rhs"] > 0
+            assert traj.stats["space"] == "modal" and S == 2 and counts["rhs"] == 0
+            assert traj.stats["stepping"] == "propagator" and traj.stats["substeps"] > 0
             assert traj.stats["real"] is real
             assert (counts["_modal_basis"], counts["_real_matmul"]) == (1, 1 + S)
             assert all(counts[name] == 0 for name in names[:5])
@@ -935,9 +951,10 @@ class TestModalState:
                                                (256, 1024, 0.0)])
     @pytest.mark.parametrize("name", sorted(_MODAL_FAMILIES))
     def test_matches_physical_integrate(self, monkeypatch, name, N, M, t_start):
-        # the modal space steps the same RK4 as grid values in a fixed basis, so the two
-        # agree to rounding at every snapshot, on the same mesh and substeps: from the
-        # singular start t = 0 and from t = 1e-3, with CFL halvings at M = 16
+        # the modal space steps the same RK4 as grid values in a fixed basis (one closed-form
+        # propagator per mode and substep), so the two agree to rounding at every snapshot,
+        # on the same mesh and substeps: from the singular start t = 0 and from t = 1e-3, with
+        # CFL halvings at M = 16
         prob, grid = _modal_problem(name, N, t_start)
         mesh = graded_mesh(prob.family, t_start, 1.0, M)
         times = np.linspace(t_start, 1.0, 5)
@@ -949,8 +966,9 @@ class TestModalState:
         assert (M == 16) == (modal.stats["halvings"] > 0)
         keys = ("substeps", "halving_steps", "singular_start", "operator", "min_cfl_dt")
         assert all(modal.stats[k] == phys.stats[k] for k in keys)
-        n = modal.stats["substeps"]
-        assert 2 * n <= modal.stats["rows"] <= 2 * n + 1 and phys.stats["rows"] == 0
+        # the modal solve steps closed-form propagators, so neither forms a row -mu(t)
+        assert (modal.stats["stepping"], phys.stats["stepping"]) == ("propagator", "stages")
+        assert modal.stats["rows"] == phys.stats["rows"] == 0
         assert len(modal.snapshots) == len(phys.snapshots) == 5
         for (t, u, v), (t_ref, u_ref, v_ref) in zip(modal.snapshots, phys.snapshots):
             assert t == t_ref
@@ -1020,6 +1038,160 @@ class TestModalState:
         assert solver._modal_space(prob, grid, mesh) is None
         if grid.N <= 64:
             assert integrate(prob, grid, mesh, [1.0]).stats["space"] == "physical"
+
+
+def _propagator_problem(case):
+    # (problem, grid, mesh) of a solve where every mode solves u'' = -g(t) lam u
+    if case.startswith("modal"):
+        prob, grid = _modal_problem("example11" if "11" in case else "theorem-poly", 64)
+        M = 16 if "halved" in case else 128
+    else:
+        grid = GridSpec(L=np.pi, N=64, k=4.0)
+        fam = (theorem_coefficient(0.0, 1.25, k=4.0) if "halved" not in case
+               else free_wave(40.0, k=4.0))
+        prob, _, M, _ = _problem(fam, grid, 1e-3 if "positive" in case else 0.0,
+                                 16 if "halved" in case else 128)
+    if "complex" in case:
+        prob = dataclasses.replace(prob, f2=prob.f2 + 0.5j * prob.f1)
+    return prob, grid, graded_mesh(prob.family, prob.t_start, 1.0, M)
+
+
+class TestPropagator:
+    """Where every mode of the states solves ``u'' = -g(t) lam u``, ``integrate`` steps one
+    closed-form RK4 propagator per substep."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_closed_form_is_the_rk4_step(self, monkeypatch, seed, dtype):
+        # each propagator is _rk4_step of the diagonal rhs (v, -g(t) lam u) from the same
+        # state, to 1e-14 relative: lam holds 0 (Example 1.1's m(0) = 0) and reaches
+        # h**2 g lam = 6 (RK4 is stable to 8 here), g is drawn at every stage time, the first
+        # substep samples a singular start's (tm, tm, tm), and 40 substeps cross chunks of 8
+        monkeypatch.setattr(stepping, "_PROPAGATOR_VALUES", 4 * 8 * 64)
+        rng = np.random.default_rng(seed)
+        block, t0 = [], 0.0
+        for i in range(40):
+            h = 0.01 * rng.uniform(0.5, 1.0)
+            tm = t0 + 0.5 * h
+            block.append((i, (tm, tm, tm) if i == 0 else (t0, tm, t0 + h), h, i % 3 == 0))
+            t0 += h
+        g = {t: rng.uniform(0.5, 2.0) for _, stages, _, _ in block for t in stages}
+        lam = np.concatenate([[0.0], rng.uniform(0.0, 6.0 / (0.01 ** 2 * 2.0), 63)])
+        def rhs(t, y, out):
+            out[0], out[1] = y[1], -g[t] * lam * y[0]
+            return out
+
+        y = rng.standard_normal((2, 64)).astype(dtype)
+        if dtype is complex:
+            y += 1j * rng.standard_normal((2, 64))
+        before, work, prev = y.tobytes(), np.empty((5, 2, 64), dtype=dtype), y
+        states = stepping._propagator(lambda t: (g[t],), lam)  # g(t) as the part at t
+        for (_, stages, h, _), got in zip(block, states(block, y)):
+            want = stepping._rk4_step(rhs, stages, h, prev, work)
+            assert got.dtype == dtype
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), stages
+            prev = got
+        assert y.tobytes() == before
+
+    @pytest.mark.parametrize("case", ["modal", "modal-complex", "modal11-halved",
+                                      "fourier", "fourier-complex", "fourier-halved",
+                                      "fourier-positive"])
+    def test_matches_stage_by_stage(self, monkeypatch, case):
+        # the same solve stepped stage by stage (the rule disabled) agrees within 1e-13 at
+        # every snapshot, on the same substeps: on real and complex modal states and the half
+        # and full spectrum, from the singular start t = 0 (and from 1e-3), with CFL halvings
+        prob, grid, mesh = _propagator_problem(case)
+        times = np.linspace(prob.t_start, 1.0, 5)
+        fast = integrate(prob, grid, mesh, times)
+        monkeypatch.setattr(solver, "_propagator_modes", lambda disc: None)
+        slow = integrate(prob, grid, mesh, times)
+        assert (fast.stats["stepping"], slow.stats["stepping"]) == ("propagator", "stages")
+        space = "modal" if case.startswith("modal") else "fourier"
+        assert fast.stats["space"] == slow.stats["space"] == space
+        assert fast.stats["real"] == slow.stats["real"] == ("complex" not in case)
+        assert fast.stats["substeps"] == slow.stats["substeps"]
+        assert fast.stats["halving_steps"] == slow.stats["halving_steps"]
+        assert (fast.stats["halvings"] > 0) == ("halved" in case)
+        assert len(fast.snapshots) == len(slow.snapshots) == 5
+        for (t, *got), (t_ref, *want) in zip(fast.snapshots, slow.snapshots):
+            assert t == t_ref
+            for a, b in zip(got, want):
+                assert l2_norm(grid, a - b) <= 1e-13 * l2_norm(grid, b), (case, t)
+
+    @pytest.mark.parametrize("broken", ["b0", "b1", "b2", "forcing", "excision", "grid-values",
+                                        "not-separable"])
+    def test_rule(self, broken):
+        # the propagator needs a separable principal part diagonal on the states, lam its real
+        # m (Fourier coefficients, w(0) in g) or modes (modal states), with no b0, b1, b2 or
+        # forcing; anything else is stepped stage by stage
+        for case in ("fourier", "modal"):
+            prob, grid, mesh = _propagator_problem(case)
+            disc, _ = solver._discretize(prob, grid, (prob.f1, prob.f2), mesh)
+            lam = solver._propagator_modes(disc)
+            want = (disc.space.modes if case == "modal"
+                    else prob.family.separable[2](grid.xi[:grid.N // 2 + 1]))
+            assert disc.space.name == case and lam.dtype == float
+            assert lam.tobytes() == np.broadcast_to(want, lam.shape).tobytes()
+            fam, coefficient = prob.family, (lambda t, x: 0.25 + 0.0 * x)
+            if broken in ("b0", "b1", "b2"):
+                prob = dataclasses.replace(prob, family=dataclasses.replace(
+                    fam, **{broken: coefficient}))
+            elif broken == "forcing":
+                prob = dataclasses.replace(prob, forcing=coefficient)
+            elif broken == "excision":
+                prob = dataclasses.replace(prob, use_excision=True)
+            elif broken == "grid-values":  # x-dependent, and N**2 > 256 M
+                env = GaussianBump(0.0, 0.2)(grid.x)  # inside |x| <= L/2
+                prob = dataclasses.replace(prob, family=_physical(fam), f1=env * prob.f1,
+                                           f2=env * prob.f2)
+                mesh = graded_mesh(fam, 0.0, 1.0, 8)
+            else:
+                prob = dataclasses.replace(prob, family=dataclasses.replace(fam, separable=None))
+            disc, _ = solver._discretize(prob, grid, (prob.f1, prob.f2), mesh)
+            assert solver._propagator_modes(disc) is None, (case, disc.space.name)
+        assert integrate(prob, grid, mesh, [1.0]).stats["stepping"] == "stages"
+
+    @pytest.mark.parametrize("N", [1024, 4096])
+    def test_rows_add_no_memory(self, monkeypatch, N):
+        # the rows of a chunk of propagators are bounded, so a propagator solve peaks no
+        # higher than the same solve stepped stage by stage (measured 0.90 and 0.82 of it on
+        # real data, caches warm)
+        grid = GridSpec(L=np.pi, N=N, k=1.0)
+        fam = free_wave(k=1.0)
+        prob = CauchyProblem(family=fam, f1=U0(grid.x), f2=U0(grid.x, 1), t_start=0.0, T=1.0)
+        mesh, peaks = graded_mesh(fam, 0.0, 1.0, 16), []
+        for stepping in ("propagator", "stages"):
+            if stepping == "stages":
+                monkeypatch.setattr(solver, "_propagator_modes", lambda disc: None)
+            assert integrate(prob, grid, mesh, [1.0]).stats["stepping"] == stepping
+            tracemalloc.start()
+            try:
+                integrate(prob, grid, mesh, [1.0])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1], peaks
+
+
+class TestEdgeMass:
+    def test_recomputed_from_the_snapshots(self):
+        # excised_dense's inputs at test sizes (N = 32, M = 32, seed 1): the largest, over
+        # snapshots, of max |u| on |x| >= 3L/4 relative to its max |u|, the same in two runs
+        grid = GridSpec(L=8.0, N=32, k=4.0)
+        fam = theorem_coefficient(0.0, 1.25, pair=poly_pair(0.5, 0.5), k=4.0)
+        p, env = random_trig_poly(8, seed=1), GaussianBump(0.0, 0.45)
+        f1 = p(grid.x) * env(grid.x)
+        f2 = -(p(grid.x, 1) * env(grid.x) + p(grid.x) * env(grid.x, 1))
+        prob = CauchyProblem(family=fam, f1=f1.astype(complex), f2=f2.astype(complex),
+                             t_start=0.0, T=1.0, use_excision=True)
+        mesh, times = graded_mesh(fam, 0.0, 1.0, 32), np.linspace(0.0, 1.0, 9)
+        first, second = (integrate(prob, grid, mesh, times) for _ in range(2))
+        edge = np.abs(grid.x) >= 6.0
+        want = max(float(np.max(np.abs(u[edge])) / np.max(np.abs(u)))
+                   for _, u, _ in first.snapshots)
+        assert first.stats["space"] == "physical" and len(first.snapshots) == 9
+        assert first.stats["edge_mass"] == second.stats["edge_mass"] == want
+        assert 0.0 < want < 1.0
 
 
 _REAL_CASES = {
